@@ -108,33 +108,6 @@ class FiniteGroup:
         return FiniteGroup(g.order * nh, mul,
                            g.identity * nh + h.identity, inv)
 
-    @staticmethod
-    def from_elements(elements: list, mul_fn: Callable, encode: Callable
-                      ) -> "FiniteGroup":
-        """Group on abstract elements with a raw product and an encoding key."""
-        index = {encode(el): i for i, el in enumerate(elements)}
-
-        def mul(a: int, b: int) -> int:
-            return index[encode(mul_fn(elements[a], elements[b]))]
-
-        identity = None
-        probe = 0
-        for i in range(len(elements)):
-            if mul(i, probe) == probe and mul(probe, i) == probe:
-                identity = i
-                break
-        if identity is None:
-            raise ValueError("no identity among the elements")
-        inverse = [0] * len(elements)
-        for a in range(len(elements)):
-            for b in range(len(elements)):
-                if mul(a, b) == identity:
-                    inverse[a] = b
-                    break
-        group = FiniteGroup(len(elements), mul, identity, inverse)
-        group.elements = elements  # type: ignore[attr-defined]
-        return group
-
 
 @dataclass(frozen=True)
 class OrbitTable:
@@ -184,9 +157,6 @@ class GroupAction:
     def stabilizer_order(self, point: int) -> int:
         """Direct scan over all group elements."""
         return int(np.count_nonzero(self.act[:, point] == point))
-
-    def stabilizer_elements(self, point: int) -> list[int]:
-        return [int(g) for g in np.nonzero(self.act[:, point] == point)[0]]
 
     def orbits(self) -> OrbitTable:
         if self._orbits is None:

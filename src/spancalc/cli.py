@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import fock, hall, hecke
+from . import fock
 from .groupoid import (
     FiniteGroupoid,
     SizeCapError,
@@ -23,6 +23,7 @@ from .groupoid import (
     validate_groupoid,
 )
 from .spans import (
+    SpanOfGroupoids,
     compose_spans,
     degroupoidify_span,
     format_rational,
@@ -69,16 +70,26 @@ def _parse_alpha(text: str) -> Fraction:
         raise InputError(f"invalid alpha {text!r}")
 
 
-def _groupoid_from_file(path: str) -> FiniteGroupoid:
+def _groupoid_from_file(path: str, check_indices: bool = True
+                        ) -> FiniteGroupoid:
     data = _load_json(path)
     try:
-        return FiniteGroupoid.from_json(data)
-    except (KeyError, TypeError, IndexError) as exc:
+        return FiniteGroupoid.from_json(data, check_indices)
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise InputError(f"{path}: not a groupoid file ({exc})")
 
 
+def _span_from_file(path: str) -> SpanOfGroupoids:
+    data = _load_json(path)
+    try:
+        return span_from_json(data)
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        raise InputError(f"{path}: not a span file ({exc})")
+
+
 def cmd_check(args) -> int:
-    g = _groupoid_from_file(args.groupoid)
+    # indices out of range are violations to report, not input errors
+    g = _groupoid_from_file(args.groupoid, check_indices=False)
     report = validate_groupoid(g)
     if args.json:
         print(json.dumps({"valid": not report, "violations": report}))
@@ -102,7 +113,7 @@ def cmd_card(args) -> int:
 
 
 def cmd_degroupoidify(args) -> int:
-    span = span_from_json(_load_json(args.span))
+    span = _span_from_file(args.span)
     alpha = _parse_alpha(args.alpha)
     matrix = degroupoidify_span(span, alpha)
     if args.csv:
@@ -115,8 +126,8 @@ def cmd_degroupoidify(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    t = span_from_json(_load_json(args.first))
-    s = span_from_json(_load_json(args.second))
+    t = _span_from_file(args.first)
+    s = _span_from_file(args.second)
     composed = compose_spans(t, s, mode="literal")
     _write_output(json.dumps(span_to_json(composed)), args.output)
     return EXIT_OK
@@ -152,6 +163,8 @@ def cmd_fock(args) -> int:
 
 
 def cmd_hecke(args) -> int:
+    from . import hecke  # numpy-backed; imported only when needed
+
     status = EXIT_OK
     out: dict = {"q": args.q}
     lines = []
@@ -182,6 +195,8 @@ def cmd_hecke(args) -> int:
 
 
 def cmd_hall(args) -> int:
+    from . import hall  # numpy-backed; imported only when needed
+
     quiver = hall.parse_quiver(args.quiver)
     dmax = tuple(int(d) for d in args.dmax.split(","))
     if len(dmax) != quiver.n_vertices:

@@ -11,7 +11,9 @@ row and column and are reported, never silently dropped.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,6 +36,18 @@ from .spans import (
 MAX_MATERIALIZED_N = 8
 
 
+def _then(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation "p then q": i -> q[p[i]]."""
+    return tuple(map(q.__getitem__, p))
+
+
+def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for i, pi in enumerate(p):
+        inv[pi] = i
+    return tuple(inv)
+
+
 class _PermLevels:
     """Permutations of {0..n-1} for each n <= N, in lexicographic order."""
 
@@ -48,39 +62,16 @@ class _PermLevels:
         self.offset = [0] * (N + 2)
         for n in range(N + 1):
             self.offset[n + 1] = self.offset[n] + len(self.perms[n])
-        self._comp_table: list[list[int] | None] = [None] * (N + 1)
 
     def morphism(self, n: int, perm: tuple[int, ...]) -> int:
         return self.offset[n] + self.index[n][perm]
 
-    def level_of(self, m: int) -> int:
-        n = 0
-        while self.offset[n + 1] <= m:
-            n += 1
-        return n
-
-    def decode(self, m: int) -> tuple[int, tuple[int, ...]]:
-        n = self.level_of(m)
-        return n, self.perms[n][m - self.offset[n]]
-
     def comp(self, m1: int, m2: int) -> int:
-        """Composite "m1 then m2" within one level, table-backed."""
-        n = self.level_of(m1)
-        table = self._comp_table[n]
-        if table is None:
-            perms = self.perms[n]
-            size = len(perms)
-            index = self.index[n]
-            rng = range(n)
-            table = [0] * (size * size)
-            for a, p in enumerate(perms):
-                base = a * size
-                for b, q in enumerate(perms):
-                    table[base + b] = index[tuple(q[p[i]] for i in rng)]
-            self._comp_table[n] = table
-        size = len(self.perms[n])
+        """Composite "m1 then m2" within one level, composed directly."""
+        n = bisect.bisect_right(self.offset, m1) - 1
         off = self.offset[n]
-        return off + table[(m1 - off) * size + (m2 - off)]
+        perms = self.perms[n]
+        return off + self.index[n][_then(perms[m1 - off], perms[m2 - off])]
 
 
 @dataclass(frozen=True)
@@ -113,31 +104,18 @@ def build_E(N: int, classes_only: bool = False) -> TruncatedE:
         return TruncatedE(N, None, None)
     if N > MAX_MATERIALIZED_N:
         raise SizeCapError("truncated finite-sets groupoid", sum(
-            _factorial(n) for n in range(N + 1)))
+            math.factorial(n) for n in range(N + 1)))
     levels = _PermLevels(N)
-    n_mor = levels.offset[N + 1]
     src = []
     for n in range(N + 1):
         src.extend([n] * len(levels.perms[n]))
     identity = tuple(levels.morphism(n, tuple(range(n))) for n in range(N + 1))
-    inverse = []
-    for n in range(N + 1):
-        for p in levels.perms[n]:
-            inv = [0] * n
-            for i, pi in enumerate(p):
-                inv[pi] = i
-            inverse.append(levels.morphism(n, tuple(inv)))
+    inverse = [levels.morphism(n, _invert(p))
+               for n in range(N + 1) for p in levels.perms[n]]
 
     groupoid = FiniteGroupoid(N + 1, tuple(src), tuple(src), identity,
                               tuple(inverse), levels.comp)
     return TruncatedE(N, groupoid, levels)
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 @dataclass(frozen=True)
@@ -172,15 +150,13 @@ def psi_n(n: int, E: TruncatedE) -> StuffType:
     """The stuff type "being an n-element set": one class with n! automorphisms."""
     if n > E.N:
         raise ValueError(f"n={n} exceeds the truncation bound {E.N}")
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
+    perms = E.levels.perms[n]
+    index = E.levels.index[n]
     e = index[tuple(range(n))]
-    inv = tuple(index[tuple(sorted(range(n), key=lambda i: p[i]))]
-                for p in perms)
+    inv = tuple(index[_invert(p)] for p in perms)
 
     def comp(f: int, g: int) -> int:
-        p, q = perms[f], perms[g]
-        return index[tuple(q[p[i]] for i in range(n))]
+        return index[_then(perms[f], perms[g])]
 
     total = FiniteGroupoid(1, (0,) * len(perms), (0,) * len(perms), (e,),
                            inv, comp)
@@ -210,7 +186,7 @@ def two_colored_stuff(E: TruncatedE) -> StuffType:
         for a, p in enumerate(levels.perms[n]):
             # p maps the set to itself; the target coloring pulls back along
             # the inverse so that colors are preserved
-            target = tuple(coloring[_inv_at(p, j)] for j in range(n))
+            target = tuple(coloring[i] for i in _invert(p))
             src.append(o)
             tgt.append(obj_index[(n, target)])
             proj_mor.append(levels.morphism(n, p))
@@ -222,31 +198,21 @@ def two_colored_stuff(E: TruncatedE) -> StuffType:
     inverse = []
     for o, a in mor_data:
         n, _coloring = objects[o]
-        p = levels.perms[n][a]
-        inv = tuple(sorted(range(n), key=lambda i: p[i]))
         inverse.append(mor_offset[tgt[mor_offset[o] + a]]
-                       + levels.index[n][inv])
+                       + levels.index[n][_invert(levels.perms[n][a])])
 
     def comp(f: int, g: int) -> int:
         o1, a1 = mor_data[f]
         o2, a2 = mor_data[g]
         n = objects[o1][0]
-        p, q = levels.perms[n][a1], levels.perms[n][a2]
         return mor_offset[o1] + levels.index[n][
-            tuple(q[p[i]] for i in range(n))]
+            _then(levels.perms[n][a1], levels.perms[n][a2])]
 
     total = FiniteGroupoid(len(objects), tuple(src), tuple(tgt), identity,
                            tuple(inverse), comp)
     proj = GroupoidFunctor(total, E.groupoid,
                            tuple(n for n, _c in objects), tuple(proj_mor))
     return StuffType(GroupoidOverX(total, proj), E)
-
-
-def _inv_at(p: tuple[int, ...], j: int) -> int:
-    for i, pi in enumerate(p):
-        if pi == j:
-            return i
-    raise ValueError
 
 
 def _inclusion_functor(inner: TruncatedE, outer: TruncatedE) -> GroupoidFunctor:
@@ -331,30 +297,26 @@ def _span_power(s: SpanOfGroupoids, k: int, base: FiniteGroupoid,
     return out
 
 
-NORMAL_ORDERED_EXPANSIONS: dict[int, list[tuple[int, int, int]]] = {
-    # n: list of (coefficient, creation power j, annihilation power k)
-    0: [(1, 0, 0)],
-    1: [(1, 0, 1), (1, 1, 0)],
-    2: [(1, 0, 2), (2, 1, 1), (1, 2, 0)],
-    3: [(1, 0, 3), (3, 1, 2), (3, 2, 1), (1, 3, 0)],
-}
+def normal_ordered_terms(n: int) -> list[tuple[int, int, int]]:
+    """:(A + A*)^n: = sum_j C(n, j) A*^j A^(n-j), as (coefficient, j, n-j)."""
+    return [(math.comb(n, j), j, n - j) for j in range(n + 1)]
 
 
 def normal_ordered_power(n: int, E: TruncatedE,
                          mode: PullbackMode = "auto") -> SpanOfGroupoids:
-    """The normal-ordered n-th power of the field span A + A*, n <= 3.
+    """The normal-ordered n-th power of the field span A + A*.
 
     Built from the expansion with all creation factors moved left, using
     span composition, coproduct for sums, and a discrete groupoid as the
     integer coefficient.
     """
-    if n not in NORMAL_ORDERED_EXPANSIONS:
-        raise ValueError(f"normal-ordered power {n} not tabulated (0..3)")
+    if n < 0:
+        raise ValueError(f"normal-ordered power {n} is negative")
     A = annihilation_span(E)
     Astar = adjoint(A)
     base = E.groupoid
     total: SpanOfGroupoids | None = None
-    for coeff, j, k in NORMAL_ORDERED_EXPANSIONS[n]:
+    for coeff, j, k in normal_ordered_terms(n):
         if j and k:
             term = compose_spans(_span_power(Astar, j, base, mode),
                                  _span_power(A, k, base, mode), mode=mode)

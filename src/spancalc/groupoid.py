@@ -84,7 +84,8 @@ class FiniteGroupoid:
     """
 
     __slots__ = ("n_objects", "src", "tgt", "identity", "inverse",
-                 "_compose_map", "_compose_fn", "_hom_index", "_from_index")
+                 "_compose_map", "_compose_fn", "_hom_index", "_from_index",
+                 "_aut_gens")
 
     def __init__(
         self,
@@ -108,6 +109,7 @@ class FiniteGroupoid:
             self._compose_fn = None
         self._hom_index: dict[tuple[int, int], list[int]] | None = None
         self._from_index: list[list[int]] | None = None
+        self._aut_gens: dict[int, list[int]] = {}
 
     @property
     def n_morphisms(self) -> int:
@@ -135,6 +137,38 @@ class FiniteGroupoid:
 
     def aut(self, x: int) -> list[int]:
         return self.hom(x, x)
+
+    def aut_generators(self, x: int) -> list[int]:
+        """A generating set of Aut(x), at most log2 |Aut(x)| long; cached.
+
+        Greedy closure (Dimino-style): scan Aut(x) in index order and keep
+        each element not yet in the subgroup generated so far, extending
+        that subgroup by right multiplication with the generators.
+        """
+        gens = self._aut_gens.get(x)
+        if gens is not None:
+            return gens
+        gens = []
+        group = {self.identity[x]}
+        for a in self.aut(x):
+            if a in group:
+                continue
+            gens.append(a)
+            # old elements times old generators stay inside the old group
+            frontier = [b for b in (self.compose(h, a) for h in group)
+                        if b not in group]
+            group.update(frontier)
+            while frontier:
+                new = []
+                for h in frontier:
+                    for c in gens:
+                        b = self.compose(h, c)
+                        if b not in group:
+                            group.add(b)
+                            new.append(b)
+                frontier = new
+        self._aut_gens[x] = gens
+        return gens
 
     def mor_from(self, x: int) -> list[int]:
         if self._from_index is None:
@@ -246,17 +280,33 @@ class FiniteGroupoid:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "FiniteGroupoid":
+    def from_json(data: dict, check_indices: bool = True) -> "FiniteGroupoid":
+        """Read the JSON form; ``check_indices`` rejects object and morphism
+        indices out of range (linear in the morphisms, the composition
+        table is not scanned) with a ``ValueError``."""
         mor = data["morphisms"]
+        n_objects = data["objects"]
+        src = tuple(m["src"] for m in mor)
+        tgt = tuple(m["tgt"] for m in mor)
+        identity = tuple(data["identity"])
+        inverse = tuple(data["inverse"])
+        if check_indices:
+            _check_indices("identity", identity, n_objects, len(mor))
+            _check_indices("inverse", inverse, len(mor), len(mor))
+            _check_indices("src", src, len(mor), n_objects)
+            _check_indices("tgt", tgt, len(mor), n_objects)
         compose = {(f, g): h for f, g, h in data["compose"]}
-        return FiniteGroupoid(
-            data["objects"],
-            tuple(m["src"] for m in mor),
-            tuple(m["tgt"] for m in mor),
-            tuple(data["identity"]),
-            tuple(data["inverse"]),
-            compose,
-        )
+        return FiniteGroupoid(n_objects, src, tgt, identity, inverse, compose)
+
+
+def _check_indices(name: str, values: tuple, length: int, bound: int) -> None:
+    """Raise ValueError unless ``values`` has ``length`` entries in 0..bound-1."""
+    if len(values) != length:
+        raise ValueError(f"{name} has {len(values)} entries, expected {length}")
+    if values and (min(values) < 0 or max(values) >= bound):
+        i, v = next((i, v) for i, v in enumerate(values)
+                    if not 0 <= v < bound)
+        raise ValueError(f"{name}[{i}]={v} is out of range 0..{bound - 1}")
 
 
 @dataclass(frozen=True)

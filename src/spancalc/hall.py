@@ -592,10 +592,6 @@ class HallAlgebra:
                             failures.append((M.key, N.key, L.key, left, right))
         return failures
 
-    # operation-name aliases
-    hall_product = product
-    hall_product_via_span = product_via_span
-
 
 def enumerate_reps(quiver: Quiver, dimvec: tuple[int, ...], q: int
                    ) -> list[RepClass]:

@@ -24,7 +24,6 @@ from .groupoid import (
     GroupoidFunctor,
     IsoClassTable,
     Rational,
-    UnionFind,
     _check_cap,
     cardinality,
     coproduct,
@@ -356,6 +355,12 @@ def _pullback_projection_sizes(f: GroupoidFunctor, g: GroupoidFunctor
     return n_obj, n_mor
 
 
+def _auto_mode(n_obj: int, n_mor: int) -> PullbackMode:
+    """The "auto" rule: literal while the projected literal size fits."""
+    limit = min(size_cap(), LITERAL_AUTO_THRESHOLD)
+    return "literal" if max(n_obj, n_mor) <= limit else "skeletal"
+
+
 def weak_pullback(f: GroupoidFunctor, g: GroupoidFunctor,
                   mode: PullbackMode = "auto"
                   ) -> tuple[FiniteGroupoid, GroupoidFunctor, GroupoidFunctor]:
@@ -373,9 +378,7 @@ def weak_pullback(f: GroupoidFunctor, g: GroupoidFunctor,
     if f.codomain is not g.codomain and not _same_groupoid(f.codomain, g.codomain):
         raise ValueError("cospan legs have different codomains")
     if mode == "auto":
-        n_obj, n_mor = _pullback_projection_sizes(f, g)
-        limit = min(size_cap(), LITERAL_AUTO_THRESHOLD)
-        mode = "literal" if max(n_obj, n_mor) <= limit else "skeletal"
+        mode = _auto_mode(*_pullback_projection_sizes(f, g))
     if mode == "literal":
         return _weak_pullback_literal(f, g)
     return _weak_pullback_skeletal(f, g)
@@ -416,25 +419,38 @@ def _weak_pullback_literal(f: GroupoidFunctor, g: GroupoidFunctor):
     return P, proj_t, proj_s
 
 
-def _orbits_two_sided(B: FiniteGroupoid, isos: list[int],
-                      left_movers: list[int], right_movers: list[int]
-                      ) -> list[list[int]]:
-    """Orbits of hom-set elements under alpha -> l;alpha and alpha -> alpha;r.
+def _hom_orbits(B: FiniteGroupoid, isos: list[int],
+                moves: list[tuple[int | None, int | None]]
+                ) -> list[list[int]]:
+    """Orbits of a hom-set of B under the group generated by ``moves``.
 
-    One-sided moves generate the full two-sided orbits, which keeps the
-    scan linear in |isos| * (#left + #right).
+    A move (l, r) sends alpha to l;alpha;r, with None for a missing
+    factor.  The moves are the images of generating sets of the acting
+    automorphism groups, so the scan costs |isos| * #moves composites; in
+    a finite group the inverse moves are powers of the moves, so forward
+    moves reach the whole orbit.  ``isos`` is sorted and each orbit is
+    grown from its least element, so orbits come in order of their least
+    element, which is listed first, whatever the generators.
     """
     index = {a: i for i, a in enumerate(isos)}
-    uf = UnionFind(len(isos))
+    seen = [False] * len(isos)
+    orbits = []
     for i, alpha in enumerate(isos):
-        for l in left_movers:
-            uf.union(i, index[B.compose(l, alpha)])
-        for r in right_movers:
-            uf.union(i, index[B.compose(alpha, r)])
-    groups: dict[int, list[int]] = {}
-    for i, alpha in enumerate(isos):
-        groups.setdefault(uf.find(i), []).append(alpha)
-    return [groups[root] for root in sorted(groups)]
+        if seen[i]:
+            continue
+        seen[i] = True
+        orbit = [alpha]
+        for beta in orbit:  # grows while it is scanned
+            for l, r in moves:
+                gamma = beta if l is None else B.compose(l, beta)
+                if r is not None:
+                    gamma = B.compose(gamma, r)
+                j = index[gamma]
+                if not seen[j]:
+                    seen[j] = True
+                    orbit.append(gamma)
+        orbits.append(orbit)
+    return orbits
 
 
 def _weak_pullback_skeletal(f: GroupoidFunctor, g: GroupoidFunctor):
@@ -447,18 +463,20 @@ def _weak_pullback_skeletal(f: GroupoidFunctor, g: GroupoidFunctor):
     mor_target: list[int] = []
     for t0 in t_table.representative:
         aut_t = T.aut(t0)
-        f_auts = [B.inverse[f.mor_map[u]] for u in aut_t]
+        left_moves = [(B.inverse[f.mor_map[u]], None)
+                      for u in T.aut_generators(t0)]
         for s0 in s_table.representative:
             isos = B.hom(f.obj_map[t0], g.obj_map[s0])
             if not isos:
                 continue
             aut_s = S.aut(s0)
-            g_auts = [g.mor_map[v] for v in aut_s]
             g_lookup: dict[int, list[int]] = {}
-            for v, gv in zip(aut_s, g_auts):
-                g_lookup.setdefault(gv, []).append(v)
-            for orbit in _orbits_two_sided(B, isos, f_auts, g_auts):
-                alpha0 = min(orbit)
+            for v in aut_s:
+                g_lookup.setdefault(g.mor_map[v], []).append(v)
+            moves = left_moves + [(None, g.mor_map[v])
+                                  for v in S.aut_generators(s0)]
+            for orbit in _hom_orbits(B, isos, moves):
+                alpha0 = orbit[0]
                 o = len(obj_data)
                 obj_data.append((t0, s0, alpha0))
                 inv_a0 = B.inverse[alpha0]
@@ -641,8 +659,7 @@ def trace_span(s: SpanOfGroupoids, mode: PullbackMode = "auto"
                     for a in range(A.n_objects))
         n_mor = sum(len(B.hom(p.obj_map[a], q.obj_map[a])) * len(A.mor_from(a))
                     for a in range(A.n_objects))
-        limit = min(size_cap(), LITERAL_AUTO_THRESHOLD)
-        mode = "literal" if max(n_obj, n_mor) <= limit else "skeletal"
+        mode = _auto_mode(n_obj, n_mor)
 
     obj_data: list[tuple[int, int]] = []
     mor_data: list[tuple[int, int]] = []
@@ -665,23 +682,13 @@ def trace_span(s: SpanOfGroupoids, mode: PullbackMode = "auto"
             isos = B.hom(p.obj_map[a0], q.obj_map[a0])
             if not isos:
                 continue
-            aut = A.aut(a0)
-            index = {alpha: i for i, alpha in enumerate(isos)}
-            uf = UnionFind(len(isos))
-            for i, alpha in enumerate(isos):
-                for u in aut:
-                    alpha2 = B.compose(
-                        B.compose(B.inverse[p.mor_map[u]], alpha),
-                        q.mor_map[u])
-                    uf.union(i, index[alpha2])
-            groups: dict[int, list[int]] = {}
-            for i, alpha in enumerate(isos):
-                groups.setdefault(uf.find(i), []).append(alpha)
-            for root in sorted(groups):
-                alpha0 = min(groups[root])
+            moves = [(B.inverse[p.mor_map[u]], q.mor_map[u])
+                     for u in A.aut_generators(a0)]
+            for orbit in _hom_orbits(B, isos, moves):
+                alpha0 = orbit[0]
                 o = len(obj_data)
                 obj_data.append((a0, alpha0))
-                for u in aut:
+                for u in A.aut(a0):
                     if B.compose(B.compose(B.inverse[p.mor_map[u]], alpha0),
                                  q.mor_map[u]) == alpha0:
                         mor_data.append((o, u))

@@ -7,7 +7,9 @@ import random
 from spancalc.actions import EquivariantSpan, FiniteGroup, GroupAction, materialize_span
 from spancalc.groupoid import (
     FiniteGroupoid,
+    GroupoidFunctor,
     cyclic_table,
+    product,
     symmetric_table,
     table_product,
 )
@@ -92,3 +94,30 @@ def random_equivariant_span(rng: random.Random, k: int,
 def random_span(rng: random.Random, k: int, left: GroupAction,
                 right: GroupAction) -> SpanOfGroupoids:
     return materialize_span(random_equivariant_span(rng, k, left, right))
+
+
+def diagonal_functor(g: FiniteGroupoid) -> GroupoidFunctor:
+    """The diagonal g -> g x g (product numbers pairs as i * size + j)."""
+    total, _p1, _p2 = product(g, g)
+    return GroupoidFunctor(
+        g, total,
+        tuple(x * g.n_objects + x for x in range(g.n_objects)),
+        tuple(m * g.n_morphisms + m for m in range(g.n_morphisms)))
+
+
+def all_element_orbits(B: FiniteGroupoid, isos: list[int],
+                       pairs: list[tuple[int, int]]) -> list[list[int]]:
+    """Orbits of alpha -> l;alpha;r with (l, r) running over every element
+    of the acting group, each sorted, in order of least element.
+
+    The brute-force oracle for the generator-based orbit scan.
+    """
+    orbits: list[list[int]] = []
+    seen: set[int] = set()
+    for alpha in isos:
+        if alpha not in seen:
+            orbit = sorted({B.compose(B.compose(l, alpha), r)
+                            for l, r in pairs})
+            seen.update(orbit)
+            orbits.append(orbit)
+    return orbits

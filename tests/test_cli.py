@@ -99,6 +99,41 @@ def test_fock_ccr_exit_codes():
     assert "PASS" in result.stdout
 
 
+@pytest.mark.parametrize("N, cardinality", [(7, "685/252"),
+                                             (8, "109601/40320")])
+def test_fock_ccr_large_truncations(N, cardinality):
+    result = run_cli("fock", "--truncate", str(N), "--check-ccr", "--json")
+    assert result.returncode == 0
+    payload = json.loads(result.stdout)
+    assert payload["cardinality"] == cardinality
+    assert payload["ccr"]["pass"] is True
+    assert payload["ccr"]["boundary"] == [[N, N, f"-{N + 1}/1"]]
+
+
+def test_span_file_without_morphisms_exits_2(tmp_path):
+    data = span_to_json(annihilation_span(build_E(2)))
+    del data["apex"]["morphisms"]
+    path = tmp_path / "span.json"
+    path.write_text(json.dumps(data))
+    for args in (("degroupoidify", "--span", str(path)),
+                 ("compose", "--first", str(path), "--second", str(path))):
+        result = run_cli(*args)
+        assert result.returncode == 2
+        assert str(path) in result.stderr
+        assert "Traceback" not in result.stderr
+
+
+def test_card_rejects_identity_out_of_range(tmp_path):
+    data = FiniteGroupoid.terminal().to_json()
+    data["identity"] = [5]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    result = run_cli("card", str(path))
+    assert result.returncode == 2
+    assert str(path) in result.stderr and "identity" in result.stderr
+    assert result.stdout == ""
+
+
 def test_fock_series_json():
     result = run_cli("fock", "--truncate", "4", "--series", "two-colored",
                      "--json")

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from spancalc.fock import (
     field_span,
     generating_function,
     normal_ordered_power,
+    normal_ordered_terms,
     psi_n,
     two_colored_stuff,
     verify_ccr,
@@ -211,10 +213,29 @@ def test_normal_ordered_powers_match_polynomials():
         2: (a @ a) + (astar @ a).scale(2) + (astar @ astar),
         3: (a @ a @ a) + (astar @ a @ a).scale(3)
            + (astar @ astar @ a).scale(3) + (astar @ astar @ astar),
+        4: (a @ a @ a @ a) + (astar @ a @ a @ a).scale(4)
+           + (astar @ astar @ a @ a).scale(6)
+           + (astar @ astar @ astar @ a).scale(4)
+           + (astar @ astar @ astar @ astar),
     }
     for n, want in polys.items():
-        got = degroupoidify_span(normal_ordered_power(n, E), 0)
-        assert got == want, f"normal-ordered power {n}"
+        # "auto" builds literal pullbacks here, seconds per power past n = 3
+        for mode in ("auto", "skeletal") if n <= 3 else ("skeletal",):
+            got = degroupoidify_span(normal_ordered_power(n, E, mode), 0)
+            assert got == want, f"normal-ordered power {n}, {mode}"
+    assert normal_ordered_terms(5) == [(1, 0, 5), (5, 1, 4), (10, 2, 3),
+                                       (10, 3, 2), (5, 4, 1), (1, 5, 0)]
+    with pytest.raises(ValueError):
+        normal_ordered_power(-1, E)
+
+
+def test_ccr_at_seven_within_budget():
+    start = time.monotonic()
+    report = verify_ccr(build_E(7))
+    elapsed = time.monotonic() - start
+    assert report.ok
+    assert report.discrepancies == ((7, 7, -8),)
+    assert elapsed < 2.0, f"N=7 CCR took {elapsed:.2f}s"
 
 
 def test_fock_matrices_nonnegative():

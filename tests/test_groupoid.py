@@ -198,3 +198,38 @@ def test_json_roundtrip():
     assert validate_groupoid(g2) == []
     assert cardinality(g2) == cardinality(g)
     assert g2.src == g.src and g2.tgt == g.tgt
+
+
+def test_from_json_rejects_indices_out_of_range():
+    good = FiniteGroupoid.connected(2, cyclic_table(2)).to_json()
+    for key, value in (("identity", [0, 99]), ("identity", [0]),
+                       ("inverse", [-1] + good["inverse"][1:])):
+        data = dict(good, **{key: value})
+        with pytest.raises(ValueError, match=key):
+            FiniteGroupoid.from_json(data)
+    bad_tgt = dict(good, morphisms=[dict(m) for m in good["morphisms"]])
+    bad_tgt["morphisms"][3]["tgt"] = 2
+    with pytest.raises(ValueError, match=r"tgt\[3\]=2"):
+        FiniteGroupoid.from_json(bad_tgt)
+    # the unchecked form is what "check" reads, to report violations
+    assert validate_groupoid(FiniteGroupoid.from_json(
+        dict(good, identity=[0, 99]), check_indices=False)) != []
+
+
+def test_aut_generators_generate_each_automorphism_group():
+    rng = random.Random(17)
+    groupoids = [random_groupoid(rng) for _ in range(10)]
+    for g in groupoids + [FiniteGroupoid.connected(2, symmetric_table(4))]:
+        for x in range(g.n_objects):
+            gens = g.aut_generators(x)
+            assert g.aut_generators(x) is gens  # cached per object
+            aut = set(g.aut(x))
+            assert set(gens) <= aut
+            assert 2 ** len(gens) <= len(aut)  # each generator doubles
+            closure = {g.identity[x]}
+            frontier = list(closure)
+            while frontier:
+                frontier = [b for b in {g.compose(h, c) for h in frontier
+                                        for c in gens} if b not in closure]
+                closure.update(frontier)
+            assert closure == aut

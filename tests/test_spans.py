@@ -13,6 +13,7 @@ from spancalc.groupoid import (
     cyclic_table,
     iso_classes,
     skeleton,
+    symmetric_table,
     validate_groupoid,
 )
 from spancalc.spans import (
@@ -35,7 +36,13 @@ from spancalc.spans import (
     weak_pullback,
 )
 
-from helpers import random_cyclic_action, random_span
+from helpers import (
+    all_element_orbits,
+    diagonal_functor,
+    random_cyclic_action,
+    random_groupoid,
+    random_span,
+)
 
 
 def bz2():
@@ -96,6 +103,50 @@ def test_skeletal_pullback_matches_literal():
         assert validate_groupoid(ske) == []
         assert st.validate() == [] and ss.validate() == []
         assert cardinality(lit) == cardinality(ske)
+        # the pullback as a span between the outer feet: equal matrices
+        lit_span = SpanOfGroupoids(lit, ls.then(t.right), lt.then(s.right))
+        ske_span = SpanOfGroupoids(ske, ss.then(t.right), st.then(s.right))
+        for alpha in (0, 1, Fraction(1, 2)):
+            assert degroupoidify_span(lit_span, alpha) == \
+                degroupoidify_span(ske_span, alpha)
+
+
+def _orbit_cospans(rng: random.Random):
+    """Cospans with nontrivial two-sided orbits: legs of random action
+    spans, and the diagonal of a groupoid against itself."""
+    for _ in range(8):
+        k = rng.choice([2, 3, 4, 6])
+        base = random_cyclic_action(rng, k, rng.randint(1, 4))
+        s = random_span(rng, k, base, random_cyclic_action(rng, k, 3))
+        t = random_span(rng, k, base, random_cyclic_action(rng, k, 3))
+        yield s.left, GroupoidFunctor(t.apex, s.target, t.left.obj_map,
+                                      t.left.mor_map)
+    # non-abelian automorphism groups need every generator on both sides
+    groupoids = [random_groupoid(rng, max_objects=3) for _ in range(4)]
+    groupoids += [FiniteGroupoid.connected(2, symmetric_table(3)),
+                  FiniteGroupoid.from_group_table(symmetric_table(4))]
+    for x in groupoids:
+        delta = diagonal_functor(x)
+        yield delta, delta
+
+
+def test_skeletal_objects_are_all_element_orbit_minima():
+    rng = random.Random(29)
+    for f, g in _orbit_cospans(rng):
+        T, S, B = f.domain, g.domain, f.codomain
+        P, _pt, _ps = weak_pullback(f, g, mode="skeletal")
+        want = []
+        for t0 in iso_classes(T).representative:
+            for s0 in iso_classes(S).representative:
+                pairs = [(B.inverse[f.mor_map[u]], g.mor_map[v])
+                         for u in T.aut(t0) for v in S.aut(s0)]
+                for orbit in all_element_orbits(
+                        B, B.hom(f.obj_map[t0], g.obj_map[s0]), pairs):
+                    want.append(((t0, s0, orbit[0]), len(orbit)))
+        assert P.obj_data == [obj for obj, _size in want]
+        # orbit-stabilizer: |orbit| * |stabilizer| = |Aut t0| * |Aut s0|
+        for o, ((t0, s0, _a), size) in enumerate(want):
+            assert size * len(P.aut(o)) == len(T.aut(t0)) * len(S.aut(s0))
 
 
 def test_pullback_rejects_codomain_mismatch():
@@ -344,6 +395,35 @@ def test_trace_equals_matrix_trace():
         s = random_span(rng, k, ax, ax)
         _, value = trace_span(s)
         assert value == degroupoidify_span(s, 0).trace()
+
+
+def test_trace_skeletal_matches_literal_and_orbit_oracle():
+    rng = random.Random(103)
+    spans = []
+    for _ in range(6):
+        k = rng.choice([2, 3, 4])
+        ax = random_cyclic_action(rng, k, rng.randint(1, 4))
+        spans.append(random_span(rng, k, ax, ax))
+    # on an identity span the orbits are conjugacy classes
+    spans += [identity_span(random_groupoid(rng, max_objects=4))
+              for _ in range(4)]
+    spans.append(identity_span(FiniteGroupoid.connected(2, symmetric_table(4))))
+    for s in spans:
+        A, B = s.apex, s.source
+        lit, lit_value = trace_span(s, mode="literal")
+        ske, ske_value = trace_span(s, mode="skeletal")
+        assert lit_value == ske_value == cardinality(lit) == cardinality(ske)
+        assert validate_groupoid(ske) == []
+        want = []
+        for a0 in iso_classes(A).representative:
+            pairs = [(B.inverse[s.right.mor_map[u]], s.left.mor_map[u])
+                     for u in A.aut(a0)]
+            isos = B.hom(s.right.obj_map[a0], s.left.obj_map[a0])
+            want += [((a0, orbit[0]), len(orbit))
+                     for orbit in all_element_orbits(B, isos, pairs)]
+        assert ske.obj_data == [obj for obj, _size in want]
+        for o, ((a0, _a), size) in enumerate(want):
+            assert size * len(ske.aut(o)) == len(A.aut(a0))
 
 
 def test_trace_cyclicity_and_linearity():
