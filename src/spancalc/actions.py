@@ -18,8 +18,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .groupoid import FiniteGroupoid, GroupoidFunctor, Rational, _check_cap
-from .spans import RationalMatrix, SpanOfGroupoids, _aut_pow, QSqrt
+from .groupoid import FiniteGroupoid, GroupoidFunctor, IsoClassTable, _check_cap
+from .spans import RationalMatrix, SpanOfGroupoids, degroupoidify_classes
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
 
 
 class FiniteGroup:
@@ -109,25 +120,6 @@ class FiniteGroup:
                            g.identity * nh + h.identity, inv)
 
 
-@dataclass(frozen=True)
-class OrbitTable:
-    """Orbit decomposition of a group action, ordered by minimal point."""
-
-    orbit_of: tuple[int, ...]
-    representative: tuple[int, ...]
-    size: tuple[int, ...]
-    stabilizer_order: tuple[int, ...]
-
-    @property
-    def n_orbits(self) -> int:
-        return len(self.representative)
-
-    @property
-    def cardinality(self) -> Rational:
-        """Groupoid cardinality of the weak quotient: sum of 1/|Stab|."""
-        return sum((Fraction(1, s) for s in self.stabilizer_order), Fraction(0))
-
-
 class GroupAction:
     """A finite group acting on an indexed finite set, as a full table."""
 
@@ -135,7 +127,7 @@ class GroupAction:
         self.group = group
         self.act = np.asarray(act, dtype=np.int64).reshape(group.order, -1)
         self.n_points = int(self.act.shape[1])
-        self._orbits: OrbitTable | None = None
+        self._orbits: IsoClassTable | None = None
 
     def __call__(self, g: int, s: int) -> int:
         return int(self.act[g, s])
@@ -158,11 +150,10 @@ class GroupAction:
         """Direct scan over all group elements."""
         return int(np.count_nonzero(self.act[:, point] == point))
 
-    def orbits(self) -> OrbitTable:
+    def orbits(self) -> IsoClassTable:
+        """The iso classes of S//G: orbits, ordered by their least point,
+        with the stabilizer orders as automorphism orders."""
         if self._orbits is None:
-            if self.n_points == 0:
-                self._orbits = OrbitTable((), (), (), ())
-                return self._orbits
             # the table lists every group element, so the orbit of s is
             # exactly the column act[:, s]; min gives the canonical rep
             reps_per_point = self.act.min(axis=0)
@@ -173,8 +164,8 @@ class GroupAction:
             for o in orbit_of:
                 sizes[o] += 1
             stabs = [self.stabilizer_order(r) for r in reps]
-            self._orbits = OrbitTable(orbit_of, tuple(reps), tuple(sizes),
-                                      tuple(stabs))
+            self._orbits = IsoClassTable(orbit_of, tuple(reps), tuple(stabs),
+                                         tuple(sizes))
         return self._orbits
 
     def restrict(self, points: Sequence[int]) -> "GroupAction":
@@ -192,8 +183,9 @@ class GroupAction:
         return GroupAction(self.group, sub)
 
 
-def weak_quotient(action: GroupAction) -> OrbitTable:
-    """Orbit list with stabilizer orders; cardinality is |S|/|G| exactly."""
+def weak_quotient(action: GroupAction) -> IsoClassTable:
+    """Iso-class table of S//G (orbits, stabilizer orders); its cardinality
+    is |S|/|G| exactly."""
     table = action.orbits()
     expected = Fraction(action.n_points, action.group.order)
     if table.cardinality != expected:
@@ -258,45 +250,9 @@ def degroupoidify_equivariant(span: EquivariantSpan,
     apex orbits s lying over (x, y).  Agrees entry-by-entry with
     degroupoidifying the materialized action groupoids.
     """
-    alpha = Fraction(alpha)
-    apex_orbits = span.apex.orbits()
-    left_orbits = span.left.orbits()
-    right_orbits = span.right.orbits()
-    out = RationalMatrix(left_orbits.n_orbits, right_orbits.n_orbits)
-    for o in range(apex_orbits.n_orbits):
-        rep = apex_orbits.representative[o]
-        cy = left_orbits.orbit_of[span.left_map[rep]]
-        cx = right_orbits.orbit_of[span.right_map[rep]]
-        wx = _aut_pow(right_orbits.stabilizer_order[cx], 1 - alpha)
-        wy = _aut_pow(left_orbits.stabilizer_order[cy], alpha)
-        term = (wx * wy) / apex_orbits.stabilizer_order[o]
-        if isinstance(term, QSqrt) and term.is_rational:
-            term = term.as_fraction()
-        out.data[cy][cx] = out.data[cy][cx] + term
-    return out
-
-
-def action_to_json(action: GroupAction) -> dict:
-    group = action.group
-    mul = [[group.mul(a, b) for b in range(group.order)]
-           for a in range(group.order)]
-    return {
-        "group": {"order": group.order, "mul": mul},
-        "points": action.n_points,
-        "act": action.act.tolist(),
-    }
-
-
-def action_from_json(data: dict) -> GroupAction:
-    gdata = data["group"]
-    mul = gdata["mul"]
-    order = gdata["order"]
-    identity = next(a for a in range(order)
-                    if all(mul[a][b] == b for b in range(order)))
-    inverse = [next(b for b in range(order) if mul[a][b] == identity)
-               for a in range(order)]
-    group = FiniteGroup(order, mul, identity, inverse)
-    return GroupAction(group, data["act"])
+    return degroupoidify_classes(span.apex.orbits(), span.left_map,
+                                 span.right_map, span.left.orbits(),
+                                 span.right.orbits(), alpha)
 
 
 def materialize_span(span: EquivariantSpan) -> SpanOfGroupoids:

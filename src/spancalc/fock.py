@@ -21,8 +21,6 @@ from .groupoid import FiniteGroupoid, GroupoidFunctor, Rational, SizeCapError
 from .spans import (
     GroupoidOverX,
     PullbackMode,
-    RationalMatrix,
-    RationalVector,
     SpanOfGroupoids,
     add_spans,
     adjoint,
@@ -262,7 +260,7 @@ class CcrReport:
         return "\n".join(lines)
 
 
-def verify_ccr(E: TruncatedE, mode: PullbackMode = "auto") -> CcrReport:
+def verify_ccr(E: TruncatedE) -> CcrReport:
     """Check matrix(AA*) - matrix(A*A) = identity away from the truncation.
 
     Both composites are built as spans (weak pullback) and degroupoidified;
@@ -272,8 +270,8 @@ def verify_ccr(E: TruncatedE, mode: PullbackMode = "auto") -> CcrReport:
         raise ValueError("need N >= 2 to see the commutation relation")
     A = annihilation_span(E)
     Astar = adjoint(A)
-    m_aas = degroupoidify_span(compose_spans(A, Astar, mode=mode), 0)
-    m_asa = degroupoidify_span(compose_spans(Astar, A, mode=mode), 0)
+    m_aas = degroupoidify_span(compose_spans(A, Astar), 0)
+    m_asa = degroupoidify_span(compose_spans(Astar, A), 0)
     diff = m_aas - m_asa
     ok = True
     discrepancies = []
@@ -303,7 +301,7 @@ def normal_ordered_terms(n: int) -> list[tuple[int, int, int]]:
 
 
 def normal_ordered_power(n: int, E: TruncatedE,
-                         mode: PullbackMode = "auto") -> SpanOfGroupoids:
+                         mode: PullbackMode = "skeletal") -> SpanOfGroupoids:
     """The normal-ordered n-th power of the field span A + A*.
 
     Built from the expansion with all creation factors moved left, using

@@ -281,9 +281,14 @@ class FiniteGroupoid:
 
     @staticmethod
     def from_json(data: dict, check_indices: bool = True) -> "FiniteGroupoid":
-        """Read the JSON form; ``check_indices`` rejects object and morphism
-        indices out of range (linear in the morphisms, the composition
-        table is not scanned) with a ``ValueError``."""
+        """Read the JSON form.
+
+        ``check_indices`` rejects, with a ``ValueError``, object and
+        morphism indices out of range, identities that are not
+        endomorphisms of their object, and inverses with the wrong
+        endpoints; the checks are linear in the morphisms, the composition
+        table is not scanned.
+        """
         mor = data["morphisms"]
         n_objects = data["objects"]
         src = tuple(m["src"] for m in mor)
@@ -295,18 +300,35 @@ class FiniteGroupoid:
             _check_indices("inverse", inverse, len(mor), len(mor))
             _check_indices("src", src, len(mor), n_objects)
             _check_indices("tgt", tgt, len(mor), n_objects)
+            _check_endpoints("identity", identity, range(n_objects),
+                             range(n_objects), src, tgt)
+            _check_endpoints("inverse", inverse, tgt, src, src, tgt)
         compose = {(f, g): h for f, g, h in data["compose"]}
         return FiniteGroupoid(n_objects, src, tgt, identity, inverse, compose)
 
 
 def _check_indices(name: str, values: tuple, length: int, bound: int) -> None:
-    """Raise ValueError unless ``values`` has ``length`` entries in 0..bound-1."""
+    """Raise ValueError unless ``values`` has ``length`` integer entries
+    in 0..bound-1."""
     if len(values) != length:
         raise ValueError(f"{name} has {len(values)} entries, expected {length}")
-    if values and (min(values) < 0 or max(values) >= bound):
-        i, v = next((i, v) for i, v in enumerate(values)
-                    if not 0 <= v < bound)
-        raise ValueError(f"{name}[{i}]={v} is out of range 0..{bound - 1}")
+    bad = next(((i, v) for i, v in enumerate(values)
+                if type(v) is not int or not 0 <= v < bound), None)
+    if bad is not None:
+        raise ValueError(f"{name}[{bad[0]}]={bad[1]!r} is out of range "
+                         f"0..{bound - 1}")
+
+
+def _check_endpoints(name: str, mors: tuple, want_src: Sequence[int],
+                     want_tgt: Sequence[int], src: tuple, tgt: tuple) -> None:
+    """Raise ValueError unless each ``mors[i]`` goes from ``want_src[i]``
+    to ``want_tgt[i]``."""
+    bad = next((i for i, (m, a, b) in enumerate(zip(mors, want_src, want_tgt))
+                if src[m] != a or tgt[m] != b), None)
+    if bad is not None:
+        m = mors[bad]
+        raise ValueError(f"{name}[{bad}]={m} goes from {src[m]} to {tgt[m]}, "
+                         f"not from {want_src[bad]} to {want_tgt[bad]}")
 
 
 @dataclass(frozen=True)
@@ -317,12 +339,6 @@ class GroupoidFunctor:
     codomain: FiniteGroupoid
     obj_map: tuple[int, ...]
     mor_map: tuple[int, ...]
-
-    def obj(self, x: int) -> int:
-        return self.obj_map[x]
-
-    def mor(self, f: int) -> int:
-        return self.mor_map[f]
 
     @staticmethod
     def identity(g: FiniteGroupoid) -> "GroupoidFunctor":
@@ -381,7 +397,8 @@ class IsoClassTable:
     """Partition of a groupoid's objects into isomorphism classes.
 
     Classes are numbered in increasing order of their minimal object index,
-    which is also the chosen representative.
+    which is also the chosen representative.  For an action groupoid S//G
+    the classes are the orbits and ``aut_order`` the stabilizer orders.
     """
 
     class_of: tuple[int, ...]
@@ -392,6 +409,11 @@ class IsoClassTable:
     @property
     def n_classes(self) -> int:
         return len(self.representative)
+
+    @property
+    def cardinality(self) -> Rational:
+        """Groupoid cardinality: sum of 1/|Aut| over the classes, exact."""
+        return sum((Fraction(1, a) for a in self.aut_order), Fraction(0))
 
 
 def iso_classes(g: FiniteGroupoid) -> IsoClassTable:
@@ -417,8 +439,7 @@ def iso_classes(g: FiniteGroupoid) -> IsoClassTable:
 
 def cardinality(g: FiniteGroupoid) -> Rational:
     """Sum of 1/|Aut| over isomorphism classes, exact."""
-    table = iso_classes(g)
-    return sum((Fraction(1, a) for a in table.aut_order), Fraction(0))
+    return iso_classes(g).cardinality
 
 
 def cardinality_alt(g: FiniteGroupoid) -> Rational:
@@ -438,89 +459,119 @@ def cardinality_alt(g: FiniteGroupoid) -> Rational:
     return total
 
 
+class _Enough(Exception):
+    """Stops a validation scan once it holds enough violations."""
+
+
 def validate_groupoid(g: FiniteGroupoid, max_violations: int = 50) -> list[str]:
     """Check the groupoid axioms exhaustively; return violations (empty if valid).
 
     Violations are data, not errors: each entry names the broken axiom and
-    the witnessing indices.
+    the witnessing indices.  Index ranges are checked first, and nothing
+    else is checked when one fails; every composite is checked for range
+    and endpoints before it is used.
     """
     errors: list[str] = []
+    n_obj, n_mor = g.n_objects, g.n_morphisms
 
-    def report(msg: str) -> bool:
+    def report(msg: str) -> None:
         errors.append(msg)
-        return len(errors) >= max_violations
+        if len(errors) >= max_violations:
+            raise _Enough
 
-    for x in range(g.n_objects):
-        i = g.identity[x]
-        if not (0 <= i < g.n_morphisms):
-            if report(f"identity[{x}]={i} is not a morphism"):
-                return errors
-            continue
-        if g.src[i] != x or g.tgt[i] != x:
-            if report(f"identity of object {x} has endpoints "
-                      f"({g.src[i]}, {g.tgt[i]})"):
-                return errors
-    for m in range(g.n_morphisms):
-        if not (0 <= g.src[m] < g.n_objects and 0 <= g.tgt[m] < g.n_objects):
-            if report(f"morphism {m} has out-of-range endpoints"):
-                return errors
+    def is_index(v, bound: int) -> bool:
+        return type(v) is int and 0 <= v < bound
 
-    # composability: defined exactly when tgt(f) == src(g)
-    if g._compose_map is not None:
-        for (f, h), r in g._compose_map.items():
-            if g.tgt[f] != g.src[h]:
-                if report(f"compose({f},{h}) defined but tgt({f})={g.tgt[f]} "
-                          f"!= src({h})={g.src[h]}"):
-                    return errors
-        for f in range(g.n_morphisms):
-            for h in g.mor_from(g.tgt[f]):
-                if (f, h) not in g._compose_map:
-                    if report(f"compose({f},{h}) undefined for a composable pair"):
-                        return errors
+    bad_pairs: set[tuple[int, int]] = set()
 
-    def comp_ok(f: int, h: int) -> int | None:
+    def comp(f: int, h: int) -> int | None:
+        """compose(f, h) if it is a morphism from src(f) to tgt(h); each
+        failing pair is reported once."""
+        if (f, h) in bad_pairs:
+            return None
         try:
             r = g.compose(f, h)
-        except Exception:
-            errors.append(f"compose({f},{h}) raised for a composable pair")
-            return None
-        if not (0 <= r < g.n_morphisms) or g.src[r] != g.src[f] or \
-                g.tgt[r] != g.tgt[h]:
-            errors.append(f"compose({f},{h})={r} has wrong endpoints")
-            return None
-        return r
+            if is_index(r, n_mor) and g.src[r] == g.src[f] and \
+                    g.tgt[r] == g.tgt[h]:
+                return r
+            msg = f"compose({f},{h})={r} has wrong endpoints"
+        except (KeyError, IndexError, TypeError, ValueError):
+            msg = f"compose({f},{h}) raised for a composable pair"
+        bad_pairs.add((f, h))
+        report(msg)
+        return None
 
-    for f in range(g.n_morphisms):
-        ok = comp_ok(f, g.identity[g.tgt[f]])
-        if ok is not None and ok != f:
-            if report(f"compose({f}, id) != {f}"):
-                return errors
-        ok = comp_ok(g.identity[g.src[f]], f)
-        if ok is not None and ok != f:
-            if report(f"compose(id, {f}) != {f}"):
-                return errors
-        inv = g.inverse[f]
-        if not (0 <= inv < g.n_morphisms) or g.src[inv] != g.tgt[f] or \
-                g.tgt[inv] != g.src[f]:
-            if report(f"inverse[{f}]={inv} has wrong endpoints"):
-                return errors
-            continue
-        if g.compose(f, inv) != g.identity[g.src[f]]:
-            if report(f"compose({f}, inverse) is not the identity"):
-                return errors
-        if g.compose(inv, f) != g.identity[g.tgt[f]]:
-            if report(f"compose(inverse, {f}) is not the identity"):
-                return errors
-        if len(errors) >= max_violations:
-            return errors
+    def scan() -> None:
+        if len(g.identity) != n_obj or len(g.inverse) != n_mor:
+            report(f"{len(g.identity)} identities and {len(g.inverse)} "
+                   f"inverses for {n_obj} objects and {n_mor} morphisms")
+            return
+        for m in range(n_mor):
+            if not (is_index(g.src[m], n_obj) and is_index(g.tgt[m], n_obj)):
+                report(f"morphism {m} has out-of-range endpoints")
+            if not is_index(g.inverse[m], n_mor):
+                report(f"inverse[{m}]={g.inverse[m]} is not a morphism")
+        for x in range(n_obj):
+            if not is_index(g.identity[x], n_mor):
+                report(f"identity[{x}]={g.identity[x]} is not a morphism")
+        if errors:
+            return
+        for x in range(n_obj):
+            i = g.identity[x]
+            if g.src[i] != x or g.tgt[i] != x:
+                report(f"identity of object {x} has endpoints "
+                       f"({g.src[i]}, {g.tgt[i]})")
 
-    for f in range(g.n_morphisms):
-        for h in g.mor_from(g.tgt[f]):
-            fh = g.compose(f, h)
-            for k in g.mor_from(g.tgt[h]):
-                if g.compose(fh, k) != g.compose(f, g.compose(h, k)):
-                    if report(f"associativity fails on ({f},{h},{k})"):
-                        return errors
+        # composability: defined exactly when tgt(f) == src(g)
+        if g._compose_map is not None:
+            for f, h in g._compose_map:
+                if not (is_index(f, n_mor) and is_index(h, n_mor)) or \
+                        g.tgt[f] != g.src[h]:
+                    report(f"compose({f},{h}) defined for a pair that is "
+                           "not composable")
+            for f in range(n_mor):
+                for h in g.mor_from(g.tgt[f]):
+                    if (f, h) not in g._compose_map:
+                        bad_pairs.add((f, h))
+                        report(f"compose({f},{h}) undefined for a "
+                               "composable pair")
+
+        for f in range(n_mor):
+            r = comp(f, g.identity[g.tgt[f]])
+            if r is not None and r != f:
+                report(f"compose({f}, id) != {f}")
+            r = comp(g.identity[g.src[f]], f)
+            if r is not None and r != f:
+                report(f"compose(id, {f}) != {f}")
+            inv = g.inverse[f]
+            if g.src[inv] != g.tgt[f] or g.tgt[inv] != g.src[f]:
+                report(f"inverse[{f}]={inv} has wrong endpoints")
+                continue
+            r = comp(f, inv)
+            if r is not None and r != g.identity[g.src[f]]:
+                report(f"compose({f}, inverse) is not the identity")
+            r = comp(inv, f)
+            if r is not None and r != g.identity[g.tgt[f]]:
+                report(f"compose(inverse, {f}) is not the identity")
+
+        for f in range(n_mor):
+            for h in g.mor_from(g.tgt[f]):
+                fh = comp(f, h)
+                if fh is None:
+                    continue
+                for k in g.mor_from(g.tgt[h]):
+                    hk = comp(h, k)
+                    if hk is None:
+                        continue
+                    left, right = comp(fh, k), comp(f, hk)
+                    if left is not None and right is not None and \
+                            left != right:
+                        report(f"associativity fails on ({f},{h},{k})")
+
+    try:
+        scan()
+    except _Enough:
+        pass
     return errors
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .actions import FiniteGroup, GroupAction, weak_quotient
+from .actions import FiniteGroup, GroupAction, is_prime, weak_quotient
 from .groupoid import SizeCapError
 
 MAX_REP_ENUMERATION = 10 ** 6
@@ -299,7 +299,7 @@ class HallAlgebra:
     """
 
     def __init__(self, quiver: Quiver, q: int):
-        if not _is_prime(q):
+        if not is_prime(q):
             raise ValueError(f"q={q} is not prime")
         self.quiver = quiver
         self.q = q
@@ -610,14 +610,3 @@ def _aut_group(auts: list, q: int) -> FiniteGroup:
     identity = index[tuple(mat_identity(len(m)) for m in auts[0])]
     inverse = [index[tuple(mat_inv(m, q) for m in el)] for el in auts]
     return FiniteGroup(len(auts), mul, identity, inverse)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True

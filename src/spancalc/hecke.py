@@ -20,20 +20,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .actions import EquivariantSpan, FiniteGroup, GroupAction
+from .actions import EquivariantSpan, FiniteGroup, GroupAction, is_prime
+from .spans import aut_weight
 
 ORBIT_LABELS = ("e", "P", "L", "PL", "LP", "PLP")
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _normalize(vec: tuple[int, int, int], q: int) -> tuple[int, int, int] | None:
@@ -227,9 +217,6 @@ class BruhatOrbits:
     def n_orbits(self) -> int:
         return len(self.representatives)
 
-    def label_index(self, label: str) -> int:
-        return self.labels.index(label)
-
 
 def _pair_label(geo: FlagGeometry, x: tuple[int, int], y: tuple[int, int],
                 q: int) -> str:
@@ -339,12 +326,10 @@ def hecke_structure_constants(hg: HeckeGroup | int, alpha: int = 0) -> HeckeTens
             stab_triple = int(np.count_nonzero(sub[:, rep] == rep))
             u = int(orbit_of[x1 * n + rep])
             v = int(orbit_of[rep * n + x3])
-            su = orbits.stabilizer_orders[u]
-            sv = orbits.stabilizer_orders[v]
-            weight = (Fraction(stab_w) ** (1 - alpha)
-                      * Fraction(su * sv) ** alpha
-                      / stab_triple)
-            tensor[u][v][w] += weight
+            # x foot: the pair13 orbit; y foot: the (pair12, pair23) orbits
+            tensor[u][v][w] += aut_weight(
+                stab_w, orbits.stabilizer_orders[u] * orbits.stabilizer_orders[v],
+                stab_triple, alpha)
     # reorder to the documented label order
     perm = [orbits.labels.index(lbl) for lbl in ORBIT_LABELS]
     reordered = tuple(

@@ -8,9 +8,9 @@ with entry at (class of y, class of x) equal to
         |Aut(x)|^(1-alpha) * |Aut(y)|^alpha / |Aut(s)|
 
 computed in exact rational arithmetic.  Weak pullbacks implement span
-composition; since equivalent spans induce equal matrices, large pullbacks
-may be built in blockwise-skeletal form (one object per isomorphism class)
-without changing any output.
+composition; since equivalent spans induce equal matrices, they are built
+in blockwise-skeletal form (one object per isomorphism class).  The literal
+pullback is kept as the oracle and for files written out for other tools.
 """
 
 from __future__ import annotations
@@ -31,14 +31,15 @@ from .groupoid import (
     product,
     product_functor,
     same_groupoid as _same_groupoid,
-    size_cap,
 )
 
-PullbackMode = Literal["auto", "literal", "skeletal"]
+PullbackMode = Literal["skeletal", "literal"]
 
-# "auto" prefers the literal pullback up to this size; skeletal output is
-# exactly equivalent (equal matrices and cardinalities), just smaller
-LITERAL_AUTO_THRESHOLD = 250_000
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("skeletal", "literal"):
+        raise ValueError(f"pullback mode {mode!r} is not 'skeletal' or "
+                         "'literal'")
 
 
 # -- numbers of the form sum of c_b * sqrt(b) -------------------------------
@@ -144,6 +145,16 @@ def _aut_pow(n: int, exponent: Fraction) -> Fraction | QSqrt:
         "irrational except for integer and half-integer a")
 
 
+def aut_weight(x_aut: int, y_aut: int, s_aut: int, alpha: Fraction | int
+               ) -> Fraction | QSqrt:
+    """|Aut x|^(1-alpha) |Aut y|^alpha / |Aut s|, the weight of one apex
+    class s over ([x], [y]); a QSqrt only when the value is irrational."""
+    term = _aut_pow(x_aut, 1 - alpha) * _aut_pow(y_aut, alpha) / s_aut
+    if isinstance(term, QSqrt) and term.is_rational:
+        return term.as_fraction()
+    return term
+
+
 # -- vectors and matrices ----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -174,9 +185,6 @@ class RationalMatrix:
 
     def __getitem__(self, rc: tuple[int, int]):
         return self.data[rc[0]][rc[1]]
-
-    def __setitem__(self, rc: tuple[int, int], value) -> None:
-        self.data[rc[0]][rc[1]] = value
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -292,37 +300,33 @@ class GroupoidOverX:
 
 # -- weak pullback -----------------------------------------------------------
 
-class _PairGroupoid(FiniteGroupoid):
-    """Groupoid whose morphisms are pairs (u, v) over listed objects.
+class _PullbackGroupoid(FiniteGroupoid):
+    """Objects are (t, s, alpha) with alpha: f(t) -> g(s) in the base;
+    morphisms are pairs (u, v) over an object.
 
-    Used for both literal weak pullbacks (objects are triples (t, s, alpha))
-    and their skeletal reductions; composition works componentwise through
-    the two parent groupoids, so no composition table is materialized.
+    Serves both literal weak pullbacks and their skeletal reductions;
+    composition works componentwise through the two parent groupoids, so no
+    composition table is materialized.
     """
 
     __slots__ = ("obj_data", "mor_data", "_mor_index", "T", "S")
 
     def __init__(self, T: FiniteGroupoid, S: FiniteGroupoid,
-                 obj_data: list, mor_data: list[tuple[int, int, int]],
-                 mor_target: list[int]):
+                 obj_data: list[tuple[int, int, int]],
+                 mor_data: list[tuple[int, int, int]], mor_target: list[int]):
         self.T = T
         self.S = S
         self.obj_data = obj_data
         self.mor_data = mor_data
         self._mor_index = {m: i for i, m in enumerate(mor_data)}
         src = tuple(o for o, _u, _v in mor_data)
-        identity = []
-        for o in range(len(obj_data)):
-            t, s = self._end_of(o)
-            identity.append(self._mor_index[(o, T.identity[t], S.identity[s])])
+        identity = tuple(self._mor_index[(o, T.identity[t], S.identity[s])]
+                         for o, (t, s, _a) in enumerate(obj_data))
         inverse = tuple(
             self._mor_index[(mor_target[i], T.inverse[u], S.inverse[v])]
             for i, (_o, u, v) in enumerate(mor_data))
         super().__init__(len(obj_data), src, tuple(mor_target),
-                         tuple(identity), inverse, self._compose_pairs)
-
-    def _end_of(self, o: int) -> tuple[int, int]:
-        raise NotImplementedError
+                         identity, inverse, self._compose_pairs)
 
     def _compose_pairs(self, f: int, g: int) -> int:
         o, u1, v1 = self.mor_data[f]
@@ -330,39 +334,20 @@ class _PairGroupoid(FiniteGroupoid):
         return self._mor_index[(o, self.T.compose(u1, u2),
                                 self.S.compose(v1, v2))]
 
-
-class _PullbackGroupoid(_PairGroupoid):
-    """Objects are (t, s, alpha) with alpha: f(t) -> g(s) in the base."""
-
-    def _end_of(self, o: int) -> tuple[int, int]:
-        t, s, _alpha = self.obj_data[o]
-        return t, s
-
-
-def _pullback_projection_sizes(f: GroupoidFunctor, g: GroupoidFunctor
-                               ) -> tuple[int, int]:
-    """Projected object and morphism counts of the literal weak pullback."""
-    T, S, B = f.domain, g.domain, f.codomain
-    out_t = [len(T.mor_from(t)) for t in range(T.n_objects)]
-    out_s = [len(S.mor_from(s)) for s in range(S.n_objects)]
-    n_obj = 0
-    n_mor = 0
-    for t in range(T.n_objects):
-        for s in range(S.n_objects):
-            h = len(B.hom(f.obj_map[t], g.obj_map[s]))
-            n_obj += h
-            n_mor += h * out_t[t] * out_s[s]
-    return n_obj, n_mor
-
-
-def _auto_mode(n_obj: int, n_mor: int) -> PullbackMode:
-    """The "auto" rule: literal while the projected literal size fits."""
-    limit = min(size_cap(), LITERAL_AUTO_THRESHOLD)
-    return "literal" if max(n_obj, n_mor) <= limit else "skeletal"
+    def with_projections(self) -> tuple[FiniteGroupoid, GroupoidFunctor,
+                                        GroupoidFunctor]:
+        """(P, P -> T, P -> S)."""
+        proj_t = GroupoidFunctor(self, self.T,
+                                 tuple(t for t, _s, _a in self.obj_data),
+                                 tuple(u for _o, u, _v in self.mor_data))
+        proj_s = GroupoidFunctor(self, self.S,
+                                 tuple(s for _t, s, _a in self.obj_data),
+                                 tuple(v for _o, _u, v in self.mor_data))
+        return self, proj_t, proj_s
 
 
 def weak_pullback(f: GroupoidFunctor, g: GroupoidFunctor,
-                  mode: PullbackMode = "auto"
+                  mode: PullbackMode = "skeletal"
                   ) -> tuple[FiniteGroupoid, GroupoidFunctor, GroupoidFunctor]:
     """Weak pullback of the cospan f: T -> B <- S :g.
 
@@ -370,15 +355,14 @@ def weak_pullback(f: GroupoidFunctor, g: GroupoidFunctor,
     triples (t, s, alpha) with alpha: f(t) -> g(s) an isomorphism in B;
     morphisms are pairs making the naturality square commute.
 
-    In "skeletal" mode an equivalent groupoid with one object per
-    isomorphism class is returned instead; projections still commute on the
-    nose, so all degroupoidifications agree exactly.  "auto" picks literal
-    when the projected size fits the cap.
+    The default "skeletal" mode returns an equivalent groupoid with one
+    object per isomorphism class instead; projections still commute on the
+    nose, so all degroupoidifications agree exactly.  "literal" is the
+    oracle, capped by the size cap.
     """
+    _check_mode(mode)
     if f.codomain is not g.codomain and not _same_groupoid(f.codomain, g.codomain):
         raise ValueError("cospan legs have different codomains")
-    if mode == "auto":
-        mode = _auto_mode(*_pullback_projection_sizes(f, g))
     if mode == "literal":
         return _weak_pullback_literal(f, g)
     return _weak_pullback_skeletal(f, g)
@@ -386,7 +370,14 @@ def weak_pullback(f: GroupoidFunctor, g: GroupoidFunctor,
 
 def _weak_pullback_literal(f: GroupoidFunctor, g: GroupoidFunctor):
     T, S, B = f.domain, g.domain, f.codomain
-    n_obj, n_mor = _pullback_projection_sizes(f, g)
+    out_t = [len(T.mor_from(t)) for t in range(T.n_objects)]
+    out_s = [len(S.mor_from(s)) for s in range(S.n_objects)]
+    n_obj = n_mor = 0
+    for t in range(T.n_objects):
+        for s in range(S.n_objects):
+            h = len(B.hom(f.obj_map[t], g.obj_map[s]))
+            n_obj += h
+            n_mor += h * out_t[t] * out_s[s]
     _check_cap("weak pullback objects", n_obj)
     _check_cap("weak pullback morphisms", n_mor)
 
@@ -409,14 +400,8 @@ def _weak_pullback_literal(f: GroupoidFunctor, g: GroupoidFunctor):
                 mor_data.append((o, u, v))
                 mor_target.append(obj_index[(T.tgt[u], S.tgt[v], alpha2)])
 
-    P = _PullbackGroupoid(T, S, obj_data, mor_data, mor_target)
-    proj_t = GroupoidFunctor(P, T,
-                             tuple(t for t, _s, _a in obj_data),
-                             tuple(u for _o, u, _v in mor_data))
-    proj_s = GroupoidFunctor(P, S,
-                             tuple(s for _t, s, _a in obj_data),
-                             tuple(v for _o, _u, v in mor_data))
-    return P, proj_t, proj_s
+    return _PullbackGroupoid(T, S, obj_data, mor_data,
+                             mor_target).with_projections()
 
 
 def _hom_orbits(B: FiniteGroupoid, isos: list[int],
@@ -486,14 +471,8 @@ def _weak_pullback_skeletal(f: GroupoidFunctor, g: GroupoidFunctor):
                         mor_data.append((o, u, v))
                         mor_target.append(o)
 
-    P = _PullbackGroupoid(T, S, obj_data, mor_data, mor_target)
-    proj_t = GroupoidFunctor(P, T,
-                             tuple(t for t, _s, _a in obj_data),
-                             tuple(u for _o, u, _v in mor_data))
-    proj_s = GroupoidFunctor(P, S,
-                             tuple(s for _t, s, _a in obj_data),
-                             tuple(v for _o, _u, v in mor_data))
-    return P, proj_t, proj_s
+    return _PullbackGroupoid(T, S, obj_data, mor_data,
+                             mor_target).with_projections()
 
 
 # -- span algebra ------------------------------------------------------------
@@ -504,7 +483,7 @@ def identity_span(x: FiniteGroupoid) -> SpanOfGroupoids:
 
 
 def compose_spans(t: SpanOfGroupoids, s: SpanOfGroupoids,
-                  mode: PullbackMode = "auto") -> SpanOfGroupoids:
+                  mode: PullbackMode = "skeletal") -> SpanOfGroupoids:
     """Composite span "s then t": the spans' shared foot is t's source."""
     if not _same_groupoid(t.source, s.target):
         raise ValueError("spans are not composable: middle feet differ")
@@ -546,7 +525,7 @@ def tensor_spans(s: SpanOfGroupoids, s2: SpanOfGroupoids) -> SpanOfGroupoids:
 
 
 def apply_span(s: SpanOfGroupoids, psi: GroupoidOverX,
-               mode: PullbackMode = "auto") -> GroupoidOverX:
+               mode: PullbackMode = "skeletal") -> GroupoidOverX:
     """Apply the span to a groupoid over its source, landing over its target."""
     if not _same_groupoid(s.source, psi.base):
         raise ValueError("span source differs from the base of the groupoid")
@@ -556,42 +535,43 @@ def apply_span(s: SpanOfGroupoids, psi: GroupoidOverX,
 
 # -- degroupoidification -----------------------------------------------------
 
+def degroupoidify_classes(apex: IsoClassTable, left: Sequence[int],
+                          right: Sequence[int], y: IsoClassTable,
+                          x: IsoClassTable, alpha: Fraction | int = 0
+                          ) -> RationalMatrix:
+    """The one degroupoidification kernel: the entry at ([y], [x]) sums
+    ``aut_weight`` over the apex classes whose representatives the leg
+    object maps ``left`` and ``right`` send into [y] and [x]."""
+    alpha = Fraction(alpha)
+    out = RationalMatrix(y.n_classes, x.n_classes)
+    for rep, s_aut in zip(apex.representative, apex.aut_order):
+        cy = y.class_of[left[rep]]
+        cx = x.class_of[right[rep]]
+        out.data[cy][cx] += aut_weight(x.aut_order[cx], y.aut_order[cy],
+                                       s_aut, alpha)
+    return out
+
+
+_POINT = IsoClassTable((0,), (0,), (1,), (1,))
+
+
 def degroupoidify_vector(psi: GroupoidOverX, alpha: Fraction | int = 0
                          ) -> RationalVector:
-    """Vector with entry |Aut(x)|^alpha * |full inverse image of x| per class."""
-    alpha = Fraction(alpha)
+    """Vector with entry |Aut(x)|^alpha * |full inverse image of x| per
+    class: the matrix of psi read as a span from the point."""
     base_table = iso_classes(psi.base)
-    total_table = iso_classes(psi.total)
-    raw = [Fraction(0)] * base_table.n_classes
-    for c, rep in enumerate(total_table.representative):
-        cx = base_table.class_of[psi.projection.obj_map[rep]]
-        raw[cx] += Fraction(1, total_table.aut_order[c])
-    entries = []
-    for cx in range(base_table.n_classes):
-        factor = _aut_pow(base_table.aut_order[cx], alpha)
-        entries.append(factor * raw[cx]
-                       if isinstance(factor, QSqrt) else raw[cx] * factor)
-    return RationalVector(psi.base, base_table, tuple(entries))
+    m = degroupoidify_classes(iso_classes(psi.total), psi.projection.obj_map,
+                              (0,) * psi.total.n_objects, base_table, _POINT,
+                              alpha)
+    return RationalVector(psi.base, base_table, tuple(row[0] for row in m.data))
 
 
 def degroupoidify_span(s: SpanOfGroupoids, alpha: Fraction | int = 0
                        ) -> RationalMatrix:
     """Exact matrix of the span at the given normalization convention."""
-    alpha = Fraction(alpha)
-    apex_table = iso_classes(s.apex)
-    x_table = iso_classes(s.source)
-    y_table = iso_classes(s.target)
-    out = RationalMatrix(y_table.n_classes, x_table.n_classes)
-    for c, rep in enumerate(apex_table.representative):
-        cx = x_table.class_of[s.right.obj_map[rep]]
-        cy = y_table.class_of[s.left.obj_map[rep]]
-        wx = _aut_pow(x_table.aut_order[cx], 1 - alpha)
-        wy = _aut_pow(y_table.aut_order[cy], alpha)
-        term = (wx * wy) / apex_table.aut_order[c]
-        if isinstance(term, QSqrt) and term.is_rational:
-            term = term.as_fraction()
-        out.data[cy][cx] = out.data[cy][cx] + term
-    return out
+    return degroupoidify_classes(iso_classes(s.apex), s.left.obj_map,
+                                 s.right.obj_map, iso_classes(s.target),
+                                 iso_classes(s.source), alpha)
 
 
 def alpha_change_of_basis(g: FiniteGroupoid, exponent: int) -> RationalMatrix:
@@ -604,7 +584,7 @@ def alpha_change_of_basis(g: FiniteGroupoid, exponent: int) -> RationalMatrix:
 
 
 def inner_product(phi: GroupoidOverX, psi: GroupoidOverX,
-                  mode: PullbackMode = "auto"
+                  mode: PullbackMode = "skeletal"
                   ) -> tuple[FiniteGroupoid, Rational]:
     """Weak pullback of two groupoids over the same base, with its cardinality.
 
@@ -641,7 +621,7 @@ class _TraceGroupoid(FiniteGroupoid):
         return self._mor_index[(o, self.A.compose(u1, u2))]
 
 
-def trace_span(s: SpanOfGroupoids, mode: PullbackMode = "auto"
+def trace_span(s: SpanOfGroupoids, mode: PullbackMode = "skeletal"
                ) -> tuple[FiniteGroupoid, Rational]:
     """Trace groupoid of an endo-span, with its exact cardinality.
 
@@ -650,17 +630,10 @@ def trace_span(s: SpanOfGroupoids, mode: PullbackMode = "auto"
     """
     if not _same_groupoid(s.source, s.target):
         raise ValueError("trace needs a span with equal feet")
+    _check_mode(mode)
     A = s.apex
     B = s.source
     p, q = s.right, s.left
-
-    if mode == "auto":
-        n_obj = sum(len(B.hom(p.obj_map[a], q.obj_map[a]))
-                    for a in range(A.n_objects))
-        n_mor = sum(len(B.hom(p.obj_map[a], q.obj_map[a])) * len(A.mor_from(a))
-                    for a in range(A.n_objects))
-        mode = _auto_mode(n_obj, n_mor)
-
     obj_data: list[tuple[int, int]] = []
     mor_data: list[tuple[int, int]] = []
     mor_target: list[int] = []
@@ -708,11 +681,6 @@ def format_rational(x) -> str:
             return repr(x)
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
 
 
 def matrix_to_json(m: RationalMatrix,

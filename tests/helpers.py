@@ -76,9 +76,9 @@ def random_equivariant_span(rng: random.Random, k: int,
     ]
     pair_action = GroupAction(left.group, pair_act)
     orbit_table = pair_action.orbits()
-    chosen = [o for o in range(orbit_table.n_orbits) if rng.random() < 0.6]
+    chosen = [o for o in range(orbit_table.n_classes) if rng.random() < 0.6]
     points = [p for p in range(nl * nr)
-              if orbit_table.orbit_of[p] in chosen]
+              if orbit_table.class_of[p] in chosen]
     if not points:
         points = [0]
         points = sorted(set(

@@ -36,8 +36,8 @@ def test_trivial_action_on_one_point():
     g = FiniteGroup.symmetric(3)
     act = GroupAction(g, [[0]] * 6)
     table = weak_quotient(act)
-    assert table.n_orbits == 1
-    assert table.stabilizer_order == (6,)
+    assert table.n_classes == 1
+    assert table.aut_order == (6,)
     assert table.cardinality == Fraction(1, 6)
 
 
@@ -50,7 +50,7 @@ def test_folding_of_six_is_three():
 def test_folding_of_five_is_five_halves():
     table = weak_quotient(folding_action(5))
     assert table.cardinality == Fraction(5, 2)
-    assert sorted(table.stabilizer_order) == [1, 1, 2]
+    assert sorted(table.aut_order) == [1, 1, 2]
 
 
 def test_orbit_stabilizer_identity():
@@ -59,11 +59,11 @@ def test_orbit_stabilizer_identity():
         k = rng.choice([2, 3, 4, 6])
         act = random_cyclic_action(rng, k, rng.randint(1, 7))
         table = act.orbits()
-        for o in range(table.n_orbits):
-            assert table.size[o] * table.stabilizer_order[o] == k
+        for o in range(table.n_classes):
+            assert table.class_size[o] * table.aut_order[o] == k
         for point in range(act.n_points):
-            orbit = table.orbit_of[point]
-            assert act.stabilizer_order(point) == table.stabilizer_order[orbit]
+            orbit = table.class_of[point]
+            assert act.stabilizer_order(point) == table.aut_order[orbit]
 
 
 def test_materialize_agrees_with_weak_quotient():
@@ -129,12 +129,3 @@ def test_materialize_respects_size_cap(monkeypatch):
     with pytest.raises(SizeCapError):
         materialize(folding_action(5))
 
-
-def test_action_json_roundtrip():
-    from spancalc.actions import action_from_json, action_to_json
-    act = folding_action(5)
-    data = action_to_json(act)
-    assert set(data) == {"group", "points", "act"}
-    back = action_from_json(data)
-    assert back.validate() == []
-    assert weak_quotient(back).cardinality == Fraction(5, 2)

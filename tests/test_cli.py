@@ -134,6 +134,58 @@ def test_card_rejects_identity_out_of_range(tmp_path):
     assert result.stdout == ""
 
 
+def _broken_z2_pair(how: str) -> dict:
+    """The JSON of two isomorphic objects with automorphisms Z/2, broken."""
+    data = FiniteGroupoid.connected(2, cyclic_table(2)).to_json()
+    if how == "tgt out of range":
+        data["morphisms"][3]["tgt"] = 7
+    elif how == "composite missing":
+        data["compose"].remove([1, data["inverse"][1], 0])
+    elif how == "composite out of range":
+        data["compose"][8][2] = 99
+    elif how == "identity not an endomorphism":
+        data["identity"] = [0, 5]
+    elif how == "inverse with wrong endpoints":
+        data["inverse"][2] = 0
+    return data
+
+
+@pytest.mark.parametrize("how, violation", [
+    ("tgt out of range", "morphism 3 has out-of-range endpoints"),
+    ("composite missing", "compose(1,1) undefined"),
+    ("composite out of range", "compose(2,4)=99 has wrong endpoints"),
+    ("identity not an endomorphism", "identity of object 1 has endpoints"),
+    ("inverse with wrong endpoints", "inverse[2]=0 has wrong endpoints"),
+])
+def test_check_reports_violations_without_traceback(tmp_path, how, violation):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_broken_z2_pair(how)))
+    result = run_cli("check", str(path))
+    assert result.returncode == 1
+    assert violation in result.stdout
+    assert result.stderr == ""
+
+
+@pytest.mark.parametrize("how", ["identity not an endomorphism",
+                                 "inverse with wrong endpoints"])
+def test_card_rejects_wrong_endpoints(tmp_path, how):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_broken_z2_pair(how)))
+    result = run_cli("card", str(path))
+    assert result.returncode == 2
+    assert str(path) in result.stderr and "goes from" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+def test_cli_import_leaves_numpy_out():
+    code = "import sys, spancalc.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 def test_fock_series_json():
     result = run_cli("fock", "--truncate", "4", "--series", "two-colored",
                      "--json")

@@ -219,14 +219,23 @@ def test_normal_ordered_powers_match_polynomials():
            + (astar @ astar @ astar @ astar),
     }
     for n, want in polys.items():
-        # "auto" builds literal pullbacks here, seconds per power past n = 3
-        for mode in ("auto", "skeletal") if n <= 3 else ("skeletal",):
+        # the literal oracle takes seconds per power past n = 3
+        for mode in ("literal", "skeletal") if n <= 3 else ("skeletal",):
             got = degroupoidify_span(normal_ordered_power(n, E, mode), 0)
             assert got == want, f"normal-ordered power {n}, {mode}"
     assert normal_ordered_terms(5) == [(1, 0, 5), (5, 1, 4), (10, 2, 3),
                                        (10, 3, 2), (5, 4, 1), (1, 5, 0)]
     with pytest.raises(ValueError):
         normal_ordered_power(-1, E)
+
+
+def test_normal_ordered_power_default_within_budget():
+    E = build_E(5)
+    start = time.monotonic()
+    m = degroupoidify_span(normal_ordered_power(4, E), 0)
+    elapsed = time.monotonic() - start
+    assert m.data[0][4] == 24   # only A^4 reaches row 0: 4 * 3 * 2 * 1
+    assert elapsed < 2.0, f"normal-ordered power 4 took {elapsed:.2f}s"
 
 
 def test_ccr_at_seven_within_budget():

@@ -73,13 +73,13 @@ def test_relations_are_group_invariant():
 def test_group_orders_and_transitivity():
     hg2 = build_group(2)
     assert hg2.group.order == 168
-    assert hg2.action.orbits().n_orbits == 1   # transitive on flags
+    assert hg2.action.orbits().n_classes == 1   # transitive on flags
     e = hg2.group.identity
     assert all(int(hg2.action.act[e, f]) == f
                for f in range(hg2.geometry.n_flags))
     hg3 = build_group(3)
     assert hg3.group.order == 5616
-    assert hg3.action.orbits().n_orbits == 1
+    assert hg3.action.orbits().n_classes == 1
     with pytest.raises(ValueError):
         build_group(5)
 
@@ -122,6 +122,22 @@ def test_structure_constants_match_relation_count_oracle():
         tensor = hecke_structure_constants(hg)
         oracle = relation_count_tensor(q)
         assert tensor.tensor == oracle.tensor
+
+
+def test_alpha_one_tensor_is_the_rescaled_alpha_zero_tensor():
+    # the weight moves from the x foot |Stab w| to the y foot |Stab u||Stab v|
+    hg = build_group(2)
+    orbits = bruhat_orbits(hg)
+    stab = {lbl: s for lbl, s in zip(orbits.labels, orbits.stabilizer_orders)}
+    t0 = hecke_structure_constants(hg, alpha=0)
+    t1 = hecke_structure_constants(hg, alpha=1)
+    assert t1.labels == t0.labels
+    for ui, u in enumerate(t0.labels):
+        for vi, v in enumerate(t0.labels):
+            for wi, w in enumerate(t0.labels):
+                assert t1.tensor[ui][vi][wi] == t0.tensor[ui][vi][wi] * \
+                    Fraction(stab[u] * stab[v], stab[w])
+    assert t1.tensor != t0.tensor
 
 
 def test_hecke_relations_hold_in_structure_constants():

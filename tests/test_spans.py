@@ -149,6 +149,19 @@ def test_skeletal_objects_are_all_element_orbit_minima():
             assert size * len(P.aut(o)) == len(T.aut(t0)) * len(S.aut(s0))
 
 
+def test_unknown_pullback_modes_are_rejected():
+    g = bz2()
+    ident = GroupoidFunctor.identity(g)
+    span = identity_span(g)
+    for mode in ("auto", "bogus"):
+        with pytest.raises(ValueError, match=mode):
+            weak_pullback(ident, ident, mode=mode)
+        with pytest.raises(ValueError, match=mode):
+            compose_spans(span, span, mode=mode)
+        with pytest.raises(ValueError, match=mode):
+            trace_span(span, mode=mode)
+
+
 def test_pullback_rejects_codomain_mismatch():
     g = bz2()
     h = FiniteGroupoid.from_group_table(cyclic_table(3))
@@ -196,11 +209,13 @@ def test_functoriality_on_random_action_spans():
         az = random_cyclic_action(rng, k, rng.randint(1, 4))
         s = random_span(rng, k, ay, ax)   # span X -> Y
         t = random_span(rng, k, az, ay)   # span Y -> Z
-        ts = compose_spans(t, s)
-        for alpha in (0, 1):
-            lhs = degroupoidify_span(ts, alpha)
-            rhs = degroupoidify_span(t, alpha) @ degroupoidify_span(s, alpha)
-            assert lhs == rhs
+        for mode in ("literal", "skeletal"):
+            ts = compose_spans(t, s, mode=mode)
+            for alpha in (0, 1):
+                lhs = degroupoidify_span(ts, alpha)
+                rhs = degroupoidify_span(t, alpha) @ \
+                    degroupoidify_span(s, alpha)
+                assert lhs == rhs
 
 
 def test_add_spans_adds_matrices():
