@@ -107,18 +107,6 @@ class FiniteGroup:
                for p in perms]
         return FiniteGroup(len(perms), mul, e, inv)
 
-    @staticmethod
-    def product(g: "FiniteGroup", h: "FiniteGroup") -> "FiniteGroup":
-        nh = h.order
-
-        def mul(a: int, b: int) -> int:
-            return g.mul(a // nh, b // nh) * nh + h.mul(a % nh, b % nh)
-
-        inv = [g.inverse[a // nh] * nh + h.inverse[a % nh]
-               for a in range(g.order * nh)]
-        return FiniteGroup(g.order * nh, mul,
-                           g.identity * nh + h.identity, inv)
-
 
 class GroupAction:
     """A finite group acting on an indexed finite set, as a full table."""
@@ -151,21 +139,9 @@ class GroupAction:
         return int(np.count_nonzero(self.act[:, point] == point))
 
     def orbits(self) -> IsoClassTable:
-        """The iso classes of S//G: orbits, ordered by their least point,
-        with the stabilizer orders as automorphism orders."""
+        """The iso classes of S//G, cached; see ``orbit_table``."""
         if self._orbits is None:
-            # the table lists every group element, so the orbit of s is
-            # exactly the column act[:, s]; min gives the canonical rep
-            reps_per_point = self.act.min(axis=0)
-            reps = sorted(set(int(r) for r in reps_per_point))
-            orbit_index = {r: i for i, r in enumerate(reps)}
-            orbit_of = tuple(orbit_index[int(r)] for r in reps_per_point)
-            sizes = [0] * len(reps)
-            for o in orbit_of:
-                sizes[o] += 1
-            stabs = [self.stabilizer_order(r) for r in reps]
-            self._orbits = IsoClassTable(orbit_of, tuple(reps), tuple(stabs),
-                                         tuple(sizes))
+            self._orbits = orbit_table(self.act)
         return self._orbits
 
     def restrict(self, points: Sequence[int]) -> "GroupAction":
@@ -183,16 +159,35 @@ class GroupAction:
         return GroupAction(self.group, sub)
 
 
-def weak_quotient(action: GroupAction) -> IsoClassTable:
-    """Iso-class table of S//G (orbits, stabilizer orders); its cardinality
-    is |S|/|G| exactly."""
-    table = action.orbits()
-    expected = Fraction(action.n_points, action.group.order)
+def orbit_table(act: np.ndarray) -> IsoClassTable:
+    """The iso classes of S//G from an action table with one row per group
+    element: the orbits, ordered by their least point, with the
+    stabilizer orders as automorphism orders.
+
+    The table lists every group element, so the orbit of s is exactly the
+    column ``act[:, s]`` and its minimum is the canonical representative.
+    Raises AssertionError unless orbit-stabilizer holds, i.e. the sum of
+    1/|Stab| over the orbits is n_points / n_rows; a table that is not a
+    group action can break it.
+    """
+    n_rows, n_points = act.shape
+    reps, class_of, sizes = np.unique(act.min(axis=0), return_inverse=True,
+                                      return_counts=True)
+    stabs = np.count_nonzero(act[:, reps] == reps, axis=0)
+    table = IsoClassTable(tuple(class_of.tolist()), tuple(reps.tolist()),
+                          tuple(stabs.tolist()), tuple(sizes.tolist()))
+    expected = Fraction(n_points, n_rows)
     if table.cardinality != expected:
         raise AssertionError(
             f"orbit-stabilizer bookkeeping broke: {table.cardinality} != "
             f"{expected}")
     return table
+
+
+def weak_quotient(action: GroupAction) -> IsoClassTable:
+    """Iso-class table of S//G (orbits, stabilizer orders); its cardinality
+    is |S|/|G| exactly."""
+    return action.orbits()
 
 
 def materialize(action: GroupAction) -> FiniteGroupoid:

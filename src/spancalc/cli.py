@@ -260,14 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="0")
     p.add_argument("--csv", action="store_true")
     p.add_argument("-o", "--output")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_degroupoidify)
 
     p = sub.add_parser("compose", help="compose two spans by weak pullback")
     p.add_argument("--first", required=True, help="outer span (applied second)")
     p.add_argument("--second", required=True, help="inner span (applied first)")
     p.add_argument("-o", "--output")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_compose)
 
     p = sub.add_parser("fock", help="truncated finite-sets groupoid checks")

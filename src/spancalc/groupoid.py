@@ -388,8 +388,23 @@ class GroupoidFunctor:
     @staticmethod
     def from_json(data: dict, domain: FiniteGroupoid,
                   codomain: FiniteGroupoid) -> "GroupoidFunctor":
-        return GroupoidFunctor(domain, codomain,
-                               tuple(data["objects"]), tuple(data["morphisms"]))
+        """Read the JSON form.
+
+        Raises ``ValueError`` unless both maps have the domain's sizes,
+        land in range, and send each morphism to one between the images of
+        its endpoints; the checks are linear, composites are not checked.
+        """
+        obj_map = tuple(data["objects"])
+        mor_map = tuple(data["morphisms"])
+        _check_indices("object map", obj_map, domain.n_objects,
+                       codomain.n_objects)
+        _check_indices("morphism map", mor_map, domain.n_morphisms,
+                       codomain.n_morphisms)
+        _check_endpoints("morphism map", mor_map,
+                         [obj_map[x] for x in domain.src],
+                         [obj_map[x] for x in domain.tgt],
+                         codomain.src, codomain.tgt)
+        return GroupoidFunctor(domain, codomain, obj_map, mor_map)
 
 
 @dataclass(frozen=True)

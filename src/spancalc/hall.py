@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .actions import FiniteGroup, GroupAction, is_prime, weak_quotient
+from .actions import is_prime, orbit_table
 from .groupoid import SizeCapError
 
 MAX_REP_ENUMERATION = 10 ** 6
@@ -54,7 +54,9 @@ def mat_identity(n: int) -> Matrix:
     return tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
 
 
-def mat_rank(m: Matrix, q: int) -> int:
+def _eliminate(m: Matrix, q: int) -> tuple[list[list[int]], int]:
+    """Gauss-Jordan elimination over F_q: the reduced row echelon form of
+    m, as lists, with its rank."""
     rows = [list(r) for r in m]
     n_rows = len(rows)
     n_cols = len(rows[0]) if n_rows else 0
@@ -76,24 +78,24 @@ def mat_rank(m: Matrix, q: int) -> int:
                 rows[r] = [(x - factor * y) % q
                            for x, y in zip(rows[r], rows[rank])]
         rank += 1
-    return rank
+    return rows, rank
+
+
+def mat_rank(m: Matrix, q: int) -> int:
+    return _eliminate(m, q)[1]
 
 
 def mat_inv(m: Matrix, q: int) -> Matrix:
+    """Inverse of a square matrix over F_q; ValueError when singular."""
     n = len(m)
-    aug = [list(row) + [1 if r == c else 0 for c in range(n)]
-           for r, row in enumerate(m)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] % q)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = pow(aug[col][col], q - 2, q)
-        aug[col] = [x * inv % q for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] % q:
-                factor = aug[r][col]
-                aug[r] = [(x - factor * y) % q
-                          for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    rows, _rank = _eliminate(
+        [list(row) + [1 if r == c else 0 for c in range(n)]
+         for r, row in enumerate(m)], q)
+    # [m | I] reduces to [I | m^-1] exactly when m is invertible; otherwise
+    # some pivot falls right of the diagonal and leaves a 0 on it
+    if any(rows[i][i] != 1 for i in range(n)):
+        raise ValueError(f"matrix {m} is singular mod {q}")
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 def all_matrices(rows: int, cols: int, q: int):
@@ -306,6 +308,7 @@ class HallAlgebra:
         self._classes: dict[tuple, list[RepClass]] = {}
         self._classify: dict[tuple, dict] = {}
         self._gl_cache: dict[int, list[Matrix]] = {}
+        self._subspace_cache: dict[int, list[tuple]] = {}
         self._aut_cache: dict[tuple, list[tuple[Matrix, ...]]] = {}
         self._product_cache: dict[tuple, HallElement] = {}
 
@@ -315,6 +318,11 @@ class HallAlgebra:
         if n not in self._gl_cache:
             self._gl_cache[n] = gl_matrices(n, self.q)
         return self._gl_cache[n]
+
+    def _subspaces(self, n: int) -> list[tuple]:
+        if n not in self._subspace_cache:
+            self._subspace_cache[n] = subspaces(n, self.q)
+        return self._subspace_cache[n]
 
     def classes(self, dimvec: tuple[int, ...]) -> list[RepClass]:
         """All iso classes with the given dimension vector, canonically ordered."""
@@ -453,7 +461,7 @@ class HallAlgebra:
         """Edge-stable tuples of subspaces of the representative of E."""
         q = self.q
         per_vertex = [
-            [s for s in subspaces(E.dimvec[v], q)
+            [s for s in self._subspaces(E.dimvec[v])
              if len(s) == q ** dimvec[v]]
             for v in range(self.quiver.n_vertices)]
         out = []
@@ -534,7 +542,6 @@ class HallAlgebra:
             if not matching:
                 continue
             auts = self.aut_elements(E)
-            group = _aut_group(auts, q)
             space_index = {s: i for i, s in enumerate(matching)}
             act = np.empty((len(auts), len(matching)), dtype=np.int64)
             for gi, g in enumerate(auts):
@@ -547,8 +554,7 @@ class HallAlgebra:
                             for vec in spaces[v]))
                         for v in range(nv))
                     act[gi, si] = space_index[image]
-            orbits = weak_quotient(GroupAction(group, act))
-            out[E.key] = E.aut_order * orbits.cardinality
+            out[E.key] = E.aut_order * orbit_table(act).cardinality
         return out
 
     # -- bilinear extension and associativity ------------------------------
@@ -597,16 +603,3 @@ def enumerate_reps(quiver: Quiver, dimvec: tuple[int, ...], q: int
                    ) -> list[RepClass]:
     """Iso classes of representations with the given dimension vector."""
     return HallAlgebra(quiver, q).classes(dimvec)
-
-
-def _aut_group(auts: list, q: int) -> FiniteGroup:
-    """The automorphism tuples as an abstract group (composition of maps)."""
-    index = {a: i for i, a in enumerate(auts)}
-
-    def mul(i: int, j: int) -> int:
-        # "j first, then i"
-        return index[tuple(mat_mul(a, b, q) for a, b in zip(auts[i], auts[j]))]
-
-    identity = index[tuple(mat_identity(len(m)) for m in auts[0])]
-    inverse = [index[tuple(mat_inv(m, q) for m in el)] for el in auts]
-    return FiniteGroup(len(auts), mul, identity, inverse)

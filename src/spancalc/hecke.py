@@ -20,7 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .actions import EquivariantSpan, FiniteGroup, GroupAction, is_prime
+from .actions import (EquivariantSpan, FiniteGroup, GroupAction, is_prime,
+                      orbit_table)
+from .groupoid import IsoClassTable
 from .spans import aut_weight
 
 ORBIT_LABELS = ("e", "P", "L", "PL", "LP", "PLP")
@@ -76,28 +78,24 @@ def enumerate_flags(q: int) -> list[tuple[tuple[int, int, int], tuple[int, int, 
     return [(geo.points[p], geo.lines[l]) for p, l in geo.flags]
 
 
+def _relation(q: int, same_component: int) -> np.ndarray:
+    """0/1 matrix over flags: 1 where two flags agree in component
+    ``same_component`` (0 the point, 1 the line) and differ in the other."""
+    flags = np.array(flag_geometry(q).flags)
+    same = flags[:, same_component]
+    other = flags[:, 1 - same_component]
+    return ((same[:, None] == same[None, :]) &
+            (other[:, None] != other[None, :])).astype(np.int64)
+
+
 def build_P(q: int) -> np.ndarray:
     """Relation "same line, different point" as a 0/1 matrix over flags."""
-    geo = flag_geometry(q)
-    n = geo.n_flags
-    mat = np.zeros((n, n), dtype=np.int64)
-    for i, (pi, li) in enumerate(geo.flags):
-        for j, (pj, lj) in enumerate(geo.flags):
-            if li == lj and pi != pj:
-                mat[i, j] = 1
-    return mat
+    return _relation(q, 1)
 
 
 def build_L(q: int) -> np.ndarray:
     """Relation "same point, different line" as a 0/1 matrix over flags."""
-    geo = flag_geometry(q)
-    n = geo.n_flags
-    mat = np.zeros((n, n), dtype=np.int64)
-    for i, (pi, li) in enumerate(geo.flags):
-        for j, (pj, lj) in enumerate(geo.flags):
-            if pi == pj and li != lj:
-                mat[i, j] = 1
-    return mat
+    return _relation(q, 0)
 
 
 @dataclass(frozen=True)
@@ -201,23 +199,6 @@ def build_group(q: int) -> HeckeGroup:
 
 # -- Bruhat orbits on flag pairs ---------------------------------------------
 
-@dataclass(frozen=True)
-class BruhatOrbits:
-    """G-orbits on flag pairs, labeled by shortest relation words."""
-
-    q: int
-    n_flags: int
-    orbit_of_pair: np.ndarray          # flattened pair index -> orbit id
-    representatives: tuple[int, ...]   # per orbit, flattened pair index
-    sizes: tuple[int, ...]
-    stabilizer_orders: tuple[int, ...]
-    labels: tuple[str, ...]            # per orbit, one of ORBIT_LABELS
-
-    @property
-    def n_orbits(self) -> int:
-        return len(self.representatives)
-
-
 def _pair_label(geo: FlagGeometry, x: tuple[int, int], y: tuple[int, int],
                 q: int) -> str:
     px, lx = x
@@ -236,34 +217,21 @@ def _pair_label(geo: FlagGeometry, x: tuple[int, int], y: tuple[int, int],
     return "PLP"
 
 
-def bruhat_orbits(hg: HeckeGroup | int) -> BruhatOrbits:
+def bruhat_orbits(hg: HeckeGroup | int
+                  ) -> tuple[IsoClassTable, tuple[str, ...]]:
+    """G-orbits on flag pairs, the pair (i, j) being point i * n_flags + j,
+    with the label of each orbit (one of ORBIT_LABELS)."""
     if isinstance(hg, int):
         hg = build_group(hg)
     geo = hg.geometry
-    q = hg.q
     n = geo.n_flags
     act = hg.action.act
-    # the full element table makes the orbit of a pair the set of its images;
-    # the columnwise minimum is the canonical representative
     pair_images = act[:, :, None] * n + act[:, None, :]
-    reps_per_pair = pair_images.min(axis=0).reshape(-1)
-    del pair_images
-    reps = sorted(set(int(r) for r in reps_per_pair))
-    orbit_index = {r: i for i, r in enumerate(reps)}
-    orbit_of = np.array([orbit_index[int(r)] for r in reps_per_pair],
-                        dtype=np.int64)
-    sizes = [0] * len(reps)
-    for o in orbit_of:
-        sizes[int(o)] += 1
-    stabs = []
-    labels = []
-    for r in reps:
-        i, j = divmod(r, n)
-        stab = int(np.count_nonzero((act[:, i] == i) & (act[:, j] == j)))
-        stabs.append(stab)
-        labels.append(_pair_label(geo, geo.flags[i], geo.flags[j], q))
-    return BruhatOrbits(q, n, orbit_of, tuple(reps), tuple(sizes),
-                        tuple(stabs), tuple(labels))
+    # a view of the fresh array: the pair table is never copied
+    table = orbit_table(pair_images.reshape(len(act), n * n))
+    labels = tuple(_pair_label(geo, geo.flags[r // n], geo.flags[r % n], hg.q)
+                   for r in table.representative)
+    return table, labels
 
 
 # -- structure constants of the groupoidified multiplication ----------------
@@ -310,28 +278,24 @@ def hecke_structure_constants(hg: HeckeGroup | int, alpha: int = 0) -> HeckeTens
     geo = hg.geometry
     n = geo.n_flags
     act = hg.action.act
-    orbits = bruhat_orbits(hg)
-    k = orbits.n_orbits
+    orbits, labels = bruhat_orbits(hg)
+    k = orbits.n_classes
     tensor = [[[Fraction(0) for _w in range(k)] for _v in range(k)]
               for _u in range(k)]
-    orbit_of = orbits.orbit_of_pair
+    orbit_of = orbits.class_of
+    stab = orbits.aut_order
     for w in range(k):
-        r = orbits.representatives[w]
-        x1, x3 = divmod(r, n)
+        x1, x3 = divmod(orbits.representative[w], n)
         h_elems = np.nonzero((act[:, x1] == x1) & (act[:, x3] == x3))[0]
-        stab_w = len(h_elems)
-        sub = act[h_elems]                      # H_w acting on the middle flag
-        mins = sub.min(axis=0)
-        for rep in sorted(set(int(m) for m in mins)):
-            stab_triple = int(np.count_nonzero(sub[:, rep] == rep))
-            u = int(orbit_of[x1 * n + rep])
-            v = int(orbit_of[rep * n + x3])
+        middle = orbit_table(act[h_elems])     # H_w acting on the middle flag
+        for rep, stab_triple in zip(middle.representative, middle.aut_order):
+            u = orbit_of[x1 * n + rep]
+            v = orbit_of[rep * n + x3]
             # x foot: the pair13 orbit; y foot: the (pair12, pair23) orbits
-            tensor[u][v][w] += aut_weight(
-                stab_w, orbits.stabilizer_orders[u] * orbits.stabilizer_orders[v],
-                stab_triple, alpha)
+            tensor[u][v][w] += aut_weight(stab[w], stab[u] * stab[v],
+                                          stab_triple, alpha)
     # reorder to the documented label order
-    perm = [orbits.labels.index(lbl) for lbl in ORBIT_LABELS]
+    perm = [labels.index(lbl) for lbl in ORBIT_LABELS]
     reordered = tuple(
         tuple(tuple(tensor[pu][pv][pw] for pw in perm) for pv in perm)
         for pu in perm)
@@ -379,17 +343,16 @@ def triple_block_span(hg: HeckeGroup, u: str, v: str, w: str
     """
     geo = hg.geometry
     n = geo.n_flags
-    orbits = bruhat_orbits(hg)
-    pos = {lbl: i for i, lbl in enumerate(orbits.labels)}
-    orbit_of = orbits.orbit_of_pair
-    w_points = sorted(int(p) for p in np.nonzero(
-        orbit_of == pos[w])[0])
+    orbits, labels = bruhat_orbits(hg)
+    pos = {lbl: i for i, lbl in enumerate(labels)}
+    orbit_of = orbits.class_of
+    w_points = [p for p, o in enumerate(orbit_of) if o == pos[w]]
     triples = []
     for pair13 in w_points:
         x1, x3 = divmod(pair13, n)
         for x2 in range(n):
-            if int(orbit_of[x1 * n + x2]) == pos[u] and \
-                    int(orbit_of[x2 * n + x3]) == pos[v]:
+            if orbit_of[x1 * n + x2] == pos[u] and \
+                    orbit_of[x2 * n + x3] == pos[v]:
                 triples.append((x1, x2, x3))
     if not triples:
         return None

@@ -304,9 +304,10 @@ class _PullbackGroupoid(FiniteGroupoid):
     """Objects are (t, s, alpha) with alpha: f(t) -> g(s) in the base;
     morphisms are pairs (u, v) over an object.
 
-    Serves both literal weak pullbacks and their skeletal reductions;
-    composition works componentwise through the two parent groupoids, so no
-    composition table is materialized.
+    Serves literal weak pullbacks, their skeletal reductions and, with the
+    terminal groupoid as S, trace groupoids; composition works
+    componentwise through the two parent groupoids, so no composition table
+    is materialized.
     """
 
     __slots__ = ("obj_data", "mor_data", "_mor_index", "T", "S")
@@ -597,36 +598,14 @@ def inner_product(phi: GroupoidOverX, psi: GroupoidOverX,
     return P, cardinality(P)
 
 
-class _TraceGroupoid(FiniteGroupoid):
-    """Objects (s, alpha: p(s) -> q(s)); morphisms are apex morphisms."""
-
-    __slots__ = ("obj_data", "mor_data", "_mor_index", "A")
-
-    def __init__(self, A: FiniteGroupoid, obj_data, mor_data, mor_target):
-        self.A = A
-        self.obj_data = obj_data
-        self.mor_data = mor_data
-        self._mor_index = {m: i for i, m in enumerate(mor_data)}
-        src = tuple(o for o, _u in mor_data)
-        identity = tuple(self._mor_index[(o, A.identity[s])]
-                         for o, (s, _a) in enumerate(obj_data))
-        inverse = tuple(self._mor_index[(mor_target[i], A.inverse[u])]
-                        for i, (_o, u) in enumerate(mor_data))
-        super().__init__(len(obj_data), src, tuple(mor_target),
-                         identity, inverse, self._compose_tr)
-
-    def _compose_tr(self, f: int, g: int) -> int:
-        o, u1 = self.mor_data[f]
-        _o2, u2 = self.mor_data[g]
-        return self._mor_index[(o, self.A.compose(u1, u2))]
-
-
 def trace_span(s: SpanOfGroupoids, mode: PullbackMode = "skeletal"
                ) -> tuple[FiniteGroupoid, Rational]:
     """Trace groupoid of an endo-span, with its exact cardinality.
 
     Objects pair an apex object with a loop isomorphism p(s) -> q(s) in the
     base; the cardinality equals the matrix trace of the span at alpha = 0.
+    It is a pullback-shaped groupoid over the apex and the terminal
+    groupoid: objects are (s, 0, alpha), morphisms (o, u, 0).
     """
     if not _same_groupoid(s.source, s.target):
         raise ValueError("trace needs a span with equal feet")
@@ -634,20 +613,20 @@ def trace_span(s: SpanOfGroupoids, mode: PullbackMode = "skeletal"
     A = s.apex
     B = s.source
     p, q = s.right, s.left
-    obj_data: list[tuple[int, int]] = []
-    mor_data: list[tuple[int, int]] = []
+    obj_data: list[tuple[int, int, int]] = []
+    mor_data: list[tuple[int, int, int]] = []
     mor_target: list[int] = []
     if mode == "literal":
         obj_index: dict[tuple[int, int], int] = {}
         for a in range(A.n_objects):
             for alpha in B.hom(p.obj_map[a], q.obj_map[a]):
                 obj_index[(a, alpha)] = len(obj_data)
-                obj_data.append((a, alpha))
-        for o, (a, alpha) in enumerate(obj_data):
+                obj_data.append((a, 0, alpha))
+        for o, (a, _pt, alpha) in enumerate(obj_data):
             for u in A.mor_from(a):
                 alpha2 = B.compose(B.compose(B.inverse[p.mor_map[u]], alpha),
                                    q.mor_map[u])
-                mor_data.append((o, u))
+                mor_data.append((o, u, 0))
                 mor_target.append(obj_index[(A.tgt[u], alpha2)])
     else:
         table = iso_classes(A)
@@ -660,14 +639,15 @@ def trace_span(s: SpanOfGroupoids, mode: PullbackMode = "skeletal"
             for orbit in _hom_orbits(B, isos, moves):
                 alpha0 = orbit[0]
                 o = len(obj_data)
-                obj_data.append((a0, alpha0))
+                obj_data.append((a0, 0, alpha0))
                 for u in A.aut(a0):
                     if B.compose(B.compose(B.inverse[p.mor_map[u]], alpha0),
                                  q.mor_map[u]) == alpha0:
-                        mor_data.append((o, u))
+                        mor_data.append((o, u, 0))
                         mor_target.append(o)
 
-    tr = _TraceGroupoid(A, obj_data, mor_data, mor_target)
+    tr = _PullbackGroupoid(A, FiniteGroupoid.terminal(), obj_data, mor_data,
+                           mor_target)
     return tr, cardinality(tr)
 
 

@@ -123,6 +123,41 @@ def test_span_file_without_morphisms_exits_2(tmp_path):
         assert "Traceback" not in result.stderr
 
 
+def _broken_annihilation_span(how: str) -> dict:
+    """The JSON of the annihilation span of E_<=2, its left leg broken."""
+    data = span_to_json(annihilation_span(build_E(2)))
+    left = data["left"]
+    if how == "object out of range":
+        left["objects"][0] = 99
+    elif how == "morphism map one short":
+        left["morphisms"].pop()
+    elif how == "morphism image with wrong endpoints":
+        mors = data["left_codomain"]["morphisms"]
+        src = mors[left["morphisms"][0]]["src"]
+        left["morphisms"][0] = next(m for m, e in enumerate(mors)
+                                    if e["src"] != src)
+    return data
+
+
+@pytest.mark.parametrize("how, message", [
+    ("object out of range", "object map[0]=99 is out of range"),
+    ("morphism map one short", "morphism map has"),
+    ("morphism image with wrong endpoints", "morphism map[0]="),
+])
+def test_span_file_with_bad_leg_maps_exits_2(tmp_path, how, message):
+    path = tmp_path / "span.json"
+    path.write_text(json.dumps(_broken_annihilation_span(how)))
+    for args in (("degroupoidify", "--span", str(path)),
+                 ("compose", "--first", str(path), "--second", str(path),
+                  "-o", str(tmp_path / "out.json"))):
+        result = run_cli(*args)
+        assert result.returncode == 2
+        assert str(path) in result.stderr and message in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_card_rejects_identity_out_of_range(tmp_path):
     data = FiniteGroupoid.terminal().to_json()
     data["identity"] = [5]

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -100,10 +101,10 @@ def test_group_axioms_spot_check():
 def test_bruhat_orbit_structure():
     for q in (2, 3):
         hg = build_group(q)
-        orbits = bruhat_orbits(hg)
-        assert orbits.n_orbits == 6
-        assert sorted(orbits.labels) == sorted(ORBIT_LABELS)
-        by_label = dict(zip(orbits.labels, orbits.sizes))
+        orbits, labels = bruhat_orbits(hg)
+        assert orbits.n_classes == 6
+        assert sorted(labels) == sorted(ORBIT_LABELS)
+        by_label = dict(zip(labels, orbits.class_size))
         n = hg.geometry.n_flags
         assert by_label["e"] == n
         assert by_label["P"] == n * q
@@ -112,8 +113,22 @@ def test_bruhat_orbit_structure():
         assert by_label["LP"] == n * q * q
         assert by_label["PLP"] == n * q ** 3
         # orbit-stabilizer across the pair action
-        for size, stab in zip(orbits.sizes, orbits.stabilizer_orders):
+        for size, stab in zip(orbits.class_size, orbits.aut_order):
             assert size * stab == hg.group.order
+
+
+def test_bruhat_orbits_hold_one_pair_table():
+    # the (|G|, n^2) pair table is 121 MB at q = 3; reshaping it for the
+    # orbit kernel must not copy it
+    hg = build_group(2)
+    table_bytes = hg.group.order * hg.geometry.n_flags ** 2 * 8
+    tracemalloc.start()
+    try:
+        bruhat_orbits(hg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * table_bytes
 
 
 def test_structure_constants_match_relation_count_oracle():
@@ -127,8 +142,8 @@ def test_structure_constants_match_relation_count_oracle():
 def test_alpha_one_tensor_is_the_rescaled_alpha_zero_tensor():
     # the weight moves from the x foot |Stab w| to the y foot |Stab u||Stab v|
     hg = build_group(2)
-    orbits = bruhat_orbits(hg)
-    stab = {lbl: s for lbl, s in zip(orbits.labels, orbits.stabilizer_orders)}
+    orbits, labels = bruhat_orbits(hg)
+    stab = {lbl: s for lbl, s in zip(labels, orbits.aut_order)}
     t0 = hecke_structure_constants(hg, alpha=0)
     t1 = hecke_structure_constants(hg, alpha=1)
     assert t1.labels == t0.labels

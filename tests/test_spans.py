@@ -434,10 +434,10 @@ def test_trace_skeletal_matches_literal_and_orbit_oracle():
             pairs = [(B.inverse[s.right.mor_map[u]], s.left.mor_map[u])
                      for u in A.aut(a0)]
             isos = B.hom(s.right.obj_map[a0], s.left.obj_map[a0])
-            want += [((a0, orbit[0]), len(orbit))
+            want += [((a0, 0, orbit[0]), len(orbit))
                      for orbit in all_element_orbits(B, isos, pairs)]
         assert ske.obj_data == [obj for obj, _size in want]
-        for o, ((a0, _a), size) in enumerate(want):
+        for o, ((a0, _pt, _a), size) in enumerate(want):
             assert size * len(ske.aut(o)) == len(A.aut(a0))
 
 
