@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import fock
 from .groupoid import (
     FiniteGroupoid,
+    IsoClassTable,
     SizeCapError,
     cardinality,
     iso_classes,
@@ -112,15 +114,31 @@ def cmd_card(args) -> int:
     return EXIT_OK
 
 
+def _check_alpha_digits(text: str, alpha: Fraction, y: IsoClassTable,
+                        x: IsoClassTable) -> None:
+    """Reject an alpha whose entries |Aut x|^(1-alpha) |Aut y|^alpha would
+    have more decimal digits than the interpreter prints, before any power
+    is computed."""
+    limit = (sys.get_int_max_str_digits()
+             or sys.int_info.default_max_str_digits)
+    largest = max(y.aut_order + x.aut_order, default=1)
+    if largest > 1 and abs(alpha) + 1 > limit / math.log10(largest):
+        raise InputError(
+            f"alpha {text} is too large: entries would have about "
+            f"(|alpha| + 1) * log10({largest}) digits, over the limit of "
+            f"{limit}")
+
+
 def cmd_degroupoidify(args) -> int:
     span = _span_from_file(args.span)
     alpha = _parse_alpha(args.alpha)
+    y, x = iso_classes(span.target), iso_classes(span.source)
+    _check_alpha_digits(args.alpha, alpha, y, x)
     matrix = degroupoidify_span(span, alpha)
     if args.csv:
         _write_output(matrix_to_csv(matrix), args.output)
     else:
-        payload = matrix_to_json(matrix, iso_classes(span.target),
-                                 iso_classes(span.source))
+        payload = matrix_to_json(matrix, y, x)
         _write_output(json.dumps(payload, indent=None), args.output)
     return EXIT_OK
 
@@ -128,7 +146,7 @@ def cmd_degroupoidify(args) -> int:
 def cmd_compose(args) -> int:
     t = _span_from_file(args.first)
     s = _span_from_file(args.second)
-    composed = compose_spans(t, s, mode="literal")
+    composed = compose_spans(t, s)
     _write_output(json.dumps(span_to_json(composed)), args.output)
     return EXIT_OK
 

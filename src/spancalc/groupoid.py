@@ -16,7 +16,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 Rational = Fraction
 
@@ -170,6 +170,13 @@ class FiniteGroupoid:
         self._aut_gens[x] = gens
         return gens
 
+    def composites(self) -> Iterator[tuple[int, int, int]]:
+        """Each composable pair with its composite, (f, g, f;g), in order of
+        f, then of g."""
+        for f in range(self.n_morphisms):
+            for g in self.mor_from(self.tgt[f]):
+                yield f, g, self.compose(f, g)
+
     def mor_from(self, x: int) -> list[int]:
         if self._from_index is None:
             index: list[list[int]] = [[] for _ in range(self.n_objects)]
@@ -266,16 +273,12 @@ class FiniteGroupoid:
             len(self.mor_from(self.tgt[f])) for f in range(self.n_morphisms)
         )
         _check_cap("composition table serialization", pairs)
-        compose = []
-        for f in range(self.n_morphisms):
-            for g in self.mor_from(self.tgt[f]):
-                compose.append([f, g, self.compose(f, g)])
         return {
             "objects": self.n_objects,
             "morphisms": [{"src": self.src[m], "tgt": self.tgt[m]}
                           for m in range(self.n_morphisms)],
             "identity": list(self.identity),
-            "compose": compose,
+            "compose": [list(c) for c in self.composites()],
             "inverse": list(self.inverse),
         }
 
@@ -283,11 +286,12 @@ class FiniteGroupoid:
     def from_json(data: dict, check_indices: bool = True) -> "FiniteGroupoid":
         """Read the JSON form.
 
-        ``check_indices`` rejects, with a ``ValueError``, object and
-        morphism indices out of range, identities that are not
-        endomorphisms of their object, and inverses with the wrong
-        endpoints; the checks are linear in the morphisms, the composition
-        table is not scanned.
+        ``check_indices`` rejects, with a ``ValueError``, object and morphism
+        indices out of range, identities that are not endomorphisms of
+        their object, inverses with the wrong endpoints, a pair listed
+        twice in ``compose``, and then the first violation that
+        ``validate_groupoid`` finds: a composable pair without a composite
+        between the right endpoints, or a broken axiom.
         """
         mor = data["morphisms"]
         n_objects = data["objects"]
@@ -295,16 +299,72 @@ class FiniteGroupoid:
         tgt = tuple(m["tgt"] for m in mor)
         identity = tuple(data["identity"])
         inverse = tuple(data["inverse"])
-        if check_indices:
-            _check_indices("identity", identity, n_objects, len(mor))
-            _check_indices("inverse", inverse, len(mor), len(mor))
-            _check_indices("src", src, len(mor), n_objects)
-            _check_indices("tgt", tgt, len(mor), n_objects)
-            _check_endpoints("identity", identity, range(n_objects),
-                             range(n_objects), src, tgt)
-            _check_endpoints("inverse", inverse, tgt, src, src, tgt)
-        compose = {(f, g): h for f, g, h in data["compose"]}
-        return FiniteGroupoid(n_objects, src, tgt, identity, inverse, compose)
+        if not check_indices:
+            compose = {(f, g): h for f, g, h in data["compose"]}
+            return FiniteGroupoid(n_objects, src, tgt, identity, inverse,
+                                  compose)
+        if type(n_objects) is not int:
+            raise ValueError(f"objects={n_objects!r} is not an integer")
+        _check_indices("identity", identity, n_objects, len(mor))
+        _check_indices("inverse", inverse, len(mor), len(mor))
+        _check_indices("src", src, len(mor), n_objects)
+        _check_indices("tgt", tgt, len(mor), n_objects)
+        _check_endpoints("identity", identity, range(n_objects),
+                         range(n_objects), src, tgt)
+        _check_endpoints("inverse", inverse, tgt, src, src, tgt)
+        compose = {}
+        for i, entry in enumerate(data["compose"]):
+            if type(entry) is not list or len(entry) != 3:
+                raise ValueError(f"compose[{i}]={entry!r} is not [f, g, h]")
+            f, h, fh = entry
+            if (f, h) in compose:
+                raise ValueError(f"compose lists the pair ({f}, {h}) twice")
+            compose[(f, h)] = fh
+        g = FiniteGroupoid(n_objects, src, tgt, identity, inverse, compose)
+        report = validate_groupoid(g, max_violations=1)
+        if report:
+            raise ValueError(report[0])
+        return g
+
+
+def _right_generators(g: FiniteGroupoid,
+                      table: dict[tuple[int, int], int]) -> list[int]:
+    """Morphisms from which composing on the right, starting at the
+    identities, reaches every morphism of ``g`` through ``table``, the
+    composite of every composable pair.
+
+    Seeded, per component, with a morphism from its least object to each
+    other object and one back; any morphism still unreached joins in index
+    order, which in a groupoid at least doubles the reached part of the
+    component's automorphism group.
+    """
+    reached = set(g.identity)
+    ending_at = [[i] for i in g.identity]     # reached morphisms by target
+    gens: list[int] = []
+    gens_from: list[list[int]] = [[] for _ in range(g.n_objects)]
+
+    def add(s: int) -> None:
+        gens.append(s)
+        gens_from[g.src[s]].append(s)
+        todo = [table[(h, s)] for h in ending_at[g.src[s]]]
+        while todo:
+            h = todo.pop()
+            if h not in reached:
+                reached.add(h)
+                ending_at[g.tgt[h]].append(h)
+                todo.extend(table[(h, t)] for t in gens_from[g.tgt[h]])
+
+    classes = iso_classes(g)
+    for x, cls in enumerate(classes.class_of):
+        r = classes.representative[cls]
+        if x != r:
+            for m in g.hom(r, x)[:1] + g.hom(x, r)[:1]:
+                if m not in reached:
+                    add(m)
+    for m in range(g.n_morphisms):
+        if m not in reached:
+            add(m)
+    return gens
 
 
 def _check_indices(name: str, values: tuple, length: int, bound: int) -> None:
@@ -391,8 +451,10 @@ class GroupoidFunctor:
         """Read the JSON form.
 
         Raises ``ValueError`` unless both maps have the domain's sizes,
-        land in range, and send each morphism to one between the images of
-        its endpoints; the checks are linear, composites are not checked.
+        land in range, send each morphism to one between the images of its
+        endpoints, and preserve every composite of the domain (so, between
+        groupoids, identities and inverses too); the checks are linear in
+        the domain's composition table.
         """
         obj_map = tuple(data["objects"])
         mor_map = tuple(data["morphisms"])
@@ -404,6 +466,10 @@ class GroupoidFunctor:
                          [obj_map[x] for x in domain.src],
                          [obj_map[x] for x in domain.tgt],
                          codomain.src, codomain.tgt)
+        for f, g, h in domain.composites():
+            if codomain.compose(mor_map[f], mor_map[g]) != mor_map[h]:
+                raise ValueError(f"morphism map does not preserve the "
+                                 f"composite of {f} and {g}")
         return GroupoidFunctor(domain, codomain, obj_map, mor_map)
 
 
@@ -479,12 +545,15 @@ class _Enough(Exception):
 
 
 def validate_groupoid(g: FiniteGroupoid, max_violations: int = 50) -> list[str]:
-    """Check the groupoid axioms exhaustively; return violations (empty if valid).
+    """Check the groupoid axioms; return violations (empty if valid).
 
     Violations are data, not errors: each entry names the broken axiom and
     the witnessing indices.  Index ranges are checked first, and nothing
     else is checked when one fails; every composite is checked for range
-    and endpoints before it is used.
+    and endpoints before it is used.  Associativity is checked only when
+    everything else holds, by Light's test, which reports violating
+    triples with the middle factor in a generating set rather than every
+    violating triple.
     """
     errors: list[str] = []
     n_obj, n_mor = g.n_objects, g.n_morphisms
@@ -551,37 +620,48 @@ def validate_groupoid(g: FiniteGroupoid, max_violations: int = 50) -> list[str]:
                         report(f"compose({f},{h}) undefined for a "
                                "composable pair")
 
+        # every composite once; None where it is missing or misplaced
+        table = {(f, h): comp(f, h)
+                 for f in range(n_mor) for h in g.mor_from(g.tgt[f])}
         for f in range(n_mor):
-            r = comp(f, g.identity[g.tgt[f]])
+            r = table.get((f, g.identity[g.tgt[f]]))
             if r is not None and r != f:
                 report(f"compose({f}, id) != {f}")
-            r = comp(g.identity[g.src[f]], f)
+            r = table.get((g.identity[g.src[f]], f))
             if r is not None and r != f:
                 report(f"compose(id, {f}) != {f}")
             inv = g.inverse[f]
             if g.src[inv] != g.tgt[f] or g.tgt[inv] != g.src[f]:
                 report(f"inverse[{f}]={inv} has wrong endpoints")
                 continue
-            r = comp(f, inv)
+            r = table[(f, inv)]
             if r is not None and r != g.identity[g.src[f]]:
                 report(f"compose({f}, inverse) is not the identity")
-            r = comp(inv, f)
+            r = table[(inv, f)]
             if r is not None and r != g.identity[g.tgt[f]]:
                 report(f"compose(inverse, {f}) is not the identity")
 
-        for f in range(n_mor):
-            for h in g.mor_from(g.tgt[f]):
-                fh = comp(f, h)
-                if fh is None:
-                    continue
-                for k in g.mor_from(g.tgt[h]):
-                    hk = comp(h, k)
-                    if hk is None:
-                        continue
-                    left, right = comp(fh, k), comp(f, hk)
-                    if left is not None and right is not None and \
-                            left != right:
-                        report(f"associativity fails on ({f},{h},{k})")
+        if errors:
+            return
+        # Light's test, which needs the laws above: the middle factors h
+        # with (f;h);k = f;(h;k) for all f, k include the identities and
+        # are closed under composition, so testing h over a set that
+        # reaches every morphism by composing on the right from the
+        # identities decides associativity, at a small multiple of the
+        # table's cost rather than one step per composable triple
+        into: list[list[int]] = [[] for _ in range(n_obj)]
+        for m in range(n_mor):
+            into[g.tgt[m]].append(m)
+        for h in _right_generators(g, table):
+            ks = g.mor_from(g.tgt[h])
+            hks = [table[(h, k)] for k in ks]
+            for f in into[g.src[h]]:
+                fh = table[(f, h)]
+                lefts = [table[(fh, k)] for k in ks]
+                if lefts != [table[(f, hk)] for hk in hks]:
+                    for k, left, hk in zip(ks, lefts, hks):
+                        if left != table[(f, hk)]:
+                            report(f"associativity fails on ({f},{h},{k})")
 
     try:
         scan()

@@ -9,8 +9,9 @@ with entry at (class of y, class of x) equal to
 
 computed in exact rational arithmetic.  Weak pullbacks implement span
 composition; since equivalent spans induce equal matrices, they are built
-in blockwise-skeletal form (one object per isomorphism class).  The literal
-pullback is kept as the oracle and for files written out for other tools.
+in blockwise-skeletal form (one object per isomorphism class), and that is
+also the composite ``spancalc compose`` writes.  The literal pullback is
+kept as the test oracle only.
 """
 
 from __future__ import annotations

@@ -121,3 +121,13 @@ def all_element_orbits(B: FiniteGroupoid, isos: list[int],
             seen.update(orbit)
             orbits.append(orbit)
     return orbits
+
+
+def associative(g: FiniteGroupoid) -> bool:
+    """Whether (f;h);k = f;(h;k) on every composable triple.
+
+    The brute-force oracle for Light's test in ``validate_groupoid``.
+    """
+    return all(g.compose(g.compose(f, h), k) == g.compose(f, g.compose(h, k))
+               for f in range(g.n_morphisms) for h in g.mor_from(g.tgt[f])
+               for k in g.mor_from(g.tgt[h]))

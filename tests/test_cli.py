@@ -1,13 +1,23 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from spancalc import cli
 from spancalc.fock import annihilation_span, build_E
-from spancalc.groupoid import FiniteGroupoid, cyclic_table
-from spancalc.spans import span_to_json
+from spancalc.groupoid import FiniteGroupoid, cyclic_table, iso_classes
+from spancalc.spans import (
+    compose_spans,
+    degroupoidify_span,
+    matrix_to_json,
+    span_to_json,
+)
+
+from helpers import random_cyclic_action, random_span
 
 
 def run_cli(*args, env=None):
@@ -91,6 +101,51 @@ def test_compose_round_trip(tmp_path):
     # the square of the derivative: entry n(n-1) at (n-2, n)
     assert payload["entries"][0][2] == "2/1"
     assert payload["entries"][1][3] == "6/1"
+    # the file holds the skeletal composite: one apex object per class
+    apex = FiniteGroupoid.from_json(json.loads(out.read_text())["apex"])
+    assert iso_classes(apex).n_classes == apex.n_objects
+    again = tmp_path / "again.json"
+    run_cli("compose", "--first", str(path), "--second", str(path),
+            "-o", str(again))
+    assert again.read_bytes() == out.read_bytes()
+
+
+def test_cli_composite_matches_the_literal_oracle(tmp_path):
+    rng = random.Random(41)
+    k = 6
+    for trial in range(3):
+        ax, ay, az, aw = (random_cyclic_action(rng, k, rng.randint(2, 5))
+                          for _ in range(4))
+        s = random_span(rng, k, ay, ax)   # X -> Y
+        t = random_span(rng, k, az, ay)   # Y -> Z
+        u = random_span(rng, k, aw, az)   # Z -> W
+        paths = {}
+        for name, span in (("s", s), ("t", t), ("u", u)):
+            paths[name] = str(tmp_path / f"{name}{trial}.json")
+            with open(paths[name], "w") as fh:
+                json.dump(span_to_json(span), fh)
+        ts = str(tmp_path / f"ts{trial}.json")
+        assert cli.main(["compose", "--first", paths["t"], "--second",
+                         paths["s"], "-o", ts]) == 0
+        literal = compose_spans(t, s, mode="literal")
+        for alpha in ("0", "1", "1/2"):
+            out = tmp_path / f"m{trial}.json"
+            assert cli.main(["degroupoidify", "--span", ts, "--alpha", alpha,
+                             "-o", str(out)]) == 0
+            oracle = matrix_to_json(
+                degroupoidify_span(literal, Fraction(alpha)),
+                iso_classes(literal.target), iso_classes(literal.source))
+            assert json.loads(out.read_text()) == oracle
+        # the composite file composes further: u (t s) at alpha 0
+        uts = str(tmp_path / f"uts{trial}.json")
+        assert cli.main(["compose", "--first", paths["u"], "--second", ts,
+                         "-o", uts]) == 0
+        out = tmp_path / f"uts_m{trial}.json"
+        assert cli.main(["degroupoidify", "--span", uts, "-o",
+                         str(out)]) == 0
+        product = degroupoidify_span(u) @ degroupoidify_span(literal)
+        assert json.loads(out.read_text())["entries"] == \
+            matrix_to_json(product)["entries"]
 
 
 def test_fock_ccr_exit_codes():
@@ -136,6 +191,9 @@ def _broken_annihilation_span(how: str) -> dict:
         src = mors[left["morphisms"][0]]["src"]
         left["morphisms"][0] = next(m for m, e in enumerate(mors)
                                     if e["src"] != src)
+    elif how == "right leg sends an identity to the swap":
+        assert data["right"]["morphisms"][1] == 2  # id of 2 in Aut(2) = S_2
+        data["right"]["morphisms"][1] = 3
     return data
 
 
@@ -156,6 +214,77 @@ def test_span_file_with_bad_leg_maps_exits_2(tmp_path, how, message):
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
     assert not (tmp_path / "out.json").exists()
+
+
+def _broken_foot_composite(how: str) -> dict:
+    """The JSON of the annihilation span of E_<=3, one composite of its
+    source foot broken (morphism 3 is the swap in Aut of the object 2)."""
+    data = span_to_json(annihilation_span(build_E(3)))
+    compose = data["right_codomain"]["compose"]
+    i = compose.index([3, 3, 2])
+    if how == "missing":
+        del compose[i]
+    elif how == "duplicated":
+        compose.append([3, 3, 2])
+    elif how == "wrong endpoints":
+        compose[i] = [3, 3, 4]   # 4 is an automorphism of the object 3
+    elif how == "right endpoints, wrong value":
+        compose[i] = [3, 3, 3]
+    return data
+
+
+@pytest.mark.parametrize("how, message", [
+    ("missing", "compose(3,3) undefined for a composable pair"),
+    ("duplicated", "compose lists the pair (3, 3) twice"),
+    ("wrong endpoints", "compose(3,3)=4 has wrong endpoints"),
+    ("right endpoints, wrong value", "compose(3, inverse) is not the identity"),
+])
+def test_span_file_with_bad_composites_exits_2(tmp_path, how, message):
+    data = _broken_foot_composite(how)
+    path = tmp_path / "span.json"
+    path.write_text(json.dumps(data))
+    foot = tmp_path / "foot.json"
+    foot.write_text(json.dumps(data["right_codomain"]))
+    for args in (("degroupoidify", "--span", str(path)),
+                 ("compose", "--first", str(path), "--second", str(path),
+                  "-o", str(tmp_path / "out.json")),
+                 ("card", str(foot))):
+        result = run_cli(*args)
+        assert result.returncode == 2
+        assert str(foot if args[0] == "card" else path) in result.stderr
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("alpha", ["1000000", "100000", "-5000"])
+def test_degroupoidify_rejects_alpha_beyond_the_digit_limit(tmp_path, alpha):
+    path = tmp_path / "span.json"
+    path.write_text(json.dumps(span_to_json(annihilation_span(build_E(5)))))
+    result = subprocess.run(
+        [sys.executable, "-m", "spancalc.cli", "degroupoidify", "--span",
+         str(path), "--alpha", alpha],
+        capture_output=True, text=True, timeout=10)
+    assert result.returncode == 2
+    assert f"alpha {alpha} is too large" in result.stderr
+    assert "Traceback" not in result.stderr and result.stdout == ""
+    # |Aut| <= 120 here, so alpha = 1000 stays within 4300 digits
+    assert cli.main(["degroupoidify", "--span", str(path), "--alpha",
+                     "1000", "-o", str(tmp_path / "m.json")]) == 0
+
+
+def test_span_file_with_a_leg_that_is_not_a_functor_exits_2(tmp_path):
+    path = tmp_path / "span.json"
+    path.write_text(json.dumps(_broken_annihilation_span(
+        "right leg sends an identity to the swap")))
+    for argv in (["degroupoidify", "--span", str(path)],
+                 ["compose", "--first", str(path), "--second", str(path)]):
+        result = run_cli(*argv)
+        assert result.returncode == 2
+        assert str(path) in result.stderr
+        assert "does not preserve the composite of 1 and 1" in result.stderr
+        assert "Traceback" not in result.stderr and result.stdout == ""
 
 
 def test_card_rejects_identity_out_of_range(tmp_path):

@@ -16,10 +16,11 @@ from spancalc.groupoid import (
     product,
     skeleton,
     symmetric_table,
+    table_product,
     validate_groupoid,
 )
 
-from helpers import random_groupoid
+from helpers import associative, random_groupoid
 
 
 def test_terminal_is_valid():
@@ -233,3 +234,89 @@ def test_aut_generators_generate_each_automorphism_group():
                                         for c in gens} if b not in closure]
                 closure.update(frontier)
             assert closure == aut
+
+
+# a loop of order 5 with identity 0 and x;x = 0: unit and inverse laws hold,
+# composition is not associative (a group of order 5 is cyclic)
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 0, 3, 4, 2],
+         [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+
+@pytest.mark.parametrize("g", [FiniteGroupoid.from_group_table(LOOP5),
+                               FiniteGroupoid.connected(3, LOOP5)],
+                         ids=["one object", "three objects"])
+def test_from_json_rejects_a_non_associative_table(g):
+    assert any("associativity fails" in v for v in validate_groupoid(g))
+    with pytest.raises(ValueError, match="associativity fails"):
+        FiniteGroupoid.from_json(g.to_json())
+
+
+def test_light_associativity_test_matches_the_triple_scan():
+    rng = random.Random(29)
+    tables = [LOOP5, cyclic_table(6), symmetric_table(3),
+              table_product(LOOP5, cyclic_table(2)),
+              table_product(cyclic_table(3), LOOP5),
+              table_product(symmetric_table(3), cyclic_table(2))]
+    groupoids = []
+    for table in tables:
+        # relabel the elements, so that other elements become generators
+        n = len(table)
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        inv = {s: i for i, s in enumerate(sigma)}
+        relabeled = [[sigma[table[inv[a]][inv[b]]] for b in range(n)]
+                     for a in range(n)]
+        groupoids += [FiniteGroupoid.from_group_table(relabeled),
+                      FiniteGroupoid.connected(rng.randint(2, 3), relabeled)]
+    groupoids += [random_groupoid(rng) for _ in range(4)]
+    verdicts = set()
+    for g in groupoids:
+        report = validate_groupoid(g)
+        assert all(v.startswith("associativity fails") for v in report)
+        assert (report == []) == associative(g)
+        verdicts.add(associative(g))
+    assert verdicts == {True, False}
+
+
+def test_from_json_rejects_broken_composites():
+    good = FiniteGroupoid.connected(2, cyclic_table(3)).to_json()
+    assert good["compose"][3] == [0, 3, 3]  # 0: 0 -> 0, then 3: 0 -> 1
+    rest = good["compose"][:3] + good["compose"][4:]
+    cases = [
+        (rest, r"compose\(0,3\) undefined for a composable pair"),
+        (good["compose"] + [[0, 3, 3]], r"the pair \(0, 3\) twice"),
+        (rest + [[0, 3, 0]], r"compose\(0,3\)=0 has wrong endpoints"),
+        (rest + [[3, 3, 3]], r"compose\(3,3\) defined for a pair that is "
+                             "not composable"),
+        (rest + [[0, 3]], r"compose\[\d+\]=\[0, 3\] is not \[f, g, h\]"),
+        (rest + [[0, 3, True]], r"compose\(0,3\)=True has wrong endpoints"),
+    ]
+    for compose, message in cases:
+        data = dict(good, compose=compose)
+        with pytest.raises(ValueError, match=message):
+            FiniteGroupoid.from_json(data)
+
+
+def test_from_json_rejects_a_composite_with_the_right_endpoints():
+    good = FiniteGroupoid.connected(2, cyclic_table(3)).to_json()
+    mors = good["morphisms"]
+    for i, (f, g, h) in enumerate(good["compose"]):
+        for other in range(len(mors)):
+            if other != h and mors[other] == mors[h]:
+                compose = [list(e) for e in good["compose"]]
+                compose[i][2] = other
+                with pytest.raises(ValueError,
+                                   match="!=|not the identity|associativity"):
+                    FiniteGroupoid.from_json(dict(good, compose=compose))
+
+
+def test_checked_loader_accepts_random_groupoids():
+    rng = random.Random(23)
+    groupoids = [random_groupoid(rng) for _ in range(12)]
+    groupoids.append(FiniteGroupoid.connected(3, symmetric_table(4)))
+    for g in groupoids:
+        g2 = FiniteGroupoid.from_json(g.to_json())
+        assert g2.to_json() == g.to_json()
