@@ -152,6 +152,8 @@ def cmd_compose(args) -> int:
 
 
 def cmd_fock(args) -> int:
+    if args.truncate < 0:
+        raise InputError(f"--truncate {args.truncate} is negative")
     E = fock.build_E(args.truncate)
     status = EXIT_OK
     out: dict = {"truncation": args.truncate,
@@ -220,7 +222,10 @@ def cmd_hall(args) -> int:
     if len(dmax) != quiver.n_vertices:
         raise InputError(
             f"--dmax needs {quiver.n_vertices} entries for {args.quiver}")
+    if min(dmax) < 0:
+        raise InputError(f"--dmax {args.dmax} has a negative entry")
     algebra = hall.HallAlgebra(quiver, args.q)
+    algebra.check_caps(dmax)   # before any enumeration
     failures = algebra.check_associativity(dmax)
     agree = True
     dimvecs = [tuple(d) for d in itertools.product(

@@ -146,8 +146,9 @@ def generating_function(stuff: StuffType, alpha: Fraction | int = 0
 
 def psi_n(n: int, E: TruncatedE) -> StuffType:
     """The stuff type "being an n-element set": one class with n! automorphisms."""
-    if n > E.N:
-        raise ValueError(f"n={n} exceeds the truncation bound {E.N}")
+    if not 0 <= n <= E.N:
+        raise ValueError(f"n={n} is not between 0 and the truncation "
+                         f"bound {E.N}")
     perms = E.levels.perms[n]
     index = E.levels.index[n]
     e = index[tuple(range(n))]

@@ -35,13 +35,18 @@ def size_cap() -> int:
 class SizeCapError(RuntimeError):
     """Raised when a construction would exceed the configured size cap."""
 
-    def __init__(self, what: str, needed: int):
+    def __init__(self, what: str, needed: int, cap: int | None = None):
+        """``cap`` is a fixed cap of the caller's own, and ``needed`` may
+        then be a lower bound; without it the breach is of the configurable
+        size cap."""
         self.what = what
         self.needed = needed
-        super().__init__(
-            f"{what} needs {needed} entries, over the size cap {size_cap()} "
-            f"(override with {SIZE_CAP_ENV})"
-        )
+        if cap is None:
+            message = (f"{what} needs {needed} entries, over the size cap "
+                       f"{size_cap()} (override with {SIZE_CAP_ENV})")
+        else:
+            message = f"{what} needs at least {needed}, over its cap of {cap}"
+        super().__init__(message)
 
 
 def _check_cap(what: str, needed: int) -> None:

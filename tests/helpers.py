@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from spancalc.actions import EquivariantSpan, FiniteGroup, GroupAction, materialize_span
@@ -13,6 +14,7 @@ from spancalc.groupoid import (
     symmetric_table,
     table_product,
 )
+from spancalc.hall import all_matrices, mat_mul, mat_rank
 from spancalc.spans import SpanOfGroupoids
 
 # small groups with automorphism orders up to 24
@@ -131,3 +133,22 @@ def associative(g: FiniteGroupoid) -> bool:
     return all(g.compose(g.compose(f, h), k) == g.compose(f, g.compose(h, k))
                for f in range(g.n_morphisms) for h in g.mor_from(g.tgt[f])
                for k in g.mor_from(g.tgt[h]))
+
+
+def gl_matrices(n: int, q: int) -> list:
+    """Every invertible n x n matrix over F_q, by rank over all matrices."""
+    return [m for m in all_matrices(n, n, q) if mat_rank(m, q) == n]
+
+
+def brute_force_homs(quiver, src, dst, q: int) -> set:
+    """Every tuple of per-vertex matrices src -> dst that commutes with the
+    edge maps, found by testing all q^(sum d_src d_dst) candidates.
+
+    The oracle for the nullspace enumeration in ``HallAlgebra.hom_tuples``.
+    """
+    per_vertex = [list(all_matrices(dst.dims[v], src.dims[v], q))
+                  for v in range(quiver.n_vertices)]
+    return {combo for combo in itertools.product(*per_vertex)
+            if all(mat_mul(dst.mats[ei], combo[a], q, cols=src.dims[a])
+                   == mat_mul(combo[b], src.mats[ei], q, cols=src.dims[a])
+                   for ei, (a, b) in enumerate(quiver.edges))}

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -377,6 +378,39 @@ def test_hall_cli_table(tmp_path):
     payload = json.loads(out.read_text())
     key = "d1,0#0*d0,1#0"
     assert payload["products"][key] == {"d1,1#0": "1/1", "d1,1#1": "1/1"}
+
+
+@pytest.mark.parametrize("args, message", [
+    (["fock", "--truncate", "3", "--psi", "-2"], "n=-2"),
+    (["fock", "--truncate", "-1"], "--truncate -1"),
+    (["hall", "--quiver", "a2", "--q", "2", "--dmax=-1,1"], "--dmax -1,1"),
+])
+def test_negative_integer_arguments_exit_2(args, message):
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+def test_hall_caps_are_checked_before_any_work():
+    result = subprocess.run(
+        [sys.executable, "-m", "spancalc.cli", "hall", "--quiver", "a2",
+         "--q", "7", "--dmax", "3,3"],
+        capture_output=True, text=True, timeout=5)
+    assert result.returncode == 2
+    assert "representation enumeration" in result.stderr
+    assert "cap of 1000000" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_hall_a2_q3_dmax_2_2_within_budget():
+    start = time.perf_counter()
+    result = run_cli("hall", "--quiver", "a2", "--q", "3", "--dmax", "2,2")
+    elapsed = time.perf_counter() - start
+    assert result.returncode == 0
+    assert result.stdout.count("PASS") == 2
+    assert elapsed < 3.0, f"took {elapsed:.2f} s"
 
 
 def test_output_is_deterministic(tmp_path):

@@ -9,12 +9,17 @@ from spancalc.hall import (
     HallAlgebra,
     HallElement,
     Quiver,
+    _gl_generators,
+    echelon,
+    generated,
     mat_inv,
     mat_mul,
     mat_rank,
     parse_quiver,
     subspaces,
 )
+
+from helpers import brute_force_homs, gl_matrices
 
 
 def a2(q: int) -> HallAlgebra:
@@ -59,7 +64,7 @@ def test_class_orbit_stabilizer():
         for dimvec in [(1, 1), (2, 1), (2, 2)]:
             group_size = 1
             for d in dimvec:
-                group_size *= len(h._gl(d))
+                group_size *= len(gl_matrices(d, q))
             for cls in h.classes(dimvec):
                 assert cls.aut_order * cls.class_size == group_size
                 assert len(h.aut_elements(cls)) == cls.aut_order
@@ -207,3 +212,122 @@ def test_associativity_a1_dims_up_to_three():
     one = h.classes((1,))[0]
     # [1][1] counts the q+1 lines of the plane
     assert h.product(one, one) == HallElement({((2,), 0): Fraction(3)})
+
+
+def classes_within(h: HallAlgebra, dmax: tuple[int, ...]) -> list:
+    return [cls for d in itertools.product(*[range(b + 1) for b in dmax])
+            for cls in h.classes(d)]
+
+
+def test_quiver_names_d4_and_a4():
+    d4 = parse_quiver("d4")
+    assert d4.n_vertices == 4
+    assert d4.edges == ((1, 0), (2, 0), (3, 0))   # every arm into the centre
+    assert parse_quiver("a4").edges == ((0, 1), (1, 2), (2, 3))
+    assert parse_quiver("a4:<><").edges == ((1, 0), (1, 2), (3, 2))
+    for bad in ("a4:><", "a3:>>>", "a4:>x<", "d5", "a5"):
+        with pytest.raises(ValueError):
+            parse_quiver(bad)
+
+
+@pytest.mark.parametrize("name, q, dmax", [
+    ("a2", 2, (2, 2)), ("a2", 3, (2, 2)),
+    ("a3:>>", 2, (1, 1, 1)), ("a3:><", 2, (1, 1, 1)), ("a3:<>", 2, (1, 1, 1))])
+def test_hom_tuples_match_the_brute_force_oracle(name, q, dmax):
+    h = HallAlgebra(parse_quiver(name), q)
+    classes = classes_within(h, dmax)
+    for src, dst in itertools.product(classes, repeat=2):
+        oracle = brute_force_homs(h.quiver, src.rep, dst.rep, q)
+        assert set(h.hom_tuples(src.rep, dst.rep)) == oracle
+        mono = {f for f in oracle if all(
+            mat_rank(m, q) == d for m, d in zip(f, src.dimvec))}
+        epi = {f for f in oracle if all(
+            mat_rank(m, q) == d for m, d in zip(f, dst.dimvec))}
+        assert set(h.hom_tuples(src.rep, dst.rep, mono=True)) == mono
+        assert set(h.hom_tuples(src.rep, dst.rep, epi=True)) == epi
+
+
+@pytest.mark.parametrize("n, q", [(n, q) for q in (2, 3) for n in (0, 1, 2, 3)]
+                         + [(2, 5)])
+def test_gl_generators_generate_gl(n, q):
+    order = 1
+    for i in range(n):
+        order *= q ** n - q ** i
+    assert len(generated([(s,) for s in _gl_generators(n, q)], (n,), q)) \
+        == order
+
+
+def test_aut_generators_generate_aut():
+    for name, q, dmax in [("a2", 3, (2, 2)), ("a2", 5, (2, 1)),
+                          ("a3:><", 2, (1, 2, 1))]:
+        h = HallAlgebra(parse_quiver(name), q)
+        for cls in classes_within(h, dmax):
+            gens = h.aut_generators(cls)
+            assert len(generated(gens, cls.dimvec, q)) == cls.aut_order
+            assert len(h.aut_elements(cls)) == cls.aut_order
+            assert len(gens) <= max(1, cls.aut_order).bit_length()
+
+
+def test_subspaces_are_echelon_bases_counted_by_gaussian_binomials():
+    for q in (2, 3, 5):
+        for n in range(4):
+            for k in range(n + 1):
+                gaussian = Fraction(1)
+                for i in range(k):
+                    gaussian *= Fraction(q ** (n - i) - 1, q ** (i + 1) - 1)
+                spaces = subspaces(n, q, k)
+                assert len(spaces) == gaussian
+                assert all(echelon(s, q) == s and len(s) == k
+                           for s in spaces)
+                assert len(set(spaces)) == len(spaces)
+
+
+def _simples(h: HallAlgebra) -> list[HallElement]:
+    nv = h.quiver.n_vertices
+    return [HallElement({h.classes(tuple(int(w == v) for w in range(nv)))[0]
+                         .key: Fraction(1)}) for v in range(nv)]
+
+
+def _times(h: HallAlgebra, *factors: HallElement) -> HallElement:
+    out = factors[0]
+    for x in factors[1:]:
+        out = h.element_product(out, x)
+    return out
+
+
+@pytest.mark.parametrize("name, q", [("a2", 2), ("a2", 3), ("a3:>>", 2),
+                                     ("a3:><", 2), ("d4", 2)])
+def test_quantum_serre_relations(name, q):
+    # Ringel: the Hall algebra satisfies the quantum Serre relations, so
+    # the simples generate a quotient of U_q^+ of the Lie algebra
+    h = HallAlgebra(parse_quiver(name), q)
+    u = _simples(h)
+    zero = HallElement()
+    for a, b in h.quiver.edges:
+        assert (_times(h, u[a], u[a], u[b])
+                + _times(h, u[a], u[b], u[a]).scale(Fraction(-(q + 1)))
+                + _times(h, u[b], u[a], u[a]).scale(Fraction(q))) == zero
+        assert (_times(h, u[b], u[b], u[a]).scale(Fraction(q))
+                + _times(h, u[b], u[a], u[b]).scale(Fraction(-(q + 1)))
+                + _times(h, u[a], u[b], u[b])) == zero
+    adjacent = {frozenset(e) for e in h.quiver.edges}
+    for a, b in itertools.combinations(range(h.quiver.n_vertices), 2):
+        if frozenset((a, b)) not in adjacent:
+            assert _times(h, u[a], u[b]) == _times(h, u[b], u[a])
+    # a relation whose coefficients are off by one fails
+    a, b = h.quiver.edges[0]
+    assert (_times(h, u[a], u[a], u[b])
+            + _times(h, u[a], u[b], u[a]).scale(Fraction(-q))
+            + _times(h, u[b], u[a], u[a]).scale(Fraction(q))) != zero
+
+
+def test_d4_is_associative_and_the_routes_agree():
+    h = HallAlgebra(parse_quiver("d4"), 2)
+    dmax = (2, 1, 1, 1)
+    assert h.check_associativity(dmax) == []
+    dims = list(itertools.product(*[range(b + 1) for b in dmax]))
+    for dm, dn in itertools.product(dims, repeat=2):
+        if all(a + b <= bound for a, b, bound in zip(dm, dn, dmax)):
+            for M in h.classes(dm):
+                for N in h.classes(dn):
+                    assert h.product(M, N) == h.product_via_span(M, N)
