@@ -22,17 +22,6 @@ from .groupoid import FiniteGroupoid, GroupoidFunctor, IsoClassTable, _check_cap
 from .spans import RationalMatrix, SpanOfGroupoids, degroupoidify_classes
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 class FiniteGroup:
     """A finite group given by a full element table.
 

@@ -183,20 +183,22 @@ def cmd_fock(args) -> int:
 
 
 def cmd_hecke(args) -> int:
-    from . import hecke  # numpy-backed; imported only when needed
+    from . import hecke  # imported only when needed
 
+    verify = args.verify or not args.constants
+    hecke.check_caps(args.q, relations=verify,
+                     constants=bool(args.constants))   # before any work
     status = EXIT_OK
     out: dict = {"q": args.q}
     lines = []
-    if args.verify or not args.constants:
+    if verify:
         report = hecke.verify_hecke_relations(args.q)
         out["relations"] = {name: passed for name, passed in report.checks}
         lines.append(str(report))
         if not report.ok:
             status = EXIT_VERIFICATION
     if args.constants:
-        hg = hecke.build_group(args.q)
-        tensor = hecke.hecke_structure_constants(hg)
+        tensor = hecke.hecke_structure_constants(args.q)
         payload = {
             "q": args.q,
             "labels": list(tensor.labels),

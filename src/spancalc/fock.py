@@ -101,8 +101,8 @@ def build_E(N: int, classes_only: bool = False) -> TruncatedE:
     if classes_only:
         return TruncatedE(N, None, None)
     if N > MAX_MATERIALIZED_N:
-        raise SizeCapError("truncated finite-sets groupoid", sum(
-            math.factorial(n) for n in range(N + 1)))
+        raise SizeCapError("truncation N of the materialized finite-sets "
+                           "groupoid", N, cap=MAX_MATERIALIZED_N)
     levels = _PermLevels(N)
     src = []
     for n in range(N + 1):

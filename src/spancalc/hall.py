@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .actions import is_prime
+from .fq import is_prime
 from .groupoid import SizeCapError
 
 MAX_REP_ENUMERATION = 10 ** 6

@@ -4,12 +4,25 @@ Flags are incident (point, line) pairs in the projective plane over F_q.
 The relations P ("same line, different point") and L ("same point,
 different line") satisfy P^2 = (q-1)P + qI, L^2 = (q-1)L + qI and the
 Yang-Baxter identity PLP = LPL as integer matrices over the flag set.
+Each row of P and L has q entries, so the identities are checked by
+multiplying sparse rows exactly.
 
-SL(3, F_q) acts on flags; its orbits on flag pairs realize the six-element
-Weyl group (Bruhat decomposition), and the triple space degroupoidifies to
-the structure constants of the Hecke algebra.  Orbit labels follow the
-shortest relation word reaching the orbit: e, P, L, PL, LP, PLP; this
-labeling is a documented choice, emitted with every output.
+G = SL(3, F_q) acts transitively on flags, and its orbits on flag pairs
+are the six relative positions of two flags (Bruhat decomposition), which
+incidence alone tells apart.  So (X x X) // G is equivalent to the
+disjoint union of the B Stab_w, with |Stab_w| = |G| / |orbit w| and
+|G| = q^3 (q^2 - 1)(q^3 - 1), and the triple space degroupoidifies to the
+structure constants of the Hecke algebra by counting middle flags: no
+group element is ever listed.  Orbit labels follow the shortest relation
+word reaching the orbit: e, P, L, PL, LP, PLP; this labeling is a
+documented choice, emitted with every output.
+
+The group route stays as the oracle.  ``build_group`` enumerates
+SL(3, F_q) for q in {2, 3} with its flag action, ``bruhat_orbits`` finds
+its orbits on flag pairs with the generic orbit kernel, and
+``triple_block_span`` gives one tensor entry as an equivariant span.
+They import numpy and ``actions`` when called, so the group-free route
+never loads either.
 """
 
 from __future__ import annotations
@@ -17,15 +30,37 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .actions import (EquivariantSpan, FiniteGroup, GroupAction, is_prime,
-                      orbit_table)
-from .groupoid import IsoClassTable
+from .fq import is_prime
+from .groupoid import IsoClassTable, _check_cap
 from .spans import aut_weight
 
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .actions import EquivariantSpan, FiniteGroup, GroupAction
+
 ORBIT_LABELS = ("e", "P", "L", "PL", "LP", "PLP")
+_POSITION = {lbl: i for i, lbl in enumerate(ORBIT_LABELS)}
+
+Rows = tuple[tuple[int, ...], ...]   # a sparse 0/1 matrix: row f lists its 1s
+
+
+def check_caps(q: int, relations: bool = True, constants: bool = True
+               ) -> None:
+    """Project the work at q against the size cap before doing any of it:
+    the point-line incidence scan, the sparse relation products and the
+    middle-flag counts of the structure constants."""
+    n_points = q * q + q + 1
+    n_flags = n_points * (q + 1)
+    _check_cap(f"flag incidence scan at q={q}", n_points * n_points)
+    if relations:
+        # each of the two triple products spends about q^3 terms per row
+        _check_cap(f"Hecke relation products at q={q}", 2 * n_flags * q ** 3)
+    if constants:
+        # positions relative to one flag, then six middle-flag scans
+        _check_cap(f"Hecke structure constants at q={q}", 7 * n_flags)
 
 
 def _normalize(vec: tuple[int, int, int], q: int) -> tuple[int, int, int] | None:
@@ -53,6 +88,7 @@ class FlagGeometry:
 
 
 def flag_geometry(q: int) -> FlagGeometry:
+    check_caps(q, relations=False, constants=False)
     if not is_prime(q):
         raise ValueError(f"q={q} is not prime")
     seen = set()
@@ -78,24 +114,50 @@ def enumerate_flags(q: int) -> list[tuple[tuple[int, int, int], tuple[int, int, 
     return [(geo.points[p], geo.lines[l]) for p, l in geo.flags]
 
 
-def _relation(q: int, same_component: int) -> np.ndarray:
-    """0/1 matrix over flags: 1 where two flags agree in component
-    ``same_component`` (0 the point, 1 the line) and differ in the other."""
-    flags = np.array(flag_geometry(q).flags)
-    same = flags[:, same_component]
-    other = flags[:, 1 - same_component]
-    return ((same[:, None] == same[None, :]) &
-            (other[:, None] != other[None, :])).astype(np.int64)
+# -- the relations P and L as sparse rows ------------------------------------
+
+def relation_rows(geo: FlagGeometry) -> tuple[Rows, Rows]:
+    """P and L as sparse rows: row f of P lists the flags on the line of
+    flag f other than f, row f of L those through its point, q each."""
+    def rows(same_component: int) -> Rows:
+        by_value: dict[int, list[int]] = {}
+        for f, flag in enumerate(geo.flags):
+            by_value.setdefault(flag[same_component], []).append(f)
+        return tuple(tuple(g for g in by_value[flag[same_component]] if g != f)
+                     for f, flag in enumerate(geo.flags))
+    return rows(1), rows(0)
+
+
+def row_product(factors: Sequence[Rows], f: int) -> dict[int, int]:
+    """Row f of the integer matrix product of sparse 0/1 matrices, taken
+    left to right, as {column: nonzero entry}."""
+    row = {f: 1}
+    for rows in factors:
+        nxt: dict[int, int] = {}
+        for g, c in row.items():
+            for h in rows[g]:
+                nxt[h] = nxt.get(h, 0) + c
+        row = nxt
+    return row
+
+
+def _dense(rows: Rows) -> np.ndarray:
+    import numpy as np
+
+    out = np.zeros((len(rows), len(rows)), dtype=np.int64)
+    for f, row in enumerate(rows):
+        out[f, list(row)] = 1
+    return out
 
 
 def build_P(q: int) -> np.ndarray:
     """Relation "same line, different point" as a 0/1 matrix over flags."""
-    return _relation(q, 1)
+    return _dense(relation_rows(flag_geometry(q))[0])
 
 
 def build_L(q: int) -> np.ndarray:
     """Relation "same point, different line" as a 0/1 matrix over flags."""
-    return _relation(q, 0)
+    return _dense(relation_rows(flag_geometry(q))[1])
 
 
 @dataclass(frozen=True)
@@ -114,19 +176,135 @@ class RelationReport:
 
 
 def verify_hecke_relations(q: int) -> RelationReport:
-    """Check P^2, L^2 and Yang-Baxter as exact integer matrix identities."""
-    P = build_P(q)
-    L = build_L(q)
-    eye = np.eye(P.shape[0], dtype=np.int64)
+    """Check P^2, L^2 and Yang-Baxter as exact integer matrix identities,
+    one sparse row at a time."""
+    check_caps(q, constants=False)
+    geo = flag_geometry(q)
+    P, L = relation_rows(geo)
+    flags = range(geo.n_flags)
+
+    def quadratic(R: Rows) -> bool:
+        # R^2 = (q-1)R + qI, row by row
+        return all(row_product((R, R), f) ==
+                   {**dict.fromkeys(R[f], q - 1), f: q} for f in flags)
+
     checks = (
-        (f"P^2 = ({q}-1)P + {q}I", bool(np.array_equal(P @ P, (q - 1) * P + q * eye))),
-        (f"L^2 = ({q}-1)L + {q}I", bool(np.array_equal(L @ L, (q - 1) * L + q * eye))),
-        ("PLP = LPL (Yang-Baxter)", bool(np.array_equal(P @ L @ P, L @ P @ L))),
+        (f"P^2 = ({q}-1)P + {q}I", quadratic(P)),
+        (f"L^2 = ({q}-1)L + {q}I", quadratic(L)),
+        ("PLP = LPL (Yang-Baxter)",
+         all(row_product((P, L, P), f) == row_product((L, P, L), f)
+             for f in flags)),
     )
     return RelationReport(q, checks)
 
 
-# -- the special linear group and its flag action ---------------------------
+# -- relative positions and the structure constants, group-free -------------
+
+def _pair_label(geo: FlagGeometry, x: tuple[int, int], y: tuple[int, int]
+                ) -> str:
+    px, lx = x
+    py, ly = y
+    if x == y:
+        return "e"
+    if lx == ly:
+        return "P"
+    if px == py:
+        return "L"
+    if (py, lx) in geo.flag_index:
+        return "PL"   # reachable by a P step then an L step
+    if (px, ly) in geo.flag_index:
+        return "LP"
+    return "PLP"
+
+
+def sl3_order(q: int) -> int:
+    """|SL(3, F_q)| = q^3 (q^2 - 1)(q^3 - 1)."""
+    return q ** 3 * (q * q - 1) * (q ** 3 - 1)
+
+
+def relative_positions(geo: FlagGeometry
+                       ) -> tuple[list[int], tuple[int, ...]]:
+    """The position of each flag relative to flag 0, as an index into
+    ORBIT_LABELS, and the size of each G-orbit on flag pairs.
+
+    G is transitive on flags, so an orbit holds n_flags times as many
+    pairs as there are flags in that position relative to flag 0.
+    """
+    x0 = geo.flags[0]
+    position = [_POSITION[_pair_label(geo, x0, y)] for y in geo.flags]
+    return position, tuple(geo.n_flags * position.count(w)
+                           for w in range(len(ORBIT_LABELS)))
+
+
+@dataclass(frozen=True)
+class HeckeTensor:
+    """Structure constants c[u][v][w]: psi_u * psi_v = sum_w c[u][v][w] psi_w."""
+
+    q: int
+    labels: tuple[str, ...]
+    tensor: tuple   # 6x6x6 nested tuples of Fractions
+
+    def product(self, x: list[Fraction], y: list[Fraction]) -> list[Fraction]:
+        n = len(self.labels)
+        out = [Fraction(0)] * n
+        for u in range(n):
+            if x[u] == 0:
+                continue
+            for v in range(n):
+                if y[v] == 0:
+                    continue
+                coeff = x[u] * y[v]
+                for w in range(n):
+                    out[w] += coeff * self.tensor[u][v][w]
+        return out
+
+    def basis_vector(self, label: str) -> list[Fraction]:
+        out = [Fraction(0)] * len(self.labels)
+        out[self.labels.index(label)] = Fraction(1)
+        return out
+
+
+def hecke_structure_constants(q: int, alpha: int = 0) -> HeckeTensor:
+    """Degroupoidify the triple space (X x X x X) // G to the 6x6x6 tensor
+    from flag incidence and |G| alone.
+
+    Fix a pair (x1, x3) in orbit w.  The triples over it with (x1, x2) in
+    orbit u and (x2, x3) in orbit v are ``count`` middle flags x2, acted
+    on by Stab_w, and the sum over their orbits of 1/|Stab triple| is
+    count / |Stab_w|.  So each triple orbit's weight |Stab_w|^(1-alpha)
+    (|Stab_u| |Stab_v|)^alpha / |Stab triple| sums to c[u][v][w] = count
+    times that weight with |Stab_w| in place of |Stab triple|: the count
+    itself at alpha = 0.
+    """
+    check_caps(q, relations=False)
+    geo = flag_geometry(q)
+    first, sizes = relative_positions(geo)
+    order = sl3_order(q)
+    stab = [order // size for size in sizes]
+    for size, s in zip(sizes, stab):
+        if size * s != order:
+            raise AssertionError(
+                f"orbit-stabilizer bookkeeping broke: orbit of {size} "
+                f"pairs in a group of order {order}")
+    k = len(ORBIT_LABELS)
+    tensor = [[[Fraction(0)] * k for _v in range(k)] for _u in range(k)]
+    for w in range(k):
+        x3 = geo.flags[first.index(w)]     # (flag 0, x3) lies in orbit w
+        counts = [[0] * k for _u in range(k)]
+        for u, x2 in zip(first, geo.flags):
+            counts[u][_POSITION[_pair_label(geo, x2, x3)]] += 1
+        for u in range(k):
+            for v in range(k):
+                if counts[u][v]:
+                    # x foot: the pair13 orbit; y foot: the pair12, pair23 orbits
+                    tensor[u][v][w] = counts[u][v] * aut_weight(
+                        stab[w], stab[u] * stab[v], stab[w], alpha)
+    return HeckeTensor(q, ORBIT_LABELS,
+                       tuple(tuple(tuple(row) for row in plane)
+                             for plane in tensor))
+
+
+# -- the group route, kept as the oracle: SL(3, F_q) and its flag action ----
 
 def _det3(m: tuple, q: int) -> int:
     a, b, c, d, e, f, g, h, i = m
@@ -165,6 +343,10 @@ def build_group(q: int) -> HeckeGroup:
     """Enumerate SL(3, F_q) and its flag action; supported for q in {2, 3}."""
     if q not in (2, 3):
         raise ValueError(f"full group computations support q in {{2, 3}}, not {q}")
+    import numpy as np
+
+    from .actions import FiniteGroup, GroupAction
+
     geo = flag_geometry(q)
     elements = tuple(sorted(
         m for m in itertools.product(range(q), repeat=9) if _det3(m, q) == 1))
@@ -197,30 +379,12 @@ def build_group(q: int) -> HeckeGroup:
     return HeckeGroup(q, geo, group, elements, GroupAction(group, act))
 
 
-# -- Bruhat orbits on flag pairs ---------------------------------------------
-
-def _pair_label(geo: FlagGeometry, x: tuple[int, int], y: tuple[int, int],
-                q: int) -> str:
-    px, lx = x
-    py, ly = y
-    if x == y:
-        return "e"
-    if lx == ly:
-        return "P"
-    if px == py:
-        return "L"
-    on = lambda p, l: sum(a * b for a, b in zip(geo.points[p], geo.lines[l])) % q == 0
-    if on(py, lx):
-        return "PL"   # reachable by a P step then an L step
-    if on(px, ly):
-        return "LP"
-    return "PLP"
-
-
 def bruhat_orbits(hg: HeckeGroup | int
                   ) -> tuple[IsoClassTable, tuple[str, ...]]:
     """G-orbits on flag pairs, the pair (i, j) being point i * n_flags + j,
     with the label of each orbit (one of ORBIT_LABELS)."""
+    from .actions import orbit_table
+
     if isinstance(hg, int):
         hg = build_group(hg)
     geo = hg.geometry
@@ -229,108 +393,9 @@ def bruhat_orbits(hg: HeckeGroup | int
     pair_images = act[:, :, None] * n + act[:, None, :]
     # a view of the fresh array: the pair table is never copied
     table = orbit_table(pair_images.reshape(len(act), n * n))
-    labels = tuple(_pair_label(geo, geo.flags[r // n], geo.flags[r % n], hg.q)
+    labels = tuple(_pair_label(geo, geo.flags[r // n], geo.flags[r % n])
                    for r in table.representative)
     return table, labels
-
-
-# -- structure constants of the groupoidified multiplication ----------------
-
-@dataclass(frozen=True)
-class HeckeTensor:
-    """Structure constants c[u][v][w]: psi_u * psi_v = sum_w c[u][v][w] psi_w."""
-
-    q: int
-    labels: tuple[str, ...]
-    tensor: tuple   # 6x6x6 nested tuples of Fractions
-
-    def product(self, x: list[Fraction], y: list[Fraction]) -> list[Fraction]:
-        n = len(self.labels)
-        out = [Fraction(0)] * n
-        for u in range(n):
-            if x[u] == 0:
-                continue
-            for v in range(n):
-                if y[v] == 0:
-                    continue
-                coeff = x[u] * y[v]
-                for w in range(n):
-                    out[w] += coeff * self.tensor[u][v][w]
-        return out
-
-    def basis_vector(self, label: str) -> list[Fraction]:
-        out = [Fraction(0)] * len(self.labels)
-        out[self.labels.index(label)] = Fraction(1)
-        return out
-
-
-def hecke_structure_constants(hg: HeckeGroup | int, alpha: int = 0) -> HeckeTensor:
-    """Degroupoidify the triple space (X x X x X) // G to the 6x6x6 tensor.
-
-    Each triple orbit contributes |Stab(pair13)|^(1-alpha) *
-    (|Stab(pair12)| |Stab(pair23)|)^alpha / |Stab(triple)| at position
-    (u, v, w) = (orbit of pair12, orbit of pair23, orbit of pair13).
-    Triple orbits over a fixed w are enumerated as orbits of the pair
-    stabilizer acting on the middle flag, which keeps q = 3 fast.
-    """
-    if isinstance(hg, int):
-        hg = build_group(hg)
-    geo = hg.geometry
-    n = geo.n_flags
-    act = hg.action.act
-    orbits, labels = bruhat_orbits(hg)
-    k = orbits.n_classes
-    tensor = [[[Fraction(0) for _w in range(k)] for _v in range(k)]
-              for _u in range(k)]
-    orbit_of = orbits.class_of
-    stab = orbits.aut_order
-    for w in range(k):
-        x1, x3 = divmod(orbits.representative[w], n)
-        h_elems = np.nonzero((act[:, x1] == x1) & (act[:, x3] == x3))[0]
-        middle = orbit_table(act[h_elems])     # H_w acting on the middle flag
-        for rep, stab_triple in zip(middle.representative, middle.aut_order):
-            u = orbit_of[x1 * n + rep]
-            v = orbit_of[rep * n + x3]
-            # x foot: the pair13 orbit; y foot: the (pair12, pair23) orbits
-            tensor[u][v][w] += aut_weight(stab[w], stab[u] * stab[v],
-                                          stab_triple, alpha)
-    # reorder to the documented label order
-    perm = [labels.index(lbl) for lbl in ORBIT_LABELS]
-    reordered = tuple(
-        tuple(tuple(tensor[pu][pv][pw] for pw in perm) for pv in perm)
-        for pu in perm)
-    return HeckeTensor(hg.q, ORBIT_LABELS, reordered)
-
-
-def relation_count_tensor(q: int) -> HeckeTensor:
-    """Independent oracle: c[u][v][w] counts middle flags completing a chain.
-
-    For a fixed pair (x1, x3) in orbit w, the entry counts flags x2 with
-    (x1, x2) in orbit u and (x2, x3) in orbit v; G-invariance makes the
-    count independent of the representative.  No stabilizers involved.
-    """
-    geo = flag_geometry(q)
-    n = geo.n_flags
-    label_of = {}
-    for i in range(n):
-        for j in range(n):
-            label_of[(i, j)] = _pair_label(geo, geo.flags[i], geo.flags[j], q)
-    k = len(ORBIT_LABELS)
-    pos = {lbl: i for i, lbl in enumerate(ORBIT_LABELS)}
-    reps: dict[str, tuple[int, int]] = {}
-    for i in range(n):
-        for j in range(n):
-            reps.setdefault(label_of[(i, j)], (i, j))
-    tensor = [[[Fraction(0)] * k for _ in range(k)] for _ in range(k)]
-    for wlbl, (x1, x3) in reps.items():
-        w = pos[wlbl]
-        for x2 in range(n):
-            u = pos[label_of[(x1, x2)]]
-            v = pos[label_of[(x2, x3)]]
-            tensor[u][v][w] += 1
-    return HeckeTensor(q, ORBIT_LABELS,
-                       tuple(tuple(tuple(row) for row in plane)
-                             for plane in tensor))
 
 
 def triple_block_span(hg: HeckeGroup, u: str, v: str, w: str
@@ -341,6 +406,10 @@ def triple_block_span(hg: HeckeGroup, u: str, v: str, w: str
     w-orbit of pairs; left foot: a point.  Its alpha = 0 matrix is the
     single tensor entry c[u][v][w].  Returns None when the block is empty.
     """
+    import numpy as np
+
+    from .actions import EquivariantSpan, GroupAction
+
     geo = hg.geometry
     n = geo.n_flags
     orbits, labels = bruhat_orbits(hg)

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
-from spancalc.actions import EquivariantSpan, FiniteGroup, GroupAction, materialize_span
+import numpy as np
+
+from spancalc.actions import (EquivariantSpan, FiniteGroup, GroupAction,
+                              materialize_span, orbit_table)
 from spancalc.groupoid import (
     FiniteGroupoid,
     GroupoidFunctor,
@@ -15,7 +19,7 @@ from spancalc.groupoid import (
     table_product,
 )
 from spancalc.hall import all_matrices, mat_mul, mat_rank
-from spancalc.spans import SpanOfGroupoids
+from spancalc.spans import SpanOfGroupoids, aut_weight
 
 # small groups with automorphism orders up to 24
 GROUP_TABLES = [
@@ -152,3 +156,87 @@ def brute_force_homs(quiver, src, dst, q: int) -> set:
             if all(mat_mul(dst.mats[ei], combo[a], q, cols=src.dims[a])
                    == mat_mul(combo[b], src.mats[ei], q, cols=src.dims[a])
                    for ei, (a, b) in enumerate(quiver.edges))}
+
+
+def group_route_constants(hg, alpha: int = 0):
+    """The Hecke tensor from the group itself: the triple orbits over each
+    pair orbit w, enumerated as orbits of the pair stabilizer H_w acting on
+    the middle flag, each weighted by its stabilizer.
+
+    The stabilizer oracle for the group-free ``hecke_structure_constants``.
+    """
+    from spancalc.hecke import ORBIT_LABELS, HeckeTensor, bruhat_orbits
+
+    n = hg.geometry.n_flags
+    act = hg.action.act
+    orbits, labels = bruhat_orbits(hg)
+    k = orbits.n_classes
+    tensor = [[[Fraction(0) for _w in range(k)] for _v in range(k)]
+              for _u in range(k)]
+    orbit_of = orbits.class_of
+    stab = orbits.aut_order
+    for w in range(k):
+        x1, x3 = divmod(orbits.representative[w], n)
+        h_elems = np.nonzero((act[:, x1] == x1) & (act[:, x3] == x3))[0]
+        middle = orbit_table(act[h_elems])     # H_w acting on the middle flag
+        for rep, stab_triple in zip(middle.representative, middle.aut_order):
+            u = orbit_of[x1 * n + rep]
+            v = orbit_of[rep * n + x3]
+            # x foot: the pair13 orbit; y foot: the (pair12, pair23) orbits
+            tensor[u][v][w] += aut_weight(stab[w], stab[u] * stab[v],
+                                          stab_triple, alpha)
+    perm = [labels.index(lbl) for lbl in ORBIT_LABELS]
+    return HeckeTensor(hg.q, ORBIT_LABELS, tuple(
+        tuple(tuple(tensor[pu][pv][pw] for pw in perm) for pv in perm)
+        for pu in perm))
+
+
+# reduced words of S_3 in the simple transpositions, named as the Hecke
+# orbits are: the letters P and L stand for s_1 = (0 1) and s_2 = (1 2)
+S3_WORDS = {"e": "", "P": "P", "L": "L", "PL": "PL", "LP": "LP",
+            "PLP": "PLP"}
+
+
+def iwahori_hecke_s3(q: int) -> tuple:
+    """c[u][v][w] with T_u T_v = sum_w c[u][v][w] T_w in the Iwahori-Hecke
+    algebra of S_3, from permutations alone: T_s T_w = T_sw when
+    l(sw) > l(w), else (q - 1) T_w + q T_sw.  Indexed in S3_WORDS order."""
+    simple = {"P": (1, 0, 2), "L": (0, 2, 1)}
+
+    def times(a, b):            # the permutation "b, then a"
+        return tuple(a[i] for i in b)
+
+    def length(p):
+        return sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3))
+
+    def element(word):
+        out = (0, 1, 2)
+        for letter in word:
+            out = times(out, simple[letter])
+        return out
+
+    names = list(S3_WORDS)
+    index = {element(S3_WORDS[name]): i for i, name in enumerate(names)}
+    assert len(index) == 6
+    tensor = []
+    for u in names:
+        plane = []
+        for v in names:
+            vec = {element(S3_WORDS[v]): Fraction(1)}
+            for letter in reversed(S3_WORDS[u]):    # T_u = T_s1 ... T_sk
+                s = simple[letter]
+                nxt: dict = {}
+                for w, c in vec.items():
+                    sw = times(s, w)
+                    if length(sw) > length(w):
+                        nxt[sw] = nxt.get(sw, 0) + c
+                    else:
+                        nxt[w] = nxt.get(w, 0) + (q - 1) * c
+                        nxt[sw] = nxt.get(sw, 0) + q * c
+                vec = nxt
+            row = [Fraction(0)] * 6
+            for w, c in vec.items():
+                row[index[w]] = Fraction(c)
+            plane.append(tuple(row))
+        tensor.append(tuple(plane))
+    return tuple(tensor)

@@ -43,7 +43,6 @@ from spancalc.hecke import (
     bruhat_orbits,
     build_group,
     hecke_structure_constants,
-    relation_count_tensor,
     triple_block_span,
     verify_hecke_relations,
 )
@@ -63,7 +62,8 @@ from spancalc.spans import (
     trace_span,
 )
 
-from helpers import random_cyclic_action, random_groupoid, random_span
+from helpers import (group_route_constants, random_cyclic_action,
+                     random_groupoid, random_span)
 
 FACT = [math.factorial(n) for n in range(12)]
 
@@ -215,7 +215,7 @@ def test_criterion_11_groupoidified_hecke_product():
     start = time.monotonic()
     q = 2
     hg = build_group(q)
-    tensor = hecke_structure_constants(hg)
+    tensor = hecke_structure_constants(q)
     e = tensor.basis_vector("e")
     p = tensor.basis_vector("P")
     l = tensor.basis_vector("L")
@@ -234,7 +234,7 @@ def test_criterion_11_groupoidified_hecke_product():
         slow = degroupoidify_span(materialize_span(span), 0)
         entry = tensor.tensor[labels.index(u)][labels.index(v)][labels.index(w)]
         ok = ok and fast == slow and fast.data[0][0] == entry
-    ok = ok and tensor.tensor == relation_count_tensor(q).tensor
+    ok = ok and tensor.tensor == group_route_constants(hg).tensor
     elapsed = time.monotonic() - start
     report("11", ok and elapsed < 60.0,
            f"q=2 relations and dual paths in {elapsed:.2f}s")

@@ -18,7 +18,7 @@ from spancalc.spans import (
     span_to_json,
 )
 
-from helpers import random_cyclic_action, random_span
+from helpers import S3_WORDS, iwahori_hecke_s3, random_cyclic_action, random_span
 
 
 def run_cli(*args, env=None):
@@ -349,6 +349,70 @@ def test_cli_import_leaves_numpy_out():
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_hecke_run_leaves_numpy_out(tmp_path):
+    out = tmp_path / "constants.json"
+    code = ("import sys; from spancalc import cli; "
+            f"status = cli.main(['hecke', '--q', '3', '--verify', '--constants', "
+            f"{str(out)!r}, '--json']); "
+            "print('numpy' in sys.modules, 'spancalc.actions' in sys.modules); "
+            "sys.exit(status)")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False False"
+
+
+def test_hecke_q3_within_budget(tmp_path):
+    out = tmp_path / "constants.json"
+    start = time.perf_counter()
+    result = run_cli("hecke", "--q", "3", "--verify", "--constants",
+                     str(out), "--json")
+    elapsed = time.perf_counter() - start
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["relations"] == {
+        "P^2 = (3-1)P + 3I": True, "L^2 = (3-1)L + 3I": True,
+        "PLP = LPL (Yang-Baxter)": True}
+    assert elapsed < 0.8, f"took {elapsed:.2f} s"
+
+
+def test_hecke_q5_constants_match_iwahori_hecke(tmp_path):
+    out = tmp_path / "constants.json"
+    result = run_cli("hecke", "--q", "5", "--constants", str(out))
+    assert result.returncode == 0, result.stderr
+    payload = json.loads(out.read_text())
+    names = list(S3_WORDS)
+    assert payload["labels"] == names
+    oracle = iwahori_hecke_s3(5)
+    assert payload["tensor"] == {
+        u: {v: {w: f"{c.numerator}/{c.denominator}"
+                for w, c in zip(names, oracle[ui][vi]) if c}
+            for vi, v in enumerate(names)}
+        for ui, u in enumerate(names)}
+
+
+@pytest.mark.parametrize("args, env", [
+    (["hecke", "--q", "101", "--verify"], None),
+    (["hecke", "--q", "3"], {"SPANCALC_SIZE_CAP": "100"}),
+])
+def test_hecke_caps_are_checked_before_any_work(args, env):
+    full_env = dict(os.environ, **(env or {}))
+    result = subprocess.run([sys.executable, "-m", "spancalc.cli", *args],
+                            capture_output=True, text=True, env=full_env,
+                            timeout=5)
+    assert result.returncode == 2
+    assert "SPANCALC_SIZE_CAP" in result.stderr
+    assert "Traceback" not in result.stderr and result.stdout == ""
+
+
+def test_fock_materialization_limit_names_its_own_cap():
+    result = run_cli("fock", "--truncate", "9", "--check-ccr",
+                     env={"SPANCALC_SIZE_CAP": "100000000"})
+    assert result.returncode == 2
+    assert "cap of 8" in result.stderr
+    assert "SPANCALC_SIZE_CAP" not in result.stderr
+    assert "Traceback" not in result.stderr and result.stdout == ""
 
 
 def test_fock_series_json():

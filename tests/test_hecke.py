@@ -14,11 +14,16 @@ from spancalc.hecke import (
     enumerate_flags,
     flag_geometry,
     hecke_structure_constants,
-    relation_count_tensor,
+    relation_rows,
+    relative_positions,
+    row_product,
+    sl3_order,
     triple_block_span,
     verify_hecke_relations,
 )
 from spancalc.spans import degroupoidify_span
+
+from helpers import group_route_constants, iwahori_hecke_s3
 
 
 def test_flag_counts():
@@ -134,8 +139,8 @@ def test_bruhat_orbits_hold_one_pair_table():
 def test_structure_constants_match_relation_count_oracle():
     for q in (2, 3):
         hg = build_group(q)
-        tensor = hecke_structure_constants(hg)
-        oracle = relation_count_tensor(q)
+        tensor = group_route_constants(hg)
+        oracle = hecke_structure_constants(q)
         assert tensor.tensor == oracle.tensor
 
 
@@ -144,8 +149,8 @@ def test_alpha_one_tensor_is_the_rescaled_alpha_zero_tensor():
     hg = build_group(2)
     orbits, labels = bruhat_orbits(hg)
     stab = {lbl: s for lbl, s in zip(labels, orbits.aut_order)}
-    t0 = hecke_structure_constants(hg, alpha=0)
-    t1 = hecke_structure_constants(hg, alpha=1)
+    t0 = hecke_structure_constants(2, alpha=0)
+    t1 = hecke_structure_constants(2, alpha=1)
     assert t1.labels == t0.labels
     for ui, u in enumerate(t0.labels):
         for vi, v in enumerate(t0.labels):
@@ -157,7 +162,7 @@ def test_alpha_one_tensor_is_the_rescaled_alpha_zero_tensor():
 
 def test_hecke_relations_hold_in_structure_constants():
     for q in (2, 3):
-        tensor = hecke_structure_constants(build_group(q))
+        tensor = hecke_structure_constants(q)
         e = tensor.basis_vector("e")
         for d in ("P", "L"):
             psi = tensor.basis_vector(d)
@@ -170,7 +175,7 @@ def test_hecke_relations_hold_in_structure_constants():
 
 
 def test_identity_orbit_is_the_unit():
-    tensor = hecke_structure_constants(build_group(2))
+    tensor = hecke_structure_constants(2)
     e = tensor.basis_vector("e")
     for label in tensor.labels:
         v = tensor.basis_vector(label)
@@ -179,7 +184,7 @@ def test_identity_orbit_is_the_unit():
 
 
 def test_structure_constants_are_associative():
-    tensor = hecke_structure_constants(build_group(2))
+    tensor = hecke_structure_constants(2)
     basis = [tensor.basis_vector(lbl) for lbl in tensor.labels]
     for x in basis:
         for y in basis:
@@ -190,7 +195,7 @@ def test_structure_constants_are_associative():
 
 def test_sub_block_fast_path_equals_materialized_path():
     hg = build_group(2)
-    tensor = hecke_structure_constants(hg)
+    tensor = hecke_structure_constants(2)
     labels = tensor.labels
     samples = [("P", "P", "e"), ("P", "P", "P"), ("L", "L", "e"),
                ("L", "L", "L"), ("P", "L", "PL"), ("L", "P", "LP")]
@@ -209,3 +214,67 @@ def test_sub_block_fast_path_equals_materialized_path():
 def test_empty_sub_block():
     hg = build_group(2)
     assert triple_block_span(hg, "e", "e", "P") is None
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_structure_constants_match_iwahori_hecke(q):
+    tensor = hecke_structure_constants(q)
+    assert tensor.labels == ORBIT_LABELS
+    assert tensor.tensor == iwahori_hecke_s3(q)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_group_route_equals_group_free_route(q):
+    hg = build_group(q)
+    for alpha in (0, 1):
+        assert group_route_constants(hg, alpha).tensor == \
+            hecke_structure_constants(q, alpha).tensor
+
+
+def test_orbit_sizes_and_group_order_from_incidence():
+    lengths = {"e": 0, "P": 1, "L": 1, "PL": 2, "LP": 2, "PLP": 3}
+    for q in (2, 3, 5, 7):
+        geo = flag_geometry(q)
+        _position, sizes = relative_positions(geo)
+        n = geo.n_flags
+        assert sizes == tuple(n * q ** lengths[w] for w in ORBIT_LABELS)
+        assert sum(sizes) == n * n
+    for q in (2, 3):
+        hg = build_group(q)
+        assert sl3_order(q) == hg.group.order
+        # each pair (flag 0, y) lies in the group orbit of its position
+        orbits, labels = bruhat_orbits(hg)
+        position, sizes = relative_positions(hg.geometry)
+        for y, w in enumerate(position):
+            c = orbits.class_of[y]      # the pair (0, y) is point 0 * n + y
+            assert labels[c] == ORBIT_LABELS[w]
+            assert orbits.class_size[c] == sizes[w]
+
+
+def test_sparse_products_equal_dense_products():
+    for q in (2, 3):
+        geo = flag_geometry(q)
+        P_rows, L_rows = relation_rows(geo)
+        P, L = build_P(q), build_L(q)
+        n = geo.n_flags
+        for factors, dense in (((P_rows, P_rows), P @ P),
+                               ((L_rows, L_rows), L @ L),
+                               ((P_rows, L_rows, P_rows), P @ L @ P),
+                               ((L_rows, P_rows, L_rows), L @ P @ L)):
+            sparse = np.zeros((n, n), dtype=np.int64)
+            for f in range(n):
+                for g, c in row_product(factors, f).items():
+                    sparse[f, g] = c
+            assert np.array_equal(sparse, dense)
+
+
+def test_hecke_work_is_capped_before_enumeration(monkeypatch):
+    from spancalc.groupoid import SizeCapError
+
+    with pytest.raises(SizeCapError):
+        verify_hecke_relations(101)
+    with pytest.raises(SizeCapError):
+        hecke_structure_constants(101)
+    monkeypatch.setenv("SPANCALC_SIZE_CAP", "100")
+    with pytest.raises(SizeCapError):
+        flag_geometry(3)
