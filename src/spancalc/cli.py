@@ -15,7 +15,6 @@ import math
 import sys
 from fractions import Fraction
 
-from . import fock
 from .groupoid import (
     FiniteGroupoid,
     IsoClassTable,
@@ -154,6 +153,8 @@ def cmd_compose(args) -> int:
 def cmd_fock(args) -> int:
     if args.truncate < 0:
         raise InputError(f"--truncate {args.truncate} is negative")
+    from . import fock  # imported only when needed
+
     E = fock.build_E(args.truncate)
     status = EXIT_OK
     out: dict = {"truncation": args.truncate,
@@ -217,7 +218,7 @@ def cmd_hecke(args) -> int:
 
 
 def cmd_hall(args) -> int:
-    from . import hall  # numpy-backed; imported only when needed
+    from . import hall  # imported only when needed
 
     quiver = hall.parse_quiver(args.quiver)
     dmax = tuple(int(d) for d in args.dmax.split(","))
@@ -226,8 +227,8 @@ def cmd_hall(args) -> int:
             f"--dmax needs {quiver.n_vertices} entries for {args.quiver}")
     if min(dmax) < 0:
         raise InputError(f"--dmax {args.dmax} has a negative entry")
+    hall.check_caps(quiver, args.q, dmax)   # before any work, even primality
     algebra = hall.HallAlgebra(quiver, args.q)
-    algebra.check_caps(dmax)   # before any enumeration
     failures = algebra.check_associativity(dmax)
     agree = True
     dimvecs = [tuple(d) for d in itertools.product(

@@ -3,22 +3,29 @@
 Representations assign an F_q vector space to each vertex and a matrix to
 each edge; isomorphism classes are orbits of the base-change group
 prod_v GL(d_v, F_q), grown from its generators.  Morphisms come from
-linear algebra: Hom(V, W) is the nullspace of the commuting equations
-D X_a = X_b S over the edges a -> b, enumerated from a basis, and the
-injective, surjective and invertible ones are picked out in numpy
-batches.  The Hall number stays a pair count: it counts the pairs (f, g)
-forming a short exact sequence 0 -> N -> E -> M -> 0, and the product
+linear algebra in plain Python (``spancalc.fq``, no numpy): Hom(V, W) is
+the nullspace of the commuting equations D X_a = X_b S over the edges
+a -> b, enumerated from a basis, and the injective, surjective and
+invertible ones are picked out by a rank memoised per matrix.  The Hall
+number stays a pair count: it counts the pairs (f, g) forming a short
+exact sequence 0 -> N -> E -> M -> 0, and the product
 
     [M] . [N] = sum_E  hall_number(M, N, E) / (|Aut M| |Aut N|)  [E]
 
-is computed in exact rationals.  A second, span-based route goes through
-the groupoid of short exact sequences: the full inverse image over
-((M, N), E) is equivalent to the groupoid of subrepresentations W of E
-with W isomorphic to N and E/W isomorphic to M, acted on by Aut(E).
-Subspaces are reduced row echelon bases, the orbits are grown from a
-generating set of Aut(E), and the cardinality, the sum over orbits of
-1 / |stabilizer| with |stabilizer| = |Aut E| / |orbit|, times |Aut E|
-recovers the same coefficient with no pair counting involved.
+is computed in exact rationals.  With f injective, g surjective and
+dim E = dim M + dim N, the sequence is exact exactly when im f = ker g at
+every vertex, so the count is a join: the injective maps N -> E grouped
+by image and the surjective maps E -> M grouped by kernel, both as
+reduced echelon bases, give sum_U |{f : im f = U}| |{g : ker g = U}|.
+
+A second, span-based route goes through the groupoid of short exact
+sequences: the full inverse image over ((M, N), E) is equivalent to the
+groupoid of subrepresentations W of E with W isomorphic to N and E/W
+isomorphic to M, acted on by Aut(E).  Subspaces are reduced row echelon
+bases, the orbits are grown from a generating set of Aut(E), and the
+cardinality, the sum over orbits of 1 / |stabilizer| with |stabilizer| =
+|Aut E| / |orbit|, times |Aut E| recovers the same coefficient with no
+pair counting involved.
 """
 
 from __future__ import annotations
@@ -29,103 +36,26 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .fq import is_prime
+from .fq import (
+    Matrix,
+    _gl_generators,
+    _reduce,
+    all_matrices,
+    echelon,
+    generated,
+    identity,
+    is_prime,
+    mat_inv,
+    mat_mul,
+    mat_rank,
+    mat_vec,
+    nullspace,
+    subspaces,
+)
 from .groupoid import SizeCapError
 
 MAX_REP_ENUMERATION = 10 ** 6
 MAX_BASE_CHANGE_GROUP = 10 ** 5
-BATCH_ENTRIES = 1 << 11   # integers per numpy batch, to keep batches small
-
-Matrix = tuple  # tuple of row tuples over F_q
-
-
-# -- small exact linear algebra mod a prime ---------------------------------
-
-def mat_mul(a: Matrix, b: Matrix, q: int, cols: int | None = None) -> Matrix:
-    """Product ab; ``cols`` disambiguates the width when b has zero rows
-    (a zero-row tuple cannot carry its column count)."""
-    rows = len(a)
-    inner = len(b)
-    if inner:
-        cols = len(b[0])
-    elif cols is None:
-        cols = 0
-    return tuple(
-        tuple(sum(a[r][k] * b[k][c] for k in range(inner)) % q
-              for c in range(cols))
-        for r in range(rows))
-
-
-def _as_matrix(rows) -> Matrix:
-    return tuple(map(tuple, rows))
-
-
-def _eliminate(m: Matrix, q: int) -> tuple[list[list[int]], int]:
-    """Gauss-Jordan elimination over F_q: the reduced row echelon form of
-    m, as lists, with its rank."""
-    rows = [list(r) for r in m]
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if n_rows else 0
-    rank = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(rank, n_rows):
-            if rows[r][col] % q:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], q - 2, q)
-        rows[rank] = [x * inv % q for x in rows[rank]]
-        for r in range(n_rows):
-            if r != rank and rows[r][col] % q:
-                factor = rows[r][col]
-                rows[r] = [(x - factor * y) % q
-                           for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rows, rank
-
-
-def mat_rank(m: Matrix, q: int) -> int:
-    return _eliminate(m, q)[1]
-
-
-def mat_inv(m: Matrix, q: int) -> Matrix:
-    """Inverse of a square matrix over F_q; ValueError when singular."""
-    n = len(m)
-    rows, _rank = _eliminate(
-        [list(row) + [1 if r == c else 0 for c in range(n)]
-         for r, row in enumerate(m)], q)
-    # [m | I] reduces to [I | m^-1] exactly when m is invertible; otherwise
-    # some pivot falls right of the diagonal and leaves a 0 on it
-    if any(rows[i][i] != 1 for i in range(n)):
-        raise ValueError(f"matrix {m} is singular mod {q}")
-    return tuple(tuple(row[n:]) for row in rows)
-
-
-def all_matrices(rows: int, cols: int, q: int):
-    for flat in itertools.product(range(q), repeat=rows * cols):
-        yield tuple(tuple(flat[r * cols + c] for c in range(cols))
-                    for r in range(rows))
-
-
-def _gl_generators(n: int, q: int) -> list[Matrix]:
-    """Generators of GL(n, F_q): diag(w, 1, ..., 1) for a primitive root w
-    (left out at q = 2, where it is the identity) and the transvections
-    I + E_ij, which generate SL(n, F_q) since q is prime."""
-    gens = []
-    if n and q > 2:
-        w = next(w for w in range(2, q)
-                 if len({pow(w, k, q) for k in range(q - 1)}) == q - 1)
-        gens.append(tuple(tuple(w if r == c == 0 else int(r == c)
-                                for c in range(n)) for r in range(n)))
-    for i, j in itertools.permutations(range(n), 2):
-        gens.append(tuple(tuple(int(r == c or (r, c) == (i, j))
-                                for c in range(n)) for r in range(n)))
-    return gens
 
 
 def _check_product(what: str, factors, cap: int) -> None:
@@ -135,6 +65,24 @@ def _check_product(what: str, factors, cap: int) -> None:
         product *= factor
         if product > cap:
             raise SizeCapError(what, product, cap)
+
+
+def check_caps(quiver: Quiver, q: int, dimvec: tuple[int, ...]) -> None:
+    """SizeCapError when classifying the representations of dimension
+    vector ``dimvec`` would pass a cap.  Both counts grow with every
+    entry, so the check at a bound covers every vector below it.  Each
+    count is multiplied up only until it passes its cap, so a huge vector
+    or a huge q is rejected as fast as a small one, and before q is tested
+    for primality."""
+    exponent = sum(dimvec[a] * dimvec[b] for a, b in quiver.edges)
+    _check_product("representation enumeration",
+                   itertools.repeat(q, exponent), MAX_REP_ENUMERATION)
+    # |GL(d)| = prod_i (q^d - q^i); past d = 64 the first factor alone
+    # passes the cap, and q^64 - 1 stands in for it
+    _check_product("base-change group",
+                   (q ** min(d, 64) - q ** i
+                    for d in dimvec for i in range(d)),
+                   MAX_BASE_CHANGE_GROUP)
 
 
 def _orbit(start, moves) -> list:
@@ -150,93 +98,6 @@ def _orbit(start, moves) -> list:
                 seen.add(image)
                 orbit.append(image)
     return orbit
-
-
-def _codes(blocks: list[np.ndarray], q: int) -> np.ndarray:
-    """One integer per element of a batch of matrix tuples, given as one
-    (K, r, c) array per vertex: the entries, read as base-q digits."""
-    flat = np.concatenate([b.reshape(len(b), -1) for b in blocks], axis=1)
-    return flat @ q ** np.arange(flat.shape[1], dtype=np.int64)
-
-
-def generated(gens, dims: tuple[int, ...], q: int) -> set[int]:
-    """The group generated by tuples of invertible matrices, one per
-    vertex of the given dimensions, as the set of its elements' codes (see
-    ``_codes``): the orbit of the identity under right multiplication by
-    the generators, grown a level at a time in numpy.  In a finite group
-    the inverses are powers of the generators."""
-    gens = [[np.array(s[v], dtype=np.int64).reshape(d, d)
-             for v, d in enumerate(dims)] for s in gens]
-    level = [np.eye(d, dtype=np.int64)[None] for d in dims]
-    group = set(_codes(level, q).tolist())
-    while gens and len(level[0]):
-        images = [np.concatenate([level[v] @ s[v] % q for s in gens])
-                  for v in range(len(dims))]
-        fresh = []
-        for i, code in enumerate(_codes(images, q).tolist()):
-            if code not in group:
-                group.add(code)
-                fresh.append(i)
-        level = [image[fresh] for image in images]
-    return group
-
-
-def subspaces(dim: int, q: int, k: int | None = None) -> list[tuple]:
-    """Every subspace of F_q^dim (of dimension k, when given), each as its
-    reduced row echelon basis: per choice of pivot columns, every value of
-    the entries right of a pivot outside the pivot columns."""
-    out = []
-    for size in range(dim + 1) if k is None else (k,):
-        for pivots in itertools.combinations(range(dim), size):
-            free = [(i, c) for i, p in enumerate(pivots)
-                    for c in range(p + 1, dim) if c not in pivots]
-            for values in itertools.product(range(q), repeat=len(free)):
-                rows = [[int(c == p) for c in range(dim)] for p in pivots]
-                for (i, c), x in zip(free, values):
-                    rows[i][c] = x
-                out.append(_as_matrix(rows))
-    return out
-
-
-def echelon(rows, q: int) -> tuple:
-    """The reduced row echelon basis of the span of ``rows``."""
-    reduced, rank = _eliminate(rows, q)
-    return _as_matrix(reduced[:rank])
-
-
-def _reduce(u, basis, q: int) -> tuple[list[int], list[int]]:
-    """Coordinates of u along a reduced row echelon basis, which are its
-    entries at the pivots, and the residual u - sum_j coords_j row_j.
-    Each row is 0 at the other rows' pivots, so the residual is 0 exactly
-    when u is in the span, and its entries off the pivots are the
-    coordinates of u modulo the span."""
-    coords = [u[row.index(1)] for row in basis]   # pivot: first nonzero
-    residual = list(u)
-    for c, row in zip(coords, basis):
-        if c:
-            residual = [(x - c * y) % q for x, y in zip(residual, row)]
-    return coords, residual
-
-
-def mat_vec(m: Matrix, v, q: int) -> tuple:
-    return tuple(sum(x * y for x, y in zip(row, v)) % q for row in m)
-
-
-@functools.lru_cache(maxsize=None)
-def _lines(n: int, q: int) -> np.ndarray:
-    """One nonzero vector per line of F_q^n, as the columns of an
-    (n, (q^n - 1)/(q - 1)) array."""
-    points = [basis[0] for basis in subspaces(n, q, 1)]
-    lines = np.array(points, dtype=np.int64).reshape(len(points), n).T
-    lines.setflags(write=False)
-    return lines
-
-
-def _injective(batch: np.ndarray, q: int) -> np.ndarray:
-    """Which matrices of a (K, r, c) batch are injective: no line of F_q^c
-    is sent to 0.  Surjective is injective on the transposes."""
-    images = batch @ _lines(batch.shape[2], q) % q
-    return (images != 0).any(axis=1).all(axis=1)
 
 
 # -- quivers and representations ---------------------------------------------
@@ -400,7 +261,16 @@ class HallAlgebra:
         self._aut_cache: dict[tuple, list[tuple[Matrix, ...]]] = {}
         self._generator_cache: dict[tuple, list[tuple[Matrix, ...]]] = {}
         self._product_cache: dict[tuple, HallElement] = {}
-        self._matrices: dict[Matrix, Matrix] = {}
+        # morphism tuples share one matrix object per shape and entries,
+        # so cached lists hold references, not copies; the rank, image and
+        # kernel memos are keyed by those matrices.  A shape holds at most
+        # q^(rc) matrices, so the enumeration caps bound every memo.
+        self._matrices: dict[tuple[int, int], dict[tuple, Matrix]] = {}
+        self._rank: dict[Matrix, int] = {}
+        self._image: dict[tuple[int, Matrix], Matrix] = {}
+        self._kernel: dict[tuple[int, Matrix], Matrix] = {}
+        # injective N -> E grouped by image, surjective E -> M by kernel
+        self._groups: dict[tuple, dict[tuple, list]] = {}
 
     # -- enumeration and classification ---------------------------------
 
@@ -409,30 +279,13 @@ class HallAlgebra:
             self._subspace_cache[n, k] = subspaces(n, self.q, k)
         return self._subspace_cache[n, k]
 
-    def check_caps(self, dimvec: tuple[int, ...]) -> None:
-        """SizeCapError when classifying the representations of dimension
-        vector ``dimvec`` would pass a cap.  Both counts grow with every
-        entry, so the check at a bound covers every vector below it.  Each
-        count is multiplied up only until it passes its cap, so a huge
-        vector is rejected as fast as a small one."""
-        q = self.q
-        exponent = sum(dimvec[a] * dimvec[b] for a, b in self.quiver.edges)
-        _check_product("representation enumeration",
-                       itertools.repeat(q, exponent), MAX_REP_ENUMERATION)
-        # |GL(d)| = prod_i (q^d - q^i); past d = 64 the first factor alone
-        # passes the cap, and q^64 - 1 stands in for it
-        _check_product("base-change group",
-                       (q ** min(d, 64) - q ** i
-                        for d in dimvec for i in range(d)),
-                       MAX_BASE_CHANGE_GROUP)
-
     def classes(self, dimvec: tuple[int, ...]) -> list[RepClass]:
         """All iso classes with the given dimension vector, canonically
         ordered: by least member, the representative."""
         dimvec = tuple(dimvec)
         if dimvec in self._classes:
             return self._classes[dimvec]
-        self.check_caps(dimvec)
+        check_caps(self.quiver, self.q, dimvec)
         q = self.q
         edges = self.quiver.edges
         # |GL(d, F_q)| = prod_i (q^d - q^i)
@@ -480,10 +333,10 @@ class HallAlgebra:
 
     # -- morphisms -------------------------------------------------------
 
-    def _hom_basis(self, src: QuiverRep, dst: QuiverRep) -> np.ndarray:
-        """A basis of Hom(src, dst), as the rows of a (dim, n) array over
-        the n unknowns: the entries of each X_v, vertex by vertex, row by
-        row.  Hom is the nullspace of D X_a - X_b S = 0 over the edges."""
+    def _hom_basis(self, src: QuiverRep, dst: QuiverRep) -> tuple:
+        """A basis of Hom(src, dst), as vectors over the unknowns: the
+        entries of each X_v, vertex by vertex, row by row.  Hom is the
+        nullspace of D X_a - X_b S = 0 over the edges."""
         q = self.q
         nv = self.quiver.n_vertices
         offset = list(itertools.accumulate(
@@ -503,16 +356,7 @@ class HallAlgebra:
                     for k in range(src.dims[b]):
                         row[unknown(b, i, k)] -= S[k][j]
                     equations.append([x % q for x in row])
-        reduced, rank = _eliminate(equations, q)
-        pivots = [row.index(1) for row in reduced[:rank]]
-        basis = []
-        for f in sorted(set(range(n)) - set(pivots)):
-            vec = [0] * n
-            vec[f] = 1
-            for row, p in zip(reduced, pivots):
-                vec[p] = -row[f] % q
-            basis.append(vec)
-        return np.array(basis, dtype=np.int64).reshape(len(basis), n)
+        return nullspace(equations, q, n)
 
     def hom_tuples(self, src: QuiverRep, dst: QuiverRep, mono: bool = False,
                    epi: bool = False):
@@ -520,33 +364,47 @@ class HallAlgebra:
         with the edge maps), only those injective (``mono``) or surjective
         (``epi``) at every vertex when asked.
 
-        The q^dim vectors of the Hom space are enumerated from a basis in
-        numpy batches, and the filters run on each batch at once.
+        The q^dim vectors of the Hom space are enumerated from a basis, the
+        first basis vector most significant; a matrix is injective when its
+        rank is its column count, surjective when it is its row count.
         """
         q = self.q
-        shapes = [(dst.dims[v], src.dims[v])
-                  for v in range(self.quiver.n_vertices)]
-        # tuples share one object per distinct matrix, so that the cached
-        # automorphism lists hold references, not copies
-        shared = self._matrices.setdefault
-        ends = list(itertools.accumulate(r * c for r, c in shapes))
-        basis = self._hom_basis(src, dst)
-        dim, n = basis.shape
-        powers = q ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-        step = max(1, BATCH_ENTRIES // max(1, n))
-        for lo in range(0, q ** dim, step):
-            index = np.arange(lo, min(q ** dim, lo + step), dtype=np.int64)
-            flat = (index[:, None] // powers % q) @ basis % q
-            blocks = [flat[:, at - r * c:at].reshape(len(index), r, c)
-                      for at, (r, c) in zip(ends, shapes)]
-            keep = np.ones(len(index), dtype=bool)
-            for blk, (r, c) in zip(blocks, shapes):
-                if mono and c:
-                    keep &= _injective(blk, q)
-                if epi and r:
-                    keep &= _injective(blk.transpose(0, 2, 1), q)
-            for mats in zip(*(blk[keep].tolist() for blk in blocks)):
-                yield tuple(shared(m, m) for m in map(_as_matrix, mats))
+        blocks = []
+        n = 0   # unknowns so far: the entries of the X_v before vertex v
+        for v in range(self.quiver.n_vertices):
+            r, c = dst.dims[v], src.dims[v]
+            # the rank a filter asks of this vertex, None when none does
+            want = c if mono else r if epi else None
+            if mono and epi and r != c:
+                return
+            if want == 0:
+                want = None     # every matrix of a zero shape qualifies
+            blocks.append((n, n + r * c, r, c, want,
+                           self._matrices.setdefault((r, c), {})))
+            n += r * c
+        vectors = [(0,) * n]
+        for b in reversed(self._hom_basis(src, dst)):
+            multiples = [tuple(k * x % q for x in b) for k in range(1, q)]
+            vectors += [tuple([(x + y) % q for x, y in zip(m, v)])
+                        for m in multiples for v in vectors]
+        ranks = self._rank
+        for flat in vectors:
+            mats = []
+            for lo, hi, r, c, want, shared in blocks:
+                block = flat[lo:hi]
+                m = shared.get(block)
+                if m is None:
+                    m = shared[block] = tuple(block[i * c:(i + 1) * c]
+                                              for i in range(r))
+                if want is not None:
+                    rank = ranks.get(m)
+                    if rank is None:
+                        rank = ranks[m] = mat_rank(m, q)
+                    if rank != want:
+                        break
+                mats.append(m)
+            else:
+                yield tuple(mats)
 
     def aut_elements(self, cls: RepClass) -> list[tuple[Matrix, ...]]:
         """Invertible self-morphisms of the class representative."""
@@ -558,21 +416,18 @@ class HallAlgebra:
 
     def aut_generators(self, cls: RepClass) -> list[tuple[Matrix, ...]]:
         """A greedy generating set of Aut: each automorphism not in the
-        group generated so far joins the set.  Guard: the generated group
-        has exactly ``cls.aut_order`` elements."""
+        group generated so far joins the set, and the group is extended by
+        it.  Guard: the generated group has exactly ``cls.aut_order``
+        elements."""
         key = cls.key
         if key not in self._generator_cache:
             dims = cls.dimvec
-            auts = self.aut_elements(cls)
-            codes = _codes([np.array([g[v] for g in auts], dtype=np.int64)
-                            .reshape(len(auts), d, d)
-                            for v, d in enumerate(dims)], self.q).tolist()
             gens: list[tuple[Matrix, ...]] = []
             group = generated(gens, dims, self.q)
-            for g, code in zip(auts, codes):
-                if code not in group:
+            for g in self.aut_elements(cls):
+                if g not in group:
                     gens.append(g)
-                    group = generated(gens, dims, self.q)
+                    generated(gens, dims, self.q, group)
             if len(group) != cls.aut_order:
                 raise AssertionError(
                     f"generators of Aut {cls.label} give {len(group)} "
@@ -582,32 +437,57 @@ class HallAlgebra:
 
     # -- Hall numbers and the product ------------------------------------
 
-    def ses_pairs(self, M: RepClass, N: RepClass, E: RepClass) -> list:
-        """All (f, g) with f: N -> E injective, g: E -> M surjective,
-        im f = ker g at every vertex."""
-        q = self.q
+    def _grouped(self, src: RepClass, dst: RepClass, epi: bool) -> dict:
+        """The injective maps src -> dst grouped by image, or with ``epi``
+        the surjective ones grouped by kernel: per vertex a subspace of the
+        middle term, as its reduced echelon basis, memoised per matrix."""
+        key = (src.key, dst.key, epi)
+        if key not in self._groups:
+            q = self.q
+            memo = self._kernel if epi else self._image
+            # a square map here is invertible: its kernel is 0, its image
+            # the whole space
+            whole = [() if epi else identity(d) for d in src.dimvec]
+            groups: dict[tuple, list] = {}
+            for f in self.hom_tuples(src.rep, dst.rep, mono=not epi, epi=epi):
+                spaces = []
+                for d, m, u in zip(src.dimvec, f, whole):
+                    if len(m) != d:
+                        u = memo.get((d, m))
+                        if u is None:
+                            u = memo[d, m] = (
+                                echelon(nullspace(m, q, d), q) if epi
+                                else echelon(tuple(zip(*m)), q))
+                    spaces.append(u)
+                groups.setdefault(tuple(spaces), []).append(f)
+            self._groups[key] = groups
+        return self._groups[key]
+
+    def _exact_blocks(self, M: RepClass, N: RepClass, E: RepClass) -> list:
+        """(fs, gs) per subrepresentation U of E that is both the image of
+        an injective f: N -> E and the kernel of a surjective g: E -> M.
+        With dim E = dim M + dim N at every vertex, 0 -> N -f-> E -g-> M
+        -> 0 is exact exactly when im f = ker g, so these blocks hold every
+        short exact sequence."""
         if tuple(a + b for a, b in zip(M.dimvec, N.dimvec)) != E.dimvec:
             return []
-        fs = list(self.hom_tuples(N.rep, E.rep, mono=True))
-        gs = list(self.hom_tuples(E.rep, M.rep, epi=True)) if fs else []
-        # with f injective, g surjective and dim E = dim M + dim N, the
-        # sequence is exact exactly when g f = 0
-        exact = np.ones((len(fs), len(gs)), dtype=bool)
-        for v, (dm, dn, de) in enumerate(zip(M.dimvec, N.dimvec, E.dimvec)):
-            F = np.array([f[v] for f in fs],
-                         dtype=np.int64).reshape(len(fs), de, dn)
-            G = np.array([g[v] for g in gs],
-                         dtype=np.int64).reshape(len(gs), dm, de)
-            step = max(1, BATCH_ENTRIES // max(1, len(gs) * dm * dn))
-            for lo in range(0, len(fs), step):
-                gf = np.einsum("gij,fjk->fgik", G, F[lo:lo + step]) % q
-                exact[lo:lo + step] &= ~gf.reshape(
-                    len(gf), len(gs), dm * dn).any(axis=2)
-        return [(fs[i], gs[j]) for i, j in zip(*np.nonzero(exact))]
+        fs = self._grouped(N, E, epi=False)
+        gs = self._grouped(E, M, epi=True) if fs else {}
+        return [(group, gs[image]) for image, group in fs.items()
+                if image in gs]
+
+    def ses_pairs(self, M: RepClass, N: RepClass, E: RepClass) -> list:
+        """All (f, g) with f: N -> E injective, g: E -> M surjective,
+        im f = ker g at every vertex, grouped by that subrepresentation."""
+        return [(f, g) for fs, gs in self._exact_blocks(M, N, E)
+                for f in fs for g in gs]
 
     def hall_number(self, M: RepClass, N: RepClass, E: RepClass) -> int:
-        """|{(f, g) : 0 -> N -f-> E -g-> M -> 0 exact}|, a pair count."""
-        return len(self.ses_pairs(M, N, E))
+        """|{(f, g) : 0 -> N -f-> E -g-> M -> 0 exact}|, a pair count:
+        the sum over subrepresentations U of E of the number of injective
+        f with image U times the number of surjective g with kernel U."""
+        return sum(len(fs) * len(gs)
+                   for fs, gs in self._exact_blocks(M, N, E))
 
     def product(self, M: RepClass, N: RepClass) -> HallElement:
         """[M] . [N] with the automorphism correction factor, exact."""

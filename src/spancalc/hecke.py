@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .fq import is_prime
+from .fq import is_prime, nullspace
 from .groupoid import IsoClassTable, _check_cap
 from .spans import aut_weight
 
@@ -50,11 +50,11 @@ Rows = tuple[tuple[int, ...], ...]   # a sparse 0/1 matrix: row f lists its 1s
 def check_caps(q: int, relations: bool = True, constants: bool = True
                ) -> None:
     """Project the work at q against the size cap before doing any of it:
-    the point-line incidence scan, the sparse relation products and the
+    the flag list with its index, the sparse relation products and the
     middle-flag counts of the structure constants."""
-    n_points = q * q + q + 1
-    n_flags = n_points * (q + 1)
-    _check_cap(f"flag incidence scan at q={q}", n_points * n_points)
+    n_flags = (q * q + q + 1) * (q + 1)
+    # the flag list and its index hold n_flags entries each
+    _check_cap(f"flag geometry at q={q}", 2 * n_flags)
     if relations:
         # each of the two triple products spends about q^3 terms per row
         _check_cap(f"Hecke relation products at q={q}", 2 * n_flags * q ** 3)
@@ -88,21 +88,28 @@ class FlagGeometry:
 
 
 def flag_geometry(q: int) -> FlagGeometry:
+    """The points, in sorted order, are the normalized vectors (0, 0, 1),
+    (0, 1, c) and (1, a, b); the lines are the same covectors.  The q + 1
+    points of each line are the normalized vectors s b1 + t b2 over the
+    points (s, t) of the projective line, with b1, b2 a basis of the
+    covector's nullspace, so the flags are listed without an incidence
+    scan."""
     check_caps(q, relations=False, constants=False)
     if not is_prime(q):
         raise ValueError(f"q={q} is not prime")
-    seen = set()
-    for vec in itertools.product(range(q), repeat=3):
-        norm = _normalize(vec, q)
-        if norm is not None:
-            seen.add(norm)
-    points = tuple(sorted(seen))
+    field = range(q)
+    points = (((0, 0, 1),) + tuple((0, 1, c) for c in field)
+              + tuple((1, a, b) for a in field for b in field))
     lines = points  # lines are normalized annihilator covectors
+    point_index = {p: i for i, p in enumerate(points)}
+    projective_line = [(1, t) for t in field] + [(0, 1)]
     flags = []
-    for pi, p in enumerate(points):
-        for li, c in enumerate(lines):
-            if sum(a * b for a, b in zip(p, c)) % q == 0:
-                flags.append((pi, li))
+    for li, c in enumerate(lines):
+        b1, b2 = nullspace((c,), q, 3)
+        for s, t in projective_line:
+            p = _normalize(tuple((s * x + t * y) % q for x, y in zip(b1, b2)),
+                           q)
+            flags.append((point_index[p], li))
     flags.sort()
     index = {f: i for i, f in enumerate(flags)}
     return FlagGeometry(q, points, lines, tuple(flags), index)

@@ -158,6 +158,26 @@ def brute_force_homs(quiver, src, dst, q: int) -> set:
                    for ei, (a, b) in enumerate(quiver.edges))}
 
 
+def brute_force_ses_count(h, M, N, E) -> int:
+    """|{(f, g) : 0 -> N -f-> E -g-> M -> 0 exact}| by testing g f = 0 on
+    every pair of an injective f and a surjective g, in numpy batches.
+
+    The all-pairs oracle for the image/kernel join in
+    ``HallAlgebra.hall_number``.
+    """
+    if tuple(a + b for a, b in zip(M.dimvec, N.dimvec)) != E.dimvec:
+        return 0
+    fs = list(h.hom_tuples(N.rep, E.rep, mono=True))
+    gs = list(h.hom_tuples(E.rep, M.rep, epi=True))
+    exact = np.ones((len(fs), len(gs)), dtype=bool)
+    for v, (dm, dn, de) in enumerate(zip(M.dimvec, N.dimvec, E.dimvec)):
+        F = np.array([f[v] for f in fs], dtype=np.int64).reshape(len(fs), de, dn)
+        G = np.array([g[v] for g in gs], dtype=np.int64).reshape(len(gs), dm, de)
+        gf = np.einsum("gij,fjk->fgik", G, F) % h.q
+        exact &= ~gf.reshape(len(fs), len(gs), dm * dn).any(axis=2)
+    return int(exact.sum())
+
+
 def group_route_constants(hg, alpha: int = 0):
     """The Hecke tensor from the group itself: the triple orbits over each
     pair orbit w, enumerated as orbits of the pair stabilizer H_w acting on

@@ -364,6 +364,54 @@ def test_hecke_run_leaves_numpy_out(tmp_path):
     assert result.stdout.splitlines()[-1] == "False False"
 
 
+@pytest.mark.parametrize("command", ["fock", "card", "compose",
+                                     "degroupoidify", "hecke", "hall"])
+def test_subcommand_run_leaves_numpy_out(command, tmp_path):
+    span = tmp_path / "span.json"
+    span.write_text(json.dumps(span_to_json(annihilation_span(build_E(3)))))
+    groupoid = tmp_path / "z2.json"
+    groupoid.write_text(json.dumps(
+        FiniteGroupoid.from_group_table(cyclic_table(2)).to_json()))
+    argv = {
+        "fock": ["fock", "--truncate", "4", "--check-ccr", "--json"],
+        "card": ["card", str(groupoid)],
+        "compose": ["compose", "--first", str(span), "--second", str(span),
+                    "-o", str(tmp_path / "composite.json")],
+        "degroupoidify": ["degroupoidify", "--span", str(span),
+                          "--alpha", "1/2"],
+        "hecke": ["hecke", "--q", "2", "--verify", "--constants",
+                  str(tmp_path / "constants.json")],
+        "hall": ["hall", "--quiver", "a2", "--q", "3", "--dmax", "2,1",
+                 "--table", str(tmp_path / "table.json")],
+    }[command]
+    code = ("import sys; from spancalc import cli; "
+            f"status = cli.main({argv!r}); "
+            "print('numpy' in sys.modules); sys.exit(status)")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("dmax", ["1,1", "0,0"])
+def test_hall_huge_prime_q_exits_quickly(dmax):
+    # 10^18 + 3 is prime: 0,0 needs no matrix at all, 1,1 breaches a cap
+    result = subprocess.run(
+        [sys.executable, "-m", "spancalc.cli", "hall", "--quiver", "a2",
+         "--q", str(10 ** 18 + 3), "--dmax", dmax],
+        capture_output=True, text=True, timeout=5)
+    assert result.returncode in (0, 2)
+    assert "Traceback" not in result.stderr
+
+
+def test_hall_q_past_the_primality_bound_exits_2():
+    result = run_cli("hall", "--quiver", "a2", "--q", str(10 ** 25),
+                     "--dmax", "0,0")
+    assert result.returncode == 2
+    assert "primality" in result.stderr
+    assert "Traceback" not in result.stderr and result.stdout == ""
+
+
 def test_hecke_q3_within_budget(tmp_path):
     out = tmp_path / "constants.json"
     start = time.perf_counter()

@@ -19,7 +19,7 @@ from spancalc.hall import (
     subspaces,
 )
 
-from helpers import brute_force_homs, gl_matrices
+from helpers import brute_force_homs, brute_force_ses_count, gl_matrices
 
 
 def a2(q: int) -> HallAlgebra:
@@ -331,3 +331,33 @@ def test_d4_is_associative_and_the_routes_agree():
             for M in h.classes(dm):
                 for N in h.classes(dn):
                     assert h.product(M, N) == h.product_via_span(M, N)
+
+
+@pytest.mark.parametrize("name, q, dmax", [
+    ("a2", 2, (2, 2)), ("a2", 3, (2, 2)), ("a3:><", 2, (1, 1, 1)),
+    ("d4", 2, (1, 1, 1, 1))])
+def test_hall_number_join_matches_the_all_pairs_count(name, q, dmax):
+    h = HallAlgebra(parse_quiver(name), q)
+    classes = classes_within(h, dmax)
+    nonzero = 0
+    for M, N in itertools.product(classes, repeat=2):
+        total = tuple(a + b for a, b in zip(M.dimvec, N.dimvec))
+        if any(t > bound for t, bound in zip(total, dmax)):
+            continue
+        for E in h.classes(total):
+            count = h.hall_number(M, N, E)
+            assert count == brute_force_ses_count(h, M, N, E)
+            assert count == len(h.ses_pairs(M, N, E))
+            nonzero += count > 0
+    assert nonzero
+
+
+def test_matrix_memos_are_bounded_by_the_shapes():
+    h = a2(3)
+    h.check_associativity((2, 1))
+    for (r, c), table in h._matrices.items():
+        assert len(table) <= 3 ** (r * c)
+        assert all(sum(m, ()) == block and len(m) == r
+                   for block, m in table.items())
+    assert set(h._rank) <= {m for t in h._matrices.values() for m in t.values()}
+    assert all(h._rank[m] == mat_rank(m, 3) for m in h._rank)

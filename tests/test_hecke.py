@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -45,6 +46,22 @@ def test_points_per_line():
         for p, _l in geo.flags:
             per_point[p] = per_point.get(p, 0) + 1
         assert set(per_point.values()) == {q + 1}
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_flags_match_the_incidence_scan(q):
+    # the oracle: every normalized vector of F_q^3 is a point, and every
+    # (point, line) pair with zero dot product is a flag
+    points = sorted({tuple(x * pow(next(filter(None, v)), q - 2, q) % q
+                           for x in v)
+                     for v in itertools.product(range(q), repeat=3)
+                     if any(v)})
+    geo = flag_geometry(q)
+    assert list(geo.points) == points == list(geo.lines)
+    assert list(geo.flags) == [
+        (pi, li) for pi, p in enumerate(points) for li, c in enumerate(points)
+        if sum(a * b for a, b in zip(p, c)) % q == 0]
+    assert geo.flag_index == {f: i for i, f in enumerate(geo.flags)}
 
 
 def test_relation_row_sums_and_symmetry():
