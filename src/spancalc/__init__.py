@@ -4,42 +4,10 @@ Finite groupoids become exact-rational vector spaces, spans of groupoids
 become matrices via weak pullback, and three verification suites reproduce
 the combinatorics of Fock space, the A2 Hecke algebra over a prime field,
 and Hall algebras of simply-laced quivers.
-"""
 
-from .groupoid import (
-    FiniteGroupoid,
-    GroupoidFunctor,
-    IsoClassTable,
-    Rational,
-    SizeCapError,
-    cardinality,
-    cardinality_alt,
-    check_equivalence_certificate,
-    coproduct,
-    full_inverse_image,
-    iso_classes,
-    product,
-    skeleton,
-    validate_groupoid,
-)
-from .spans import (
-    GroupoidOverX,
-    QSqrt,
-    RationalMatrix,
-    RationalVector,
-    SpanOfGroupoids,
-    add_spans,
-    adjoint,
-    apply_span,
-    compose_spans,
-    degroupoidify_span,
-    degroupoidify_vector,
-    identity_span,
-    inner_product,
-    scalar_mul,
-    tensor_spans,
-    trace_span,
-    weak_pullback,
-)
+The package root re-exports nothing, so that importing it loads no
+submodule: import from ``spancalc.exact``, ``spancalc.groupoid``,
+``spancalc.spans`` and the suite modules directly.
+"""
 
 __version__ = "0.1.0"

@@ -18,7 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .groupoid import FiniteGroupoid, GroupoidFunctor, IsoClassTable, _check_cap
+from .exact import _check_cap
+from .groupoid import FiniteGroupoid, GroupoidFunctor, IsoClassTable
 from .spans import RationalMatrix, SpanOfGroupoids, degroupoidify_classes
 
 

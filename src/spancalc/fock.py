@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groupoid import FiniteGroupoid, GroupoidFunctor, Rational, SizeCapError
+from .exact import SizeCapError
+from .groupoid import FiniteGroupoid, GroupoidFunctor, Rational
 from .spans import (
     GroupoidOverX,
     PullbackMode,

@@ -13,45 +13,13 @@ construction.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
+from .exact import _check_cap
+
 Rational = Fraction
-
-DEFAULT_SIZE_CAP = 5_000_000
-SIZE_CAP_ENV = "SPANCALC_SIZE_CAP"
-
-
-def size_cap() -> int:
-    """Current cap on materialized object/morphism/table sizes."""
-    raw = os.environ.get(SIZE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_SIZE_CAP
-    return int(raw)
-
-
-class SizeCapError(RuntimeError):
-    """Raised when a construction would exceed the configured size cap."""
-
-    def __init__(self, what: str, needed: int, cap: int | None = None):
-        """``cap`` is a fixed cap of the caller's own, and ``needed`` may
-        then be a lower bound; without it the breach is of the configurable
-        size cap."""
-        self.what = what
-        self.needed = needed
-        if cap is None:
-            message = (f"{what} needs {needed} entries, over the size cap "
-                       f"{size_cap()} (override with {SIZE_CAP_ENV})")
-        else:
-            message = f"{what} needs at least {needed}, over its cap of {cap}"
-        super().__init__(message)
-
-
-def _check_cap(what: str, needed: int) -> None:
-    if needed > size_cap():
-        raise SizeCapError(what, needed)
 
 
 def same_groupoid(a: "FiniteGroupoid", b: "FiniteGroupoid") -> bool:

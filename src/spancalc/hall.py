@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exact import SizeCapError
 from .fq import (
     Matrix,
     _gl_generators,
@@ -52,7 +53,6 @@ from .fq import (
     nullspace,
     subspaces,
 )
-from .groupoid import SizeCapError
 
 MAX_REP_ENUMERATION = 10 ** 6
 MAX_BASE_CHANGE_GROUP = 10 ** 5
@@ -70,13 +70,18 @@ def _check_product(what: str, factors, cap: int) -> None:
 def check_caps(quiver: Quiver, q: int, dimvec: tuple[int, ...]) -> None:
     """SizeCapError when classifying the representations of dimension
     vector ``dimvec`` would pass a cap.  Both counts grow with every
-    entry, so the check at a bound covers every vector below it.  Each
-    count is multiplied up only until it passes its cap, so a huge vector
-    or a huge q is rejected as fast as a small one, and before q is tested
-    for primality."""
+    entry, so the check at a bound covers every vector below it.  A q
+    below 2 is rejected first; above it each count is multiplied up only
+    until it passes its cap, so a huge vector or a huge q is rejected as
+    fast as a small one, and before q is tested for primality."""
+    if q < 2:
+        raise ValueError(f"q={q} is not prime")
     exponent = sum(dimvec[a] * dimvec[b] for a, b in quiver.edges)
+    # q >= 2, so bit_length(cap) factors of q already pass the cap
     _check_product("representation enumeration",
-                   itertools.repeat(q, exponent), MAX_REP_ENUMERATION)
+                   itertools.repeat(q, min(exponent,
+                                           MAX_REP_ENUMERATION.bit_length())),
+                   MAX_REP_ENUMERATION)
     # |GL(d)| = prod_i (q^d - q^i); past d = 64 the first factor alone
     # passes the cap, and q^64 - 1 stands in for it
     _check_product("base-change group",

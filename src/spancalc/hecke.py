@@ -17,47 +17,49 @@ group element is ever listed.  Orbit labels follow the shortest relation
 word reaching the orbit: e, P, L, PL, LP, PLP; this labeling is a
 documented choice, emitted with every output.
 
-The group route stays as the oracle.  ``build_group`` enumerates
-SL(3, F_q) for q in {2, 3} with its flag action, ``bruhat_orbits`` finds
-its orbits on flag pairs with the generic orbit kernel, and
-``triple_block_span`` gives one tensor entry as an equivariant span.
-They import numpy and ``actions`` when called, so the group-free route
-never loads either.
+The route through the group itself, which enumerates SL(3, F_q) for
+q in {2, 3} and finds its orbits on flag pairs, is a test oracle and lives
+with the tests.  This module imports only ``spancalc.exact`` and
+``spancalc.fq``, and no ``dataclasses``: its records are named tuples.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import NamedTuple, Sequence
 
+from .exact import SizeCapError, _check_cap, aut_weight
 from .fq import is_prime, nullspace
-from .groupoid import IsoClassTable, _check_cap
-from .spans import aut_weight
-
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .actions import EquivariantSpan, FiniteGroup, GroupAction
 
 ORBIT_LABELS = ("e", "P", "L", "PL", "LP", "PLP")
 _POSITION = {lbl: i for i, lbl in enumerate(ORBIT_LABELS)}
+
+# arithmetic terms of the relation products, 2 n_flags q^3: 1.1e7 at
+# q = 13 passes, 5.4e7 at q = 17 does not
+MAX_RELATION_TERMS = 2 * 10 ** 7
 
 Rows = tuple[tuple[int, ...], ...]   # a sparse 0/1 matrix: row f lists its 1s
 
 
 def check_caps(q: int, relations: bool = True, constants: bool = True
                ) -> None:
-    """Project the work at q against the size cap before doing any of it:
-    the flag list with its index, the sparse relation products and the
-    middle-flag counts of the structure constants."""
+    """Project the work at q against the caps before doing any of it: the
+    flag list with its index, the sparse relation rows and the middle-flag
+    counts of the structure constants are allocations, checked against the
+    size cap; the terms of the relation products are time, checked against
+    MAX_RELATION_TERMS, since ``verify_hecke_relations`` holds one product
+    row at a time."""
     n_flags = (q * q + q + 1) * (q + 1)
     # the flag list and its index hold n_flags entries each
     _check_cap(f"flag geometry at q={q}", 2 * n_flags)
     if relations:
+        # the rows of P and L hold q entries each
+        _check_cap(f"Hecke relation rows at q={q}", 2 * n_flags * q)
         # each of the two triple products spends about q^3 terms per row
-        _check_cap(f"Hecke relation products at q={q}", 2 * n_flags * q ** 3)
+        terms = 2 * n_flags * q ** 3
+        if terms > MAX_RELATION_TERMS:
+            raise SizeCapError(f"Hecke relation product terms at q={q}",
+                               terms, MAX_RELATION_TERMS)
     if constants:
         # positions relative to one flag, then six middle-flag scans
         _check_cap(f"Hecke structure constants at q={q}", 7 * n_flags)
@@ -72,8 +74,7 @@ def _normalize(vec: tuple[int, int, int], q: int) -> tuple[int, int, int] | None
     return None
 
 
-@dataclass(frozen=True)
-class FlagGeometry:
+class FlagGeometry(NamedTuple):
     """Points, lines and incident flags of the projective plane over F_q."""
 
     q: int
@@ -148,27 +149,7 @@ def row_product(factors: Sequence[Rows], f: int) -> dict[int, int]:
     return row
 
 
-def _dense(rows: Rows) -> np.ndarray:
-    import numpy as np
-
-    out = np.zeros((len(rows), len(rows)), dtype=np.int64)
-    for f, row in enumerate(rows):
-        out[f, list(row)] = 1
-    return out
-
-
-def build_P(q: int) -> np.ndarray:
-    """Relation "same line, different point" as a 0/1 matrix over flags."""
-    return _dense(relation_rows(flag_geometry(q))[0])
-
-
-def build_L(q: int) -> np.ndarray:
-    """Relation "same point, different line" as a 0/1 matrix over flags."""
-    return _dense(relation_rows(flag_geometry(q))[1])
-
-
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     q: int
     checks: tuple[tuple[str, bool], ...]
 
@@ -243,8 +224,7 @@ def relative_positions(geo: FlagGeometry
                            for w in range(len(ORBIT_LABELS)))
 
 
-@dataclass(frozen=True)
-class HeckeTensor:
+class HeckeTensor(NamedTuple):
     """Structure constants c[u][v][w]: psi_u * psi_v = sum_w c[u][v][w] psi_w."""
 
     q: int
@@ -309,151 +289,3 @@ def hecke_structure_constants(q: int, alpha: int = 0) -> HeckeTensor:
     return HeckeTensor(q, ORBIT_LABELS,
                        tuple(tuple(tuple(row) for row in plane)
                              for plane in tensor))
-
-
-# -- the group route, kept as the oracle: SL(3, F_q) and its flag action ----
-
-def _det3(m: tuple, q: int) -> int:
-    a, b, c, d, e, f, g, h, i = m
-    return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % q
-
-
-def _adjugate3(m: tuple, q: int) -> tuple:
-    a, b, c, d, e, f, g, h, i = m
-    return (
-        (e * i - f * h) % q, (c * h - b * i) % q, (b * f - c * e) % q,
-        (f * g - d * i) % q, (a * i - c * g) % q, (c * d - a * f) % q,
-        (d * h - e * g) % q, (b * g - a * h) % q, (a * e - b * d) % q,
-    )
-
-
-def _matmul3(m1: tuple, m2: tuple, q: int) -> tuple:
-    out = []
-    for r in range(3):
-        for c in range(3):
-            out.append(sum(m1[3 * r + k] * m2[3 * k + c] for k in range(3)) % q)
-    return tuple(out)
-
-
-@dataclass
-class HeckeGroup:
-    """SL(3, F_q) with its action on the flag set."""
-
-    q: int
-    geometry: FlagGeometry
-    group: FiniteGroup
-    elements: tuple  # 3x3 matrices as flat 9-tuples, lexicographically sorted
-    action: GroupAction
-
-
-def build_group(q: int) -> HeckeGroup:
-    """Enumerate SL(3, F_q) and its flag action; supported for q in {2, 3}."""
-    if q not in (2, 3):
-        raise ValueError(f"full group computations support q in {{2, 3}}, not {q}")
-    import numpy as np
-
-    from .actions import FiniteGroup, GroupAction
-
-    geo = flag_geometry(q)
-    elements = tuple(sorted(
-        m for m in itertools.product(range(q), repeat=9) if _det3(m, q) == 1))
-    index = {m: i for i, m in enumerate(elements)}
-    identity = index[(1, 0, 0, 0, 1, 0, 0, 0, 1)]
-    inverse = [index[_adjugate3(m, q)] for m in elements]
-
-    def mul(a: int, b: int) -> int:
-        # "b first, then a": matrices act on column vectors from the left
-        return index[_matmul3(elements[a], elements[b], q)]
-
-    group = FiniteGroup(len(elements), mul, identity, inverse)
-
-    point_index = {p: i for i, p in enumerate(geo.points)}
-    act = np.empty((len(elements), geo.n_flags), dtype=np.int64)
-    for gi, m in enumerate(elements):
-        inv = _adjugate3(m, q)
-        pperm = []
-        for p in geo.points:
-            img = tuple(sum(m[3 * r + c] * p[c] for c in range(3)) % q
-                        for r in range(3))
-            pperm.append(point_index[_normalize(img, q)])
-        lperm = []
-        for cvec in geo.lines:
-            img = tuple(sum(cvec[r] * inv[3 * r + c] for r in range(3)) % q
-                        for c in range(3))
-            lperm.append(point_index[_normalize(img, q)])
-        for fi, (pi, li) in enumerate(geo.flags):
-            act[gi, fi] = geo.flag_index[(pperm[pi], lperm[li])]
-    return HeckeGroup(q, geo, group, elements, GroupAction(group, act))
-
-
-def bruhat_orbits(hg: HeckeGroup | int
-                  ) -> tuple[IsoClassTable, tuple[str, ...]]:
-    """G-orbits on flag pairs, the pair (i, j) being point i * n_flags + j,
-    with the label of each orbit (one of ORBIT_LABELS)."""
-    from .actions import orbit_table
-
-    if isinstance(hg, int):
-        hg = build_group(hg)
-    geo = hg.geometry
-    n = geo.n_flags
-    act = hg.action.act
-    pair_images = act[:, :, None] * n + act[:, None, :]
-    # a view of the fresh array: the pair table is never copied
-    table = orbit_table(pair_images.reshape(len(act), n * n))
-    labels = tuple(_pair_label(geo, geo.flags[r // n], geo.flags[r % n])
-                   for r in table.representative)
-    return table, labels
-
-
-def triple_block_span(hg: HeckeGroup, u: str, v: str, w: str
-                      ) -> EquivariantSpan | None:
-    """The (u, v, w) sub-block of the triple space as an equivariant span.
-
-    Apex: G acting on triples with the given pair labels; right foot: the
-    w-orbit of pairs; left foot: a point.  Its alpha = 0 matrix is the
-    single tensor entry c[u][v][w].  Returns None when the block is empty.
-    """
-    import numpy as np
-
-    from .actions import EquivariantSpan, GroupAction
-
-    geo = hg.geometry
-    n = geo.n_flags
-    orbits, labels = bruhat_orbits(hg)
-    pos = {lbl: i for i, lbl in enumerate(labels)}
-    orbit_of = orbits.class_of
-    w_points = [p for p, o in enumerate(orbit_of) if o == pos[w]]
-    triples = []
-    for pair13 in w_points:
-        x1, x3 = divmod(pair13, n)
-        for x2 in range(n):
-            if orbit_of[x1 * n + x2] == pos[u] and \
-                    orbit_of[x2 * n + x3] == pos[v]:
-                triples.append((x1, x2, x3))
-    if not triples:
-        return None
-    triples.sort()
-    t_index = {t: i for i, t in enumerate(triples)}
-    act = hg.action.act
-    n_g = hg.group.order
-    apex_act = np.empty((n_g, len(triples)), dtype=np.int64)
-    for gi in range(n_g):
-        row = act[gi]
-        for ti, (a, b, c) in enumerate(triples):
-            apex_act[gi, ti] = t_index[(int(row[a]), int(row[b]), int(row[c]))]
-    pair_pos = {p: i for i, p in enumerate(w_points)}
-    right_act = np.empty((n_g, len(w_points)), dtype=np.int64)
-    for gi in range(n_g):
-        row = act[gi]
-        for pi, p in enumerate(w_points):
-            x1, x3 = divmod(p, n)
-            right_act[gi, pi] = pair_pos[int(row[x1]) * n + int(row[x3])]
-    left_act = np.zeros((n_g, 1), dtype=np.int64)
-    return EquivariantSpan(
-        hg.group,
-        GroupAction(hg.group, apex_act),
-        GroupAction(hg.group, left_act),
-        GroupAction(hg.group, right_act),
-        tuple(0 for _ in triples),
-        tuple(pair_pos[x1 * n + x3] for x1, _x2, x3 in triples),
-    )

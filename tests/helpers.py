@@ -18,8 +18,12 @@ from spancalc.groupoid import (
     symmetric_table,
     table_product,
 )
+from spancalc.exact import aut_weight
 from spancalc.hall import all_matrices, mat_mul, mat_rank
-from spancalc.spans import SpanOfGroupoids, aut_weight
+from spancalc.hecke import ORBIT_LABELS, HeckeTensor
+from spancalc.spans import SpanOfGroupoids
+
+from oracles import bruhat_orbits
 
 # small groups with automorphism orders up to 24
 GROUP_TABLES = [
@@ -185,8 +189,6 @@ def group_route_constants(hg, alpha: int = 0):
 
     The stabilizer oracle for the group-free ``hecke_structure_constants``.
     """
-    from spancalc.hecke import ORBIT_LABELS, HeckeTensor, bruhat_orbits
-
     n = hg.geometry.n_flags
     act = hg.action.act
     orbits, labels = bruhat_orbits(hg)

@@ -1,0 +1,176 @@
+"""The SL(3, F_q) route to the A2 Hecke algebra, kept as a test oracle.
+
+``build_group`` enumerates SL(3, F_q) for q in {2, 3} with its action on
+flags, ``bruhat_orbits`` finds its orbits on flag pairs with the generic
+orbit kernel of ``spancalc.actions``, and ``triple_block_span`` gives one
+tensor entry as an equivariant span.  ``build_P`` and ``build_L`` are the
+relations as dense matrices.  ``spancalc.hecke`` reaches the same numbers
+from flag incidence alone, without listing a group element.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+
+import numpy as np
+
+from spancalc.actions import (EquivariantSpan, FiniteGroup, GroupAction,
+                              orbit_table)
+from spancalc.groupoid import IsoClassTable
+from spancalc.hecke import (FlagGeometry, Rows, _normalize, _pair_label,
+                            flag_geometry, relation_rows)
+
+
+def _dense(rows: Rows) -> np.ndarray:
+    out = np.zeros((len(rows), len(rows)), dtype=np.int64)
+    for f, row in enumerate(rows):
+        out[f, list(row)] = 1
+    return out
+
+
+def build_P(q: int) -> np.ndarray:
+    """Relation "same line, different point" as a 0/1 matrix over flags."""
+    return _dense(relation_rows(flag_geometry(q))[0])
+
+
+def build_L(q: int) -> np.ndarray:
+    """Relation "same point, different line" as a 0/1 matrix over flags."""
+    return _dense(relation_rows(flag_geometry(q))[1])
+
+# -- SL(3, F_q) and its flag action ------------------------------------------
+
+def _det3(m: tuple, q: int) -> int:
+    a, b, c, d, e, f, g, h, i = m
+    return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % q
+
+
+def _adjugate3(m: tuple, q: int) -> tuple:
+    a, b, c, d, e, f, g, h, i = m
+    return (
+        (e * i - f * h) % q, (c * h - b * i) % q, (b * f - c * e) % q,
+        (f * g - d * i) % q, (a * i - c * g) % q, (c * d - a * f) % q,
+        (d * h - e * g) % q, (b * g - a * h) % q, (a * e - b * d) % q,
+    )
+
+
+def _matmul3(m1: tuple, m2: tuple, q: int) -> tuple:
+    out = []
+    for r in range(3):
+        for c in range(3):
+            out.append(sum(m1[3 * r + k] * m2[3 * k + c] for k in range(3)) % q)
+    return tuple(out)
+
+
+@dataclass
+class HeckeGroup:
+    """SL(3, F_q) with its action on the flag set."""
+
+    q: int
+    geometry: FlagGeometry
+    group: FiniteGroup
+    elements: tuple  # 3x3 matrices as flat 9-tuples, lexicographically sorted
+    action: GroupAction
+
+
+def build_group(q: int) -> HeckeGroup:
+    """Enumerate SL(3, F_q) and its flag action; supported for q in {2, 3}."""
+    if q not in (2, 3):
+        raise ValueError(f"full group computations support q in {{2, 3}}, not {q}")
+    geo = flag_geometry(q)
+    elements = tuple(sorted(
+        m for m in itertools.product(range(q), repeat=9) if _det3(m, q) == 1))
+    index = {m: i for i, m in enumerate(elements)}
+    identity = index[(1, 0, 0, 0, 1, 0, 0, 0, 1)]
+    inverse = [index[_adjugate3(m, q)] for m in elements]
+
+    def mul(a: int, b: int) -> int:
+        # "b first, then a": matrices act on column vectors from the left
+        return index[_matmul3(elements[a], elements[b], q)]
+
+    group = FiniteGroup(len(elements), mul, identity, inverse)
+
+    point_index = {p: i for i, p in enumerate(geo.points)}
+    act = np.empty((len(elements), geo.n_flags), dtype=np.int64)
+    for gi, m in enumerate(elements):
+        inv = _adjugate3(m, q)
+        pperm = []
+        for p in geo.points:
+            img = tuple(sum(m[3 * r + c] * p[c] for c in range(3)) % q
+                        for r in range(3))
+            pperm.append(point_index[_normalize(img, q)])
+        lperm = []
+        for cvec in geo.lines:
+            img = tuple(sum(cvec[r] * inv[3 * r + c] for r in range(3)) % q
+                        for c in range(3))
+            lperm.append(point_index[_normalize(img, q)])
+        for fi, (pi, li) in enumerate(geo.flags):
+            act[gi, fi] = geo.flag_index[(pperm[pi], lperm[li])]
+    return HeckeGroup(q, geo, group, elements, GroupAction(group, act))
+
+
+def bruhat_orbits(hg: HeckeGroup | int
+                  ) -> tuple[IsoClassTable, tuple[str, ...]]:
+    """G-orbits on flag pairs, the pair (i, j) being point i * n_flags + j,
+    with the label of each orbit (one of ORBIT_LABELS)."""
+    if isinstance(hg, int):
+        hg = build_group(hg)
+    geo = hg.geometry
+    n = geo.n_flags
+    act = hg.action.act
+    pair_images = act[:, :, None] * n + act[:, None, :]
+    # a view of the fresh array: the pair table is never copied
+    table = orbit_table(pair_images.reshape(len(act), n * n))
+    labels = tuple(_pair_label(geo, geo.flags[r // n], geo.flags[r % n])
+                   for r in table.representative)
+    return table, labels
+
+
+def triple_block_span(hg: HeckeGroup, u: str, v: str, w: str
+                      ) -> EquivariantSpan | None:
+    """The (u, v, w) sub-block of the triple space as an equivariant span.
+
+    Apex: G acting on triples with the given pair labels; right foot: the
+    w-orbit of pairs; left foot: a point.  Its alpha = 0 matrix is the
+    single tensor entry c[u][v][w].  Returns None when the block is empty.
+    """
+    geo = hg.geometry
+    n = geo.n_flags
+    orbits, labels = bruhat_orbits(hg)
+    pos = {lbl: i for i, lbl in enumerate(labels)}
+    orbit_of = orbits.class_of
+    w_points = [p for p, o in enumerate(orbit_of) if o == pos[w]]
+    triples = []
+    for pair13 in w_points:
+        x1, x3 = divmod(pair13, n)
+        for x2 in range(n):
+            if orbit_of[x1 * n + x2] == pos[u] and \
+                    orbit_of[x2 * n + x3] == pos[v]:
+                triples.append((x1, x2, x3))
+    if not triples:
+        return None
+    triples.sort()
+    t_index = {t: i for i, t in enumerate(triples)}
+    act = hg.action.act
+    n_g = hg.group.order
+    apex_act = np.empty((n_g, len(triples)), dtype=np.int64)
+    for gi in range(n_g):
+        row = act[gi]
+        for ti, (a, b, c) in enumerate(triples):
+            apex_act[gi, ti] = t_index[(int(row[a]), int(row[b]), int(row[c]))]
+    pair_pos = {p: i for i, p in enumerate(w_points)}
+    right_act = np.empty((n_g, len(w_points)), dtype=np.int64)
+    for gi in range(n_g):
+        row = act[gi]
+        for pi, p in enumerate(w_points):
+            x1, x3 = divmod(p, n)
+            right_act[gi, pi] = pair_pos[int(row[x1]) * n + int(row[x3])]
+    left_act = np.zeros((n_g, 1), dtype=np.int64)
+    return EquivariantSpan(
+        hg.group,
+        GroupAction(hg.group, apex_act),
+        GroupAction(hg.group, left_act),
+        GroupAction(hg.group, right_act),
+        tuple(0 for _ in triples),
+        tuple(pair_pos[x1 * n + x3] for x1, _x2, x3 in triples),
+    )

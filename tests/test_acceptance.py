@@ -39,13 +39,7 @@ from spancalc.groupoid import (
     skeleton,
 )
 from spancalc.hall import HallAlgebra, HallElement, parse_quiver
-from spancalc.hecke import (
-    bruhat_orbits,
-    build_group,
-    hecke_structure_constants,
-    triple_block_span,
-    verify_hecke_relations,
-)
+from spancalc.hecke import hecke_structure_constants, verify_hecke_relations
 from spancalc.spans import (
     GroupoidOverX,
     RationalMatrix,
@@ -64,6 +58,7 @@ from spancalc.spans import (
 
 from helpers import (group_route_constants, random_cyclic_action,
                      random_groupoid, random_span)
+from oracles import bruhat_orbits, build_group, triple_block_span
 
 FACT = [math.factorial(n) for n in range(12)]
 

@@ -132,7 +132,7 @@ def test_restrict_requires_invariant_subset():
 
 def test_materialize_respects_size_cap(monkeypatch):
     monkeypatch.setenv("SPANCALC_SIZE_CAP", "5")
-    from spancalc.groupoid import SizeCapError
+    from spancalc.exact import SizeCapError
     with pytest.raises(SizeCapError):
         materialize(folding_action(5))
 

@@ -393,6 +393,42 @@ def test_subcommand_run_leaves_numpy_out(command, tmp_path):
     assert result.stdout.splitlines()[-1] == "False"
 
 
+def _modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
+    code += "; import json, sys; print(json.dumps(sorted(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+def _package_modules(modules: set[str]) -> set[str]:
+    return {m for m in modules if m.startswith("spancalc.")}
+
+
+def test_package_import_loads_no_submodule():
+    assert _package_modules(_modules_after("import spancalc")) == set()
+
+
+def test_cli_import_loads_only_the_exact_core():
+    assert _package_modules(_modules_after("import spancalc.cli")) == {
+        "spancalc.cli", "spancalc.exact"}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["hecke", "--q", "2", "--verify", "--constants", "{out}"],
+     {"spancalc.groupoid", "spancalc.spans", "spancalc.actions",
+      "dataclasses", "numpy"}),
+    (["hall", "--quiver", "a2", "--q", "3", "--dmax", "2,1"],
+     {"spancalc.groupoid", "spancalc.spans", "spancalc.actions", "numpy"}),
+])
+def test_subcommand_run_loads_only_its_modules(argv, absent, tmp_path):
+    argv = [a.format(out=tmp_path / "out.json") for a in argv]
+    code = (f"from spancalc import cli; status = cli.main({argv!r}); "
+            "assert status == 0, status")
+    assert not _modules_after(code) & absent
+
+
 @pytest.mark.parametrize("dmax", ["1,1", "0,0"])
 def test_hall_huge_prime_q_exits_quickly(dmax):
     # 10^18 + 3 is prime: 0,0 needs no matrix at all, 1,1 breaches a cap
@@ -402,6 +438,24 @@ def test_hall_huge_prime_q_exits_quickly(dmax):
         capture_output=True, text=True, timeout=5)
     assert result.returncode in (0, 2)
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("quiver, q, dmax", [
+    ("a2", "1", f"{10 ** 25},1"),
+    ("a2", "0", f"{10 ** 25},1"),
+    ("a2", "-1", "1,1"),
+    ("a2", "2", f"{10 ** 25},1"),
+    ("a1", "1", str(10 ** 11)),
+])
+def test_hall_caps_hold_for_any_q_and_dmax(quiver, q, dmax):
+    # below q = 2 the capped counts never grow, and an exponent past the
+    # machine word must not reach itertools.repeat whole
+    result = subprocess.run(
+        [sys.executable, "-m", "spancalc.cli", "hall", "--quiver", quiver,
+         "--q", q, "--dmax", dmax], capture_output=True, text=True,
+        timeout=5)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr and result.stdout == ""
 
 
 def test_hall_q_past_the_primality_bound_exits_2():
@@ -451,6 +505,18 @@ def test_hecke_caps_are_checked_before_any_work(args, env):
                             timeout=5)
     assert result.returncode == 2
     assert "SPANCALC_SIZE_CAP" in result.stderr
+    assert "Traceback" not in result.stderr and result.stdout == ""
+
+
+def test_hecke_verify_past_the_work_cap_exits_2():
+    # q = 17 needs 5.4e7 product terms: the work cap, not the size cap
+    result = subprocess.run(
+        [sys.executable, "-m", "spancalc.cli", "hecke", "--q", "17",
+         "--verify"], capture_output=True, text=True,
+        env=dict(os.environ, SPANCALC_SIZE_CAP=str(10 ** 12)), timeout=5)
+    assert result.returncode == 2
+    assert "relation product terms" in result.stderr
+    assert "SPANCALC_SIZE_CAP" not in result.stderr
     assert "Traceback" not in result.stderr and result.stdout == ""
 
 

@@ -1,7 +1,10 @@
-"""Fuzzed span files: one field of a valid file mutated, run through the CLI.
+"""Fuzzed CLI inputs: span files and argument vectors.
 
-Whatever the mutation, ``compose`` and ``degroupoidify`` must exit 0 (the
-file is still a valid span) or 2 (an input error), never raise.
+Whatever one field of a valid span file is mutated to, ``compose`` and
+``degroupoidify`` must exit 0 (the file is still a valid span) or 2 (an
+input error), never raise.  Whatever arguments ``fock``, ``hecke`` and
+``hall`` are given, they must exit 0, 1 (a failed check) or 2, never
+raise, and finish within the deadline.
 """
 
 import contextlib
@@ -11,7 +14,9 @@ import json
 import os
 import random
 import tempfile
+from datetime import timedelta
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -106,3 +111,88 @@ def test_mutated_span_files_exit_0_or_2(data):
                      ["degroupoidify", "--span", path, "-o", out]):
             with contextlib.redirect_stderr(io.StringIO()):
                 assert cli.main(argv) in (0, 2)
+
+
+# -- argument vectors for the computing subcommands -------------------------
+
+MALFORMED_NUMBERS = st.one_of(
+    st.integers(-10, -1).map(str),
+    st.sampled_from([str(10 ** 25), str(-10 ** 25), str(2 ** 63), "1.5",
+                     "3e2", "1/2", "abc", "", "0x7", "--"]))
+
+# names with their vertex counts; the first nine are valid
+QUIVERS = [("a1", 1), ("a2", 2), ("a3", 3), ("a4", 4), ("d4", 4), ("A2", 2),
+           (" d4 ", 4), ("a3:<>", 3), ("a4:><<", 4), ("a3:>", 3),
+           ("a3:>><", 3), ("a4:<<", 4), ("a3:ab", 3), ("a2:>", 2),
+           ("d4:<<<", 4), ("a5", 5), ("e6", 6), ("", 1), ("a", 1), (":", 1)]
+
+MALFORMED_DMAX_ENTRIES = st.sampled_from(
+    ["-1", "-3", str(10 ** 25), "x", "", " ", "1.5"])
+
+FLAGS = {"fock": ["--json", "--check-ccr"], "hecke": ["--json", "--verify"],
+         "hall": ["--json", "--table"]}
+
+
+@st.composite
+def computing_argvs(draw, command: str) -> list[str]:
+    """Half the vectors are well formed, with small valid values; in the
+    rest any value may be negative, huge, non-integer or junk, and a flag
+    may belong to another subcommand."""
+    well_formed = draw(st.booleans())
+
+    def number(valid: st.SearchStrategy) -> str:
+        return draw(valid.map(str) if well_formed
+                    else st.one_of(valid.map(str), MALFORMED_NUMBERS))
+
+    if command == "fock":
+        argv = ["fock", "--truncate", number(st.integers(0, 5))]
+        if draw(st.booleans()):
+            argv += ["--psi", number(st.integers(0, 5))]
+        if draw(st.booleans()):
+            argv += ["--series", "two-colored"]
+    elif command == "hecke":
+        argv = ["hecke", "--q", number(st.integers(0, 7))]
+        if draw(st.booleans()):
+            argv += ["--constants", "{out}"]
+    else:
+        name, n_vertices = draw(st.sampled_from(
+            QUIVERS[:9] if well_formed else QUIVERS))
+        entry = st.sampled_from(["0", "1"])
+        if well_formed:
+            dmax = ",".join(draw(st.lists(entry, min_size=n_vertices,
+                                          max_size=n_vertices)))
+        else:
+            size = draw(st.one_of(st.just(n_vertices), st.integers(0, 5)))
+            dmax = draw(st.one_of(
+                st.lists(st.one_of(entry, MALFORMED_DMAX_ENTRIES),
+                         min_size=size, max_size=size).map(",".join),
+                st.sampled_from(["1;1", "1,,1", ",", "2,1,", "--"])))
+        argv = ["hall", "--quiver", name,
+                "--q", number(st.sampled_from([2, 3, 5]) if well_formed
+                              else st.integers(0, 5)),
+                "--dmax", dmax]
+    own = FLAGS[command]
+    flags = draw(st.lists(st.sampled_from(
+        own if well_formed else own + ["--verify", "--check-ccr"]),
+        max_size=2, unique=True))
+    for flag in flags:
+        argv += [flag, "{out}"] if flag == "--table" else [flag]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+@settings(derandomize=True, database=None, max_examples=200,
+          deadline=timedelta(seconds=5))
+@given(data=st.data())
+def test_fuzzed_argv_exits_0_1_or_2(command, data):
+    argv = data.draw(computing_argvs(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.json")
+        argv = [a.format(out=out) for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                status = cli.main(argv)
+            except SystemExit as exc:   # argparse rejects with exit 2
+                status = exc.code
+    assert status in (0, 1, 2)

@@ -16,8 +16,8 @@ from spancalc.fock import (
     two_colored_stuff,
     verify_ccr,
 )
+from spancalc.exact import SizeCapError
 from spancalc.groupoid import (
-    SizeCapError,
     cardinality,
     full_inverse_image,
     validate_groupoid,

@@ -194,7 +194,7 @@ def test_associativity_a2():
 
 
 def test_enumeration_bounds_are_enforced():
-    from spancalc.groupoid import SizeCapError
+    from spancalc.exact import SizeCapError
     h = a2(3)
     with pytest.raises(SizeCapError):
         h.classes((3, 3))     # base-change group too large

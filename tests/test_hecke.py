@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from spancalc.actions import degroupoidify_equivariant, materialize_span, weak_quotient
+from spancalc.exact import SizeCapError
 from spancalc.hecke import (
+    MAX_RELATION_TERMS,
     ORBIT_LABELS,
-    bruhat_orbits,
-    build_group,
-    build_L,
-    build_P,
+    check_caps,
     enumerate_flags,
     flag_geometry,
     hecke_structure_constants,
@@ -19,12 +18,12 @@ from spancalc.hecke import (
     relative_positions,
     row_product,
     sl3_order,
-    triple_block_span,
     verify_hecke_relations,
 )
 from spancalc.spans import degroupoidify_span
 
 from helpers import group_route_constants, iwahori_hecke_s3
+from oracles import bruhat_orbits, build_group, build_L, build_P, triple_block_span
 
 
 def test_flag_counts():
@@ -286,8 +285,6 @@ def test_sparse_products_equal_dense_products():
 
 
 def test_hecke_work_is_capped_before_enumeration(monkeypatch):
-    from spancalc.groupoid import SizeCapError
-
     with pytest.raises(SizeCapError):
         verify_hecke_relations(101)
     with pytest.raises(SizeCapError):
@@ -295,3 +292,19 @@ def test_hecke_work_is_capped_before_enumeration(monkeypatch):
     monkeypatch.setenv("SPANCALC_SIZE_CAP", "100")
     with pytest.raises(SizeCapError):
         flag_geometry(3)
+
+
+def test_relation_caps_name_the_allocation_or_the_work(monkeypatch):
+    check_caps(13)      # 2 * 2562 * 13^3 = 11257428 product terms
+    with pytest.raises(SizeCapError, match="relation product terms") as exc:
+        check_caps(17)  # 54298476 terms
+    assert exc.value.needed == 54298476
+    assert f"cap of {MAX_RELATION_TERMS}" in str(exc.value)
+    check_caps(17, relations=False)
+    # the rows of P and L, 2 * 2562 * 13 entries, are an allocation
+    monkeypatch.setenv("SPANCALC_SIZE_CAP", "20000")
+    with pytest.raises(SizeCapError, match="relation rows") as exc:
+        check_caps(13)
+    assert exc.value.needed == 2 * 2562 * 13
+    assert "SPANCALC_SIZE_CAP" in str(exc.value)
+    check_caps(13, relations=False)

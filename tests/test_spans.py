@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spancalc.actions import materialize
+from spancalc.exact import QSqrt
 from spancalc.groupoid import (
     FiniteGroupoid,
     GroupoidFunctor,
@@ -18,7 +19,6 @@ from spancalc.groupoid import (
 )
 from spancalc.spans import (
     GroupoidOverX,
-    QSqrt,
     RationalMatrix,
     SpanOfGroupoids,
     add_spans,
