@@ -12,9 +12,8 @@ Convention: ``mul(g, h)`` is the function composite "apply h, then g", so
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -201,8 +200,7 @@ def materialize(action: GroupAction) -> FiniteGroupoid:
     return FiniteGroupoid(n_s, src, tgt, identity, inverse, comp)
 
 
-@dataclass(frozen=True)
-class EquivariantSpan:
+class EquivariantSpan(NamedTuple):
     """Three actions of one group with equivariant maps apex -> left, right."""
 
     group: FiniteGroup

@@ -14,8 +14,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import SizeCapError
 from .groupoid import FiniteGroupoid, GroupoidFunctor, Rational
@@ -73,8 +73,7 @@ class _PermLevels:
         return off + self.index[n][_then(perms[m1 - off], perms[m2 - off])]
 
 
-@dataclass(frozen=True)
-class TruncatedE:
+class TruncatedE(NamedTuple):
     """Finite-sets groupoid truncated at cardinality N (inclusive)."""
 
     N: int
@@ -117,16 +116,14 @@ def build_E(N: int, classes_only: bool = False) -> TruncatedE:
     return TruncatedE(N, groupoid, levels)
 
 
-@dataclass(frozen=True)
-class StuffType:
+class StuffType(NamedTuple):
     """A groupoid over the truncated finite-sets groupoid."""
 
     over: GroupoidOverX
     E: TruncatedE
 
 
-@dataclass(frozen=True)
-class PowerSeriesVector:
+class PowerSeriesVector(NamedTuple):
     """Coefficients c_0 .. c_N of a truncated power series, exact."""
 
     coefficients: tuple[Fraction, ...]
@@ -247,8 +244,7 @@ def creation_span(E: TruncatedE) -> SpanOfGroupoids:
     return adjoint(annihilation_span(E))
 
 
-@dataclass(frozen=True)
-class CcrReport:
+class CcrReport(NamedTuple):
     ok: bool
     block: int
     discrepancies: tuple[tuple[int, int, Fraction], ...]

@@ -13,9 +13,8 @@ construction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .exact import _check_cap
 
@@ -364,8 +363,7 @@ def _check_endpoints(name: str, mors: tuple, want_src: Sequence[int],
                          f"not from {want_src[bad]} to {want_tgt[bad]}")
 
 
-@dataclass(frozen=True)
-class GroupoidFunctor:
+class GroupoidFunctor(NamedTuple):
     """A functor between finite groupoids, as object and morphism index maps."""
 
     domain: FiniteGroupoid
@@ -426,8 +424,8 @@ class GroupoidFunctor:
         Raises ``ValueError`` unless both maps have the domain's sizes,
         land in range, send each morphism to one between the images of its
         endpoints, and preserve every composite of the domain (so, between
-        groupoids, identities and inverses too); the checks are linear in
-        the domain's composition table.
+        groupoids, identities and inverses too), with one lookup in each
+        composition table, as ``from_json`` builds it, per composable pair.
         """
         obj_map = tuple(data["objects"])
         mor_map = tuple(data["morphisms"])
@@ -439,15 +437,15 @@ class GroupoidFunctor:
                          [obj_map[x] for x in domain.src],
                          [obj_map[x] for x in domain.tgt],
                          codomain.src, codomain.tgt)
-        for f, g, h in domain.composites():
-            if codomain.compose(mor_map[f], mor_map[g]) != mor_map[h]:
+        table = codomain._compose_map
+        for (f, g), h in domain._compose_map.items():
+            if table[mor_map[f], mor_map[g]] != mor_map[h]:
                 raise ValueError(f"morphism map does not preserve the "
                                  f"composite of {f} and {g}")
         return GroupoidFunctor(domain, codomain, obj_map, mor_map)
 
 
-@dataclass(frozen=True)
-class IsoClassTable:
+class IsoClassTable(NamedTuple):
     """Partition of a groupoid's objects into isomorphism classes.
 
     Classes are numbered in increasing order of their minimal object index,
@@ -471,10 +469,11 @@ class IsoClassTable:
 
 
 def iso_classes(g: FiniteGroupoid) -> IsoClassTable:
-    """Isomorphism classes via union-find over morphism endpoints."""
+    """Iso classes: union-find over the hom-sets x -> y with x != y."""
     uf = UnionFind(g.n_objects)
-    for m in range(g.n_morphisms):
-        uf.union(g.src[m], g.tgt[m])
+    for x, y in g._homs():
+        if x != y:
+            uf.union(x, y)
     roots: dict[int, int] = {}
     class_of = [0] * g.n_objects
     reps: list[int] = []
@@ -540,16 +539,17 @@ def validate_groupoid(g: FiniteGroupoid, max_violations: int = 50) -> list[str]:
         return type(v) is int and 0 <= v < bound
 
     bad_pairs: set[tuple[int, int]] = set()
+    compose_map, compose_fn = g._compose_map, g._compose_fn
 
     def comp(f: int, h: int) -> int | None:
-        """compose(f, h) if it is a morphism from src(f) to tgt(h); each
-        failing pair is reported once."""
+        """compose(f, h), for a composable pair, if it is a morphism from
+        src(f) to tgt(h); each failing pair is reported once."""
         if (f, h) in bad_pairs:
             return None
         try:
-            r = g.compose(f, h)
-            if is_index(r, n_mor) and g.src[r] == g.src[f] and \
-                    g.tgt[r] == g.tgt[h]:
+            r = compose_fn(f, h) if compose_map is None else compose_map[f, h]
+            if type(r) is int and 0 <= r < n_mor and g.src[r] == g.src[f] \
+                    and g.tgt[r] == g.tgt[h]:
                 return r
             msg = f"compose({f},{h})={r} has wrong endpoints"
         except (KeyError, IndexError, TypeError, ValueError):

@@ -33,8 +33,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import SizeCapError
 from .fq import (
@@ -107,17 +107,29 @@ def _orbit(start, moves) -> list:
 
 # -- quivers and representations ---------------------------------------------
 
-@dataclass(frozen=True)
 class Quiver:
-    """A directed graph whose underlying graph is a union of ADE diagrams."""
+    """A directed graph whose underlying graph is a union of ADE diagrams;
+    immutable, and equal to another with the same vertices and edges."""
 
-    n_vertices: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ("n_vertices", "edges")
 
-    def __post_init__(self):
-        problems = _ade_violations(self.n_vertices, self.edges)
+    def __init__(self, n_vertices: int, edges: tuple[tuple[int, int], ...]):
+        problems = _ade_violations(n_vertices, edges)
         if problems:
             raise ValueError("; ".join(problems))
+        object.__setattr__(self, "n_vertices", n_vertices)
+        object.__setattr__(self, "edges", edges)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a Quiver")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Quiver):
+            return NotImplemented
+        return (self.n_vertices, self.edges) == (other.n_vertices, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.n_vertices, self.edges))
 
 
 def _ade_violations(n: int, edges) -> list[str]:
@@ -199,16 +211,14 @@ def parse_quiver(name: str) -> Quiver:
                      f"(use a1, a2, a3:<dirs>, a4:<dirs>, d4)")
 
 
-@dataclass(frozen=True)
-class QuiverRep:
+class QuiverRep(NamedTuple):
     """Per-vertex dimensions with a matrix over F_q per edge."""
 
     dims: tuple[int, ...]
     mats: tuple[Matrix, ...]
 
 
-@dataclass(frozen=True)
-class RepClass:
+class RepClass(NamedTuple):
     """An isomorphism class of representations for one dimension vector."""
 
     dimvec: tuple[int, ...]

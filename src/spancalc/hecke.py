@@ -20,7 +20,7 @@ documented choice, emitted with every output.
 The route through the group itself, which enumerates SL(3, F_q) for
 q in {2, 3} and finds its orbits on flag pairs, is a test oracle and lives
 with the tests.  This module imports only ``spancalc.exact`` and
-``spancalc.fq``, and no ``dataclasses``: its records are named tuples.
+``spancalc.fq``, and its records are named tuples, as across the package.
 """
 
 from __future__ import annotations

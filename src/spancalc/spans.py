@@ -16,9 +16,8 @@ kept as the test oracle only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from .exact import _check_cap, aut_weight, format_rational
 from .groupoid import (
@@ -45,8 +44,7 @@ def _check_mode(mode: str) -> None:
 
 # -- vectors and matrices ----------------------------------------------------
 
-@dataclass(frozen=True)
-class RationalVector:
+class RationalVector(NamedTuple):
     """Exact function on the isomorphism classes of a base groupoid."""
 
     base: FiniteGroupoid
@@ -60,6 +58,8 @@ class RationalVector:
         if not isinstance(other, RationalVector):
             return NotImplemented
         return self.entries == other.entries
+
+    __ne__ = object.__ne__    # not tuple's, which compares every field
 
 
 class RationalMatrix:
@@ -145,8 +145,7 @@ class RationalMatrix:
 
 # -- spans -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpanOfGroupoids:
+class SpanOfGroupoids(NamedTuple):
     """Apex groupoid with left leg into Y and right leg into X (a span X -> Y)."""
 
     apex: FiniteGroupoid
@@ -172,8 +171,7 @@ class SpanOfGroupoids:
         return errors
 
 
-@dataclass(frozen=True)
-class GroupoidOverX:
+class GroupoidOverX(NamedTuple):
     """A groupoid equipped with a projection functor to a base groupoid."""
 
     total: FiniteGroupoid
@@ -182,8 +180,6 @@ class GroupoidOverX:
     @property
     def base(self) -> FiniteGroupoid:
         return self.projection.codomain
-
-
 
 
 # -- weak pullback -----------------------------------------------------------

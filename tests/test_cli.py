@@ -1,10 +1,14 @@
+import argparse
+import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +76,57 @@ def test_malformed_json_exits_2(tmp_path):
 def test_missing_file_exits_2():
     result = run_cli("card", "/nonexistent/g.json")
     assert result.returncode == 2
+
+
+@pytest.fixture
+def span_file(tmp_path):
+    path = tmp_path / "span.json"
+    path.write_text(json.dumps(span_to_json(annihilation_span(build_E(2)))))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["degroupoidify", "--span", "{span}", "-o", "{out}"],
+    ["degroupoidify", "--span", "{span}", "--csv", "-o", "{out}"],
+    ["compose", "--first", "{span}", "--second", "{span}", "-o", "{out}"],
+    ["hecke", "--q", "2", "--constants", "{out}"],
+    ["hall", "--quiver", "a2", "--q", "2", "--dmax", "1,0", "--table",
+     "{out}"],
+])
+@pytest.mark.parametrize("out", ["missing directory", "directory"])
+def test_unwritable_output_path_exits_2_naming_it(argv, out, span_file,
+                                                  tmp_path, capsys):
+    path = tmp_path / "no such dir" / "x.json" if out == "missing directory" \
+        else tmp_path
+    argv = [a.format(span=span_file, out=path) for a in argv]
+    assert cli.main(argv) == 2     # in-process: an escaped OSError fails
+    captured = capsys.readouterr()
+    assert f"error: {path}: cannot write (" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{input}"],
+    ["card", "{input}"],
+    ["degroupoidify", "--span", "{input}"],
+    ["compose", "--first", "{span}", "--second", "{input}"],
+])
+@pytest.mark.parametrize("kind, message", [
+    ("directory", "cannot read ("),
+    ("missing", "cannot read (No such file"),
+    ("binary", "not UTF-8 text ("),
+])
+def test_unreadable_input_exits_2_naming_it(argv, kind, message, span_file,
+                                            tmp_path, capsys):
+    path = {"directory": tmp_path, "missing": tmp_path / "missing.json",
+            "binary": tmp_path / "image.png"}[kind]
+    if kind == "binary":
+        path.write_bytes(b"\x89PNG\r\n\x1a\n\x00")
+    argv = [a.format(span=span_file, input=path) for a in argv]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {path}: {message}" in captured.err
+    assert captured.out == ""
 
 
 def test_degroupoidify_span_file(tmp_path):
@@ -366,31 +421,8 @@ def test_hecke_run_leaves_numpy_out(tmp_path):
 
 @pytest.mark.parametrize("command", ["fock", "card", "compose",
                                      "degroupoidify", "hecke", "hall"])
-def test_subcommand_run_leaves_numpy_out(command, tmp_path):
-    span = tmp_path / "span.json"
-    span.write_text(json.dumps(span_to_json(annihilation_span(build_E(3)))))
-    groupoid = tmp_path / "z2.json"
-    groupoid.write_text(json.dumps(
-        FiniteGroupoid.from_group_table(cyclic_table(2)).to_json()))
-    argv = {
-        "fock": ["fock", "--truncate", "4", "--check-ccr", "--json"],
-        "card": ["card", str(groupoid)],
-        "compose": ["compose", "--first", str(span), "--second", str(span),
-                    "-o", str(tmp_path / "composite.json")],
-        "degroupoidify": ["degroupoidify", "--span", str(span),
-                          "--alpha", "1/2"],
-        "hecke": ["hecke", "--q", "2", "--verify", "--constants",
-                  str(tmp_path / "constants.json")],
-        "hall": ["hall", "--quiver", "a2", "--q", "3", "--dmax", "2,1",
-                 "--table", str(tmp_path / "table.json")],
-    }[command]
-    code = ("import sys; from spancalc import cli; "
-            f"status = cli.main({argv!r}); "
-            "print('numpy' in sys.modules); sys.exit(status)")
-    result = subprocess.run([sys.executable, "-c", code],
-                            capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "False"
+def test_subcommand_run_leaves_numpy_out(command, loaded_modules):
+    assert "numpy" not in loaded_modules(command)
 
 
 def _modules_after(code: str) -> set[str]:
@@ -415,18 +447,90 @@ def test_cli_import_loads_only_the_exact_core():
         "spancalc.cli", "spancalc.exact"}
 
 
+# one successful run of each subcommand; {tmp} holds z2.json and span.json
+SUBCOMMAND_ARGV = {
+    "hecke": ["hecke", "--q", "2", "--verify", "--constants",
+              "{tmp}/constants.json"],
+    "hall": ["hall", "--quiver", "a2", "--q", "3", "--dmax", "2,1",
+             "--table", "{tmp}/table.json"],
+    "check": ["check", "{tmp}/z2.json"],
+    "card": ["card", "{tmp}/z2.json"],
+    "compose": ["compose", "--first", "{tmp}/span.json", "--second",
+                "{tmp}/span.json", "-o", "{tmp}/composite.json"],
+    "degroupoidify": ["degroupoidify", "--span", "{tmp}/span.json",
+                      "--alpha", "1/2"],
+    "fock": ["fock", "--truncate", "4", "--check-ccr", "--json"],
+}
+
+# dataclasses would pull in inspect, and with it ast and dis
+NEVER_LOADED = {"spancalc.actions", "dataclasses", "inspect", "numpy"}
+
+
+@pytest.fixture(scope="module")
+def loaded_modules(tmp_path_factory):
+    """The modules a fresh interpreter holds after running a subcommand's
+    ``SUBCOMMAND_ARGV`` through ``cli.main``, which must succeed; each
+    subcommand runs once per module."""
+    tmp = tmp_path_factory.mktemp("runs")
+    (tmp / "z2.json").write_text(json.dumps(
+        FiniteGroupoid.from_group_table(cyclic_table(2)).to_json()))
+    (tmp / "span.json").write_text(json.dumps(
+        span_to_json(annihilation_span(build_E(3)))))
+    runs: dict[str, set[str]] = {}
+
+    def loaded(command: str) -> set[str]:
+        if command not in runs:
+            argv = [a.format(tmp=tmp) for a in SUBCOMMAND_ARGV[command]]
+            runs[command] = _modules_after(
+                f"from spancalc import cli; status = cli.main({argv!r}); "
+                "assert status == 0, status")
+        return runs[command]
+
+    return loaded
+
+
 @pytest.mark.parametrize("argv, absent", [
-    (["hecke", "--q", "2", "--verify", "--constants", "{out}"],
-     {"spancalc.groupoid", "spancalc.spans", "spancalc.actions",
-      "dataclasses", "numpy"}),
-    (["hall", "--quiver", "a2", "--q", "3", "--dmax", "2,1"],
-     {"spancalc.groupoid", "spancalc.spans", "spancalc.actions", "numpy"}),
-])
-def test_subcommand_run_loads_only_its_modules(argv, absent, tmp_path):
-    argv = [a.format(out=tmp_path / "out.json") for a in argv]
-    code = (f"from spancalc import cli; status = cli.main({argv!r}); "
-            "assert status == 0, status")
-    assert not _modules_after(code) & absent
+    (SUBCOMMAND_ARGV[command], NEVER_LOADED | extra)
+    for command, extra in [
+        ("hecke", {"spancalc.groupoid", "spancalc.spans"}),
+        ("hall", {"spancalc.groupoid", "spancalc.spans"}),
+        ("check", {"spancalc.spans", "spancalc.fq"}),
+        ("card", {"spancalc.spans", "spancalc.fq"}),
+        ("compose", {"spancalc.fock", "spancalc.fq"}),
+        ("degroupoidify", {"spancalc.fock", "spancalc.fq"}),
+        ("fock", {"spancalc.fq", "spancalc.hall", "spancalc.hecke"}),
+    ]])
+def test_subcommand_run_loads_only_its_modules(argv, absent, loaded_modules):
+    assert not loaded_modules(argv[0]) & absent
+
+
+def _readme_module_table() -> dict[str, set[str]]:
+    """README's "subcommand | spancalc modules loaded" table: per
+    subcommand, the modules named in its row."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| subcommand | spancalc modules loaded |")
+    table = {}
+    for row in itertools.takewhile(lambda line: line.startswith("|"),
+                                   lines[start + 2:]):
+        commands, modules = row.strip("|").split("|")
+        for command in re.findall(r"`([^`]+)`", commands):
+            table[command] = set(re.findall(r"`([^`]+)`", modules))
+    return table
+
+
+def test_readme_module_table_lists_every_subcommand():
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(_readme_module_table()) == set(subparsers.choices) \
+        == set(SUBCOMMAND_ARGV)
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
+def test_readme_module_table_matches_the_modules_loaded(command,
+                                                        loaded_modules):
+    loaded = {m.removeprefix("spancalc.")
+              for m in _package_modules(loaded_modules(command))}
+    assert _readme_module_table()[command] == loaded
 
 
 @pytest.mark.parametrize("dmax", ["1,1", "0,0"])
