@@ -1,131 +1,69 @@
 """Finite group actions and implicit action groupoids.
 
+A group is a one-object ``FiniteGroupoid`` whose morphisms are its elements
+(BHW §2), built with ``FiniteGroupoid.from_group_table`` or, for a group too
+large to tabulate, with a callable composite.  An action is a table with one
+row of point images per element; since ``compose(g, h)`` reads "g, then h",
+``act[compose(g, h)][s] == act[h][act[g][s]]``.
+
 A group action S//G never needs to be materialized to be degroupoidified:
 its isomorphism classes are the orbits and the automorphism counts are the
 stabilizer orders.  The materialized path (a genuine action groupoid run
 through the generic span machinery) exists as a cross-check oracle.
-
-Convention: ``mul(g, h)`` is the function composite "apply h, then g", so
-``act(g, act(h, s)) == act(mul(g, h), s)``.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
+from typing import NamedTuple, Sequence
 
 from .exact import _check_cap
 from .groupoid import FiniteGroupoid, GroupoidFunctor, IsoClassTable
 from .spans import RationalMatrix, SpanOfGroupoids, degroupoidify_classes
 
 
-class FiniteGroup:
-    """A finite group given by a full element table.
-
-    The multiplication map may be backed by an explicit table or by a
-    callable (used for matrix groups whose full table would be large);
-    either way every element is materialized and indexed.
-    """
-
-    def __init__(self, order: int, mul: Sequence[Sequence[int]] | Callable[[int, int], int],
-                 identity: int, inverse: Sequence[int]):
-        self.order = order
-        if callable(mul):
-            self._mul_table = None
-            self._mul_fn = mul
-        else:
-            self._mul_table = [tuple(row) for row in mul]
-            self._mul_fn = None
-        self.identity = identity
-        self.inverse = tuple(inverse)
-
-    def mul(self, g: int, h: int) -> int:
-        """Product g*h, meaning "h first, then g"."""
-        if self._mul_table is not None:
-            return self._mul_table[g][h]
-        return self._mul_fn(g, h)
-
-    def validate(self) -> list[str]:
-        """Exhaustive group-axiom check; meant for small orders."""
-        n = self.order
-        errors = []
-        for a in range(n):
-            if self.mul(self.identity, a) != a or self.mul(a, self.identity) != a:
-                errors.append(f"identity fails at {a}")
-            if self.mul(a, self.inverse[a]) != self.identity or \
-                    self.mul(self.inverse[a], a) != self.identity:
-                errors.append(f"inverse fails at {a}")
-        for a in range(n):
-            for b in range(n):
-                ab = self.mul(a, b)
-                if not (0 <= ab < n):
-                    errors.append(f"product ({a},{b}) out of range")
-                    continue
-                for c in range(n):
-                    if self.mul(ab, c) != self.mul(a, self.mul(b, c)):
-                        errors.append(f"associativity fails at ({a},{b},{c})")
-                        if len(errors) > 20:
-                            return errors
-        return errors
-
-    def __repr__(self) -> str:
-        return f"FiniteGroup(order={self.order})"
-
-    # -- constructors --------------------------------------------------
-
-    @staticmethod
-    def trivial() -> "FiniteGroup":
-        return FiniteGroup(1, [[0]], 0, [0])
-
-    @staticmethod
-    def cyclic(n: int) -> "FiniteGroup":
-        mul = [[(a + b) % n for b in range(n)] for a in range(n)]
-        return FiniteGroup(n, mul, 0, [(n - a) % n for a in range(n)])
-
-    @staticmethod
-    def symmetric(n: int) -> "FiniteGroup":
-        perms = list(itertools.permutations(range(n)))
-        index = {p: i for i, p in enumerate(perms)}
-        mul = [[index[tuple(a[b[i]] for i in range(n))] for b in perms]
-               for a in perms]
-        e = index[tuple(range(n))]
-        inv = [index[tuple(sorted(range(n), key=lambda i: p[i]))]
-               for p in perms]
-        return FiniteGroup(len(perms), mul, e, inv)
-
-
 class GroupAction:
-    """A finite group acting on an indexed finite set, as a full table."""
+    """A finite group acting on an indexed finite set, as a full table:
+    ``act[g][s]`` is the image of point s under element g."""
 
-    def __init__(self, group: FiniteGroup, act: Sequence[Sequence[int]] | np.ndarray):
+    def __init__(self, group: FiniteGroupoid, act: Sequence[Sequence[int]]):
+        if group.n_objects != 1:
+            raise ValueError(f"a group is a one-object groupoid, not one "
+                             f"with {group.n_objects} objects")
         self.group = group
-        self.act = np.asarray(act, dtype=np.int64).reshape(group.order, -1)
-        self.n_points = int(self.act.shape[1])
+        self.act = tuple(tuple(row) for row in act)
+        if len(self.act) != group.n_morphisms:
+            raise ValueError(f"{len(self.act)} action rows for a group of "
+                             f"order {group.n_morphisms}")
+        widths = sorted({len(row) for row in self.act})
+        if len(widths) > 1:
+            raise ValueError(f"action rows of unequal lengths {widths}")
+        self.n_points = widths[0]
         self._orbits: IsoClassTable | None = None
 
-    def __call__(self, g: int, s: int) -> int:
-        return int(self.act[g, s])
-
     def validate(self) -> list[str]:
-        errors = []
-        e = self.group.identity
-        if not np.array_equal(self.act[e], np.arange(self.n_points)):
+        n = self.n_points
+        errors = [f"act({g}, {s})={x} is not a point"
+                  for g, row in enumerate(self.act)
+                  for s, x in enumerate(row) if not 0 <= x < n]
+        if errors:
+            return errors[:10]
+        if self.act[self.group.identity[0]] != tuple(range(n)):
             errors.append("identity does not act trivially")
-        for g in range(self.group.order):
-            for h in range(self.group.order):
-                gh = self.group.mul(g, h)
-                if not np.array_equal(self.act[g][self.act[h]], self.act[gh]):
-                    errors.append(f"act({g}, act({h}, -)) != act({g}{h}, -)")
+        for g, row_g in enumerate(self.act):
+            for h, row_h in enumerate(self.act):
+                gh = self.group.compose(g, h)
+                if tuple(row_h[x] for x in row_g) != self.act[gh]:
+                    errors.append(f"act({h}, act({g}, -)) != "
+                                  f"act(compose({g}, {h})={gh}, -)")
                     if len(errors) > 10:
                         return errors
         return errors
 
     def stabilizer_order(self, point: int) -> int:
         """Direct scan over all group elements."""
-        return int(np.count_nonzero(self.act[:, point] == point))
+        return sum(row[point] == point for row in self.act)
 
     def orbits(self) -> IsoClassTable:
         """The iso classes of S//G, cached; see ``orbit_table``."""
@@ -137,35 +75,33 @@ class GroupAction:
         """Action on an invariant subset, reindexed to 0..len(points)-1."""
         points = sorted(points)
         pos = {p: i for i, p in enumerate(points)}
-        sub = np.empty((self.group.order, len(points)), dtype=np.int64)
-        for i, p in enumerate(points):
-            col = self.act[:, p]
-            for g in range(self.group.order):
-                q = int(col[g])
-                if q not in pos:
-                    raise ValueError(f"subset is not invariant: {p} -> {q}")
-                sub[g, i] = pos[q]
+        try:
+            sub = [[pos[row[p]] for p in points] for row in self.act]
+        except KeyError as exc:
+            raise ValueError(f"subset is not invariant: it lacks the image "
+                             f"{exc.args[0]}") from None
         return GroupAction(self.group, sub)
 
 
-def orbit_table(act: np.ndarray) -> IsoClassTable:
+def orbit_table(rows: Sequence[Sequence[int]]) -> IsoClassTable:
     """The iso classes of S//G from an action table with one row per group
     element: the orbits, ordered by their least point, with the
     stabilizer orders as automorphism orders.
 
     The table lists every group element, so the orbit of s is exactly the
-    column ``act[:, s]`` and its minimum is the canonical representative.
+    column of s and its minimum is the canonical representative.
     Raises AssertionError unless orbit-stabilizer holds, i.e. the sum of
     1/|Stab| over the orbits is n_points / n_rows; a table that is not a
     group action can break it.
     """
-    n_rows, n_points = act.shape
-    reps, class_of, sizes = np.unique(act.min(axis=0), return_inverse=True,
-                                      return_counts=True)
-    stabs = np.count_nonzero(act[:, reps] == reps, axis=0)
-    table = IsoClassTable(tuple(class_of.tolist()), tuple(reps.tolist()),
-                          tuple(stabs.tolist()), tuple(sizes.tolist()))
-    expected = Fraction(n_points, n_rows)
+    least = [min(column) for column in zip(*rows)]
+    sizes = Counter(least)
+    reps = sorted(sizes)
+    number = {r: i for i, r in enumerate(reps)}
+    stabs = tuple(sum(row[r] == r for row in rows) for r in reps)
+    table = IsoClassTable(tuple(number[m] for m in least), tuple(reps),
+                          stabs, tuple(sizes[r] for r in reps))
+    expected = Fraction(len(least), len(rows))
     if table.cardinality != expected:
         raise AssertionError(
             f"orbit-stabilizer bookkeeping broke: {table.cardinality} != "
@@ -180,22 +116,21 @@ def weak_quotient(action: GroupAction) -> IsoClassTable:
 
 
 def materialize(action: GroupAction) -> FiniteGroupoid:
-    """The action groupoid: objects are points, morphisms are (g, s): s -> gs."""
-    n_g = action.group.order
+    """The action groupoid: objects are points, and morphism
+    g * n_points + s is (g, s): s -> gs."""
+    group = action.group
+    n_g = group.n_morphisms
     n_s = action.n_points
     _check_cap("action groupoid morphisms", n_g * n_s)
-    group = action.group
-    act = action.act
-
-    src = tuple(int(m % n_s) for m in range(n_g * n_s))
-    tgt = tuple(int(act[m // n_s, m % n_s]) for m in range(n_g * n_s))
-    identity = tuple(group.identity * n_s + s for s in range(n_s))
-    inverse = tuple(group.inverse[m // n_s] * n_s + int(act[m // n_s, m % n_s])
-                    for m in range(n_g * n_s))
+    src = tuple(range(n_s)) * n_g
+    tgt = tuple(x for row in action.act for x in row)
+    identity = tuple(group.identity[0] * n_s + s for s in range(n_s))
+    inverse = tuple(group.inverse[g] * n_s + x
+                    for g, row in enumerate(action.act) for x in row)
 
     def comp(f: int, k: int) -> int:
-        # (g, s): s -> gs, then (h, gs): gs -> (hg)s
-        return group.mul(k // n_s, f // n_s) * n_s + f % n_s
+        # (g, s): s -> gs, then (h, gs): gs -> (g then h)s
+        return group.compose(f // n_s, k // n_s) * n_s + f % n_s
 
     return FiniteGroupoid(n_s, src, tgt, identity, inverse, comp)
 
@@ -203,7 +138,7 @@ def materialize(action: GroupAction) -> FiniteGroupoid:
 class EquivariantSpan(NamedTuple):
     """Three actions of one group with equivariant maps apex -> left, right."""
 
-    group: FiniteGroup
+    group: FiniteGroupoid
     apex: GroupAction
     left: GroupAction
     right: GroupAction
@@ -212,14 +147,13 @@ class EquivariantSpan(NamedTuple):
 
     def validate(self) -> list[str]:
         errors = []
-        lm = np.asarray(self.left_map)
-        rm = np.asarray(self.right_map)
-        for g in range(self.group.order):
-            if not np.array_equal(lm[self.apex.act[g]], self.left.act[g][lm]):
-                errors.append(f"left map is not equivariant at element {g}")
-            if not np.array_equal(rm[self.apex.act[g]], self.right.act[g][rm]):
-                errors.append(f"right map is not equivariant at element {g}")
-            if errors and len(errors) > 10:
+        for g, row in enumerate(self.apex.act):
+            for side, foot, leg in (("left", self.left, self.left_map),
+                                    ("right", self.right, self.right_map)):
+                if [leg[s] for s in row] != [foot.act[g][x] for x in leg]:
+                    errors.append(f"{side} map is not equivariant at "
+                                  f"element {g}")
+            if len(errors) > 10:
                 break
         return errors
 

@@ -42,6 +42,10 @@ def _load_json(path: str) -> dict:
                          f"column {exc.colno}: {exc.msg}")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc})")
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply")
+    except ValueError as exc:       # such as an integer past the digit limit
+        raise InputError(f"{path}: unreadable JSON ({exc})")
 
 
 def _write_output(text: str, path: str | None) -> None:

@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from spancalc.actions import (EquivariantSpan, FiniteGroup, GroupAction,
-                              materialize_span, orbit_table)
+from spancalc.actions import (EquivariantSpan, GroupAction, materialize_span,
+                              orbit_table)
 from spancalc.groupoid import (
     FiniteGroupoid,
     GroupoidFunctor,
@@ -56,7 +56,7 @@ def random_groupoid(rng: random.Random, max_objects: int = 8) -> FiniteGroupoid:
 def random_cyclic_action(rng: random.Random, k: int, n_points: int
                          ) -> GroupAction:
     """Z/k acting on n_points via a permutation of order dividing k."""
-    group = FiniteGroup.cyclic(k)
+    group = FiniteGroupoid.from_group_table(cyclic_table(k))
     divisors = [d for d in range(1, k + 1) if k % d == 0]
     points = list(range(n_points))
     rng.shuffle(points)
@@ -80,7 +80,7 @@ def random_equivariant_span(rng: random.Random, k: int,
     """Apex: a random invariant set of (left, right) point pairs."""
     nl, nr = left.n_points, right.n_points
     pair_act = [
-        [int(left.act[g, p // nr]) * nr + int(right.act[g, p % nr])
+        [left.act[g][p // nr] * nr + right.act[g][p % nr]
          for p in range(nl * nr)]
         for g in range(k)
     ]
@@ -90,9 +90,7 @@ def random_equivariant_span(rng: random.Random, k: int,
     points = [p for p in range(nl * nr)
               if orbit_table.class_of[p] in chosen]
     if not points:
-        points = [0]
-        points = sorted(set(
-            int(pair_action.act[g, 0]) for g in range(k)))
+        points = sorted({row[0] for row in pair_action.act})
     apex = pair_action.restrict(points)
     return EquivariantSpan(
         left.group, apex, left, right,
@@ -199,8 +197,9 @@ def group_route_constants(hg, alpha: int = 0):
     stab = orbits.aut_order
     for w in range(k):
         x1, x3 = divmod(orbits.representative[w], n)
-        h_elems = np.nonzero((act[:, x1] == x1) & (act[:, x3] == x3))[0]
-        middle = orbit_table(act[h_elems])     # H_w acting on the middle flag
+        # H_w, the stabilizer of the pair, acting on the middle flag
+        middle = orbit_table([row for row in act
+                              if row[x1] == x1 and row[x3] == x3])
         for rep, stab_triple in zip(middle.representative, middle.aut_order):
             u = orbit_of[x1 * n + rep]
             v = orbit_of[rep * n + x3]

@@ -1,11 +1,14 @@
 """The SL(3, F_q) route to the A2 Hecke algebra, kept as a test oracle.
 
-``build_group`` enumerates SL(3, F_q) for q in {2, 3} with its action on
-flags, ``bruhat_orbits`` finds its orbits on flag pairs with the generic
+``build_group`` enumerates SL(3, F_q) for q in {2, 3} as a one-object
+groupoid with a callable composite, with its action on flags as a table of
+tuples.  ``bruhat_orbits`` finds its orbits on flag pairs with the generic
 orbit kernel of ``spancalc.actions``, and ``triple_block_span`` gives one
-tensor entry as an equivariant span.  ``build_P`` and ``build_L`` are the
-relations as dense matrices.  ``spancalc.hecke`` reaches the same numbers
-from flag incidence alone, without listing a group element.
+tensor entry as an equivariant span.  Both tabulate the action on pairs,
+|G| n^2 entries, which is 74k at q = 2 but 15.2M at q = 3, so tests run
+them at q = 2 only.  ``build_P`` and ``build_L`` are the relations as dense
+numpy matrices.  ``spancalc.hecke`` reaches the same numbers from flag
+incidence alone, without listing a group element.
 """
 
 from __future__ import annotations
@@ -15,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spancalc.actions import (EquivariantSpan, FiniteGroup, GroupAction,
-                              orbit_table)
-from spancalc.groupoid import IsoClassTable
+from spancalc.actions import EquivariantSpan, GroupAction, orbit_table
+from spancalc.groupoid import FiniteGroupoid, IsoClassTable
 from spancalc.hecke import (FlagGeometry, Rows, _normalize, _pair_label,
                             flag_geometry, relation_rows)
 
@@ -64,11 +66,11 @@ def _matmul3(m1: tuple, m2: tuple, q: int) -> tuple:
 
 @dataclass
 class HeckeGroup:
-    """SL(3, F_q) with its action on the flag set."""
+    """SL(3, F_q), a one-object groupoid, with its action on the flag set."""
 
     q: int
     geometry: FlagGeometry
-    group: FiniteGroup
+    group: FiniteGroupoid
     elements: tuple  # 3x3 matrices as flat 9-tuples, lexicographically sorted
     action: GroupAction
 
@@ -84,15 +86,17 @@ def build_group(q: int) -> HeckeGroup:
     identity = index[(1, 0, 0, 0, 1, 0, 0, 0, 1)]
     inverse = [index[_adjugate3(m, q)] for m in elements]
 
-    def mul(a: int, b: int) -> int:
-        # "b first, then a": matrices act on column vectors from the left
-        return index[_matmul3(elements[a], elements[b], q)]
+    def compose(a: int, b: int) -> int:
+        # "a, then b": matrices act on column vectors from the left
+        return index[_matmul3(elements[b], elements[a], q)]
 
-    group = FiniteGroup(len(elements), mul, identity, inverse)
+    n = len(elements)
+    group = FiniteGroupoid(1, (0,) * n, (0,) * n, (identity,), inverse,
+                           compose)
 
     point_index = {p: i for i, p in enumerate(geo.points)}
-    act = np.empty((len(elements), geo.n_flags), dtype=np.int64)
-    for gi, m in enumerate(elements):
+    act = []
+    for m in elements:
         inv = _adjugate3(m, q)
         pperm = []
         for p in geo.points:
@@ -104,8 +108,8 @@ def build_group(q: int) -> HeckeGroup:
             img = tuple(sum(cvec[r] * inv[3 * r + c] for r in range(3)) % q
                         for c in range(3))
             lperm.append(point_index[_normalize(img, q)])
-        for fi, (pi, li) in enumerate(geo.flags):
-            act[gi, fi] = geo.flag_index[(pperm[pi], lperm[li])]
+        act.append([geo.flag_index[(pperm[pi], lperm[li])]
+                    for pi, li in geo.flags])
     return HeckeGroup(q, geo, group, elements, GroupAction(group, act))
 
 
@@ -117,10 +121,8 @@ def bruhat_orbits(hg: HeckeGroup | int
         hg = build_group(hg)
     geo = hg.geometry
     n = geo.n_flags
-    act = hg.action.act
-    pair_images = act[:, :, None] * n + act[:, None, :]
-    # a view of the fresh array: the pair table is never copied
-    table = orbit_table(pair_images.reshape(len(act), n * n))
+    table = orbit_table([[a * n + b for a in row for b in row]
+                         for row in hg.action.act])
     labels = tuple(_pair_label(geo, geo.flags[r // n], geo.flags[r % n])
                    for r in table.representative)
     return table, labels
@@ -152,20 +154,12 @@ def triple_block_span(hg: HeckeGroup, u: str, v: str, w: str
     triples.sort()
     t_index = {t: i for i, t in enumerate(triples)}
     act = hg.action.act
-    n_g = hg.group.order
-    apex_act = np.empty((n_g, len(triples)), dtype=np.int64)
-    for gi in range(n_g):
-        row = act[gi]
-        for ti, (a, b, c) in enumerate(triples):
-            apex_act[gi, ti] = t_index[(int(row[a]), int(row[b]), int(row[c]))]
+    apex_act = [[t_index[(row[a], row[b], row[c])] for a, b, c in triples]
+                for row in act]
     pair_pos = {p: i for i, p in enumerate(w_points)}
-    right_act = np.empty((n_g, len(w_points)), dtype=np.int64)
-    for gi in range(n_g):
-        row = act[gi]
-        for pi, p in enumerate(w_points):
-            x1, x3 = divmod(p, n)
-            right_act[gi, pi] = pair_pos[int(row[x1]) * n + int(row[x3])]
-    left_act = np.zeros((n_g, 1), dtype=np.int64)
+    right_act = [[pair_pos[row[p // n] * n + row[p % n]] for p in w_points]
+                 for row in act]
+    left_act = [[0]] * len(act)
     return EquivariantSpan(
         hg.group,
         GroupAction(hg.group, apex_act),

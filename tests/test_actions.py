@@ -1,12 +1,10 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from spancalc.actions import (
     EquivariantSpan,
-    FiniteGroup,
     GroupAction,
     degroupoidify_equivariant,
     materialize,
@@ -14,27 +12,39 @@ from spancalc.actions import (
     orbit_table,
     weak_quotient,
 )
-from spancalc.groupoid import cardinality, iso_classes, skeleton, validate_groupoid
+from spancalc.groupoid import (
+    FiniteGroupoid,
+    cardinality,
+    cyclic_table,
+    iso_classes,
+    skeleton,
+    symmetric_table,
+    validate_groupoid,
+)
 from spancalc.spans import degroupoidify_span
 
 from helpers import random_cyclic_action, random_equivariant_span
 
 
+Z2 = FiniteGroupoid.from_group_table(cyclic_table(2))
+
+
 def folding_action(n_points: int) -> GroupAction:
     """Z/2 acting by the reflection i -> n-1-i."""
-    z2 = FiniteGroup.cyclic(2)
-    return GroupAction(z2, [list(range(n_points)),
+    return GroupAction(Z2, [list(range(n_points)),
                             list(reversed(range(n_points)))])
 
 
 def test_group_constructors_are_groups():
-    for g in (FiniteGroup.trivial(), FiniteGroup.cyclic(5),
-              FiniteGroup.symmetric(3)):
-        assert g.validate() == []
+    for g in (FiniteGroupoid.terminal(),
+              FiniteGroupoid.from_group_table(cyclic_table(5)),
+              FiniteGroupoid.from_group_table(symmetric_table(3))):
+        assert g.n_objects == 1
+        assert validate_groupoid(g) == []
 
 
 def test_trivial_action_on_one_point():
-    g = FiniteGroup.symmetric(3)
+    g = FiniteGroupoid.from_group_table(symmetric_table(3))
     act = GroupAction(g, [[0]] * 6)
     table = weak_quotient(act)
     assert table.n_classes == 1
@@ -43,8 +53,7 @@ def test_trivial_action_on_one_point():
 
 
 def test_folding_of_six_is_three():
-    act = GroupAction(FiniteGroup.cyclic(2),
-                      [[0, 1, 2, 3, 4, 5], [3, 4, 5, 0, 1, 2]])
+    act = GroupAction(Z2, [[0, 1, 2, 3, 4, 5], [3, 4, 5, 0, 1, 2]])
     assert weak_quotient(act).cardinality == 3
 
 
@@ -57,7 +66,7 @@ def test_folding_of_five_is_five_halves():
 def test_orbit_table_rejects_a_table_that_is_not_a_group_action():
     # the rows are not closed under composition: sum 1/|Stab| = 3/2, not 1
     with pytest.raises(AssertionError):
-        orbit_table(np.array([[0, 1, 2], [1, 0, 2], [0, 2, 1]]))
+        orbit_table([[0, 1, 2], [1, 0, 2], [0, 2, 1]])
 
 
 def test_orbit_stabilizer_identity():
@@ -117,9 +126,40 @@ def test_identity_equivariant_span():
 
 
 def test_action_validation_catches_bad_table():
-    z2 = FiniteGroup.cyclic(2)
-    bad = GroupAction(z2, [[0, 1], [1, 1]])   # non-bijective row
+    bad = GroupAction(Z2, [[0, 1], [1, 1]])   # non-bijective row
     assert bad.validate() != []
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[0, 1], [1, 0], [0, 1], [1, 0]], "4 action rows for a group of order 2"),
+    ([[0, 1]], "1 action rows for a group of order 2"),
+    ([[0, 1], [1, 0, 2]], r"action rows of unequal lengths \[2, 3\]"),
+], ids=["four rows", "one row", "ragged"])
+def test_action_table_must_fit_the_group(rows, message):
+    with pytest.raises(ValueError, match=message):
+        GroupAction(Z2, rows)
+
+
+def test_action_on_a_groupoid_with_two_objects_is_rejected():
+    with pytest.raises(ValueError, match="one-object groupoid"):
+        GroupAction(FiniteGroupoid.discrete(2), [[0], [0]])
+
+
+def test_action_validation_reports_points_out_of_range():
+    assert GroupAction(Z2, [[0, 1], [1, 5]]).validate() == [
+        "act(1, 1)=5 is not a point"]
+    assert GroupAction(Z2, [[0, -1], [1, 0]]).validate() == [
+        "act(0, 1)=-1 is not a point"]
+
+
+def test_action_validation_names_the_composite():
+    # Z/3 acting on 3 points by the rotation for 1 and by the same rotation
+    # again for 2, where the action needs its inverse
+    z3 = FiniteGroupoid.from_group_table(cyclic_table(3))
+    bad = GroupAction(z3, [[0, 1, 2], [1, 2, 0], [1, 2, 0]])
+    errors = bad.validate()
+    assert "act(1, act(1, -)) != act(compose(1, 1)=2, -)" in errors
+    assert all("compose(" in e for e in errors)
 
 
 def test_restrict_requires_invariant_subset():

@@ -115,13 +115,20 @@ def test_unwritable_output_path_exits_2_naming_it(argv, out, span_file,
     ("directory", "cannot read ("),
     ("missing", "cannot read (No such file"),
     ("binary", "not UTF-8 text ("),
+    ("deep", "JSON nested too deeply"),
+    ("long integer", "unreadable JSON (Exceeds the limit"),
 ])
 def test_unreadable_input_exits_2_naming_it(argv, kind, message, span_file,
                                             tmp_path, capsys):
     path = {"directory": tmp_path, "missing": tmp_path / "missing.json",
-            "binary": tmp_path / "image.png"}[kind]
+            "binary": tmp_path / "image.png", "deep": tmp_path / "deep.json",
+            "long integer": tmp_path / "long.json"}[kind]
     if kind == "binary":
         path.write_bytes(b"\x89PNG\r\n\x1a\n\x00")
+    elif kind == "deep":
+        path.write_text("[" * 200_000)
+    elif kind == "long integer":
+        path.write_text('{"objects": ' + "9" * 5000 + "}")
     argv = [a.format(span=span_file, input=path) for a in argv]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
@@ -436,6 +443,19 @@ def _modules_after(code: str) -> set[str]:
 
 def _package_modules(modules: set[str]) -> set[str]:
     return {m for m in modules if m.startswith("spancalc.")}
+
+
+def test_every_module_imports_without_numpy():
+    # numpy = None makes each import of numpy raise ImportError
+    code = ("import sys; sys.modules['numpy'] = None; "
+            "import importlib, pkgutil, spancalc; "
+            "names = [m.name for m in pkgutil.iter_modules(spancalc.__path__)]; "
+            "[importlib.import_module('spancalc.' + n) for n in names]; "
+            "print(' '.join(names))")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert {"actions", "cli", "hall", "hecke"} <= set(result.stdout.split())
 
 
 def test_package_import_loads_no_submodule():

@@ -1,7 +1,6 @@
 import itertools
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from spancalc.actions import orbit_table
@@ -182,7 +181,7 @@ def test_ses_pair_weak_quotient_route_q2():
                     triples = list(itertools.product(aut_n, aut_e, aut_m))
                     table = [[index[act_pair(a, b, c, fg)] for fg in pairs]
                              for (a, b, c) in triples]
-                    card = orbit_table(np.array(table)).cardinality
+                    card = orbit_table(table).cardinality
                     assert card == Fraction(len(pairs),
                                             N.aut_order * E.aut_order * M.aut_order)
                     assert E.aut_order * card == direct.get(E.key, 0)
