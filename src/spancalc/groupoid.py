@@ -258,8 +258,11 @@ class FiniteGroupoid:
     def from_json(data: dict, check_indices: bool = True) -> "FiniteGroupoid":
         """Read the JSON form.
 
-        ``check_indices`` rejects, with a ``ValueError``, object and morphism
-        indices out of range, identities that are not endomorphisms of
+        A count that is not an int is a ``ValueError`` in either form, and
+        so, in the unchecked form, is an index that is not an int or a
+        ``compose`` entry that is not three of them.  ``check_indices``
+        rejects, with a ``ValueError``, object and morphism indices out of
+        range or of another type, identities that are not endomorphisms of
         their object, inverses with the wrong endpoints, a pair listed
         twice in ``compose``, and then the first violation that
         ``validate_groupoid`` finds: a composable pair without a composite
@@ -271,12 +274,27 @@ class FiniteGroupoid:
         tgt = tuple(m["tgt"] for m in mor)
         identity = tuple(data["identity"])
         inverse = tuple(data["inverse"])
+        if type(n_objects) is not int:      # a bool is not one either
+            raise ValueError(f"objects={n_objects!r} is not an integer")
         if not check_indices:
-            compose = {(f, g): h for f, g, h in data["compose"]}
+            # an index out of range is a violation for ``validate_groupoid``
+            # to report; one that is not an int is not a groupoid file
+            for name, values in (("src", src), ("tgt", tgt),
+                                 ("identity", identity), ("inverse", inverse)):
+                bad = next((i for i, v in enumerate(values)
+                            if type(v) is not int), None)
+                if bad is not None:
+                    raise ValueError(f"{name}[{bad}]={values[bad]!r} is not "
+                                     f"an integer")
+            compose = {}
+            for i, entry in enumerate(data["compose"]):
+                if type(entry) is not list or len(entry) != 3 or \
+                        any(type(v) is not int for v in entry):
+                    raise ValueError(f"compose[{i}]={entry!r} is not "
+                                     f"[f, g, h]")
+                compose[entry[0], entry[1]] = entry[2]
             return FiniteGroupoid(n_objects, src, tgt, identity, inverse,
                                   compose)
-        if type(n_objects) is not int:
-            raise ValueError(f"objects={n_objects!r} is not an integer")
         _check_indices("identity", identity, n_objects, len(mor))
         _check_indices("inverse", inverse, len(mor), len(mor))
         _check_indices("src", src, len(mor), n_objects)

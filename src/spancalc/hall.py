@@ -5,8 +5,14 @@ each edge; isomorphism classes are orbits of the base-change group
 prod_v GL(d_v, F_q), grown from its generators.  Morphisms come from
 linear algebra in plain Python (``spancalc.fq``, no numpy): Hom(V, W) is
 the nullspace of the commuting equations D X_a = X_b S over the edges
-a -> b, enumerated from a basis, and the injective, surjective and
-invertible ones are picked out by a rank memoised per matrix.  The Hall
+a -> b, solved once per pair.  Its basis splits into vertex-support
+components, whose matrices vary independently, so the maps are the
+product of the components' maps; each component is enumerated once per
+algebra, and the injective, surjective and invertible maps are picked out
+by a rank memoised per matrix.  Between classes of one dimension vector
+the injective maps and the surjective ones are the isomorphisms: they are
+listed once per ordered pair of classes, and that one list serves as
+Aut(E) and as the maps of both directions of the Hall number.  The Hall
 number stays a pair count: it counts the pairs (f, g) forming a short
 exact sequence 0 -> N -> E -> M -> 0, and the product
 
@@ -25,7 +31,12 @@ isomorphic to M, acted on by Aut(E).  Subspaces are reduced row echelon
 bases, the orbits are grown from a generating set of Aut(E), and the
 cardinality, the sum over orbits of 1 / |stabilizer| with |stabilizer| =
 |Aut E| / |orbit|, times |Aut E| recovers the same coefficient with no
-pair counting involved.
+pair counting involved.  Aut(E) is the product of the unit groups of the
+components of End(E); each unit group gets a greedy generating set, and
+its closure is grown (``fq.generated``) once per algebra, however many
+classes share the component.  Guard: the closures' orders multiply to
+|Aut E| as the class table counts it, by orbit and stabilizer, and the
+list of automorphisms has that many elements.
 """
 
 from __future__ import annotations
@@ -33,6 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -273,9 +285,16 @@ class HallAlgebra:
         self._classes: dict[tuple, list[RepClass]] = {}
         self._classify: dict[tuple, dict] = {}
         self._subspace_cache: dict[tuple, list[tuple]] = {}
-        self._aut_cache: dict[tuple, list[tuple[Matrix, ...]]] = {}
         self._generator_cache: dict[tuple, list[tuple[Matrix, ...]]] = {}
         self._product_cache: dict[tuple, HallElement] = {}
+        # the basis of End per representative, one list of isomorphisms
+        # per ordered pair of classes, and per component of a Hom space
+        # (see ``_components``) its maps and, for a component of an
+        # endomorphism ring, its unit group's generators and order
+        self._end_bases: dict[QuiverRep, tuple] = {}
+        self._isos: dict[tuple, list[tuple[Matrix, ...]]] = {}
+        self._component_cache: dict[tuple, list[tuple[Matrix, ...]]] = {}
+        self._unit_cache: dict[tuple, tuple[list, int]] = {}
         # morphism tuples share one matrix object per shape and entries,
         # so cached lists hold references, not copies; the rank, image and
         # kernel memos are keyed by those matrices.  A shape holds at most
@@ -343,15 +362,16 @@ class HallAlgebra:
         self.classes(rep.dims)
         return self._classify[tuple(rep.dims)][rep.mats]
 
-    def zero_class(self) -> RepClass:
-        return self.classes((0,) * self.quiver.n_vertices)[0]
-
     # -- morphisms -------------------------------------------------------
 
     def _hom_basis(self, src: QuiverRep, dst: QuiverRep) -> tuple:
         """A basis of Hom(src, dst), as vectors over the unknowns: the
         entries of each X_v, vertex by vertex, row by row.  Hom is the
-        nullspace of D X_a - X_b S = 0 over the edges."""
+        nullspace of D X_a - X_b S = 0 over the edges.  Only End is
+        memoised: the list of automorphisms and the generators of Aut both
+        ask for it, while every other pair is asked for once."""
+        if src == dst and src in self._end_bases:
+            return self._end_bases[src]
         q = self.q
         nv = self.quiver.n_vertices
         offset = list(itertools.accumulate(
@@ -371,38 +391,71 @@ class HallAlgebra:
                     for k in range(src.dims[b]):
                         row[unknown(b, i, k)] -= S[k][j]
                     equations.append([x % q for x in row])
-        return nullspace(equations, q, n)
+        basis = nullspace(equations, q, n)
+        if src == dst:
+            self._end_bases[src] = basis
+        return basis
 
-    def hom_tuples(self, src: QuiverRep, dst: QuiverRep, mono: bool = False,
-                   epi: bool = False):
-        """All morphism tuples src -> dst (per-vertex matrices commuting
-        with the edge maps), only those injective (``mono``) or surjective
-        (``epi``) at every vertex when asked.
+    def _components(self, src: QuiverRep, dst: QuiverRep, mono: bool,
+                    epi: bool) -> list[tuple[tuple[int, ...], tuple]]:
+        """Hom(src, dst) as a product of vertex-support components: two
+        vertices are in one component when a basis vector is nonzero at
+        both, so each component's matrices vary independently of the
+        others'.  Per component, in order of least vertex: its vertices
+        and a key, (rows, columns, wanted rank or None) per vertex with
+        the basis vectors cut down to its unknowns."""
+        nv = self.quiver.n_vertices
+        shapes = []
+        for r, c in zip(dst.dims, src.dims):
+            # the rank a filter asks of this vertex; every matrix of a zero
+            # shape qualifies
+            want = c if mono else r if epi else None
+            shapes.append((r, c, want or None))
+        offset = list(itertools.accumulate((r * c for r, c, _ in shapes),
+                                           initial=0))
+        basis = self._hom_basis(src, dst)
+        label = list(range(nv))     # per vertex, its component's least vertex
+        for b in basis:
+            touched = {label[v] for v in range(nv)
+                       if any(b[offset[v]:offset[v + 1]])}
+            low = min(touched)
+            label = [low if x in touched else x for x in label]
+        components = []
+        for least in sorted(set(label)):
+            vertices = tuple(v for v in range(nv) if label[v] == least)
+            cols = [i for v in vertices
+                    for i in range(offset[v], offset[v + 1])]
+            sub = tuple(tuple(b[i] for i in cols) for b in basis
+                        if any(b[i] for i in cols))
+            components.append(
+                (vertices, (tuple(shapes[v] for v in vertices), sub)))
+        return components
 
-        The q^dim vectors of the Hom space are enumerated from a basis, the
-        first basis vector most significant; a matrix is injective when its
-        rank is its column count, surjective when it is its row count.
-        """
+    def _component_maps(self, key: tuple) -> list[tuple[Matrix, ...]]:
+        """Every combination of a component's basis, as a tuple of its
+        vertices' matrices, only those of the wanted ranks.  Memoised by
+        key, so a component shared by several Hom spaces is listed once.
+
+        The q^dim vectors are enumerated from the basis, the first basis
+        vector most significant; a matrix is injective when its rank is
+        its column count, surjective when it is its row count."""
+        if key in self._component_cache:
+            return self._component_cache[key]
         q = self.q
+        shapes, basis = key
         blocks = []
         n = 0   # unknowns so far: the entries of the X_v before vertex v
-        for v in range(self.quiver.n_vertices):
-            r, c = dst.dims[v], src.dims[v]
-            # the rank a filter asks of this vertex, None when none does
-            want = c if mono else r if epi else None
-            if mono and epi and r != c:
-                return
-            if want == 0:
-                want = None     # every matrix of a zero shape qualifies
+        for r, c, want in shapes:
             blocks.append((n, n + r * c, r, c, want,
                            self._matrices.setdefault((r, c), {})))
             n += r * c
         vectors = [(0,) * n]
-        for b in reversed(self._hom_basis(src, dst)):
+        for b in reversed(basis):
             multiples = [tuple(k * x % q for x in b) for k in range(1, q)]
             vectors += [tuple([(x + y) % q for x, y in zip(m, v)])
                         for m in multiples for v in vectors]
         ranks = self._rank
+        maps = []
         for flat in vectors:
             mats = []
             for lo, hi, r, c, want, shared in blocks:
@@ -419,34 +472,93 @@ class HallAlgebra:
                         break
                 mats.append(m)
             else:
-                yield tuple(mats)
+                maps.append(tuple(mats))
+        self._component_cache[key] = maps
+        return maps
+
+    def hom_tuples(self, src: QuiverRep, dst: QuiverRep, mono: bool = False,
+                   epi: bool = False):
+        """All morphism tuples src -> dst (per-vertex matrices commuting
+        with the edge maps), only those injective (``mono``) or surjective
+        (``epi``) at every vertex when asked: the product of the maps of
+        the components of ``_components``, the one with the shortest basis
+        listed first, so that one with no map of the wanted ranks ends the
+        enumeration before the larger ones are listed."""
+        if mono and epi and src.dims != dst.dims:
+            return
+        components = self._components(src, dst, mono, epi)
+        maps = {}
+        for vertices, key in sorted(components, key=lambda c: len(c[1][1])):
+            maps[vertices] = self._component_maps(key)
+            if not maps[vertices]:
+                return
+        if len(components) == 1:
+            yield from maps[components[0][0]]
+            return
+        # the components' matrices, concatenated, picked in vertex order
+        order = [v for vertices, _key in components for v in vertices]
+        pick = operator.itemgetter(*map(order.index, range(len(order))))
+        for combo in itertools.product(*(maps[vs] for vs, _ in components)):
+            yield pick(sum(combo, ()))
+
+    def _iso_list(self, src: RepClass, dst: RepClass) -> list:
+        """The isomorphisms src -> dst between classes of one dimension
+        vector, which are the injective maps and the surjective ones too.
+        Listed once per ordered pair and shared by ``aut_elements`` and
+        both directions of ``_grouped``; empty unless src is dst."""
+        key = (src.key, dst.key)
+        if key not in self._isos:
+            self._isos[key] = list(self.hom_tuples(src.rep, dst.rep,
+                                                   mono=True, epi=True))
+        return self._isos[key]
 
     def aut_elements(self, cls: RepClass) -> list[tuple[Matrix, ...]]:
         """Invertible self-morphisms of the class representative."""
-        key = cls.key
-        if key not in self._aut_cache:
-            self._aut_cache[key] = list(
-                self.hom_tuples(cls.rep, cls.rep, mono=True))
-        return self._aut_cache[key]
+        return self._iso_list(cls, cls)
 
-    def aut_generators(self, cls: RepClass) -> list[tuple[Matrix, ...]]:
-        """A greedy generating set of Aut: each automorphism not in the
-        group generated so far joins the set, and the group is extended by
-        it.  Guard: the generated group has exactly ``cls.aut_order``
-        elements."""
-        key = cls.key
-        if key not in self._generator_cache:
-            dims = cls.dimvec
+    def _unit_group(self, key: tuple) -> tuple[list, int]:
+        """A greedy generating set of the units of one component of an
+        endomorphism ring, with the order of the group they generate: each
+        unit not in the group generated so far joins the set, and the
+        group is extended by it.  Memoised by the component's key."""
+        if key not in self._unit_cache:
+            dims = tuple(c for _r, c, _want in key[0])
             gens: list[tuple[Matrix, ...]] = []
             group = generated(gens, dims, self.q)
-            for g in self.aut_elements(cls):
+            for g in self._component_maps(key):
                 if g not in group:
                     gens.append(g)
                     generated(gens, dims, self.q, group)
-            if len(group) != cls.aut_order:
+            self._unit_cache[key] = (gens, len(group))
+        return self._unit_cache[key]
+
+    def aut_generators(self, cls: RepClass) -> list[tuple[Matrix, ...]]:
+        """A generating set of Aut.  End of the representative is the
+        product of its vertex-support components, so Aut is the product of
+        their unit groups: each is closed on its own, and its generators
+        act as the identity off their component.  Guard: the factors'
+        orders multiply to exactly ``cls.aut_order``, and ``aut_elements``
+        lists exactly that many automorphisms."""
+        key = cls.key
+        if key not in self._generator_cache:
+            one = tuple(identity(d) for d in cls.dimvec)
+            gens: list[tuple[Matrix, ...]] = []
+            order = 1
+            for vertices, factor in self._components(cls.rep, cls.rep,
+                                                     mono=True, epi=True):
+                factor_gens, factor_order = self._unit_group(factor)
+                order *= factor_order
+                for g in factor_gens:
+                    full = list(one)
+                    for v, m in zip(vertices, g):
+                        full[v] = m
+                    gens.append(tuple(full))
+            listed = len(self.aut_elements(cls))
+            if order != cls.aut_order or listed != cls.aut_order:
                 raise AssertionError(
-                    f"generators of Aut {cls.label} give {len(group)} "
-                    f"elements, not {cls.aut_order}")
+                    f"generators of Aut {cls.label} give {order} elements "
+                    f"and {listed} automorphisms are listed, not "
+                    f"{cls.aut_order}")
             self._generator_cache[key] = gens
         return self._generator_cache[key]
 
@@ -463,18 +575,24 @@ class HallAlgebra:
             # a square map here is invertible: its kernel is 0, its image
             # the whole space
             whole = [() if epi else identity(d) for d in src.dimvec]
-            groups: dict[tuple, list] = {}
-            for f in self.hom_tuples(src.rep, dst.rep, mono=not epi, epi=epi):
-                spaces = []
-                for d, m, u in zip(src.dimvec, f, whole):
-                    if len(m) != d:
-                        u = memo.get((d, m))
-                        if u is None:
-                            u = memo[d, m] = (
-                                echelon(nullspace(m, q, d), q) if epi
-                                else echelon(tuple(zip(*m)), q))
-                    spaces.append(u)
-                groups.setdefault(tuple(spaces), []).append(f)
+            if src.dimvec == dst.dimvec:
+                # every such map is an isomorphism: one group of them all
+                isos = self._iso_list(src, dst)
+                groups = {tuple(whole): isos} if isos else {}
+            else:
+                groups = {}
+                for f in self.hom_tuples(src.rep, dst.rep, mono=not epi,
+                                         epi=epi):
+                    spaces = []
+                    for d, m, u in zip(src.dimvec, f, whole):
+                        if len(m) != d:
+                            u = memo.get((d, m))
+                            if u is None:
+                                u = memo[d, m] = (
+                                    echelon(nullspace(m, q, d), q) if epi
+                                    else echelon(tuple(zip(*m)), q))
+                        spaces.append(u)
+                    groups.setdefault(tuple(spaces), []).append(f)
             self._groups[key] = groups
         return self._groups[key]
 
@@ -646,9 +764,3 @@ class HallAlgebra:
                         if left != right:
                             failures.append((M.key, N.key, L.key, left, right))
         return failures
-
-
-def enumerate_reps(quiver: Quiver, dimvec: tuple[int, ...], q: int
-                   ) -> list[RepClass]:
-    """Iso classes of representations with the given dimension vector."""
-    return HallAlgebra(quiver, q).classes(dimvec)

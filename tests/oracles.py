@@ -9,6 +9,10 @@ tensor entry as an equivariant span.  Both tabulate the action on pairs,
 them at q = 2 only.  ``build_P`` and ``build_L`` are the relations as dense
 numpy matrices.  ``spancalc.hecke`` reaches the same numbers from flag
 incidence alone, without listing a group element.
+
+``enumerate_reps`` and ``zero_class`` are the Hall counterparts that only
+tests call: the class table of one dimension vector from a fresh algebra,
+and the unit of an algebra.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import numpy as np
 
 from spancalc.actions import EquivariantSpan, GroupAction, orbit_table
 from spancalc.groupoid import FiniteGroupoid, IsoClassTable
+from spancalc.hall import HallAlgebra, Quiver, RepClass
 from spancalc.hecke import (FlagGeometry, Rows, _normalize, _pair_label,
                             flag_geometry, relation_rows)
 
@@ -168,3 +173,16 @@ def triple_block_span(hg: HeckeGroup, u: str, v: str, w: str
         tuple(0 for _ in triples),
         tuple(pair_pos[x1 * n + x3] for x1, _x2, x3 in triples),
     )
+
+
+# -- Hall algebras -----------------------------------------------------------
+
+def enumerate_reps(quiver: Quiver, dimvec: tuple[int, ...], q: int
+                   ) -> list[RepClass]:
+    """Iso classes of representations with the given dimension vector."""
+    return HallAlgebra(quiver, q).classes(dimvec)
+
+
+def zero_class(h: HallAlgebra) -> RepClass:
+    """The class of the zero representation, the unit of the algebra."""
+    return h.classes((0,) * h.quiver.n_vertices)[0]

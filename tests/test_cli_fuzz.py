@@ -1,10 +1,12 @@
-"""Fuzzed CLI inputs: span files and argument vectors.
+"""Fuzzed CLI inputs: span files, groupoid files and argument vectors.
 
 Whatever one field of a valid span file is mutated to, ``compose`` and
 ``degroupoidify`` must exit 0 (the file is still a valid span) or 2 (an
-input error), never raise.  Whatever arguments ``fock``, ``hecke`` and
-``hall`` are given, they must exit 0, 1 (a failed check) or 2, never
-raise, and finish within the deadline.
+input error), never raise.  A float, a bool, a string or null in any
+integer field of a groupoid or span file makes ``check``, ``card``,
+``compose`` and ``degroupoidify`` exit 2.  Whatever arguments ``fock``,
+``hecke`` and ``hall`` are given, they must exit 0, 1 (a failed check) or
+2, never raise, and finish within the deadline.
 """
 
 import contextlib
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 from spancalc import cli
 from spancalc.fock import annihilation_span, build_E
+from spancalc.groupoid import FiniteGroupoid, cyclic_table
 from spancalc.spans import span_to_json
 
 from helpers import random_cyclic_action, random_span
@@ -111,6 +114,39 @@ def test_mutated_span_files_exit_0_or_2(data):
                      ["degroupoidify", "--span", path, "-o", out]):
             with contextlib.redirect_stderr(io.StringIO()):
                 assert cli.main(argv) in (0, 2)
+
+
+def _int_paths(node, prefix=()):
+    """The position of every integer in a JSON tree."""
+    return [p for p in _paths(node, prefix) if type(_get(node, p)) is int]
+
+
+def _swapped(data, path, value):
+    data = copy.deepcopy(data)
+    _get(data, path[:-1])[path[-1]] = value
+    return data
+
+
+GROUPOID = FiniteGroupoid.connected(2, cyclic_table(2)).to_json()
+SMALL_SPAN = span_to_json(annihilation_span(build_E(1)))
+
+
+@pytest.mark.parametrize("junk", [float, lambda v: True, str, lambda v: None],
+                         ids=["float", "bool", "string", "null"])
+def test_a_non_integer_in_any_integer_field_exits_2(junk, tmp_path, capsys):
+    path = str(tmp_path / "in.json")
+    out = str(tmp_path / "out.json")
+    cases = [(["check", path], GROUPOID), (["card", path], GROUPOID),
+             (["compose", "--first", path, "--second", path, "-o", out],
+              SMALL_SPAN),
+             (["degroupoidify", "--span", path, "-o", out], SMALL_SPAN)]
+    for argv, base in cases:
+        for where in _int_paths(base):
+            data = _swapped(base, where, junk(_get(base, where)))
+            with open(path, "w") as fh:
+                json.dump(data, fh)
+            assert cli.main(argv) == 2, (argv[0], where)
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 # -- argument vectors for the computing subcommands -------------------------

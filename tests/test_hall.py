@@ -1,3 +1,4 @@
+import collections
 import itertools
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from spancalc.hall import (
 )
 
 from helpers import brute_force_homs, brute_force_ses_count, gl_matrices
+from oracles import enumerate_reps, zero_class
 
 
 def a2(q: int) -> HallAlgebra:
@@ -111,7 +113,7 @@ def test_product_goldens_and_noncommutativity():
 def test_zero_class_is_the_unit():
     for q in (2, 3):
         h = a2(q)
-        zero = h.zero_class()
+        zero = zero_class(h)
         for dimvec in [(1, 0), (1, 1), (2, 1)]:
             for cls in h.classes(dimvec):
                 one = HallElement({cls.key: Fraction(1)})
@@ -200,7 +202,6 @@ def test_enumeration_bounds_are_enforced():
 
 
 def test_module_level_enumerate_reps():
-    from spancalc.hall import enumerate_reps
     classes = enumerate_reps(parse_quiver("a2"), (2, 1), 2)
     assert [c.label for c in classes] == ["d2,1#0", "d2,1#1"]
 
@@ -231,7 +232,9 @@ def test_quiver_names_d4_and_a4():
 
 @pytest.mark.parametrize("name, q, dmax", [
     ("a2", 2, (2, 2)), ("a2", 3, (2, 2)),
-    ("a3:>>", 2, (1, 1, 1)), ("a3:><", 2, (1, 1, 1)), ("a3:<>", 2, (1, 1, 1))])
+    ("a3:>>", 2, (1, 1, 1)), ("a3:><", 2, (1, 1, 1)), ("a3:<>", 2, (1, 1, 1)),
+    # components such as {0, 2}, {1}, {3}, whose matrices come out of order
+    ("d4", 2, (1, 1, 1, 1))])
 def test_hom_tuples_match_the_brute_force_oracle(name, q, dmax):
     h = HallAlgebra(parse_quiver(name), q)
     classes = classes_within(h, dmax)
@@ -360,3 +363,61 @@ def test_matrix_memos_are_bounded_by_the_shapes():
                    for block, m in table.items())
     assert set(h._rank) <= {m for t in h._matrices.values() for m in t.values()}
     assert all(h._rank[m] == mat_rank(m, 3) for m in h._rank)
+
+
+def _cli_work(h: HallAlgebra, dmax: tuple[int, ...]) -> None:
+    """What ``spancalc hall`` computes: associativity, then both product
+    routes on every pair within the bound."""
+    assert h.check_associativity(dmax) == []
+    for M, N in itertools.product(classes_within(h, dmax), repeat=2):
+        if all(a + b <= bound for a, b, bound
+               in zip(M.dimvec, N.dimvec, dmax)):
+            assert h.product(M, N) == h.product_via_span(M, N)
+
+
+def test_each_hom_basis_is_solved_once_per_pair(monkeypatch):
+    h = a2(3)
+    solved = collections.Counter()
+    hom_basis = HallAlgebra._hom_basis
+
+    def counting(self, src, dst):
+        solved[src, dst] += not (src == dst and src in self._end_bases)
+        return hom_basis(self, src, dst)
+
+    monkeypatch.setattr(HallAlgebra, "_hom_basis", counting)
+    _cli_work(h, (2, 2))
+    assert solved and set(solved.values()) == {1}
+
+
+def test_shared_isomorphism_lists_match_the_brute_force_oracle():
+    q = 3
+    h = a2(q)
+    _cli_work(h, (2, 2))
+    classes = classes_within(h, (2, 2))
+    for src, dst in itertools.product(classes, repeat=2):
+        if src.dimvec != dst.dimvec:
+            continue
+        isos = h._iso_list(src, dst)
+        oracle = {f for f in brute_force_homs(h.quiver, src.rep, dst.rep, q)
+                  if all(mat_rank(m, q) == d for m, d in zip(f, src.dimvec))}
+        assert len(isos) == len(set(isos)) and set(isos) == oracle
+        assert (isos == []) == (src != dst)
+        # one list, shared by both directions of the Hall-number join
+        for epi in (False, True):
+            groups = list(h._grouped(src, dst, epi).values())
+            assert groups == ([isos] if isos else [])
+            assert all(group is isos for group in groups)
+        if src == dst:
+            assert h.aut_elements(src) is isos
+
+
+def test_aut_generators_guard_catches_a_missing_automorphism():
+    h = a2(5)
+    cls = h.classes((2, 1))[0]          # Aut = GL(2, 5) x GL(1, 5)
+    h.aut_elements(cls).pop()
+    with pytest.raises(AssertionError, match="1919 automorphisms"):
+        h.aut_generators(cls)
+    h = a2(5)
+    cls = h.classes((2, 1))[0]
+    with pytest.raises(AssertionError, match="give 1920 elements"):
+        h.aut_generators(cls._replace(aut_order=3840))
