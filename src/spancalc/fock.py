@@ -17,11 +17,10 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import SizeCapError
+from .exact import SizeCapError, _check_cap
 from .groupoid import FiniteGroupoid, GroupoidFunctor, Rational
 from .spans import (
     GroupoidOverX,
-    PullbackMode,
     SpanOfGroupoids,
     add_spans,
     adjoint,
@@ -164,7 +163,10 @@ def psi_n(n: int, E: TruncatedE) -> StuffType:
 
 
 def two_colored_stuff(E: TruncatedE) -> StuffType:
-    """Finite sets with a 2-coloring; generating function has entries 2^n/n!."""
+    """Finite sets with a 2-coloring; generating function has entries 2^n/n!.
+    Its 2^n n! morphisms per n <= N are counted against the cap first."""
+    _check_cap("two-colored stuff type morphisms",
+               sum(2 ** n * math.factorial(n) for n in range(E.N + 1)))
     levels = E.levels
     objects: list[tuple[int, tuple[int, ...]]] = []
     obj_index: dict[tuple[int, tuple[int, ...]], int] = {}
@@ -283,13 +285,13 @@ def verify_ccr(E: TruncatedE) -> CcrReport:
     return CcrReport(ok, E.N, tuple(discrepancies))
 
 
-def _span_power(s: SpanOfGroupoids, k: int, base: FiniteGroupoid,
-                mode: PullbackMode) -> SpanOfGroupoids:
+def _span_power(s: SpanOfGroupoids, k: int, base: FiniteGroupoid
+                ) -> SpanOfGroupoids:
     if k == 0:
         return identity_span(base)
     out = s
     for _ in range(k - 1):
-        out = compose_spans(s, out, mode=mode)
+        out = compose_spans(s, out)
     return out
 
 
@@ -298,8 +300,7 @@ def normal_ordered_terms(n: int) -> list[tuple[int, int, int]]:
     return [(math.comb(n, j), j, n - j) for j in range(n + 1)]
 
 
-def normal_ordered_power(n: int, E: TruncatedE,
-                         mode: PullbackMode = "skeletal") -> SpanOfGroupoids:
+def normal_ordered_power(n: int, E: TruncatedE) -> SpanOfGroupoids:
     """The normal-ordered n-th power of the field span A + A*.
 
     Built from the expansion with all creation factors moved left, using
@@ -314,12 +315,12 @@ def normal_ordered_power(n: int, E: TruncatedE,
     total: SpanOfGroupoids | None = None
     for coeff, j, k in normal_ordered_terms(n):
         if j and k:
-            term = compose_spans(_span_power(Astar, j, base, mode),
-                                 _span_power(A, k, base, mode), mode=mode)
+            term = compose_spans(_span_power(Astar, j, base),
+                                 _span_power(A, k, base))
         elif j:
-            term = _span_power(Astar, j, base, mode)
+            term = _span_power(Astar, j, base)
         else:
-            term = _span_power(A, k, base, mode)
+            term = _span_power(A, k, base)
         if coeff != 1:
             term = scalar_mul(FiniteGroupoid.discrete(coeff), term)
         total = term if total is None else add_spans(total, term)

@@ -8,16 +8,18 @@ with entry at (class of y, class of x) equal to
         |Aut(x)|^(1-alpha) * |Aut(y)|^alpha / |Aut(s)|
 
 computed in exact rational arithmetic.  Weak pullbacks implement span
-composition; since equivalent spans induce equal matrices, they are built
-in blockwise-skeletal form (one object per isomorphism class), and that is
-also the composite ``spancalc compose`` writes.  The literal pullback is
-kept as the test oracle only.
+composition; since equivalent spans induce equal matrices, the one weak
+pullback is blockwise-skeletal (one object per isomorphism class), and that
+is also the composite ``spancalc compose`` writes.  It counts its objects
+and morphisms against the size cap before it lists them.  The literal
+pullback, one object per triple (t, s, alpha), is a test oracle only.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from typing import Literal, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import _check_cap, aut_weight, format_rational
 from .groupoid import (
@@ -32,15 +34,6 @@ from .groupoid import (
     product_functor,
     same_groupoid as _same_groupoid,
 )
-
-PullbackMode = Literal["skeletal", "literal"]
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in ("skeletal", "literal"):
-        raise ValueError(f"pullback mode {mode!r} is not 'skeletal' or "
-                         "'literal'")
-
 
 # -- vectors and matrices ----------------------------------------------------
 
@@ -185,20 +178,19 @@ class GroupoidOverX(NamedTuple):
 # -- weak pullback -----------------------------------------------------------
 
 class _PullbackGroupoid(FiniteGroupoid):
-    """Objects are (t, s, alpha) with alpha: f(t) -> g(s) in the base;
-    morphisms are pairs (u, v) over an object.
+    """Objects are (t, s, alpha) with alpha: f(t) -> g(s) in the base, one
+    per isomorphism class; morphisms are automorphisms (u, v) of an object.
 
-    Serves literal weak pullbacks, their skeletal reductions and, with the
-    terminal groupoid as S, trace groupoids; composition works
-    componentwise through the two parent groupoids, so no composition table
-    is materialized.
+    Serves skeletal weak pullbacks and, with the terminal groupoid as S,
+    trace groupoids; composition works componentwise through the two parent
+    groupoids, so no composition table is materialized.
     """
 
     __slots__ = ("obj_data", "mor_data", "_mor_index", "T", "S")
 
     def __init__(self, T: FiniteGroupoid, S: FiniteGroupoid,
                  obj_data: list[tuple[int, int, int]],
-                 mor_data: list[tuple[int, int, int]], mor_target: list[int]):
+                 mor_data: list[tuple[int, int, int]]):
         self.T = T
         self.S = S
         self.obj_data = obj_data
@@ -207,11 +199,10 @@ class _PullbackGroupoid(FiniteGroupoid):
         src = tuple(o for o, _u, _v in mor_data)
         identity = tuple(self._mor_index[(o, T.identity[t], S.identity[s])]
                          for o, (t, s, _a) in enumerate(obj_data))
-        inverse = tuple(
-            self._mor_index[(mor_target[i], T.inverse[u], S.inverse[v])]
-            for i, (_o, u, v) in enumerate(mor_data))
-        super().__init__(len(obj_data), src, tuple(mor_target),
-                         identity, inverse, self._compose_pairs)
+        inverse = tuple(self._mor_index[(o, T.inverse[u], S.inverse[v])]
+                        for o, u, v in mor_data)
+        super().__init__(len(obj_data), src, src, identity, inverse,
+                         self._compose_pairs)
 
     def _compose_pairs(self, f: int, g: int) -> int:
         o, u1, v1 = self.mor_data[f]
@@ -229,64 +220,6 @@ class _PullbackGroupoid(FiniteGroupoid):
                                  tuple(s for _t, s, _a in self.obj_data),
                                  tuple(v for _o, _u, v in self.mor_data))
         return self, proj_t, proj_s
-
-
-def weak_pullback(f: GroupoidFunctor, g: GroupoidFunctor,
-                  mode: PullbackMode = "skeletal"
-                  ) -> tuple[FiniteGroupoid, GroupoidFunctor, GroupoidFunctor]:
-    """Weak pullback of the cospan f: T -> B <- S :g.
-
-    Returns (P, P -> T, P -> S).  Objects of the literal pullback are
-    triples (t, s, alpha) with alpha: f(t) -> g(s) an isomorphism in B;
-    morphisms are pairs making the naturality square commute.
-
-    The default "skeletal" mode returns an equivalent groupoid with one
-    object per isomorphism class instead; projections still commute on the
-    nose, so all degroupoidifications agree exactly.  "literal" is the
-    oracle, capped by the size cap.
-    """
-    _check_mode(mode)
-    if f.codomain is not g.codomain and not _same_groupoid(f.codomain, g.codomain):
-        raise ValueError("cospan legs have different codomains")
-    if mode == "literal":
-        return _weak_pullback_literal(f, g)
-    return _weak_pullback_skeletal(f, g)
-
-
-def _weak_pullback_literal(f: GroupoidFunctor, g: GroupoidFunctor):
-    T, S, B = f.domain, g.domain, f.codomain
-    out_t = [len(T.mor_from(t)) for t in range(T.n_objects)]
-    out_s = [len(S.mor_from(s)) for s in range(S.n_objects)]
-    n_obj = n_mor = 0
-    for t in range(T.n_objects):
-        for s in range(S.n_objects):
-            h = len(B.hom(f.obj_map[t], g.obj_map[s]))
-            n_obj += h
-            n_mor += h * out_t[t] * out_s[s]
-    _check_cap("weak pullback objects", n_obj)
-    _check_cap("weak pullback morphisms", n_mor)
-
-    obj_data: list[tuple[int, int, int]] = []
-    obj_index: dict[tuple[int, int, int], int] = {}
-    for t in range(T.n_objects):
-        for s in range(S.n_objects):
-            for alpha in B.hom(f.obj_map[t], g.obj_map[s]):
-                obj_index[(t, s, alpha)] = len(obj_data)
-                obj_data.append((t, s, alpha))
-
-    mor_data: list[tuple[int, int, int]] = []
-    mor_target: list[int] = []
-    for o, (t, s, alpha) in enumerate(obj_data):
-        for u in T.mor_from(t):
-            fu_inv = B.inverse[f.mor_map[u]]
-            left = B.compose(fu_inv, alpha)
-            for v in S.mor_from(s):
-                alpha2 = B.compose(left, g.mor_map[v])
-                mor_data.append((o, u, v))
-                mor_target.append(obj_index[(T.tgt[u], S.tgt[v], alpha2)])
-
-    return _PullbackGroupoid(T, S, obj_data, mor_data,
-                             mor_target).with_projections()
 
 
 def _hom_orbits(B: FiniteGroupoid, isos: list[int],
@@ -323,41 +256,64 @@ def _hom_orbits(B: FiniteGroupoid, isos: list[int],
     return orbits
 
 
-def _weak_pullback_skeletal(f: GroupoidFunctor, g: GroupoidFunctor):
+def weak_pullback(f: GroupoidFunctor, g: GroupoidFunctor
+                  ) -> tuple[FiniteGroupoid, GroupoidFunctor, GroupoidFunctor]:
+    """Weak pullback of the cospan f: T -> B <- S :g, up to equivalence.
+
+    Returns (P, P -> T, P -> S).  The literal pullback has an object
+    (t, s, alpha) for each isomorphism alpha: f(t) -> g(s) in B.  P keeps,
+    for class representatives t0 and s0, one object (t0, s0, alpha0) per
+    orbit of Aut(t0) x Aut(s0) on B(f t0, g s0), alpha0 its least element,
+    with the stabilizer of alpha0 as automorphisms.  Projections commute on
+    the nose, so every degroupoidification agrees exactly with the literal
+    one.  The objects, bounded by the hom-sets scanned, and the morphisms,
+    counted exactly by orbit-stabilizer, are checked against the size cap
+    before they are listed.
+    """
+    if f.codomain is not g.codomain and not _same_groupoid(f.codomain, g.codomain):
+        raise ValueError("cospan legs have different codomains")
     T, S, B = f.domain, g.domain, f.codomain
-    t_table = iso_classes(T)
-    s_table = iso_classes(S)
+    t_reps = iso_classes(T).representative
+    s_reps = iso_classes(S).representative
+    f_images = Counter(f.obj_map[t0] for t0 in t_reps)
+    g_images = Counter(g.obj_map[s0] for s0 in s_reps)
+    _check_cap("weak pullback objects",
+               sum(m * n * len(B.hom(x, y)) for x, m in f_images.items()
+                   for y, n in g_images.items()))
 
     obj_data: list[tuple[int, int, int]] = []   # (t0, s0, alpha0)
-    mor_data: list[tuple[int, int, int]] = []   # (obj, u, v)
-    mor_target: list[int] = []
-    for t0 in t_table.representative:
-        aut_t = T.aut(t0)
+    n_mor = 0
+    for t0 in t_reps:
+        order_t = len(T.aut(t0))
         left_moves = [(B.inverse[f.mor_map[u]], None)
                       for u in T.aut_generators(t0)]
-        for s0 in s_table.representative:
+        for s0 in s_reps:
             isos = B.hom(f.obj_map[t0], g.obj_map[s0])
             if not isos:
                 continue
-            aut_s = S.aut(s0)
-            g_lookup: dict[int, list[int]] = {}
-            for v in aut_s:
-                g_lookup.setdefault(g.mor_map[v], []).append(v)
+            order = order_t * len(S.aut(s0))
             moves = left_moves + [(None, g.mor_map[v])
                                   for v in S.aut_generators(s0)]
             for orbit in _hom_orbits(B, isos, moves):
-                alpha0 = orbit[0]
-                o = len(obj_data)
-                obj_data.append((t0, s0, alpha0))
-                inv_a0 = B.inverse[alpha0]
-                for u in aut_t:
-                    beta = B.compose(B.compose(inv_a0, f.mor_map[u]), alpha0)
-                    for v in g_lookup.get(beta, ()):
-                        mor_data.append((o, u, v))
-                        mor_target.append(o)
+                obj_data.append((t0, s0, orbit[0]))
+                n_mor += order // len(orbit)
+    _check_cap("weak pullback morphisms", n_mor)
 
-    return _PullbackGroupoid(T, S, obj_data, mor_data,
-                             mor_target).with_projections()
+    mor_data: list[tuple[int, int, int]] = []   # (obj, u, v)
+    g_lookups: dict[int, dict[int, list[int]]] = {}
+    for o, (t0, s0, alpha0) in enumerate(obj_data):
+        g_lookup = g_lookups.get(s0)
+        if g_lookup is None:
+            g_lookup = g_lookups[s0] = {}
+            for v in S.aut(s0):
+                g_lookup.setdefault(g.mor_map[v], []).append(v)
+        inv_a0 = B.inverse[alpha0]
+        for u in T.aut(t0):
+            beta = B.compose(B.compose(inv_a0, f.mor_map[u]), alpha0)
+            for v in g_lookup.get(beta, ()):
+                mor_data.append((o, u, v))
+
+    return _PullbackGroupoid(T, S, obj_data, mor_data).with_projections()
 
 
 # -- span algebra ------------------------------------------------------------
@@ -367,12 +323,11 @@ def identity_span(x: FiniteGroupoid) -> SpanOfGroupoids:
     return SpanOfGroupoids(x, ident, ident)
 
 
-def compose_spans(t: SpanOfGroupoids, s: SpanOfGroupoids,
-                  mode: PullbackMode = "skeletal") -> SpanOfGroupoids:
+def compose_spans(t: SpanOfGroupoids, s: SpanOfGroupoids) -> SpanOfGroupoids:
     """Composite span "s then t": the spans' shared foot is t's source."""
     if not _same_groupoid(t.source, s.target):
         raise ValueError("spans are not composable: middle feet differ")
-    P, proj_t, proj_s = weak_pullback(t.right, s.left, mode=mode)
+    P, proj_t, proj_s = weak_pullback(t.right, s.left)
     return SpanOfGroupoids(P, proj_t.then(t.left), proj_s.then(s.right))
 
 
@@ -409,12 +364,11 @@ def tensor_spans(s: SpanOfGroupoids, s2: SpanOfGroupoids) -> SpanOfGroupoids:
     return SpanOfGroupoids(apex_prod[0], left, right)
 
 
-def apply_span(s: SpanOfGroupoids, psi: GroupoidOverX,
-               mode: PullbackMode = "skeletal") -> GroupoidOverX:
+def apply_span(s: SpanOfGroupoids, psi: GroupoidOverX) -> GroupoidOverX:
     """Apply the span to a groupoid over its source, landing over its target."""
     if not _same_groupoid(s.source, psi.base):
         raise ValueError("span source differs from the base of the groupoid")
-    P, proj_apex, _proj_psi = weak_pullback(s.right, psi.projection, mode=mode)
+    P, proj_apex, _proj_psi = weak_pullback(s.right, psi.projection)
     return GroupoidOverX(P, proj_apex.then(s.left))
 
 
@@ -468,8 +422,7 @@ def alpha_change_of_basis(g: FiniteGroupoid, exponent: int) -> RationalMatrix:
     return out
 
 
-def inner_product(phi: GroupoidOverX, psi: GroupoidOverX,
-                  mode: PullbackMode = "skeletal"
+def inner_product(phi: GroupoidOverX, psi: GroupoidOverX
                   ) -> tuple[FiniteGroupoid, Rational]:
     """Weak pullback of two groupoids over the same base, with its cardinality.
 
@@ -478,60 +431,47 @@ def inner_product(phi: GroupoidOverX, psi: GroupoidOverX,
     """
     if not _same_groupoid(phi.base, psi.base):
         raise ValueError("inner product requires the same base groupoid")
-    P, _pt, _ps = weak_pullback(phi.projection, psi.projection, mode=mode)
+    P, _pt, _ps = weak_pullback(phi.projection, psi.projection)
     return P, cardinality(P)
 
 
-def trace_span(s: SpanOfGroupoids, mode: PullbackMode = "skeletal"
-               ) -> tuple[FiniteGroupoid, Rational]:
+def trace_span(s: SpanOfGroupoids) -> tuple[FiniteGroupoid, Rational]:
     """Trace groupoid of an endo-span, with its exact cardinality.
 
     Objects pair an apex object with a loop isomorphism p(s) -> q(s) in the
     base; the cardinality equals the matrix trace of the span at alpha = 0.
-    It is a pullback-shaped groupoid over the apex and the terminal
-    groupoid: objects are (s, 0, alpha), morphisms (o, u, 0).
+    It is a skeletal pullback-shaped groupoid over the apex and the
+    terminal groupoid: objects (a0, 0, alpha0), one per orbit of Aut(a0) on
+    B(p a0, q a0), and morphisms (o, u, 0) for u in the stabilizer.  Both
+    counts are checked against the size cap before they are listed.
     """
     if not _same_groupoid(s.source, s.target):
         raise ValueError("trace needs a span with equal feet")
-    _check_mode(mode)
     A = s.apex
     B = s.source
     p, q = s.right, s.left
-    obj_data: list[tuple[int, int, int]] = []
-    mor_data: list[tuple[int, int, int]] = []
-    mor_target: list[int] = []
-    if mode == "literal":
-        obj_index: dict[tuple[int, int], int] = {}
-        for a in range(A.n_objects):
-            for alpha in B.hom(p.obj_map[a], q.obj_map[a]):
-                obj_index[(a, alpha)] = len(obj_data)
-                obj_data.append((a, 0, alpha))
-        for o, (a, _pt, alpha) in enumerate(obj_data):
-            for u in A.mor_from(a):
-                alpha2 = B.compose(B.compose(B.inverse[p.mor_map[u]], alpha),
-                                   q.mor_map[u])
-                mor_data.append((o, u, 0))
-                mor_target.append(obj_index[(A.tgt[u], alpha2)])
-    else:
-        table = iso_classes(A)
-        for a0 in table.representative:
-            isos = B.hom(p.obj_map[a0], q.obj_map[a0])
-            if not isos:
-                continue
-            moves = [(B.inverse[p.mor_map[u]], q.mor_map[u])
-                     for u in A.aut_generators(a0)]
-            for orbit in _hom_orbits(B, isos, moves):
-                alpha0 = orbit[0]
-                o = len(obj_data)
-                obj_data.append((a0, 0, alpha0))
-                for u in A.aut(a0):
-                    if B.compose(B.compose(B.inverse[p.mor_map[u]], alpha0),
-                                 q.mor_map[u]) == alpha0:
-                        mor_data.append((o, u, 0))
-                        mor_target.append(o)
+    reps = iso_classes(A).representative
+    _check_cap("trace groupoid objects",
+               sum(len(B.hom(p.obj_map[a0], q.obj_map[a0])) for a0 in reps))
 
-    tr = _PullbackGroupoid(A, FiniteGroupoid.terminal(), obj_data, mor_data,
-                           mor_target)
+    obj_data: list[tuple[int, int, int]] = []
+    n_mor = 0
+    for a0 in reps:
+        isos = B.hom(p.obj_map[a0], q.obj_map[a0])
+        if not isos:
+            continue
+        moves = [(B.inverse[p.mor_map[u]], q.mor_map[u])
+                 for u in A.aut_generators(a0)]
+        for orbit in _hom_orbits(B, isos, moves):
+            obj_data.append((a0, 0, orbit[0]))
+            n_mor += len(A.aut(a0)) // len(orbit)
+    _check_cap("trace groupoid morphisms", n_mor)
+
+    mor_data = [(o, u, 0) for o, (a0, _z, alpha0) in enumerate(obj_data)
+                for u in A.aut(a0)
+                if B.compose(B.compose(B.inverse[p.mor_map[u]], alpha0),
+                             q.mor_map[u]) == alpha0]
+    tr = _PullbackGroupoid(A, FiniteGroupoid.terminal(), obj_data, mor_data)
     return tr, cardinality(tr)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from spancalc.groupoid import (
 from spancalc.exact import aut_weight
 from spancalc.hall import all_matrices, mat_mul, mat_rank
 from spancalc.hecke import ORBIT_LABELS, HeckeTensor
-from spancalc.spans import SpanOfGroupoids
+from spancalc.spans import SpanOfGroupoids, span_to_json
 
 from oracles import bruhat_orbits
 
@@ -102,6 +103,23 @@ def random_equivariant_span(rng: random.Random, k: int,
 def random_span(rng: random.Random, k: int, left: GroupAction,
                 right: GroupAction) -> SpanOfGroupoids:
     return materialize_span(random_equivariant_span(rng, k, left, right))
+
+
+def random_composable_spans(rng: random.Random, k: int = 4, points: int = 8
+                            ) -> tuple[SpanOfGroupoids, SpanOfGroupoids]:
+    """(t, s): random Z/k-action spans X -> Y (s) and Y -> Z (t), so that
+    ``compose_spans(t, s)`` is defined."""
+    x, y, z = (random_cyclic_action(rng, k, points) for _ in range(3))
+    s = random_span(rng, k, y, x)
+    t = random_span(rng, k, z, y)
+    return t, s
+
+
+def span_pair_json(seed: int) -> tuple[str, str]:
+    """The ``compose`` inputs (first, second) of ``seed`` as JSON text: the
+    span files that ``tests/golden`` keeps."""
+    t, s = random_composable_spans(random.Random(seed))
+    return json.dumps(span_to_json(t)), json.dumps(span_to_json(s))
 
 
 def diagonal_functor(g: FiniteGroupoid) -> GroupoidFunctor:

@@ -13,6 +13,11 @@ incidence alone, without listing a group element.
 ``enumerate_reps`` and ``zero_class`` are the Hall counterparts that only
 tests call: the class table of one dimension vector from a fresh algebra,
 and the unit of an algebra.
+
+``weak_pullback_literal``, ``compose_literal`` and ``trace_literal`` build
+the literal weak pullback and trace groupoid, one object per triple
+(t, s, alpha), as plain groupoids with a callable composite.  They share no
+construction code with the skeletal ``spancalc.spans`` versions they check.
 """
 
 from __future__ import annotations
@@ -23,10 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from spancalc.actions import EquivariantSpan, GroupAction, orbit_table
-from spancalc.groupoid import FiniteGroupoid, IsoClassTable
+from spancalc.exact import _check_cap
+from spancalc.groupoid import (FiniteGroupoid, GroupoidFunctor, IsoClassTable,
+                               Rational, cardinality)
 from spancalc.hall import HallAlgebra, Quiver, RepClass
 from spancalc.hecke import (FlagGeometry, Rows, _normalize, _pair_label,
                             flag_geometry, relation_rows)
+from spancalc.spans import SpanOfGroupoids
 
 
 def _dense(rows: Rows) -> np.ndarray:
@@ -186,3 +194,105 @@ def enumerate_reps(quiver: Quiver, dimvec: tuple[int, ...], q: int
 def zero_class(h: HallAlgebra) -> RepClass:
     """The class of the zero representation, the unit of the algebra."""
     return h.classes((0,) * h.quiver.n_vertices)[0]
+
+
+# -- literal weak pullbacks ---------------------------------------------------
+
+def _groupoid_of_arrows(n_objects: int, arrows: list[tuple[int, int, int]],
+                        target: list[int], ident: tuple[tuple[int, int], ...],
+                        inv, compose_pair) -> FiniteGroupoid:
+    """A groupoid whose morphisms are arrows (o, u, v) out of object o.
+
+    ``ident`` is the (u, v) of an identity, ``inv`` inverts (u, v) and
+    ``compose_pair`` composes two (u, v) componentwise.
+    """
+    index = {a: i for i, a in enumerate(arrows)}
+    src = [o for o, _u, _v in arrows]
+    identity = [None] * n_objects
+    for i, (o, u, v) in enumerate(arrows):
+        if (u, v) == ident[o]:
+            identity[o] = i
+    inverse = [index[(target[i], *inv(u, v))]
+               for i, (_o, u, v) in enumerate(arrows)]
+
+    def compose(f: int, g: int) -> int:
+        o, u1, v1 = arrows[f]
+        _o, u2, v2 = arrows[g]
+        return index[(o, *compose_pair(u1, v1, u2, v2))]
+
+    return FiniteGroupoid(n_objects, src, target, identity, inverse, compose)
+
+
+def weak_pullback_literal(f: GroupoidFunctor, g: GroupoidFunctor
+                          ) -> tuple[FiniteGroupoid, GroupoidFunctor,
+                                     GroupoidFunctor]:
+    """The literal weak pullback of f: T -> B <- S :g, with its projections.
+
+    Objects are triples (t, s, alpha) with alpha: f(t) -> g(s) in B, and
+    (u, v): (t, s, alpha) -> (t', s', f(u)^-1 alpha g(v)) for every u out of
+    t and v out of s.
+    """
+    T, S, B = f.domain, g.domain, f.codomain
+    out_t = [len(T.mor_from(t)) for t in range(T.n_objects)]
+    out_s = [len(S.mor_from(s)) for s in range(S.n_objects)]
+    n_obj = n_mor = 0
+    for t in range(T.n_objects):
+        for s in range(S.n_objects):
+            h = len(B.hom(f.obj_map[t], g.obj_map[s]))
+            n_obj += h
+            n_mor += h * out_t[t] * out_s[s]
+    _check_cap("weak pullback objects", n_obj)
+    _check_cap("weak pullback morphisms", n_mor)
+
+    objects = [(t, s, alpha) for t in range(T.n_objects)
+               for s in range(S.n_objects)
+               for alpha in B.hom(f.obj_map[t], g.obj_map[s])]
+    obj_index = {x: i for i, x in enumerate(objects)}
+    arrows, target = [], []
+    for o, (t, s, alpha) in enumerate(objects):
+        for u in T.mor_from(t):
+            left = B.compose(B.inverse[f.mor_map[u]], alpha)
+            for v in S.mor_from(s):
+                arrows.append((o, u, v))
+                target.append(obj_index[(T.tgt[u], S.tgt[v],
+                                         B.compose(left, g.mor_map[v]))])
+    P = _groupoid_of_arrows(
+        len(objects), arrows, target,
+        tuple((T.identity[t], S.identity[s]) for t, s, _a in objects),
+        lambda u, v: (T.inverse[u], S.inverse[v]),
+        lambda u1, v1, u2, v2: (T.compose(u1, u2), S.compose(v1, v2)))
+    proj_t = GroupoidFunctor(P, T, tuple(t for t, _s, _a in objects),
+                             tuple(u for _o, u, _v in arrows))
+    proj_s = GroupoidFunctor(P, S, tuple(s for _t, s, _a in objects),
+                             tuple(v for _o, _u, v in arrows))
+    return P, proj_t, proj_s
+
+
+def compose_literal(t: SpanOfGroupoids, s: SpanOfGroupoids
+                    ) -> SpanOfGroupoids:
+    """The composite span "s then t" through the literal weak pullback."""
+    P, proj_t, proj_s = weak_pullback_literal(t.right, s.left)
+    return SpanOfGroupoids(P, proj_t.then(t.left), proj_s.then(s.right))
+
+
+def trace_literal(s: SpanOfGroupoids) -> tuple[FiniteGroupoid, Rational]:
+    """The literal trace groupoid of an endo-span p: A -> B <- A :q, with its
+    cardinality: objects (a, alpha) with alpha: p(a) -> q(a), and
+    u: (a, alpha) -> (a', p(u)^-1 alpha q(u)) for every u out of a."""
+    A, B = s.apex, s.source
+    p, q = s.right, s.left
+    objects = [(a, alpha) for a in range(A.n_objects)
+               for alpha in B.hom(p.obj_map[a], q.obj_map[a])]
+    obj_index = {x: i for i, x in enumerate(objects)}
+    arrows, target = [], []
+    for o, (a, alpha) in enumerate(objects):
+        for u in A.mor_from(a):
+            arrows.append((o, u, 0))
+            target.append(obj_index[(A.tgt[u], B.compose(
+                B.compose(B.inverse[p.mor_map[u]], alpha), q.mor_map[u]))])
+    tr = _groupoid_of_arrows(
+        len(objects), arrows, target,
+        tuple((A.identity[a], 0) for a, _alpha in objects),
+        lambda u, v: (A.inverse[u], 0),
+        lambda u1, v1, u2, v2: (A.compose(u1, u2), 0))
+    return tr, cardinality(tr)

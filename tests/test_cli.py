@@ -14,15 +14,17 @@ import pytest
 
 from spancalc import cli
 from spancalc.fock import annihilation_span, build_E
-from spancalc.groupoid import FiniteGroupoid, cyclic_table, iso_classes
+from spancalc.groupoid import (FiniteGroupoid, GroupoidFunctor, cyclic_table,
+                               iso_classes)
 from spancalc.spans import (
-    compose_spans,
+    SpanOfGroupoids,
     degroupoidify_span,
     matrix_to_json,
     span_to_json,
 )
 
 from helpers import S3_WORDS, iwahori_hecke_s3, random_cyclic_action, random_span
+from oracles import compose_literal
 
 
 def run_cli(*args, env=None):
@@ -190,7 +192,7 @@ def test_cli_composite_matches_the_literal_oracle(tmp_path):
         ts = str(tmp_path / f"ts{trial}.json")
         assert cli.main(["compose", "--first", paths["t"], "--second",
                          paths["s"], "-o", ts]) == 0
-        literal = compose_spans(t, s, mode="literal")
+        literal = compose_literal(t, s)
         for alpha in ("0", "1", "1/2"):
             out = tmp_path / f"m{trial}.json"
             assert cli.main(["degroupoidify", "--span", ts, "--alpha", alpha,
@@ -660,6 +662,16 @@ def test_fock_series_json():
     assert payload["series"] == ["1/1", "2/1", "2/1", "4/3", "2/3"]
 
 
+def test_fock_two_colored_series_checks_the_cap():
+    # sum over n <= 4 of 2^n n! = 443 morphisms
+    result = run_cli("fock", "--truncate", "4", "--series", "two-colored",
+                     env={"SPANCALC_SIZE_CAP": "100"})
+    assert result.returncode == 2
+    assert "error: two-colored stuff type morphisms needs 443 entries" in \
+        result.stderr
+    assert "Traceback" not in result.stderr and result.stdout == ""
+
+
 def test_hecke_verify_and_constants(tmp_path):
     result = run_cli("hecke", "--q", "2", "--verify")
     assert result.returncode == 0
@@ -735,3 +747,18 @@ def test_size_cap_env_override(tmp_path):
                      env={"SPANCALC_SIZE_CAP": "2"})
     assert result.returncode == 2
     assert "SPANCALC_SIZE_CAP" in result.stderr
+
+
+def test_compose_past_the_cap_stops_at_the_pullback(tmp_path):
+    # point <- 100 points -> point, composed with itself: 10^4 objects
+    apex = FiniteGroupoid.discrete(100)
+    leg = GroupoidFunctor(apex, FiniteGroupoid.terminal(), (0,) * 100,
+                          (0,) * 100)
+    path = tmp_path / "span.json"
+    path.write_text(json.dumps(span_to_json(SpanOfGroupoids(apex, leg, leg))))
+    result = run_cli("compose", "--first", str(path), "--second", str(path),
+                     env={"SPANCALC_SIZE_CAP": "1000"})
+    assert result.returncode == 2
+    assert "error: weak pullback objects needs 10000 entries" in result.stderr
+    assert "serialization" not in result.stderr
+    assert "Traceback" not in result.stderr and result.stdout == ""

@@ -31,8 +31,9 @@ from spancalc.spans import (
     degroupoidify_span,
     degroupoidify_vector,
     inner_product,
-    weak_pullback,
 )
+
+from oracles import compose_literal, weak_pullback_literal
 
 FACT = [1, 1, 2, 6, 24, 120, 720, 5040, 40320]
 
@@ -154,8 +155,8 @@ def test_psi_inner_products_are_kronecker_over_factorial():
 
 def test_psi2_pullback_cardinality():
     E = build_E(4)
-    P, _, _ = weak_pullback(psi_n(2, E).over.projection,
-                            psi_n(2, E).over.projection, mode="literal")
+    P, _, _ = weak_pullback_literal(psi_n(2, E).over.projection,
+                                    psi_n(2, E).over.projection)
     assert cardinality(P) == Fraction(1, 2)
 
 
@@ -170,7 +171,7 @@ def test_ccr_block_and_boundary():
 def test_aastar_composite_matrix_diagonal():
     E = build_E(4)
     A = annihilation_span(E)
-    m = degroupoidify_span(compose_spans(A, adjoint(A), mode="literal"), 0)
+    m = degroupoidify_span(compose_literal(A, adjoint(A)), 0)
     for n in range(4):
         assert m.data[n][n] == n + 1
     assert m.data[4][4] == 0
@@ -181,8 +182,8 @@ def test_compose_literal_and_skeletal_agree():
     A = annihilation_span(E)
     Astar = adjoint(A)
     for t, s in ((A, Astar), (Astar, A), (A, A)):
-        lit = degroupoidify_span(compose_spans(t, s, mode="literal"), 0)
-        ske = degroupoidify_span(compose_spans(t, s, mode="skeletal"), 0)
+        lit = degroupoidify_span(compose_literal(t, s), 0)
+        ske = degroupoidify_span(compose_spans(t, s), 0)
         assert lit == ske
 
 
@@ -219,10 +220,8 @@ def test_normal_ordered_powers_match_polynomials():
            + (astar @ astar @ astar @ astar),
     }
     for n, want in polys.items():
-        # the literal oracle takes seconds per power past n = 3
-        for mode in ("literal", "skeletal") if n <= 3 else ("skeletal",):
-            got = degroupoidify_span(normal_ordered_power(n, E, mode), 0)
-            assert got == want, f"normal-ordered power {n}, {mode}"
+        got = degroupoidify_span(normal_ordered_power(n, E), 0)
+        assert got == want, f"normal-ordered power {n}"
     assert normal_ordered_terms(5) == [(1, 0, 5), (5, 1, 4), (10, 2, 3),
                                        (10, 3, 2), (5, 4, 1), (1, 5, 0)]
     with pytest.raises(ValueError):

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spancalc.actions import materialize
-from spancalc.exact import QSqrt
+from spancalc.exact import QSqrt, SizeCapError
 from spancalc.groupoid import (
     FiniteGroupoid,
     GroupoidFunctor,
@@ -43,6 +45,7 @@ from helpers import (
     random_groupoid,
     random_span,
 )
+from oracles import compose_literal, trace_literal, weak_pullback_literal
 
 
 def bz2():
@@ -70,7 +73,7 @@ def test_pullback_of_identities_is_equivalent_to_the_groupoid():
     # pullback is equivalent to BZ/2 itself and has cardinality 1/2
     g = bz2()
     ident = GroupoidFunctor.identity(g)
-    P, pt, ps = weak_pullback(ident, ident, mode="literal")
+    P, pt, ps = weak_pullback_literal(ident, ident)
     assert P.n_objects == g.n_morphisms
     assert validate_groupoid(P) == []
     assert pt.validate() == [] and ps.validate() == []
@@ -83,7 +86,7 @@ def test_pullback_over_terminal_is_the_product():
     term = FiniteGroupoid.terminal()
     to_term_g = GroupoidFunctor(g, term, (0,), (0, 0))
     to_term_h = GroupoidFunctor(h, term, (0,), (0, 0, 0))
-    P, _, _ = weak_pullback(to_term_g, to_term_h, mode="literal")
+    P, _, _ = weak_pullback_literal(to_term_g, to_term_h)
     assert cardinality(P) == cardinality(g) * cardinality(h)
 
 
@@ -97,8 +100,8 @@ def test_skeletal_pullback_matches_literal():
         # the two left legs land in structurally equal materializations
         f = s.left
         g = GroupoidFunctor(t.apex, s.target, t.left.obj_map, t.left.mor_map)
-        lit, lt, ls = weak_pullback(f, g, mode="literal")
-        ske, st, ss = weak_pullback(f, g, mode="skeletal")
+        lit, lt, ls = weak_pullback_literal(f, g)
+        ske, st, ss = weak_pullback(f, g)
         assert validate_groupoid(lit) == []
         assert validate_groupoid(ske) == []
         assert st.validate() == [] and ss.validate() == []
@@ -134,7 +137,7 @@ def test_skeletal_objects_are_all_element_orbit_minima():
     rng = random.Random(29)
     for f, g in _orbit_cospans(rng):
         T, S, B = f.domain, g.domain, f.codomain
-        P, _pt, _ps = weak_pullback(f, g, mode="skeletal")
+        P, _pt, _ps = weak_pullback(f, g)
         want = []
         for t0 in iso_classes(T).representative:
             for s0 in iso_classes(S).representative:
@@ -149,24 +152,109 @@ def test_skeletal_objects_are_all_element_orbit_minima():
             assert size * len(P.aut(o)) == len(T.aut(t0)) * len(S.aut(s0))
 
 
-def test_unknown_pullback_modes_are_rejected():
-    g = bz2()
-    ident = GroupoidFunctor.identity(g)
-    span = identity_span(g)
-    for mode in ("auto", "bogus"):
-        with pytest.raises(ValueError, match=mode):
-            weak_pullback(ident, ident, mode=mode)
-        with pytest.raises(ValueError, match=mode):
-            compose_spans(span, span, mode=mode)
-        with pytest.raises(ValueError, match=mode):
-            trace_span(span, mode=mode)
-
-
 def test_pullback_rejects_codomain_mismatch():
     g = bz2()
     h = FiniteGroupoid.from_group_table(cyclic_table(3))
     with pytest.raises(ValueError):
         weak_pullback(GroupoidFunctor.identity(g), GroupoidFunctor.identity(h))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(rng=st.randoms(use_true_random=False),
+       k=st.sampled_from([2, 3, 4, 6]))
+def test_pullback_and_trace_match_the_literal_oracles(rng, k):
+    ax, ay, az = (random_cyclic_action(rng, k, rng.randint(1, 4))
+                  for _ in range(3))
+    s = random_span(rng, k, ay, ax)   # X -> Y
+    t = random_span(rng, k, az, ay)   # Y -> Z
+    skeletal, literal = compose_spans(t, s), compose_literal(t, s)
+    for alpha in (0, 1, Fraction(1, 2)):
+        assert degroupoidify_span(skeletal, alpha) == \
+            degroupoidify_span(literal, alpha)
+    for e in (random_span(rng, k, ax, ax),
+              identity_span(random_groupoid(rng, max_objects=4))):
+        assert trace_span(e)[1] == trace_literal(e)[1]
+
+
+# -- the size cap on the pullback --------------------------------------------
+
+def _refuse_pullback_groupoids(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("a pullback groupoid was built past the cap")
+    monkeypatch.setattr("spancalc.spans._PullbackGroupoid", refuse)
+
+
+def _over_point(apex: FiniteGroupoid) -> SpanOfGroupoids:
+    """The span point <- apex -> point."""
+    leg = GroupoidFunctor(apex, FiniteGroupoid.terminal(),
+                          (0,) * apex.n_objects, (0,) * apex.n_morphisms)
+    return SpanOfGroupoids(apex, leg, leg)
+
+
+@pytest.mark.parametrize("apex, what, needed", [
+    (FiniteGroupoid.discrete(30), "weak pullback objects", 900),
+    (FiniteGroupoid.from_group_table(cyclic_table(6)),
+     "weak pullback morphisms", 36),
+], ids=["objects", "morphisms"])
+def test_compose_checks_the_cap_before_building(monkeypatch, apex, what,
+                                                needed):
+    span = _over_point(apex)
+    monkeypatch.setenv("SPANCALC_SIZE_CAP", str(needed - 1))
+    _refuse_pullback_groupoids(monkeypatch)
+    with pytest.raises(SizeCapError, match=what) as exc:
+        compose_spans(span, span)
+    assert exc.value.needed == needed
+
+
+@pytest.mark.parametrize("apex, what, needed", [
+    (FiniteGroupoid.discrete(30), "trace groupoid objects", 30),
+    (FiniteGroupoid.from_group_table(cyclic_table(6)),
+     "trace groupoid morphisms", 6),
+], ids=["objects", "morphisms"])
+def test_trace_checks_the_cap_before_building(monkeypatch, apex, what,
+                                              needed):
+    monkeypatch.setenv("SPANCALC_SIZE_CAP", str(needed - 1))
+    _refuse_pullback_groupoids(monkeypatch)
+    with pytest.raises(SizeCapError, match=what) as exc:
+        trace_span(_over_point(apex))
+    assert exc.value.needed == needed
+
+
+def _check_cap_is_exact(monkeypatch, build, needed: int) -> None:
+    """``build()`` breaches the cap at needed - 1, naming ``needed``, and
+    runs at cap ``needed``."""
+    monkeypatch.setenv("SPANCALC_SIZE_CAP", str(needed - 1))
+    with pytest.raises(SizeCapError) as exc:
+        build()
+    assert exc.value.needed == needed
+    monkeypatch.setenv("SPANCALC_SIZE_CAP", str(needed))
+    build()
+    monkeypatch.delenv("SPANCALC_SIZE_CAP")
+
+
+def test_pullback_cap_counts_are_the_scan_and_the_morphisms(monkeypatch):
+    # objects are bounded by the hom-sets scanned; morphisms count exactly
+    rng = random.Random(113)
+    for f, g in _orbit_cospans(rng):
+        T, S, B = f.domain, g.domain, f.codomain
+        P, _pt, _ps = weak_pullback(f, g)
+        scanned = sum(len(B.hom(f.obj_map[t0], g.obj_map[s0]))
+                      for t0 in iso_classes(T).representative
+                      for s0 in iso_classes(S).representative)
+        assert P.n_objects <= scanned
+        _check_cap_is_exact(monkeypatch, lambda: weak_pullback(f, g),
+                            max(scanned, P.n_morphisms))
+
+
+def test_trace_cap_counts_are_the_scan_and_the_morphisms(monkeypatch):
+    for s in _trace_spans(random.Random(127)):
+        A, B = s.apex, s.source
+        tr, _value = trace_span(s)
+        scanned = sum(len(B.hom(s.right.obj_map[a0], s.left.obj_map[a0]))
+                      for a0 in iso_classes(A).representative)
+        assert tr.n_objects <= scanned
+        _check_cap_is_exact(monkeypatch, lambda: trace_span(s),
+                            max(scanned, tr.n_morphisms))
 
 
 # -- degroupoidification of spans and vectors --------------------------------
@@ -187,7 +275,7 @@ def test_discrete_span_composition_is_integer_matrix_product():
         nl, nm, nr = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
         t = discrete_span(rng, nl, nm)
         s = discrete_span(rng, nm, nr)
-        ts = compose_spans(t, s, mode="literal")
+        ts = compose_literal(t, s)
         got = degroupoidify_span(ts, 0)
         # independent oracle: count apex pairs into an integer matrix product
         mt = np.zeros((nl, nm), dtype=int)
@@ -209,8 +297,7 @@ def test_functoriality_on_random_action_spans():
         az = random_cyclic_action(rng, k, rng.randint(1, 4))
         s = random_span(rng, k, ay, ax)   # span X -> Y
         t = random_span(rng, k, az, ay)   # span Y -> Z
-        for mode in ("literal", "skeletal"):
-            ts = compose_spans(t, s, mode=mode)
+        for ts in (compose_literal(t, s), compose_spans(t, s)):
             for alpha in (0, 1):
                 lhs = degroupoidify_span(ts, alpha)
                 rhs = degroupoidify_span(t, alpha) @ \
@@ -412,21 +499,25 @@ def test_trace_equals_matrix_trace():
         assert value == degroupoidify_span(s, 0).trace()
 
 
-def test_trace_skeletal_matches_literal_and_orbit_oracle():
-    rng = random.Random(103)
+def _trace_spans(rng: random.Random) -> list[SpanOfGroupoids]:
+    """Endo-spans of random actions, and identity spans, whose trace
+    orbits are conjugacy classes."""
     spans = []
     for _ in range(6):
         k = rng.choice([2, 3, 4])
         ax = random_cyclic_action(rng, k, rng.randint(1, 4))
         spans.append(random_span(rng, k, ax, ax))
-    # on an identity span the orbits are conjugacy classes
     spans += [identity_span(random_groupoid(rng, max_objects=4))
               for _ in range(4)]
     spans.append(identity_span(FiniteGroupoid.connected(2, symmetric_table(4))))
-    for s in spans:
+    return spans
+
+
+def test_trace_skeletal_matches_literal_and_orbit_oracle():
+    for s in _trace_spans(random.Random(103)):
         A, B = s.apex, s.source
-        lit, lit_value = trace_span(s, mode="literal")
-        ske, ske_value = trace_span(s, mode="skeletal")
+        lit, lit_value = trace_literal(s)
+        ske, ske_value = trace_span(s)
         assert lit_value == ske_value == cardinality(lit) == cardinality(ske)
         assert validate_groupoid(ske) == []
         want = []
