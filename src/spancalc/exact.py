@@ -1,12 +1,16 @@
-"""The exact core every subcommand shares: the size cap and the numbers.
+"""The exact core every subcommand shares: the size cap, finite groups
+given by generators, and the numbers.
 
 ``size_cap`` is the configurable cap on materialized sizes
 (``SPANCALC_SIZE_CAP``), and ``SizeCapError`` reports a breach of it or of
-a caller's own fixed cap.  ``QSqrt`` holds the sums of rational multiples
-of square roots that half-integer alpha produces; ``aut_weight`` is the
-one degroupoidification weight |Aut x|^(1-alpha) |Aut y|^alpha / |Aut s|,
-and ``format_rational`` prints a value as the CLI emits it.  This module
-imports nothing from the rest of the package.
+a caller's own fixed cap.  ``orbits`` is the one routine that grows
+orbits from generators, and ``greedy_generators`` with ``extend_group``
+the one that closes a group from them.  ``QSqrt`` holds the sums of
+rational multiples of square roots that half-integer alpha produces;
+``aut_weight`` is the one degroupoidification weight
+|Aut x|^(1-alpha) |Aut y|^alpha / |Aut s|, and ``format_rational`` prints
+a value as the CLI emits it.  This module imports nothing from the rest
+of the package.
 """
 
 from __future__ import annotations
@@ -46,6 +50,73 @@ class SizeCapError(RuntimeError):
 def _check_cap(what: str, needed: int) -> None:
     if needed > size_cap():
         raise SizeCapError(what, needed)
+
+
+# -- orbits and closures of finite groups given by generators ---------------
+
+def orbits(points, moves, seen: dict):
+    """Yield the orbits through ``points`` of the group generated by
+    ``moves`` (functions point -> point), each as a list, grown from the
+    first point of ``points`` not yet in ``seen`` and listing it first.
+
+    ``seen`` is the caller's: each point reached is entered in it with the
+    index of its orbit.  In a finite group the inverse moves are powers of
+    the moves, so forward moves reach the whole orbit.  With ``points`` in
+    increasing order the orbits come in order of their least point, which
+    is listed first, whatever the moves.
+    """
+    k = 0
+    for start in points:
+        if start in seen:
+            continue
+        seen[start] = k
+        orbit = [start]
+        for point in orbit:   # grows while it is scanned
+            for move in moves:
+                image = move(point)
+                if image not in seen:
+                    seen[image] = k
+                    orbit.append(image)
+        yield orbit
+        k += 1
+
+
+def extend_group(group: set, gens: list, one, times) -> set:
+    """Extend ``group``, the group generated by every generator but the
+    last under the product ``times``, in place to the group generated by
+    all of ``gens``, and return it.
+
+    The new group is a union of left cosets y H of the old group H: left
+    multiplication by a generator permutes them, so each new coset is
+    found by one product t x from a known representative x and filled by
+    the products y h.  In a finite group the inverses are powers of the
+    generators.
+    """
+    subgroup = [h for h in group if h != one]
+    reps = [one]       # one representative per coset, H's first
+    for x in reps:     # grows while it is scanned
+        for t in gens:
+            y = times(t, x)
+            if y not in group:
+                group.add(y)
+                group.update([times(y, h) for h in subgroup])
+                reps.append(y)
+    return group
+
+
+def greedy_generators(elements, one, times) -> tuple[list, set]:
+    """A greedy generating set of the group the ``elements`` generate,
+    with that group: each element not in the group generated so far joins
+    the set, in element order, and the group is extended by it.  The set
+    depends only on the order of ``elements``; each generator at least
+    doubles the group, so there are at most log2 |group| of them."""
+    gens: list = []
+    group = {one}
+    for x in elements:
+        if x not in group:
+            gens.append(x)
+            extend_group(group, gens, one, times)
+    return gens, group
 
 
 # -- numbers of the form sum of c_b * sqrt(b) -------------------------------

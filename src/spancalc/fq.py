@@ -57,6 +57,14 @@ def mat_mul(a: Matrix, b: Matrix, q: int, cols: int | None = None) -> Matrix:
                  for row in a)
 
 
+def vertexwise_product(dims: tuple[int, ...], q: int):
+    """The product of tuples of matrices, one per vertex of the given
+    dimensions, vertex by vertex."""
+    def times(a, b):
+        return tuple(mat_mul(x, y, q, cols=d) for x, y, d in zip(a, b, dims))
+    return times
+
+
 def mat_vec(m: Matrix, v, q: int) -> tuple:
     return tuple(sum(map(int.__mul__, row, v)) % q for row in m)
 
@@ -201,37 +209,3 @@ def _gl_generators(n: int, q: int) -> list[Matrix]:
                                 for c in range(n)) for r in range(n)))
     return gens
 
-
-def generated(gens, dims: tuple[int, ...], q: int,
-              group: set | None = None) -> set:
-    """The group generated by tuples of invertible matrices, one per
-    vertex of the given dimensions, as a set of such tuples.
-
-    It is grown a generator at a time, each step extending the group H
-    generated so far by a union of its left cosets y H: left
-    multiplication by a generator permutes the cosets, so each new coset
-    is found by one product t x from a known representative x and filled
-    by the products y h.  In a finite group the inverses are powers of the
-    generators.  When ``group`` is given it must already be the group
-    generated by every generator but the last; it is extended in place by
-    the last one rather than grown again from the identity."""
-    def times(a, b):
-        return tuple(mat_mul(x, y, q, cols=d) for x, y, d in zip(a, b, dims))
-
-    one = tuple(identity(d) for d in dims)
-    if group is None:
-        group = {one}
-        steps = range(1, len(gens) + 1)
-    else:
-        steps = [len(gens)]
-    for k in steps:
-        subgroup = [h for h in group if h != one]
-        reps = [one]       # one representative per coset, H's first
-        for x in reps:     # grows while it is scanned
-            for t in gens[:k]:
-                y = times(t, x)
-                if y not in group:
-                    group.add(y)
-                    group.update([times(y, h) for h in subgroup])
-                    reps.append(y)
-    return group

@@ -16,7 +16,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .exact import _check_cap
+from .exact import _check_cap, greedy_generators
 
 Rational = Fraction
 
@@ -111,35 +111,12 @@ class FiniteGroupoid:
         return self.hom(x, x)
 
     def aut_generators(self, x: int) -> list[int]:
-        """A generating set of Aut(x), at most log2 |Aut(x)| long; cached.
-
-        Greedy closure (Dimino-style): scan Aut(x) in index order and keep
-        each element not yet in the subgroup generated so far, extending
-        that subgroup by right multiplication with the generators.
-        """
+        """A greedy generating set of Aut(x) in index order, at most
+        log2 |Aut(x)| long (``exact.greedy_generators``); cached."""
         gens = self._aut_gens.get(x)
-        if gens is not None:
-            return gens
-        gens = []
-        group = {self.identity[x]}
-        for a in self.aut(x):
-            if a in group:
-                continue
-            gens.append(a)
-            # old elements times old generators stay inside the old group
-            frontier = [b for b in (self.compose(h, a) for h in group)
-                        if b not in group]
-            group.update(frontier)
-            while frontier:
-                new = []
-                for h in frontier:
-                    for c in gens:
-                        b = self.compose(h, c)
-                        if b not in group:
-                            group.add(b)
-                            new.append(b)
-                frontier = new
-        self._aut_gens[x] = gens
+        if gens is None:
+            gens = self._aut_gens[x] = greedy_generators(
+                self.aut(x), self.identity[x], self.compose)[0]
         return gens
 
     def composites(self) -> Iterator[tuple[int, int, int]]:

@@ -28,15 +28,16 @@ A second, span-based route goes through the groupoid of short exact
 sequences: the full inverse image over ((M, N), E) is equivalent to the
 groupoid of subrepresentations W of E with W isomorphic to N and E/W
 isomorphic to M, acted on by Aut(E).  Subspaces are reduced row echelon
-bases, the orbits are grown from a generating set of Aut(E), and the
+bases, the orbits are grown from a generating set of Aut(E) by
+``exact.orbits``, the routine that also grows the class tables, and the
 cardinality, the sum over orbits of 1 / |stabilizer| with |stabilizer| =
 |Aut E| / |orbit|, times |Aut E| recovers the same coefficient with no
 pair counting involved.  Aut(E) is the product of the unit groups of the
 components of End(E); each unit group gets a greedy generating set, and
-its closure is grown (``fq.generated``) once per algebra, however many
-classes share the component.  Guard: the closures' orders multiply to
-|Aut E| as the class table counts it, by orbit and stabilizer, and the
-list of automorphisms has that many elements.
+its closure is grown (``exact.greedy_generators``) once per algebra,
+however many classes share the component.  Guard: the closures' orders
+multiply to |Aut E| as the class table counts it, by orbit and
+stabilizer, and the list of automorphisms has that many elements.
 """
 
 from __future__ import annotations
@@ -48,14 +49,13 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import SizeCapError
+from .exact import SizeCapError, greedy_generators, orbits
 from .fq import (
     Matrix,
     _gl_generators,
     _reduce,
     all_matrices,
     echelon,
-    generated,
     identity,
     is_prime,
     mat_inv,
@@ -64,6 +64,7 @@ from .fq import (
     mat_vec,
     nullspace,
     subspaces,
+    vertexwise_product,
 )
 
 MAX_REP_ENUMERATION = 10 ** 6
@@ -100,21 +101,6 @@ def check_caps(quiver: Quiver, q: int, dimvec: tuple[int, ...]) -> None:
                    (q ** min(d, 64) - q ** i
                     for d in dimvec for i in range(d)),
                    MAX_BASE_CHANGE_GROUP)
-
-
-def _orbit(start, moves) -> list:
-    """The orbit of ``start`` under the group generated by ``moves``
-    (functions point -> point), ``start`` first.  In a finite group the
-    inverse moves are powers of the moves, so forward moves suffice."""
-    orbit = [start]
-    seen = {start}
-    for point in orbit:   # grows while it is scanned
-        for move in moves:
-            image = move(point)
-            if image not in seen:
-                seen.add(image)
-                orbit.append(image)
-    return orbit
 
 
 # -- quivers and representations ---------------------------------------------
@@ -251,15 +237,6 @@ class RepClass(NamedTuple):
 class HallElement(dict):
     """Finite rational combination of representation classes, keyed by class."""
 
-    def __add__(self, other: "HallElement") -> "HallElement":
-        out = HallElement(self)
-        for k, v in other.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return HallElement({k: v for k, v in out.items() if v != 0})
-
-    def scale(self, c: Fraction) -> "HallElement":
-        return HallElement({k: v * c for k, v in self.items() if v * c != 0})
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, dict):
             return NotImplemented
@@ -342,25 +319,20 @@ class HallAlgebra:
         all_mats = [list(all_matrices(dimvec[b], dimvec[a], q))
                     for a, b in edges]
         classes: list[RepClass] = []
-        classify: dict = {}
+        classify: dict = {}     # each representation's class index
         # edge tuples come in increasing order, so each orbit is grown from
         # its least member and the orbits come in order of least member
-        for mats in itertools.product(*all_mats):
-            if mats in classify:
-                continue
-            orbit = _orbit(mats, moves)
-            cls = RepClass(dimvec, len(classes), QuiverRep(dimvec, mats),
-                           group_size // len(orbit), len(orbit))
-            classes.append(cls)
-            for member in orbit:
-                classify[member] = cls
+        for orbit in orbits(itertools.product(*all_mats), moves, classify):
+            classes.append(RepClass(dimvec, len(classes),
+                                    QuiverRep(dimvec, orbit[0]),
+                                    group_size // len(orbit), len(orbit)))
         self._classes[dimvec] = classes
         self._classify[dimvec] = classify
         return classes
 
     def classify(self, rep: QuiverRep) -> RepClass:
-        self.classes(rep.dims)
-        return self._classify[tuple(rep.dims)][rep.mats]
+        dims = tuple(rep.dims)
+        return self.classes(dims)[self._classify[dims][rep.mats]]
 
     # -- morphisms -------------------------------------------------------
 
@@ -523,12 +495,9 @@ class HallAlgebra:
         group is extended by it.  Memoised by the component's key."""
         if key not in self._unit_cache:
             dims = tuple(c for _r, c, _want in key[0])
-            gens: list[tuple[Matrix, ...]] = []
-            group = generated(gens, dims, self.q)
-            for g in self._component_maps(key):
-                if g not in group:
-                    gens.append(g)
-                    generated(gens, dims, self.q, group)
+            gens, group = greedy_generators(
+                self._component_maps(key), tuple(map(identity, dims)),
+                vertexwise_product(dims, self.q))
             self._unit_cache[key] = (gens, len(group))
         return self._unit_cache[key]
 
@@ -709,18 +678,16 @@ class HallAlgebra:
                 continue
             moves = [functools.partial(image, g)
                      for g in self.aut_generators(E)]
-            unseen = set(matching)
+            seen: dict = {}
             cardinality = Fraction(0)
-            for spaces in matching:
-                if spaces not in unseen:
-                    continue
-                orbit = _orbit(spaces, moves)
-                if not unseen.issuperset(orbit):
-                    raise AssertionError(
-                        f"an automorphism of {E.label} moves a matching "
-                        f"subrepresentation off the matching set")
-                unseen.difference_update(orbit)
+            for orbit in orbits(matching, moves, seen):
                 cardinality += 1 / Fraction(E.aut_order, len(orbit))
+            # the orbits cover the matching set, and only it when no
+            # automorphism moves a point of it out
+            if len(seen) != len(matching):
+                raise AssertionError(
+                    f"an automorphism of {E.label} moves a matching "
+                    f"subrepresentation off the matching set")
             out[E.key] = E.aut_order * cardinality
         return out
 
@@ -730,13 +697,15 @@ class HallAlgebra:
         return self.classes(key[0])[key[1]]
 
     def element_product(self, x: HallElement, y: HallElement) -> HallElement:
+        """The bilinear extension of ``product``, summed into one dict."""
         out = HallElement()
         for mk, mc in x.items():
             for nk, nc in y.items():
-                term = self.product(self.class_by_key(mk),
-                                    self.class_by_key(nk))
-                out = out + term.scale(mc * nc)
-        return out
+                c = mc * nc
+                for k, v in self.product(self.class_by_key(mk),
+                                         self.class_by_key(nk)).items():
+                    out[k] = out.get(k, 0) + c * v
+        return HallElement({k: v for k, v in out.items() if v != 0})
 
     def check_associativity(self, dmax: tuple[int, ...]) -> list[tuple]:
         """([M][N])[L] = [M]([N][L]) for all class triples within the bound.

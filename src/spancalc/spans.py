@@ -10,18 +10,20 @@ with entry at (class of y, class of x) equal to
 computed in exact rational arithmetic.  Weak pullbacks implement span
 composition; since equivalent spans induce equal matrices, the one weak
 pullback is blockwise-skeletal (one object per isomorphism class), and that
-is also the composite ``spancalc compose`` writes.  It counts its objects
-and morphisms against the size cap before it lists them.  The literal
-pullback, one object per triple (t, s, alpha), is a test oracle only.
+is also the composite ``spancalc compose`` writes.  Its objects are
+orbits of automorphism groups on hom-sets, grown by ``exact.orbits`` from
+``FiniteGroupoid.aut_generators``.  It counts its objects and morphisms
+against the size cap before it lists them.  The literal pullback, one
+object per triple (t, s, alpha), is a test oracle only.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import functools
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exact import _check_cap, aut_weight, format_rational
+from .exact import _check_cap, aut_weight, format_rational, orbits
 from .groupoid import (
     FiniteGroupoid,
     GroupoidFunctor,
@@ -222,38 +224,14 @@ class _PullbackGroupoid(FiniteGroupoid):
         return self, proj_t, proj_s
 
 
-def _hom_orbits(B: FiniteGroupoid, isos: list[int],
-                moves: list[tuple[int | None, int | None]]
-                ) -> list[list[int]]:
-    """Orbits of a hom-set of B under the group generated by ``moves``.
+def _right_move(B: FiniteGroupoid, r: int):
+    """The move alpha -> alpha;r on a hom-set of B."""
+    return lambda alpha: B.compose(alpha, r)
 
-    A move (l, r) sends alpha to l;alpha;r, with None for a missing
-    factor.  The moves are the images of generating sets of the acting
-    automorphism groups, so the scan costs |isos| * #moves composites; in
-    a finite group the inverse moves are powers of the moves, so forward
-    moves reach the whole orbit.  ``isos`` is sorted and each orbit is
-    grown from its least element, so orbits come in order of their least
-    element, which is listed first, whatever the generators.
-    """
-    index = {a: i for i, a in enumerate(isos)}
-    seen = [False] * len(isos)
-    orbits = []
-    for i, alpha in enumerate(isos):
-        if seen[i]:
-            continue
-        seen[i] = True
-        orbit = [alpha]
-        for beta in orbit:  # grows while it is scanned
-            for l, r in moves:
-                gamma = beta if l is None else B.compose(l, beta)
-                if r is not None:
-                    gamma = B.compose(gamma, r)
-                j = index[gamma]
-                if not seen[j]:
-                    seen[j] = True
-                    orbit.append(gamma)
-        orbits.append(orbit)
-    return orbits
+
+def _two_sided_move(B: FiniteGroupoid, l: int, r: int):
+    """The move alpha -> l;alpha;r on a hom-set of B."""
+    return lambda alpha: B.compose(B.compose(l, alpha), r)
 
 
 def weak_pullback(f: GroupoidFunctor, g: GroupoidFunctor
@@ -262,39 +240,45 @@ def weak_pullback(f: GroupoidFunctor, g: GroupoidFunctor
 
     Returns (P, P -> T, P -> S).  The literal pullback has an object
     (t, s, alpha) for each isomorphism alpha: f(t) -> g(s) in B.  P keeps,
-    for class representatives t0 and s0, one object (t0, s0, alpha0) per
-    orbit of Aut(t0) x Aut(s0) on B(f t0, g s0), alpha0 its least element,
-    with the stabilizer of alpha0 as automorphisms.  Projections commute on
-    the nose, so every degroupoidification agrees exactly with the literal
-    one.  The objects, bounded by the hom-sets scanned, and the morphisms,
+    for class representatives t0 and s0 with f t0 and g s0 isomorphic in
+    B, one object (t0, s0, alpha0) per orbit of Aut(t0) x Aut(s0) on
+    B(f t0, g s0), alpha0 its least element, with the stabilizer of alpha0
+    as automorphisms; pairs whose images are not isomorphic are never
+    visited.  Projections commute on the nose, so every degroupoidification
+    agrees exactly with the literal one.  The objects, bounded by the hom-sets scanned, and the morphisms,
     counted exactly by orbit-stabilizer, are checked against the size cap
     before they are listed.
     """
     if f.codomain is not g.codomain and not _same_groupoid(f.codomain, g.codomain):
         raise ValueError("cospan legs have different codomains")
     T, S, B = f.domain, g.domain, f.codomain
+    b_classes = iso_classes(B)
+    # S's representatives by the class of their image: B(f t0, g s0) is
+    # empty unless f t0 and g s0 are isomorphic, and else has |Aut f t0|
+    # elements
+    s_reps_in: dict[int, list[int]] = {}
+    for s0 in iso_classes(S).representative:
+        s_reps_in.setdefault(b_classes.class_of[g.obj_map[s0]], []).append(s0)
     t_reps = iso_classes(T).representative
-    s_reps = iso_classes(S).representative
-    f_images = Counter(f.obj_map[t0] for t0 in t_reps)
-    g_images = Counter(g.obj_map[s0] for s0 in s_reps)
+    t_class = [b_classes.class_of[f.obj_map[t0]] for t0 in t_reps]
     _check_cap("weak pullback objects",
-               sum(m * n * len(B.hom(x, y)) for x, m in f_images.items()
-                   for y, n in g_images.items()))
+               sum(len(s_reps_in.get(c, ())) * b_classes.aut_order[c]
+                   for c in t_class))
 
     obj_data: list[tuple[int, int, int]] = []   # (t0, s0, alpha0)
     n_mor = 0
-    for t0 in t_reps:
+    for t0, c in zip(t_reps, t_class):
+        if c not in s_reps_in:
+            continue
         order_t = len(T.aut(t0))
-        left_moves = [(B.inverse[f.mor_map[u]], None)
+        left_moves = [functools.partial(B.compose, B.inverse[f.mor_map[u]])
                       for u in T.aut_generators(t0)]
-        for s0 in s_reps:
-            isos = B.hom(f.obj_map[t0], g.obj_map[s0])
-            if not isos:
-                continue
+        for s0 in s_reps_in[c]:
             order = order_t * len(S.aut(s0))
-            moves = left_moves + [(None, g.mor_map[v])
+            moves = left_moves + [_right_move(B, g.mor_map[v])
                                   for v in S.aut_generators(s0)]
-            for orbit in _hom_orbits(B, isos, moves):
+            for orbit in orbits(B.hom(f.obj_map[t0], g.obj_map[s0]), moves,
+                                {}):
                 obj_data.append((t0, s0, orbit[0]))
                 n_mor += order // len(orbit)
     _check_cap("weak pullback morphisms", n_mor)
@@ -460,9 +444,9 @@ def trace_span(s: SpanOfGroupoids) -> tuple[FiniteGroupoid, Rational]:
         isos = B.hom(p.obj_map[a0], q.obj_map[a0])
         if not isos:
             continue
-        moves = [(B.inverse[p.mor_map[u]], q.mor_map[u])
+        moves = [_two_sided_move(B, B.inverse[p.mor_map[u]], q.mor_map[u])
                  for u in A.aut_generators(a0)]
-        for orbit in _hom_orbits(B, isos, moves):
+        for orbit in orbits(isos, moves, {}):
             obj_data.append((a0, 0, orbit[0]))
             n_mor += len(A.aut(a0)) // len(orbit)
     _check_cap("trace groupoid morphisms", n_mor)

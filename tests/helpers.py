@@ -19,8 +19,9 @@ from spancalc.groupoid import (
     symmetric_table,
     table_product,
 )
-from spancalc.exact import aut_weight
-from spancalc.hall import all_matrices, mat_mul, mat_rank
+from spancalc.exact import aut_weight, greedy_generators
+from spancalc.fq import vertexwise_product
+from spancalc.hall import all_matrices, identity, mat_mul, mat_rank
 from spancalc.hecke import ORBIT_LABELS, HeckeTensor
 from spancalc.spans import SpanOfGroupoids, span_to_json
 
@@ -157,6 +158,12 @@ def associative(g: FiniteGroupoid) -> bool:
     return all(g.compose(g.compose(f, h), k) == g.compose(f, g.compose(h, k))
                for f in range(g.n_morphisms) for h in g.mor_from(g.tgt[f])
                for k in g.mor_from(g.tgt[h]))
+
+
+def generated_group(gens, dims: tuple[int, ...], q: int) -> set:
+    """The group that tuples of invertible matrices generate."""
+    return greedy_generators(gens, tuple(map(identity, dims)),
+                             vertexwise_product(dims, q))[1]
 
 
 def gl_matrices(n: int, q: int) -> list:

@@ -1,0 +1,86 @@
+"""The shared orbit and group-closure routines of ``spancalc.exact``,
+against brute force on the automorphism groups of random groupoids."""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spancalc.exact import extend_group, greedy_generators, orbits
+from spancalc.groupoid import FiniteGroupoid
+
+from helpers import random_groupoid
+
+
+def brute_closure(g: FiniteGroupoid, x: int, elements) -> set:
+    """The subgroup of Aut(x) that ``elements`` generate: products of
+    everything reached, until nothing new appears."""
+    group = {g.identity[x], *elements}
+    while True:
+        new = {g.compose(a, b) for a in group for b in group} - group
+        if not new:
+            return group
+        group |= new
+
+
+def random_elements(rng: random.Random):
+    """A random groupoid, an object x, and a few elements of Aut(x), some
+    repeated, in random order."""
+    g = random_groupoid(rng, max_objects=4)
+    x = rng.randrange(g.n_objects)
+    aut = g.aut(x)
+    return g, x, [rng.choice(aut) for _ in range(rng.randint(0, 4))]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_closure_matches_brute_force(rng):
+    g, x, elements = random_elements(rng)
+    one = g.identity[x]
+    gens, group = greedy_generators(elements, one, g.compose)
+    assert group == brute_closure(g, x, elements)
+    # greedy: each element outside the group the earlier generators
+    # generate joins them, and extends that group in place
+    want = []
+    for e in elements:
+        if e not in brute_closure(g, x, want):
+            want.append(e)
+    assert gens == want
+    closed = {one}
+    for i in range(len(gens)):
+        assert extend_group(closed, gens[:i + 1], one, g.compose) is closed
+        assert closed == brute_closure(g, x, gens[:i + 1])
+    assert len(gens) <= max(1, len(group)).bit_length()
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_orbits_match_brute_force_whatever_the_generator_order(rng):
+    # the subgroup H that the elements generate acts on Aut(x) by
+    # conjugation, alpha -> h^-1 alpha h, whose orbits are not all points
+    g, x, elements = random_elements(rng)
+    points = g.aut(x)                      # increasing
+    group = brute_closure(g, x, elements)
+    want = []
+    for alpha in points:
+        if not any(alpha in orbit for orbit in want):
+            want.append({g.compose(g.compose(g.inverse[h], alpha), h)
+                         for h in group})
+    for _ in range(2):
+        rng.shuffle(elements)
+        moves = [lambda a, h=h: g.compose(g.compose(g.inverse[h], a), h)
+                 for h in elements]
+        seen: dict = {}
+        got = list(orbits(points, moves, seen))
+        assert [set(orbit) for orbit in got] == want
+        assert [orbit[0] for orbit in got] == [min(o) for o in want]
+        assert all(len(orbit) == len(set(orbit)) for orbit in got)
+        assert seen == {a: k for k, orbit in enumerate(got) for a in orbit}
+
+
+def test_orbits_skip_points_the_caller_has_seen():
+    # the shift by 2 on 0..5 has the orbits {0, 2, 4} and {1, 3, 5}
+    seen = {0: "known", 2: "known", 4: "known"}
+    assert list(orbits(range(6), [lambda p: (p + 2) % 6], seen)) == \
+        [[1, 3, 5]]
+    assert seen == {0: "known", 2: "known", 4: "known", 1: 0, 3: 0, 5: 0}

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from spancalc.exact import extend_group
 from spancalc.fq import (
     MR_EXACT_BELOW,
     _gl_generators,
     _primitive_root,
     all_matrices,
     echelon,
-    generated,
     identity,
     is_prime,
     mat_inv,
@@ -18,7 +18,10 @@ from spancalc.fq import (
     mat_vec,
     nullspace,
     subspaces,
+    vertexwise_product,
 )
+
+from helpers import generated_group
 
 # (rows, cols) shapes small enough to enumerate every matrix at each q
 SHAPES = {2: [(r, c) for r in range(4) for c in range(4) if r * c <= 9],
@@ -94,7 +97,7 @@ def test_gl_order_from_generators(n, q):
     order = 1
     for i in range(n):
         order *= q ** n - q ** i
-    group = generated([(s,) for s in _gl_generators(n, q)], (n,), q)
+    group = generated_group([(s,) for s in _gl_generators(n, q)], (n,), q)
     assert len(group) == order
     if n <= 2:
         assert group == {(m,) for m in all_matrices(n, n, q)
@@ -103,12 +106,13 @@ def test_gl_order_from_generators(n, q):
 
 def test_generated_extends_a_closed_group_in_place():
     q = 3
+    one, times = (identity(2),), vertexwise_product((2,), q)
     gens = [(s,) for s in _gl_generators(2, q)]
-    group = generated(gens[:1], (2,), q)
+    group = extend_group({one}, gens[:1], one, times)
     assert len(group) == q - 1           # diag(w, 1) for a primitive root w
-    same = generated(gens[:2], (2,), q, group)
+    same = extend_group(group, gens[:2], one, times)
     assert same is group
-    assert group == generated(gens[:2], (2,), q)
+    assert group == generated_group(gens[:2], (2,), q)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

@@ -11,7 +11,6 @@ from spancalc.hall import (
     Quiver,
     _gl_generators,
     echelon,
-    generated,
     mat_inv,
     mat_mul,
     mat_rank,
@@ -19,7 +18,8 @@ from spancalc.hall import (
     subspaces,
 )
 
-from helpers import brute_force_homs, brute_force_ses_count, gl_matrices
+from helpers import (brute_force_homs, brute_force_ses_count,
+                     generated_group, gl_matrices)
 from oracles import enumerate_reps, zero_class
 
 
@@ -255,8 +255,8 @@ def test_gl_generators_generate_gl(n, q):
     order = 1
     for i in range(n):
         order *= q ** n - q ** i
-    assert len(generated([(s,) for s in _gl_generators(n, q)], (n,), q)) \
-        == order
+    assert len(generated_group([(s,) for s in _gl_generators(n, q)], (n,),
+                               q)) == order
 
 
 def test_aut_generators_generate_aut():
@@ -265,7 +265,7 @@ def test_aut_generators_generate_aut():
         h = HallAlgebra(parse_quiver(name), q)
         for cls in classes_within(h, dmax):
             gens = h.aut_generators(cls)
-            assert len(generated(gens, cls.dimvec, q)) == cls.aut_order
+            assert len(generated_group(gens, cls.dimvec, q)) == cls.aut_order
             assert len(h.aut_elements(cls)) == cls.aut_order
             assert len(gens) <= max(1, cls.aut_order).bit_length()
 
@@ -297,6 +297,16 @@ def _times(h: HallAlgebra, *factors: HallElement) -> HallElement:
     return out
 
 
+def _combination(h: HallAlgebra, *terms) -> HallElement:
+    """The sum of c times the product of the factors over the terms
+    (c, factors), without zero coefficients."""
+    out = HallElement()
+    for c, factors in terms:
+        for k, v in _times(h, *factors).items():
+            out[k] = out.get(k, 0) + c * v
+    return HallElement({k: v for k, v in out.items() if v})
+
+
 @pytest.mark.parametrize("name, q", [("a2", 2), ("a2", 3), ("a3:>>", 2),
                                      ("a3:><", 2), ("d4", 2)])
 def test_quantum_serre_relations(name, q):
@@ -306,21 +316,34 @@ def test_quantum_serre_relations(name, q):
     u = _simples(h)
     zero = HallElement()
     for a, b in h.quiver.edges:
-        assert (_times(h, u[a], u[a], u[b])
-                + _times(h, u[a], u[b], u[a]).scale(Fraction(-(q + 1)))
-                + _times(h, u[b], u[a], u[a]).scale(Fraction(q))) == zero
-        assert (_times(h, u[b], u[b], u[a]).scale(Fraction(q))
-                + _times(h, u[b], u[a], u[b]).scale(Fraction(-(q + 1)))
-                + _times(h, u[a], u[b], u[b])) == zero
+        assert _combination(h, (1, (u[a], u[a], u[b])),
+                            (-(q + 1), (u[a], u[b], u[a])),
+                            (q, (u[b], u[a], u[a]))) == zero
+        assert _combination(h, (q, (u[b], u[b], u[a])),
+                            (-(q + 1), (u[b], u[a], u[b])),
+                            (1, (u[a], u[b], u[b]))) == zero
     adjacent = {frozenset(e) for e in h.quiver.edges}
     for a, b in itertools.combinations(range(h.quiver.n_vertices), 2):
         if frozenset((a, b)) not in adjacent:
             assert _times(h, u[a], u[b]) == _times(h, u[b], u[a])
     # a relation whose coefficients are off by one fails
     a, b = h.quiver.edges[0]
-    assert (_times(h, u[a], u[a], u[b])
-            + _times(h, u[a], u[b], u[a]).scale(Fraction(-q))
-            + _times(h, u[b], u[a], u[a]).scale(Fraction(q))) != zero
+    assert _combination(h, (1, (u[a], u[a], u[b])),
+                        (-q, (u[a], u[b], u[a])),
+                        (q, (u[b], u[a], u[a]))) != zero
+
+
+def test_span_route_rejects_a_move_off_the_matching_set(monkeypatch):
+    # swapping the basis vectors at vertex 0 is no automorphism of the
+    # representative with edge map (0 1): it moves the kernel, its one
+    # subrepresentation of dimension (1, 0), to a line that is none
+    h = a2(2)
+    swap = ((0, 1), (1, 0))
+    monkeypatch.setattr(h, "aut_generators", lambda cls: [(swap, ((1,),))])
+    N = h.classes((1, 0))[0]
+    M = next(c for c in h.classes((1, 1)) if c.rep.mats != (((0,),),))
+    with pytest.raises(AssertionError, match="moves a matching"):
+        h.product_via_span(M, N)
 
 
 def test_d4_is_associative_and_the_routes_agree():
