@@ -68,15 +68,14 @@ def _parse_alpha(text: str) -> Fraction:
         raise InputError(f"invalid alpha {text!r}")
 
 
-def _groupoid_from_file(path: str, check_indices: bool = True
-                        ) -> FiniteGroupoid:
+def _groupoid_from_file(path: str) -> FiniteGroupoid:
     from .groupoid import FiniteGroupoid
 
     data = _load_json(path)
     try:
-        return FiniteGroupoid.from_json(data, check_indices)
+        return FiniteGroupoid.from_json(data)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise InputError(f"{path}: not a groupoid file ({exc})")
+        raise InputError(f"{path}: not a groupoid file ({exc})") from exc
 
 
 def _span_from_file(path: str) -> SpanOfGroupoids:
@@ -90,11 +89,16 @@ def _span_from_file(path: str) -> SpanOfGroupoids:
 
 
 def cmd_check(args) -> int:
-    from .groupoid import validate_groupoid
+    from .groupoid import Violations
 
-    # indices out of range are violations to report, not input errors
-    g = _groupoid_from_file(args.groupoid, check_indices=False)
-    report = validate_groupoid(g)
+    # a file that parses but breaks an axiom is a report, not an input error
+    try:
+        _groupoid_from_file(args.groupoid)
+        report = []
+    except InputError as exc:
+        if not isinstance(exc.__cause__, Violations):
+            raise
+        report = exc.__cause__.violations
     if args.json:
         print(json.dumps({"valid": not report, "violations": report}))
     else:

@@ -76,29 +76,24 @@ class TruncatedE(NamedTuple):
     """Finite-sets groupoid truncated at cardinality N (inclusive)."""
 
     N: int
-    groupoid: FiniteGroupoid | None
-    levels: _PermLevels | None
+    groupoid: FiniteGroupoid
+    levels: _PermLevels
 
     @property
     def cardinality(self) -> Rational:
-        """Sum of 1/n! for n <= N; needs no morphism materialization."""
-        total = Fraction(0)
-        fact = 1
-        for n in range(self.N + 1):
-            if n:
-                fact *= n
-            total += Fraction(1, fact)
-        return total
+        return e_partial_sum(self.N)
 
 
-def build_E(N: int, classes_only: bool = False) -> TruncatedE:
-    """Skeletal groupoid of sets of size <= N and bijections.
+def e_partial_sum(N: int) -> Rational:
+    """Sum of 1/n! for n <= N, the cardinality of E truncated at N; needs
+    no groupoid, so N may be any size."""
+    return sum((Fraction(1, math.factorial(n)) for n in range(N + 1)),
+               Fraction(0))
 
-    ``classes_only`` skips morphism materialization (any N); the full
-    groupoid is limited to N <= 8 so that sum(n!) stays within the cap.
-    """
-    if classes_only:
-        return TruncatedE(N, None, None)
+
+def build_E(N: int) -> TruncatedE:
+    """Skeletal groupoid of sets of size <= N and bijections, limited to
+    N <= 8 so that sum(n!) stays within the cap."""
     if N > MAX_MATERIALIZED_N:
         raise SizeCapError("truncation N of the materialized finite-sets "
                            "groupoid", N, cap=MAX_MATERIALIZED_N)

@@ -13,7 +13,9 @@ construction.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .exact import _check_cap, greedy_generators
@@ -57,7 +59,7 @@ class FiniteGroupoid:
 
     __slots__ = ("n_objects", "src", "tgt", "identity", "inverse",
                  "_compose_map", "_compose_fn", "_hom_index", "_from_index",
-                 "_aut_gens")
+                 "_aut_gens", "_classes")
 
     def __init__(
         self,
@@ -82,6 +84,7 @@ class FiniteGroupoid:
         self._hom_index: dict[tuple[int, int], list[int]] | None = None
         self._from_index: list[list[int]] | None = None
         self._aut_gens: dict[int, list[int]] = {}
+        self._classes: IsoClassTable | None = None
 
     @property
     def n_morphisms(self) -> int:
@@ -232,66 +235,63 @@ class FiniteGroupoid:
         }
 
     @staticmethod
-    def from_json(data: dict, check_indices: bool = True) -> "FiniteGroupoid":
-        """Read the JSON form.
+    def from_json(data: dict) -> "FiniteGroupoid":
+        """Read the JSON form and check it against the groupoid axioms.
 
-        A count that is not an int is a ``ValueError`` in either form, and
-        so, in the unchecked form, is an index that is not an int or a
-        ``compose`` entry that is not three of them.  ``check_indices``
-        rejects, with a ``ValueError``, object and morphism indices out of
-        range or of another type, identities that are not endomorphisms of
-        their object, inverses with the wrong endpoints, a pair listed
-        twice in ``compose``, and then the first violation that
-        ``validate_groupoid`` finds: a composable pair without a composite
-        between the right endpoints, or a broken axiom.
+        It first parses: a count or index that is not an int, a ``compose``
+        entry that is not three of them, or a pair listed twice in
+        ``compose`` is a ``ValueError``.  Then ``validate_groupoid`` is the
+        one structural check: a file that parses but is not a groupoid is
+        a ``Violations`` error, whose message is the first violation and
+        which carries the full list.
         """
         mor = data["morphisms"]
         n_objects = data["objects"]
-        src = tuple(m["src"] for m in mor)
-        tgt = tuple(m["tgt"] for m in mor)
+        src = tuple(map(itemgetter("src"), mor))
+        tgt = tuple(map(itemgetter("tgt"), mor))
         identity = tuple(data["identity"])
         inverse = tuple(data["inverse"])
         if type(n_objects) is not int:      # a bool is not one either
             raise ValueError(f"objects={n_objects!r} is not an integer")
-        if not check_indices:
-            # an index out of range is a violation for ``validate_groupoid``
-            # to report; one that is not an int is not a groupoid file
-            for name, values in (("src", src), ("tgt", tgt),
-                                 ("identity", identity), ("inverse", inverse)):
-                bad = next((i for i, v in enumerate(values)
-                            if type(v) is not int), None)
-                if bad is not None:
-                    raise ValueError(f"{name}[{bad}]={values[bad]!r} is not "
-                                     f"an integer")
-            compose = {}
-            for i, entry in enumerate(data["compose"]):
-                if type(entry) is not list or len(entry) != 3 or \
-                        any(type(v) is not int for v in entry):
-                    raise ValueError(f"compose[{i}]={entry!r} is not "
-                                     f"[f, g, h]")
-                compose[entry[0], entry[1]] = entry[2]
-            return FiniteGroupoid(n_objects, src, tgt, identity, inverse,
-                                  compose)
-        _check_indices("identity", identity, n_objects, len(mor))
-        _check_indices("inverse", inverse, len(mor), len(mor))
-        _check_indices("src", src, len(mor), n_objects)
-        _check_indices("tgt", tgt, len(mor), n_objects)
-        _check_endpoints("identity", identity, range(n_objects),
-                         range(n_objects), src, tgt)
-        _check_endpoints("inverse", inverse, tgt, src, src, tgt)
+        for name, values in (("src", src), ("tgt", tgt),
+                             ("identity", identity), ("inverse", inverse)):
+            if not _all_ints(values):
+                bad = next(i for i, v in enumerate(values)
+                           if type(v) is not int)
+                raise ValueError(f"{name}[{bad}]={values[bad]!r} is not an "
+                                 f"integer")
+        entries = data["compose"]
         compose = {}
-        for i, entry in enumerate(data["compose"]):
-            if type(entry) is not list or len(entry) != 3:
-                raise ValueError(f"compose[{i}]={entry!r} is not [f, g, h]")
-            f, h, fh = entry
-            if (f, h) in compose:
-                raise ValueError(f"compose lists the pair ({f}, {h}) twice")
-            compose[(f, h)] = fh
+        for i, entry in enumerate(entries):
+            if type(entry) is list and len(entry) == 3:
+                f, h, fh = entry
+                if type(f) is int and type(h) is int and type(fh) is int:
+                    compose[f, h] = fh
+                    continue
+            raise ValueError(f"compose[{i}]={entry!r} is not [f, g, h]")
+        if len(compose) != len(entries):
+            counts = Counter((e[0], e[1]) for e in entries)
+            f, h = next(pair for pair, n in counts.items() if n > 1)
+            raise ValueError(f"compose lists the pair ({f}, {h}) twice")
         g = FiniteGroupoid(n_objects, src, tgt, identity, inverse, compose)
-        report = validate_groupoid(g, max_violations=1)
-        if report:
-            raise ValueError(report[0])
+        violations = validate_groupoid(g)
+        if violations:
+            raise Violations(violations)
         return g
+
+
+class Violations(ValueError):
+    """Groupoid axiom violations of a parsed file; the message is the
+    first of ``violations``."""
+
+    def __init__(self, violations: list[str]):
+        super().__init__(violations[0])
+        self.violations = violations
+
+
+def _all_ints(values) -> bool:
+    """Whether every value is an int (a bool is not), at C speed."""
+    return set(map(type, values)) <= {int}
 
 
 def _right_generators(g: FiniteGroupoid,
@@ -334,28 +334,18 @@ def _right_generators(g: FiniteGroupoid,
     return gens
 
 
-def _check_indices(name: str, values: tuple, length: int, bound: int) -> None:
-    """Raise ValueError unless ``values`` has ``length`` integer entries
-    in 0..bound-1."""
+def _index_fault(name: str, values: tuple, length: int,
+                 bound: int) -> str | None:
+    """What keeps ``values`` from being ``length`` ints in 0..bound-1,
+    if anything."""
     if len(values) != length:
-        raise ValueError(f"{name} has {len(values)} entries, expected {length}")
-    bad = next(((i, v) for i, v in enumerate(values)
-                if type(v) is not int or not 0 <= v < bound), None)
-    if bad is not None:
-        raise ValueError(f"{name}[{bad[0]}]={bad[1]!r} is out of range "
-                         f"0..{bound - 1}")
-
-
-def _check_endpoints(name: str, mors: tuple, want_src: Sequence[int],
-                     want_tgt: Sequence[int], src: tuple, tgt: tuple) -> None:
-    """Raise ValueError unless each ``mors[i]`` goes from ``want_src[i]``
-    to ``want_tgt[i]``."""
-    bad = next((i for i, (m, a, b) in enumerate(zip(mors, want_src, want_tgt))
-                if src[m] != a or tgt[m] != b), None)
-    if bad is not None:
-        m = mors[bad]
-        raise ValueError(f"{name}[{bad}]={m} goes from {src[m]} to {tgt[m]}, "
-                         f"not from {want_src[bad]} to {want_tgt[bad]}")
+        return f"{name} has {len(values)} entries, expected {length}"
+    if _all_ints(values) and (not values
+                              or 0 <= min(values) and max(values) < bound):
+        return None
+    bad = next(i for i, v in enumerate(values)
+               if type(v) is not int or not 0 <= v < bound)
+    return f"{name}[{bad}]={values[bad]!r} is out of range 0..{bound - 1}"
 
 
 class GroupoidFunctor(NamedTuple):
@@ -382,31 +372,42 @@ class GroupoidFunctor(NamedTuple):
         )
 
     def validate(self) -> list[str]:
-        """Check source/target preservation, identities and composites."""
+        """Faults that keep the maps from being a functor, reported and
+        never raised; empty if there are none.
+
+        First maps of the wrong size or with entries that are not indices
+        of the codomain, then morphisms sent outside the images of their
+        endpoints, then composites of the domain that are not preserved
+        (so, between groupoids, identities and inverses too); each stage
+        runs only when the ones before found nothing.  Composites are
+        looked up in the composition tables when the groupoids hold them.
+        """
         dom, cod = self.domain, self.codomain
-        errors = []
-        if len(self.obj_map) != dom.n_objects:
-            errors.append("object map has wrong length")
-        if len(self.mor_map) != dom.n_morphisms:
-            errors.append("morphism map has wrong length")
+        obj_map, mor_map = self.obj_map, self.mor_map
+        errors = [e for e in (
+            _index_fault("object map", obj_map, dom.n_objects,
+                         cod.n_objects),
+            _index_fault("morphism map", mor_map, dom.n_morphisms,
+                         cod.n_morphisms)) if e]
         if errors:
             return errors
-        for m in range(dom.n_morphisms):
-            fm = self.mor_map[m]
-            if cod.src[fm] != self.obj_map[dom.src[m]] or \
-               cod.tgt[fm] != self.obj_map[dom.tgt[m]]:
-                errors.append(f"morphism {m} image has wrong endpoints")
-        for x in range(dom.n_objects):
-            if self.mor_map[dom.identity[x]] != cod.identity[self.obj_map[x]]:
-                errors.append(f"identity of object {x} not preserved")
-        for f in range(dom.n_morphisms):
-            for g in dom.mor_from(dom.tgt[f]):
-                if self.mor_map[dom.compose(f, g)] != \
-                        cod.compose(self.mor_map[f], self.mor_map[g]):
-                    errors.append(f"composite of ({f}, {g}) not preserved")
-                    if len(errors) > 20:
-                        return errors
-        return errors
+        ends = zip(mor_map, dom.src, dom.tgt)
+        errors = [f"morphism map[{m}]={fm} goes from {cod.src[fm]} to "
+                  f"{cod.tgt[fm]}, not from {obj_map[s]} to {obj_map[t]}"
+                  for m, (fm, s, t) in enumerate(ends)
+                  if cod.src[fm] != obj_map[s] or cod.tgt[fm] != obj_map[t]]
+        if errors:
+            return errors
+        table = dom._compose_map
+        if table is None:
+            table = {(f, g): h for f, g, h in dom.composites()}
+        cod_table = cod._compose_map
+        if cod_table is None:
+            images = {(mor_map[f], mor_map[g]) for f, g in table}
+            cod_table = {(a, b): cod.compose(a, b) for a, b in images}
+        return [f"morphism map does not preserve the composite of {f} and {g}"
+                for (f, g), h in table.items()
+                if cod_table[mor_map[f], mor_map[g]] != mor_map[h]]
 
     def to_json(self) -> dict:
         return {"objects": list(self.obj_map), "morphisms": list(self.mor_map)}
@@ -414,30 +415,14 @@ class GroupoidFunctor(NamedTuple):
     @staticmethod
     def from_json(data: dict, domain: FiniteGroupoid,
                   codomain: FiniteGroupoid) -> "GroupoidFunctor":
-        """Read the JSON form.
-
-        Raises ``ValueError`` unless both maps have the domain's sizes,
-        land in range, send each morphism to one between the images of its
-        endpoints, and preserve every composite of the domain (so, between
-        groupoids, identities and inverses too), with one lookup in each
-        composition table, as ``from_json`` builds it, per composable pair.
-        """
-        obj_map = tuple(data["objects"])
-        mor_map = tuple(data["morphisms"])
-        _check_indices("object map", obj_map, domain.n_objects,
-                       codomain.n_objects)
-        _check_indices("morphism map", mor_map, domain.n_morphisms,
-                       codomain.n_morphisms)
-        _check_endpoints("morphism map", mor_map,
-                         [obj_map[x] for x in domain.src],
-                         [obj_map[x] for x in domain.tgt],
-                         codomain.src, codomain.tgt)
-        table = codomain._compose_map
-        for (f, g), h in domain._compose_map.items():
-            if table[mor_map[f], mor_map[g]] != mor_map[h]:
-                raise ValueError(f"morphism map does not preserve the "
-                                 f"composite of {f} and {g}")
-        return GroupoidFunctor(domain, codomain, obj_map, mor_map)
+        """Read the JSON form; a ``ValueError`` with the first fault that
+        ``validate`` reports, if it reports any."""
+        functor = GroupoidFunctor(domain, codomain, tuple(data["objects"]),
+                                  tuple(data["morphisms"]))
+        faults = functor.validate()
+        if faults:
+            raise ValueError(faults[0])
+        return functor
 
 
 class IsoClassTable(NamedTuple):
@@ -464,7 +449,10 @@ class IsoClassTable(NamedTuple):
 
 
 def iso_classes(g: FiniteGroupoid) -> IsoClassTable:
-    """Iso classes: union-find over the hom-sets x -> y with x != y."""
+    """Iso classes: union-find over the hom-sets x -> y with x != y;
+    cached on ``g``."""
+    if g._classes is not None:
+        return g._classes
     uf = UnionFind(g.n_objects)
     for x, y in g._homs():
         if x != y:
@@ -482,7 +470,9 @@ def iso_classes(g: FiniteGroupoid) -> IsoClassTable:
         class_of[x] = roots[r]
         sizes[roots[r]] += 1
     auts = [len(g.aut(rep)) for rep in reps]
-    return IsoClassTable(tuple(class_of), tuple(reps), tuple(auts), tuple(sizes))
+    g._classes = IsoClassTable(tuple(class_of), tuple(reps), tuple(auts),
+                               tuple(sizes))
+    return g._classes
 
 
 def cardinality(g: FiniteGroupoid) -> Rational:

@@ -395,14 +395,19 @@ def test_check_reports_violations_without_traceback(tmp_path, how, violation):
     assert result.stderr == ""
 
 
-@pytest.mark.parametrize("how", ["identity not an endomorphism",
-                                 "inverse with wrong endpoints"])
+WRONG_ENDPOINTS = {
+    "identity not an endomorphism": "identity of object 1 has endpoints",
+    "inverse with wrong endpoints": "inverse[2]=0 has wrong endpoints",
+}
+
+
+@pytest.mark.parametrize("how", sorted(WRONG_ENDPOINTS))
 def test_card_rejects_wrong_endpoints(tmp_path, how):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(_broken_z2_pair(how)))
     result = run_cli("card", str(path))
     assert result.returncode == 2
-    assert str(path) in result.stderr and "goes from" in result.stderr
+    assert str(path) in result.stderr and WRONG_ENDPOINTS[how] in result.stderr
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
 

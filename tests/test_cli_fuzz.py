@@ -2,11 +2,14 @@
 
 Whatever one field of a valid span file is mutated to, ``compose`` and
 ``degroupoidify`` must exit 0 (the file is still a valid span) or 2 (an
-input error), never raise.  A float, a bool, a string or null in any
-integer field of a groupoid or span file makes ``check``, ``card``,
-``compose`` and ``degroupoidify`` exit 2.  Whatever arguments ``fock``,
-``hecke`` and ``hall`` are given, they must exit 0, 1 (a failed check) or
-2, never raise, and finish within the deadline.
+input error), never raise.  Whatever one field of a valid groupoid file
+is mutated to, ``check`` and ``card`` must both exit 0 or both reject it:
+with 2 on a parse fault, and with 1 and 2 on an axiom fault.  A float, a
+bool, a string or null in any integer field of a groupoid or span file
+makes ``check``, ``card``, ``compose`` and ``degroupoidify`` exit 2.
+Whatever arguments ``fock``, ``hecke`` and ``hall`` are given, they must
+exit 0, 1 (a failed check) or 2, never raise, and finish within the
+deadline.
 """
 
 import contextlib
@@ -64,10 +67,8 @@ JUNK = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=3),
                                  max_size=2))
 
 
-@st.composite
-def mutated_span_files(draw) -> dict:
-    data = copy.deepcopy(draw(st.sampled_from(BASES)))
-    part = draw(st.sampled_from(PARTS))
+def _mutate(draw, data: dict, part: str) -> None:
+    """Mutate one field of ``data[part]``, or the whole of it, in place."""
     paths = list(_paths(data[part], (part,)))
     kind = draw(st.sampled_from(["index", "drop", "duplicate", "composite",
                                  "type", "missing key"]))
@@ -98,7 +99,24 @@ def mutated_span_files(draw) -> dict:
         path = draw(st.sampled_from(
             [p for p in paths if isinstance(_get(data, p[:-1]), dict)]))
         del _get(data, path[:-1])[path[-1]]
+
+
+@st.composite
+def mutated_span_files(draw) -> dict:
+    data = copy.deepcopy(draw(st.sampled_from(BASES)))
+    _mutate(draw, data, draw(st.sampled_from(PARTS)))
     return data
+
+
+GROUPOIDS = [FiniteGroupoid.connected(2, cyclic_table(2)).to_json(),
+             BASES[0]["right_codomain"], BASES[1]["apex"]]
+
+
+@st.composite
+def mutated_groupoid_files(draw) -> dict:
+    data = {"groupoid": copy.deepcopy(draw(st.sampled_from(GROUPOIDS)))}
+    _mutate(draw, data, "groupoid")
+    return data.get("groupoid", {})     # "missing key" may drop it all
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -114,6 +132,21 @@ def test_mutated_span_files_exit_0_or_2(data):
                      ["degroupoidify", "--span", path, "-o", out]):
             with contextlib.redirect_stderr(io.StringIO()):
                 assert cli.main(argv) in (0, 2)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(mutated_groupoid_files())
+def test_check_and_card_agree_on_mutated_groupoid_files(data):
+    """A parse fault exits 2 in both; an axiom fault is a report, exit 1,
+    for ``check`` and an input error, exit 2, for ``card``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "groupoid.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            status = (cli.main(["check", path]), cli.main(["card", path]))
+    assert status in ((0, 0), (1, 2), (2, 2))
 
 
 def _int_paths(node, prefix=()):

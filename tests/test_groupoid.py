@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from spancalc.groupoid import (
     FiniteGroupoid,
     GroupoidFunctor,
+    Violations,
     cardinality,
     cardinality_alt,
     check_equivalence_certificate,
@@ -192,6 +194,21 @@ def test_functor_validation_catches_broken_composition():
     assert bad.validate() != []
 
 
+def test_functor_validation_reports_maps_that_are_not_indices():
+    z2 = FiniteGroupoid.from_group_table(cyclic_table(2))
+    z4 = FiniteGroupoid.from_group_table(cyclic_table(4))
+    for mor_map, fault in [((0, 1, 0), "morphism map has 3 entries"),
+                           ((0, 1, 0, 2), r"morphism map\[3\]=2 is out"),
+                           ((0, 1, 0, -1), r"morphism map\[3\]=-1 is out"),
+                           ((0, 1, 0, "1"), r"morphism map\[3\]='1' is out"),
+                           ((0, 1, 0, 1.0), r"morphism map\[3\]=1.0 is out")]:
+        faults = GroupoidFunctor(z4, z2, (0,), mor_map).validate()
+        assert faults and re.match(fault, faults[0])
+    assert GroupoidFunctor(z4, z2, (1,), (0,) * 4).validate() == [
+        "object map[0]=1 is out of range 0..0"]
+    assert GroupoidFunctor(z4, z2, (0,), (0, 1, 0, 1)).validate() == []
+
+
 def test_json_roundtrip():
     g = FiniteGroupoid.connected(2, symmetric_table(3))
     data = g.to_json()
@@ -203,18 +220,22 @@ def test_json_roundtrip():
 
 def test_from_json_rejects_indices_out_of_range():
     good = FiniteGroupoid.connected(2, cyclic_table(2)).to_json()
-    for key, value in (("identity", [0, 99]), ("identity", [0]),
-                       ("inverse", [-1] + good["inverse"][1:])):
+    for key, value, message in (
+            ("identity", [0, 99], "identity"),
+            ("identity", [0], "1 identities and 8 inverses for 2 objects"),
+            ("inverse", [-1] + good["inverse"][1:], "inverse")):
         data = dict(good, **{key: value})
-        with pytest.raises(ValueError, match=key):
+        with pytest.raises(ValueError, match=message):
             FiniteGroupoid.from_json(data)
     bad_tgt = dict(good, morphisms=[dict(m) for m in good["morphisms"]])
     bad_tgt["morphisms"][3]["tgt"] = 2
-    with pytest.raises(ValueError, match=r"tgt\[3\]=2"):
+    with pytest.raises(ValueError,
+                       match="morphism 3 has out-of-range endpoints"):
         FiniteGroupoid.from_json(bad_tgt)
-    # the unchecked form is what "check" reads, to report violations
-    assert validate_groupoid(FiniteGroupoid.from_json(
-        dict(good, identity=[0, 99]), check_indices=False)) != []
+    # the error carries every violation, for "check" to report
+    with pytest.raises(Violations) as exc:
+        FiniteGroupoid.from_json(dict(good, identity=[0, 99]))
+    assert exc.value.violations != []
 
 
 def test_aut_generators_generate_each_automorphism_group():
@@ -292,7 +313,8 @@ def test_from_json_rejects_broken_composites():
         (rest + [[3, 3, 3]], r"compose\(3,3\) defined for a pair that is "
                              "not composable"),
         (rest + [[0, 3]], r"compose\[\d+\]=\[0, 3\] is not \[f, g, h\]"),
-        (rest + [[0, 3, True]], r"compose\(0,3\)=True has wrong endpoints"),
+        (rest + [[0, 3, True]],
+         r"compose\[\d+\]=\[0, 3, True\] is not \[f, g, h\]"),
     ]
     for compose, message in cases:
         data = dict(good, compose=compose)

@@ -294,3 +294,24 @@ def test_relation_caps_name_the_allocation_or_the_work(monkeypatch):
     assert exc.value.needed == 2 * 2562 * 13
     assert "SPANCALC_SIZE_CAP" in str(exc.value)
     check_caps(13, relations=False)
+
+
+def test_hecke_caps_sit_exactly_at_their_projections(monkeypatch):
+    # q = 3 has 52 flags: 7 * 52 middle-flag counts for the constants and
+    # 2 * 52 * 3 relation row entries, each admitted at the cap, not past it
+    for cap, kwargs, what in [(364, {"relations": False},
+                               "Hecke structure constants"),
+                              (312, {"constants": False},
+                               "Hecke relation rows")]:
+        monkeypatch.setenv("SPANCALC_SIZE_CAP", str(cap))
+        check_caps(3, **kwargs)
+        monkeypatch.setenv("SPANCALC_SIZE_CAP", str(cap - 1))
+        with pytest.raises(SizeCapError, match=what) as exc:
+            check_caps(3, **kwargs)
+        assert exc.value.needed == cap
+    monkeypatch.delenv("SPANCALC_SIZE_CAP")
+    check_caps(14)      # 2 * 3165 * 14^3 = 17369520 product terms
+    with pytest.raises(SizeCapError, match="relation product terms") as exc:
+        check_caps(15)
+    assert exc.value.needed == 26028000
+    assert f"cap of {MAX_RELATION_TERMS}" in str(exc.value)
