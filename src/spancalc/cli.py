@@ -155,7 +155,7 @@ def cmd_degroupoidify(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    from . import groupoid  # noqa: F401  (before spans, as in cmd_fock)
+    from . import groupoid  # noqa: F401  (before spans: a lower peak RSS)
     from .spans import compose_spans, span_to_json
 
     t = _span_from_file(args.first)
@@ -166,19 +166,18 @@ def cmd_compose(args) -> int:
 
 
 def cmd_fock(args) -> int:
-    if args.truncate < 0:
-        raise InputError(f"--truncate {args.truncate} is negative")
-    # in dependency order, so that each module is compiled before the one
-    # importing it: a lower peak RSS than importing fock alone
-    from . import groupoid, spans, fock  # noqa: F401
+    N = args.truncate
+    if N < 0:
+        raise InputError(f"--truncate {N} is negative")
+    from . import fock  # imported only when needed
 
-    E = fock.build_E(args.truncate)
+    fock.check_size(N, args.check_ccr, args.series == "two-colored")
+    cardinality = format_rational(fock.e_partial_sum(N))
     status = EXIT_OK
-    out: dict = {"truncation": args.truncate,
-                 "cardinality": format_rational(E.cardinality)}
-    lines = [f"|E_<={args.truncate}| = {format_rational(E.cardinality)}"]
+    out: dict = {"truncation": N, "cardinality": cardinality}
+    lines = [f"|E_<={N}| = {cardinality}"]
     if args.check_ccr:
-        report = fock.verify_ccr(E)
+        report = fock.verify_ccr(N)
         out["ccr"] = {
             "pass": report.ok,
             "block": report.block,
@@ -189,11 +188,11 @@ def cmd_fock(args) -> int:
         if not report.ok:
             status = EXIT_VERIFICATION
     if args.series == "two-colored":
-        series = fock.generating_function(fock.two_colored_stuff(E))
+        series = fock.generating_function(fock.two_colored_stuff(N), N)
         out["series"] = [format_rational(c) for c in series.coefficients]
         lines.append(str(series))
     if args.psi is not None:
-        series = fock.generating_function(fock.psi_n(args.psi, E))
+        series = fock.generating_function(fock.psi_n(args.psi, N), N)
         out["psi"] = [format_rational(c) for c in series.coefficients]
         lines.append(str(series))
     print(json.dumps(out) if args.json else "\n".join(lines))

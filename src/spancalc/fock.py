@@ -1,120 +1,150 @@
-"""The truncated groupoid of finite sets, stuff types, and oscillator spans.
+"""Oscillator spans over E, the groupoid of finite sets, in closed form.
 
-``E`` is materialized skeletally: one object per cardinality n with the
-permutations of {0..n-1} as automorphisms.  Stuff types are groupoids over
-E; their degroupoidified vectors are exponential generating functions with
-exact rational coefficients.  The annihilation span has the identity
-inclusion as left leg and "disjoint union with one fresh element" as right
-leg; creation is its adjoint.  Truncation effects are confined to the last
-row and column and are reported, never silently dropped.
+Every Fock span here is a word in the annihilation span A and the creation
+span A* (BHW section 3), and each apex class of such a word is a finite set
+with some marked points.  A class is ``(x, y, u)``: x the size of its left
+foot, y of its right foot, and u the number of unmarked points.  Its
+automorphism group is S_u, which acts on both feet and fixes the x - u and
+y - u marked points; as S_1 = S_0, u = 1 is written u = 0.  A span is a dict
+from classes to their multiplicities, over E truncated at N.
+
+Composing two words only lists the ways their marked points glue over the
+middle foot m: one way per double coset S_u1 \\ S_m / S_u2, that is per
+partial matching of the a = m - u1 and b = m - u2 marked points (Baez-Dolan,
+*From finite sets to Feynman diagrams*).  No permutation is listed; the
+generic weak pullback on the groupoid of permutations is the test oracle.
+
+Stuff types are lists of classes over E, each an ``(n, |Aut|)`` pair; their
+degroupoidified vectors are exponential generating functions with exact
+rational coefficients.  Truncation effects are confined to the last row and
+column and are reported, never silently dropped.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import SizeCapError, _check_cap
-from .groupoid import FiniteGroupoid, GroupoidFunctor, Rational
-from .spans import (
-    GroupoidOverX,
-    SpanOfGroupoids,
-    add_spans,
-    adjoint,
-    compose_spans,
-    degroupoidify_span,
-    degroupoidify_vector,
-    identity_span,
-    scalar_mul,
-)
+from .exact import _check_cap, aut_weight
 
-MAX_MATERIALIZED_N = 8
+FockSpan = dict   # (x, y, u) -> multiplicity
 
 
-def _then(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """The permutation "p then q": i -> q[p[i]]."""
-    return tuple(map(q.__getitem__, p))
+def _apex_class(x: int, y: int, u: int) -> tuple[int, int, int]:
+    return (x, y, 0 if u == 1 else u)
 
 
-def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, pi in enumerate(p):
-        inv[pi] = i
-    return tuple(inv)
+def identity_span(N: int) -> FockSpan:
+    return {_apex_class(n, n, n): 1 for n in range(N + 1)}
 
 
-class _PermLevels:
-    """Permutations of {0..n-1} for each n <= N, in lexicographic order."""
-
-    def __init__(self, N: int):
-        self.N = N
-        self.perms: list[list[tuple[int, ...]]] = [
-            list(itertools.permutations(range(n))) for n in range(N + 1)
-        ]
-        self.index: list[dict[tuple[int, ...], int]] = [
-            {p: i for i, p in enumerate(level)} for level in self.perms
-        ]
-        self.offset = [0] * (N + 2)
-        for n in range(N + 1):
-            self.offset[n + 1] = self.offset[n] + len(self.perms[n])
-
-    def morphism(self, n: int, perm: tuple[int, ...]) -> int:
-        return self.offset[n] + self.index[n][perm]
-
-    def comp(self, m1: int, m2: int) -> int:
-        """Composite "m1 then m2" within one level, composed directly."""
-        n = bisect.bisect_right(self.offset, m1) - 1
-        off = self.offset[n]
-        perms = self.perms[n]
-        return off + self.index[n][_then(perms[m1 - off], perms[m2 - off])]
+def annihilation_span(N: int) -> FockSpan:
+    """Left leg the inclusion, right leg "add one element"; matrix d/dz."""
+    return {_apex_class(n, n + 1, n): 1 for n in range(N)}
 
 
-class TruncatedE(NamedTuple):
-    """Finite-sets groupoid truncated at cardinality N (inclusive)."""
-
-    N: int
-    groupoid: FiniteGroupoid
-    levels: _PermLevels
-
-    @property
-    def cardinality(self) -> Rational:
-        return e_partial_sum(self.N)
+def adjoint(s: FockSpan) -> FockSpan:
+    return {(y, x, u): k for (x, y, u), k in s.items()}
 
 
-def e_partial_sum(N: int) -> Rational:
-    """Sum of 1/n! for n <= N, the cardinality of E truncated at N; needs
-    no groupoid, so N may be any size."""
-    return sum((Fraction(1, math.factorial(n)) for n in range(N + 1)),
-               Fraction(0))
+def creation_span(N: int) -> FockSpan:
+    """The adjoint of annihilation; matrix is multiplication by z."""
+    return adjoint(annihilation_span(N))
 
 
-def build_E(N: int) -> TruncatedE:
-    """Skeletal groupoid of sets of size <= N and bijections, limited to
-    N <= 8 so that sum(n!) stays within the cap."""
-    if N > MAX_MATERIALIZED_N:
-        raise SizeCapError("truncation N of the materialized finite-sets "
-                           "groupoid", N, cap=MAX_MATERIALIZED_N)
-    levels = _PermLevels(N)
-    src = []
-    for n in range(N + 1):
-        src.extend([n] * len(levels.perms[n]))
-    identity = tuple(levels.morphism(n, tuple(range(n))) for n in range(N + 1))
-    inverse = [levels.morphism(n, _invert(p))
-               for n in range(N + 1) for p in levels.perms[n]]
-
-    groupoid = FiniteGroupoid(N + 1, tuple(src), tuple(src), identity,
-                              tuple(inverse), levels.comp)
-    return TruncatedE(N, groupoid, levels)
+def add_spans(s: FockSpan, t: FockSpan, coefficient: int = 1) -> FockSpan:
+    """s + coefficient * t, the coefficient as a discrete groupoid."""
+    out = dict(s)
+    for c, k in t.items():
+        out[c] = out.get(c, 0) + coefficient * k
+    return out
 
 
-class StuffType(NamedTuple):
-    """A groupoid over the truncated finite-sets groupoid."""
+def compose_spans(t: FockSpan, s: FockSpan) -> FockSpan:
+    """Composite span "s then t", over t's right foot and s's left foot.
 
-    over: GroupoidOverX
-    E: TruncatedE
+    A t-class (x, m, u1) and an s-class (m, y, u2) glue along r matched
+    pairs of their a = m - u1 and b = m - u2 marked points, in
+    C(a, r) C(b, r) r! ways; the unmatched marked points of each side fall
+    on the other side's unmarked points, so a + b - r <= m, and
+    u1 + u2 - m + r points stay unmarked.
+    """
+    s_by_middle: dict[int, list[tuple[int, int, int]]] = {}
+    for (m, y, u2), k2 in s.items():
+        s_by_middle.setdefault(m, []).append((y, u2, k2))
+    out: FockSpan = {}
+    for (x, m, u1), k1 in t.items():
+        a = m - u1
+        for y, u2, k2 in s_by_middle.get(m, ()):
+            b = m - u2
+            for r in range(max(0, a + b - m), min(a, b) + 1):
+                c = _apex_class(x, y, u1 + u2 - m + r)
+                out[c] = out.get(c, 0) + \
+                    k1 * k2 * math.perm(a, r) * math.comb(b, r)
+    return out
+
+
+def span_power(s: FockSpan, k: int, N: int) -> FockSpan:
+    out = identity_span(N)
+    for _ in range(k):
+        out = compose_spans(s, out)
+    return out
+
+
+def entries(s: FockSpan, alpha: Fraction | int = 0) -> dict:
+    """The nonzero matrix entries of s, by (x, y): each class adds
+    ``aut_weight(y!, x!, u!, alpha)`` times its multiplicity."""
+    out: dict = {}
+    f = math.factorial
+    for (x, y, u), k in s.items():
+        out[x, y] = out.get((x, y), 0) + k * aut_weight(f(y), f(x), f(u),
+                                                        alpha)
+    return out
+
+
+def matrix(s: FockSpan, N: int, alpha: Fraction | int = 0) -> list[list]:
+    """The dense (N + 1) x (N + 1) matrix of s, rows x and columns y."""
+    out = [[Fraction(0)] * (N + 1) for _ in range(N + 1)]
+    for (x, y), v in entries(s, alpha).items():
+        out[x][y] += v
+    return out
+
+
+def e_partial_sum(N: int) -> Fraction:
+    """Sum of 1/n! for n <= N, the cardinality of E truncated at N, as
+    (sum of N!/n!) / N!, the numerator by Horner's rule."""
+    numerator = 1
+    for k in range(1, N + 1):
+        numerator = numerator * k + 1
+    return Fraction(numerator, math.factorial(N))
+
+
+def printed_digits(N: int) -> int:
+    """The decimal digits of 10 * N!, which bound every number a run at
+    truncation N prints: each has a denominator dividing N! and lies below
+    10 in size, or is a boundary entry -(N + 1).  From log-gamma, so that
+    any N is cheap; N past 10^300 is taken as 10^300."""
+    return int(math.lgamma(min(N, 10 ** 300) + 1) / math.log(10)) + 2
+
+
+def check_size(N: int, ccr: bool, two_colored: bool) -> None:
+    """Refuse a run at truncation N before any work: when its numbers would
+    have more digits than the interpreter prints, or when the digits of the
+    exact values it forms pass the size cap.  Those values are the N + 1
+    terms of the cardinality, at most 3N weighted classes of the CCR
+    composites, the (N + 1)(N + 2)/2 classes of the two-colored stuff type
+    and one class of psi_n, each of at most ``printed_digits(N)`` digits."""
+    digits = printed_digits(N)
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise ValueError(
+            f"--truncate {N} prints numbers of up to {digits} digits, over "
+            f"the interpreter's limit of {limit} (PYTHONINTMAXSTRDIGITS)")
+    terms = N + 2 + 3 * N * ccr + (N + 1) * (N + 2) // 2 * two_colored
+    _check_cap(f"fock --truncate {N}, counted in digits of its exact values,",
+               terms * digits)
 
 
 class PowerSeriesVector(NamedTuple):
@@ -130,115 +160,30 @@ class PowerSeriesVector(NamedTuple):
         return " + ".join(parts)
 
 
-def generating_function(stuff: StuffType, alpha: Fraction | int = 0
-                        ) -> PowerSeriesVector:
-    vec = degroupoidify_vector(stuff.over, alpha)
-    return PowerSeriesVector(tuple(vec.entries))
+def generating_function(stuff: list[tuple[int, int]], N: int,
+                        alpha: Fraction | int = 0) -> PowerSeriesVector:
+    """The vector of a stuff type over E truncated at N: each class
+    (n, |Aut|) adds |Aut n|^alpha / |Aut| to the coefficient of z^n."""
+    coefficients = [Fraction(0)] * (N + 1)
+    for n, aut in stuff:
+        coefficients[n] += aut_weight(1, math.factorial(n), aut, alpha)
+    return PowerSeriesVector(tuple(coefficients))
 
 
-def psi_n(n: int, E: TruncatedE) -> StuffType:
+def psi_n(n: int, N: int) -> list[tuple[int, int]]:
     """The stuff type "being an n-element set": one class with n! automorphisms."""
-    if not 0 <= n <= E.N:
+    if not 0 <= n <= N:
         raise ValueError(f"n={n} is not between 0 and the truncation "
-                         f"bound {E.N}")
-    perms = E.levels.perms[n]
-    index = E.levels.index[n]
-    e = index[tuple(range(n))]
-    inv = tuple(index[_invert(p)] for p in perms)
-
-    def comp(f: int, g: int) -> int:
-        return index[_then(perms[f], perms[g])]
-
-    total = FiniteGroupoid(1, (0,) * len(perms), (0,) * len(perms), (e,),
-                           inv, comp)
-    proj = GroupoidFunctor(
-        total, E.groupoid, (n,),
-        tuple(E.levels.morphism(n, p) for p in perms))
-    return StuffType(GroupoidOverX(total, proj), E)
+                         f"bound {N}")
+    return [(n, math.factorial(n))]
 
 
-def two_colored_stuff(E: TruncatedE) -> StuffType:
-    """Finite sets with a 2-coloring; generating function has entries 2^n/n!.
-    Its 2^n n! morphisms per n <= N are counted against the cap first."""
-    _check_cap("two-colored stuff type morphisms",
-               sum(2 ** n * math.factorial(n) for n in range(E.N + 1)))
-    levels = E.levels
-    objects: list[tuple[int, tuple[int, ...]]] = []
-    obj_index: dict[tuple[int, tuple[int, ...]], int] = {}
-    for n in range(E.N + 1):
-        for coloring in itertools.product((0, 1), repeat=n):
-            obj_index[(n, coloring)] = len(objects)
-            objects.append((n, coloring))
-
-    src: list[int] = []
-    tgt: list[int] = []
-    proj_mor: list[int] = []
-    mor_offset: list[int] = []
-    mor_data: list[tuple[int, int]] = []  # (object, perm index at its level)
-    for o, (n, coloring) in enumerate(objects):
-        mor_offset.append(len(mor_data))
-        for a, p in enumerate(levels.perms[n]):
-            # p maps the set to itself; the target coloring pulls back along
-            # the inverse so that colors are preserved
-            target = tuple(coloring[i] for i in _invert(p))
-            src.append(o)
-            tgt.append(obj_index[(n, target)])
-            proj_mor.append(levels.morphism(n, p))
-            mor_data.append((o, a))
-    mor_offset.append(len(mor_data))
-
-    identity = tuple(mor_offset[o] + levels.index[objects[o][0]][
-        tuple(range(objects[o][0]))] for o in range(len(objects)))
-    inverse = []
-    for o, a in mor_data:
-        n, _coloring = objects[o]
-        inverse.append(mor_offset[tgt[mor_offset[o] + a]]
-                       + levels.index[n][_invert(levels.perms[n][a])])
-
-    def comp(f: int, g: int) -> int:
-        o1, a1 = mor_data[f]
-        o2, a2 = mor_data[g]
-        n = objects[o1][0]
-        return mor_offset[o1] + levels.index[n][
-            _then(levels.perms[n][a1], levels.perms[n][a2])]
-
-    total = FiniteGroupoid(len(objects), tuple(src), tuple(tgt), identity,
-                           tuple(inverse), comp)
-    proj = GroupoidFunctor(total, E.groupoid,
-                           tuple(n for n, _c in objects), tuple(proj_mor))
-    return StuffType(GroupoidOverX(total, proj), E)
-
-
-def _inclusion_functor(inner: TruncatedE, outer: TruncatedE) -> GroupoidFunctor:
-    mor = []
-    for n in range(inner.N + 1):
-        for p in inner.levels.perms[n]:
-            mor.append(outer.levels.morphism(n, p))
-    return GroupoidFunctor(inner.groupoid, outer.groupoid,
-                           tuple(range(inner.N + 1)), tuple(mor))
-
-
-def _shift_functor(inner: TruncatedE, outer: TruncatedE) -> GroupoidFunctor:
-    """Adds one fresh element: n -> n+1, permutations extended to fix it."""
-    mor = []
-    for n in range(inner.N + 1):
-        for p in inner.levels.perms[n]:
-            mor.append(outer.levels.morphism(n + 1, p + (n,)))
-    return GroupoidFunctor(inner.groupoid, outer.groupoid,
-                           tuple(range(1, inner.N + 2)), tuple(mor))
-
-
-def annihilation_span(E: TruncatedE) -> SpanOfGroupoids:
-    """Left leg the inclusion, right leg "add one element"; matrix d/dz."""
-    inner = build_E(E.N - 1)
-    return SpanOfGroupoids(inner.groupoid,
-                           _inclusion_functor(inner, E),
-                           _shift_functor(inner, E))
-
-
-def creation_span(E: TruncatedE) -> SpanOfGroupoids:
-    """The adjoint of annihilation; matrix is multiplication by z."""
-    return adjoint(annihilation_span(E))
+def two_colored_stuff(N: int) -> list[tuple[int, int]]:
+    """Finite sets with a 2-coloring, one class per n and number k of
+    points of the first color, with k! (n - k)! automorphisms; generating
+    function has entries 2^n/n!."""
+    return [(n, math.factorial(k) * math.factorial(n - k))
+            for n in range(N + 1) for k in range(n + 1)]
 
 
 class CcrReport(NamedTuple):
@@ -255,39 +200,25 @@ class CcrReport(NamedTuple):
         return "\n".join(lines)
 
 
-def verify_ccr(E: TruncatedE) -> CcrReport:
+def verify_ccr(N: int) -> CcrReport:
     """Check matrix(AA*) - matrix(A*A) = identity away from the truncation.
 
-    Both composites are built as spans (weak pullback) and degroupoidified;
-    discrepancies can only sit in row/column N and are listed explicitly.
+    Both composites are built as spans and degroupoidified; discrepancies
+    can only sit in row/column N and are listed explicitly.
     """
-    if E.N < 2:
+    if N < 2:
         raise ValueError("need N >= 2 to see the commutation relation")
-    A = annihilation_span(E)
+    A = annihilation_span(N)
     Astar = adjoint(A)
-    m_aas = degroupoidify_span(compose_spans(A, Astar), 0)
-    m_asa = degroupoidify_span(compose_spans(Astar, A), 0)
-    diff = m_aas - m_asa
-    ok = True
-    discrepancies = []
-    for i in range(E.N + 1):
-        for j in range(E.N + 1):
-            expected = Fraction(1) if i == j else Fraction(0)
-            if diff.data[i][j] != expected:
-                if i < E.N and j < E.N:
-                    ok = False
-                discrepancies.append((i, j, diff.data[i][j] - expected))
-    return CcrReport(ok, E.N, tuple(discrepancies))
-
-
-def _span_power(s: SpanOfGroupoids, k: int, base: FiniteGroupoid
-                ) -> SpanOfGroupoids:
-    if k == 0:
-        return identity_span(base)
-    out = s
-    for _ in range(k - 1):
-        out = compose_spans(s, out)
-    return out
+    diff = entries(compose_spans(A, Astar))
+    for c, v in entries(compose_spans(Astar, A)).items():
+        diff[c] = diff.get(c, 0) - v
+    for n in range(N + 1):
+        diff[n, n] = diff.get((n, n), 0) - 1
+    discrepancies = tuple(sorted((i, j, Fraction(v))
+                                 for (i, j), v in diff.items() if v != 0))
+    ok = all(N in (i, j) for i, j, _v in discrepancies)
+    return CcrReport(ok, N, discrepancies)
 
 
 def normal_ordered_terms(n: int) -> list[tuple[int, int, int]]:
@@ -295,34 +226,25 @@ def normal_ordered_terms(n: int) -> list[tuple[int, int, int]]:
     return [(math.comb(n, j), j, n - j) for j in range(n + 1)]
 
 
-def normal_ordered_power(n: int, E: TruncatedE) -> SpanOfGroupoids:
+def normal_ordered_power(n: int, N: int) -> FockSpan:
     """The normal-ordered n-th power of the field span A + A*.
 
     Built from the expansion with all creation factors moved left, using
-    span composition, coproduct for sums, and a discrete groupoid as the
-    integer coefficient.
+    span composition, sums of classes, and integer multiplicities as the
+    coefficients.
     """
     if n < 0:
         raise ValueError(f"normal-ordered power {n} is negative")
-    A = annihilation_span(E)
+    A = annihilation_span(N)
     Astar = adjoint(A)
-    base = E.groupoid
-    total: SpanOfGroupoids | None = None
+    total: FockSpan = {}
     for coeff, j, k in normal_ordered_terms(n):
-        if j and k:
-            term = compose_spans(_span_power(Astar, j, base),
-                                 _span_power(A, k, base))
-        elif j:
-            term = _span_power(Astar, j, base)
-        else:
-            term = _span_power(A, k, base)
-        if coeff != 1:
-            term = scalar_mul(FiniteGroupoid.discrete(coeff), term)
-        total = term if total is None else add_spans(total, term)
+        term = compose_spans(span_power(Astar, j, N), span_power(A, k, N))
+        total = add_spans(total, term, coeff)
     return total
 
 
-def field_span(E: TruncatedE) -> SpanOfGroupoids:
+def field_span(N: int) -> FockSpan:
     """The field span A + A*; its matrix is tridiagonal."""
-    A = annihilation_span(E)
+    A = annihilation_span(N)
     return add_spans(A, adjoint(A))

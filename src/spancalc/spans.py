@@ -266,33 +266,37 @@ def weak_pullback(f: GroupoidFunctor, g: GroupoidFunctor
                    for c in t_class))
 
     obj_data: list[tuple[int, int, int]] = []   # (t0, s0, alpha0)
+    obj_auts: list[tuple[list[int], list[int]]] = []   # (Aut t0, Aut s0)
     n_mor = 0
     for t0, c in zip(t_reps, t_class):
         if c not in s_reps_in:
             continue
-        order_t = len(T.aut(t0))
+        aut_t = T.aut(t0)
         left_moves = [functools.partial(B.compose, B.inverse[f.mor_map[u]])
                       for u in T.aut_generators(t0)]
         for s0 in s_reps_in[c]:
-            order = order_t * len(S.aut(s0))
+            aut_s = S.aut(s0)
+            order = len(aut_t) * len(aut_s)
             moves = left_moves + [_right_move(B, g.mor_map[v])
                                   for v in S.aut_generators(s0)]
             for orbit in orbits(B.hom(f.obj_map[t0], g.obj_map[s0]), moves,
                                 {}):
                 obj_data.append((t0, s0, orbit[0]))
+                obj_auts.append((aut_t, aut_s))
                 n_mor += order // len(orbit)
     _check_cap("weak pullback morphisms", n_mor)
 
     mor_data: list[tuple[int, int, int]] = []   # (obj, u, v)
     g_lookups: dict[int, dict[int, list[int]]] = {}
-    for o, (t0, s0, alpha0) in enumerate(obj_data):
+    for o, ((_t0, s0, alpha0), (aut_t, aut_s)) in enumerate(
+            zip(obj_data, obj_auts)):
         g_lookup = g_lookups.get(s0)
         if g_lookup is None:
             g_lookup = g_lookups[s0] = {}
-            for v in S.aut(s0):
+            for v in aut_s:
                 g_lookup.setdefault(g.mor_map[v], []).append(v)
         inv_a0 = B.inverse[alpha0]
-        for u in T.aut(t0):
+        for u in aut_t:
             beta = B.compose(B.compose(inv_a0, f.mor_map[u]), alpha0)
             for v in g_lookup.get(beta, ()):
                 mor_data.append((o, u, v))

@@ -18,23 +18,34 @@ and the unit of an algebra.
 the literal weak pullback and trace groupoid, one object per triple
 (t, s, alpha), as plain groupoids with a callable composite.  They share no
 construction code with the skeletal ``spancalc.spans`` versions they check.
+
+``build_E`` materializes E, the groupoid of finite sets, truncated at N <= 8:
+one object per cardinality n with the permutations of {0..n-1} as
+automorphisms, composed directly.  ``annihilation_span``,
+``creation_span``, ``psi_n`` and ``two_colored_stuff`` are the Fock spans
+and stuff types over it as groupoids and functors, so that
+``spancalc.spans.weak_pullback`` on them checks the closed form of
+``spancalc.fock``.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from spancalc.actions import EquivariantSpan, GroupAction, orbit_table
-from spancalc.exact import _check_cap
+from spancalc.exact import SizeCapError, _check_cap
 from spancalc.groupoid import (FiniteGroupoid, GroupoidFunctor, IsoClassTable,
                                Rational, cardinality)
 from spancalc.hall import HallAlgebra, Quiver, RepClass
 from spancalc.hecke import (FlagGeometry, Rows, _normalize, _pair_label,
                             flag_geometry, relation_rows)
-from spancalc.spans import SpanOfGroupoids
+from spancalc.spans import GroupoidOverX, SpanOfGroupoids, adjoint
 
 
 def _dense(rows: Rows) -> np.ndarray:
@@ -296,3 +307,189 @@ def trace_literal(s: SpanOfGroupoids) -> tuple[FiniteGroupoid, Rational]:
         lambda u, v: (A.inverse[u], 0),
         lambda u1, v1, u2, v2: (A.compose(u1, u2), 0))
     return tr, cardinality(tr)
+
+
+# -- the finite-sets groupoid, materialized ------------------------------------
+
+MAX_MATERIALIZED_N = 8
+
+
+def _then(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation "p then q": i -> q[p[i]]."""
+    return tuple(map(q.__getitem__, p))
+
+
+def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for i, pi in enumerate(p):
+        inv[pi] = i
+    return tuple(inv)
+
+
+class _PermLevels:
+    """Permutations of {0..n-1} for each n <= N, in lexicographic order."""
+
+    def __init__(self, N: int):
+        self.N = N
+        self.perms: list[list[tuple[int, ...]]] = [
+            list(itertools.permutations(range(n))) for n in range(N + 1)
+        ]
+        self.index: list[dict[tuple[int, ...], int]] = [
+            {p: i for i, p in enumerate(level)} for level in self.perms
+        ]
+        self.offset = [0] * (N + 2)
+        for n in range(N + 1):
+            self.offset[n + 1] = self.offset[n] + len(self.perms[n])
+
+    def morphism(self, n: int, perm: tuple[int, ...]) -> int:
+        return self.offset[n] + self.index[n][perm]
+
+    def comp(self, m1: int, m2: int) -> int:
+        """Composite "m1 then m2" within one level, composed directly."""
+        n = bisect.bisect_right(self.offset, m1) - 1
+        off = self.offset[n]
+        perms = self.perms[n]
+        return off + self.index[n][_then(perms[m1 - off], perms[m2 - off])]
+
+
+class TruncatedE(NamedTuple):
+    """Finite-sets groupoid truncated at cardinality N (inclusive)."""
+
+    N: int
+    groupoid: FiniteGroupoid
+    levels: _PermLevels
+
+    @property
+    def cardinality(self) -> Rational:
+        return cardinality(self.groupoid)
+
+
+def build_E(N: int) -> TruncatedE:
+    """Skeletal groupoid of sets of size <= N and bijections, limited to
+    N <= 8 so that sum(n!) stays within the cap."""
+    if N > MAX_MATERIALIZED_N:
+        raise SizeCapError("truncation N of the materialized finite-sets "
+                           "groupoid", N, cap=MAX_MATERIALIZED_N)
+    levels = _PermLevels(N)
+    src = []
+    for n in range(N + 1):
+        src.extend([n] * len(levels.perms[n]))
+    identity = tuple(levels.morphism(n, tuple(range(n))) for n in range(N + 1))
+    inverse = [levels.morphism(n, _invert(p))
+               for n in range(N + 1) for p in levels.perms[n]]
+
+    groupoid = FiniteGroupoid(N + 1, tuple(src), tuple(src), identity,
+                              tuple(inverse), levels.comp)
+    return TruncatedE(N, groupoid, levels)
+
+
+class StuffType(NamedTuple):
+    """A groupoid over the truncated finite-sets groupoid."""
+
+    over: GroupoidOverX
+    E: TruncatedE
+
+
+def psi_n(n: int, E: TruncatedE) -> StuffType:
+    """The stuff type "being an n-element set": one class with n! automorphisms."""
+    if not 0 <= n <= E.N:
+        raise ValueError(f"n={n} is not between 0 and the truncation "
+                         f"bound {E.N}")
+    perms = E.levels.perms[n]
+    index = E.levels.index[n]
+    e = index[tuple(range(n))]
+    inv = tuple(index[_invert(p)] for p in perms)
+
+    def comp(f: int, g: int) -> int:
+        return index[_then(perms[f], perms[g])]
+
+    total = FiniteGroupoid(1, (0,) * len(perms), (0,) * len(perms), (e,),
+                           inv, comp)
+    proj = GroupoidFunctor(
+        total, E.groupoid, (n,),
+        tuple(E.levels.morphism(n, p) for p in perms))
+    return StuffType(GroupoidOverX(total, proj), E)
+
+
+def two_colored_stuff(E: TruncatedE) -> StuffType:
+    """Finite sets with a 2-coloring; generating function has entries 2^n/n!.
+    Its 2^n n! morphisms per n <= N are counted against the cap first."""
+    _check_cap("two-colored stuff type morphisms",
+               sum(2 ** n * math.factorial(n) for n in range(E.N + 1)))
+    levels = E.levels
+    objects: list[tuple[int, tuple[int, ...]]] = []
+    obj_index: dict[tuple[int, tuple[int, ...]], int] = {}
+    for n in range(E.N + 1):
+        for coloring in itertools.product((0, 1), repeat=n):
+            obj_index[(n, coloring)] = len(objects)
+            objects.append((n, coloring))
+
+    src: list[int] = []
+    tgt: list[int] = []
+    proj_mor: list[int] = []
+    mor_offset: list[int] = []
+    mor_data: list[tuple[int, int]] = []  # (object, perm index at its level)
+    for o, (n, coloring) in enumerate(objects):
+        mor_offset.append(len(mor_data))
+        for a, p in enumerate(levels.perms[n]):
+            # p maps the set to itself; the target coloring pulls back along
+            # the inverse so that colors are preserved
+            target = tuple(coloring[i] for i in _invert(p))
+            src.append(o)
+            tgt.append(obj_index[(n, target)])
+            proj_mor.append(levels.morphism(n, p))
+            mor_data.append((o, a))
+    mor_offset.append(len(mor_data))
+
+    identity = tuple(mor_offset[o] + levels.index[objects[o][0]][
+        tuple(range(objects[o][0]))] for o in range(len(objects)))
+    inverse = []
+    for o, a in mor_data:
+        n, _coloring = objects[o]
+        inverse.append(mor_offset[tgt[mor_offset[o] + a]]
+                       + levels.index[n][_invert(levels.perms[n][a])])
+
+    def comp(f: int, g: int) -> int:
+        o1, a1 = mor_data[f]
+        o2, a2 = mor_data[g]
+        n = objects[o1][0]
+        return mor_offset[o1] + levels.index[n][
+            _then(levels.perms[n][a1], levels.perms[n][a2])]
+
+    total = FiniteGroupoid(len(objects), tuple(src), tuple(tgt), identity,
+                           tuple(inverse), comp)
+    proj = GroupoidFunctor(total, E.groupoid,
+                           tuple(n for n, _c in objects), tuple(proj_mor))
+    return StuffType(GroupoidOverX(total, proj), E)
+
+
+def _inclusion_functor(inner: TruncatedE, outer: TruncatedE) -> GroupoidFunctor:
+    mor = []
+    for n in range(inner.N + 1):
+        for p in inner.levels.perms[n]:
+            mor.append(outer.levels.morphism(n, p))
+    return GroupoidFunctor(inner.groupoid, outer.groupoid,
+                           tuple(range(inner.N + 1)), tuple(mor))
+
+
+def _shift_functor(inner: TruncatedE, outer: TruncatedE) -> GroupoidFunctor:
+    """Adds one fresh element: n -> n+1, permutations extended to fix it."""
+    mor = []
+    for n in range(inner.N + 1):
+        for p in inner.levels.perms[n]:
+            mor.append(outer.levels.morphism(n + 1, p + (n,)))
+    return GroupoidFunctor(inner.groupoid, outer.groupoid,
+                           tuple(range(1, inner.N + 2)), tuple(mor))
+
+
+def annihilation_span(E: TruncatedE) -> SpanOfGroupoids:
+    """Left leg the inclusion, right leg "add one element"; matrix d/dz."""
+    inner = build_E(E.N - 1)
+    return SpanOfGroupoids(inner.groupoid,
+                           _inclusion_functor(inner, E),
+                           _shift_functor(inner, E))
+
+
+def creation_span(E: TruncatedE) -> SpanOfGroupoids:
+    """The adjoint of annihilation; matrix is multiplication by z."""
+    return adjoint(annihilation_span(E))

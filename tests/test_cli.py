@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from spancalc import cli
-from spancalc.fock import annihilation_span, build_E
 from spancalc.groupoid import (FiniteGroupoid, GroupoidFunctor, cyclic_table,
                                iso_classes)
 from spancalc.spans import (
@@ -24,7 +23,7 @@ from spancalc.spans import (
 )
 
 from helpers import S3_WORDS, iwahori_hecke_s3, random_cyclic_action, random_span
-from oracles import compose_literal
+from oracles import annihilation_span, build_E, compose_literal
 
 
 def run_cli(*args, env=None):
@@ -525,7 +524,8 @@ def loaded_modules(tmp_path_factory):
         ("card", {"spancalc.spans", "spancalc.fq"}),
         ("compose", {"spancalc.fock", "spancalc.fq"}),
         ("degroupoidify", {"spancalc.fock", "spancalc.fq"}),
-        ("fock", {"spancalc.fq", "spancalc.hall", "spancalc.hecke"}),
+        ("fock", {"spancalc.fq", "spancalc.hall", "spancalc.hecke",
+                  "spancalc.groupoid", "spancalc.spans"}),
     ]])
 def test_subcommand_run_loads_only_its_modules(argv, absent, loaded_modules):
     assert not loaded_modules(argv[0]) & absent
@@ -651,12 +651,35 @@ def test_hecke_verify_past_the_work_cap_exits_2():
     assert "Traceback" not in result.stderr and result.stdout == ""
 
 
-def test_fock_materialization_limit_names_its_own_cap():
-    result = run_cli("fock", "--truncate", "9", "--check-ccr",
-                     env={"SPANCALC_SIZE_CAP": "100000000"})
+def _digits_of_ten_times_factorial() -> list[int]:
+    """The decimal digits of 10 * N! for N = 0, 1, ..., up to 700 digits,
+    counted by comparison with powers of 10, so no int is printed."""
+    out, factorial, digits, power = [], 10, 2, 100
+    for N in itertools.count():
+        factorial *= max(N, 1)
+        while factorial >= power:
+            digits += 1
+            power *= 10
+        if digits > 700:
+            return out
+        out.append(digits)
+
+
+def test_fock_refuses_numbers_past_the_digit_limit_exactly():
+    # every number printed at truncation N is below 10 * N!; at the least
+    # digit limit Python allows, N0 is the last truncation whose bound fits
+    limit = 640
+    digits = _digits_of_ten_times_factorial()
+    N0 = max(N for N, d in enumerate(digits) if d <= limit)
+    env = {"PYTHONINTMAXSTRDIGITS": str(limit)}
+    result = run_cli("fock", "--truncate", str(N0), "--json", env=env)
+    assert result.returncode == 0, result.stderr
+    assert len(json.loads(result.stdout)["cardinality"]) > limit
+    result = run_cli("fock", "--truncate", str(N0 + 1), env=env)
     assert result.returncode == 2
-    assert "cap of 8" in result.stderr
-    assert "SPANCALC_SIZE_CAP" not in result.stderr
+    assert (f"prints numbers of up to {digits[N0 + 1]} digits, over the "
+            f"interpreter's limit of {limit} (PYTHONINTMAXSTRDIGITS)") \
+        in result.stderr
     assert "Traceback" not in result.stderr and result.stdout == ""
 
 
@@ -667,14 +690,29 @@ def test_fock_series_json():
     assert payload["series"] == ["1/1", "2/1", "2/1", "4/3", "2/3"]
 
 
-def test_fock_two_colored_series_checks_the_cap():
-    # sum over n <= 4 of 2^n n! = 443 morphisms
-    result = run_cli("fock", "--truncate", "4", "--series", "two-colored",
-                     env={"SPANCALC_SIZE_CAP": "100"})
+def test_fock_checks_the_size_cap_exactly():
+    # at N = 12 a run forms N + 2 values for the cardinality and psi, 3N
+    # for the CCR composites and (N + 1)(N + 2)/2 two-colored classes:
+    # 141 values of at most 10 digits, those of 10 * 12! = 4790016000
+    argv = ("fock", "--truncate", "12", "--check-ccr", "--series",
+            "two-colored")
+    result = run_cli(*argv, env={"SPANCALC_SIZE_CAP": "1409"})
     assert result.returncode == 2
-    assert "error: two-colored stuff type morphisms needs 443 entries" in \
-        result.stderr
+    assert ("error: fock --truncate 12, counted in digits of its exact "
+            "values, needs 1410 entries") in result.stderr
     assert "Traceback" not in result.stderr and result.stdout == ""
+    result = run_cli(*argv, env={"SPANCALC_SIZE_CAP": "1410"})
+    assert result.returncode == 0, result.stderr
+    assert "PASS" in result.stdout
+
+
+@pytest.mark.parametrize("N", [12, 1000, 10 ** 6, 10 ** 18])
+def test_fock_truncation_ladder_exits_0_or_2_quickly(N):
+    result = subprocess.run(
+        [sys.executable, "-m", "spancalc.cli", "fock", "--truncate", str(N),
+         "--check-ccr"], capture_output=True, text=True, timeout=5)
+    assert result.returncode in (0, 2)
+    assert "Traceback" not in result.stderr
 
 
 def test_hecke_verify_and_constants(tmp_path):

@@ -26,11 +26,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spancalc import cli
-from spancalc.fock import annihilation_span, build_E
 from spancalc.groupoid import FiniteGroupoid, cyclic_table
 from spancalc.spans import span_to_json
 
 from helpers import random_cyclic_action, random_span
+from oracles import annihilation_span, build_E
 
 
 def _bases() -> list[dict]:

@@ -3,29 +3,36 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spancalc import fock
+from spancalc.exact import SizeCapError
 from spancalc.fock import (
-    annihilation_span,
-    build_E,
-    creation_span,
+    annihilation_span as fock_annihilation,
+    compose_spans as fock_compose,
+    creation_span as fock_creation,
     e_partial_sum,
+    entries,
     field_span,
     generating_function,
+    matrix,
     normal_ordered_power,
     normal_ordered_terms,
-    psi_n,
-    two_colored_stuff,
+    printed_digits,
+    psi_n as fock_psi_n,
+    span_power,
+    two_colored_stuff as fock_two_colored,
     verify_ccr,
 )
-from spancalc.exact import SizeCapError
 from spancalc.groupoid import (
     cardinality,
     full_inverse_image,
+    iso_classes,
     validate_groupoid,
 )
 from spancalc.spans import (
     RationalMatrix,
-    add_spans,
     adjoint,
     apply_span,
     compose_spans,
@@ -34,9 +41,22 @@ from spancalc.spans import (
     inner_product,
 )
 
-from oracles import compose_literal, weak_pullback_literal
+from oracles import (
+    annihilation_span,
+    build_E,
+    compose_literal,
+    creation_span,
+    psi_n,
+    two_colored_stuff,
+    weak_pullback_literal,
+)
 
 FACT = [1, 1, 2, 6, 24, 120, 720, 5040, 40320]
+ALPHAS = (0, 1, Fraction(1, 2))
+
+
+def fock_matrix(span, N: int, alpha=0) -> RationalMatrix:
+    return RationalMatrix(N + 1, N + 1, matrix(span, N, alpha))
 
 
 def test_build_E_small_values():
@@ -57,15 +77,42 @@ def test_classes_only_mode_approximates_e():
     assert 1 / math.factorial(11) < tail < (Fraction(12, 11) / math.factorial(11))
 
 
+def test_e_partial_sum_is_the_cardinality_of_the_materialized_E():
+    for N in range(9):
+        assert e_partial_sum(N) == build_E(N).cardinality
+
+
+def test_printed_digits_are_those_of_ten_times_n_factorial():
+    # counted by comparison with powers of 10, so no int is printed
+    factorial, digits, power = 10, 2, 100
+    for N in range(3001):
+        factorial *= max(N, 1)
+        while factorial >= power:
+            digits += 1
+            power *= 10
+        assert printed_digits(N) == digits, N
+
+
 def test_psi_n_vectors():
-    E = build_E(6)
-    v0 = degroupoidify_vector(psi_n(0, E).over, 0)
-    assert v0.entries == (1, 0, 0, 0, 0, 0, 0)
-    v3 = degroupoidify_vector(psi_n(3, E).over, 0)
-    assert v3.entries[3] == Fraction(1, 6)
-    assert sum(1 for e in v3.entries if e != 0) == 1
+    v0 = generating_function(fock_psi_n(0, 6), 6)
+    assert v0.coefficients == (1, 0, 0, 0, 0, 0, 0)
+    v3 = generating_function(fock_psi_n(3, 6), 6)
+    assert v3.coefficients[3] == Fraction(1, 6)
+    assert sum(1 for e in v3.coefficients if e != 0) == 1
     with pytest.raises(ValueError):
-        psi_n(7, E)
+        fock_psi_n(7, 6)
+
+
+def test_stuff_type_vectors_match_the_materialized_oracle():
+    E = build_E(5)
+    for alpha in ALPHAS:
+        for n in range(6):
+            assert generating_function(fock_psi_n(n, 5), 5, alpha) \
+                .coefficients == degroupoidify_vector(psi_n(n, E).over,
+                                                      alpha).entries
+        assert generating_function(fock_two_colored(5), 5, alpha) \
+            .coefficients == degroupoidify_vector(two_colored_stuff(E).over,
+                                                  alpha).entries
 
 
 def test_two_colored_projection_is_a_functor():
@@ -74,12 +121,11 @@ def test_two_colored_projection_is_a_functor():
 
 
 def test_two_colored_generating_function():
-    E = build_E(6)
-    stuff = two_colored_stuff(E)
-    series = generating_function(stuff)
+    stuff = fock_two_colored(6)
+    series = generating_function(stuff, 6)
     assert series.coefficients == tuple(
         Fraction(2 ** n, FACT[n]) for n in range(7))
-    homology_side = generating_function(stuff, 1)
+    homology_side = generating_function(stuff, 6, 1)
     assert homology_side.coefficients == tuple(
         Fraction(2 ** n) for n in range(7))
 
@@ -113,21 +159,19 @@ def test_generating_function_additive_under_coproduct():
 
 
 def test_annihilation_matrix_is_derivative():
-    E = build_E(6)
-    a = degroupoidify_span(annihilation_span(E), 0)
+    a = matrix(fock_annihilation(6), 6)
     for row in range(7):
         for col in range(7):
             expected = col if col == row + 1 else 0
-            assert a.data[row][col] == expected
+            assert a[row][col] == expected
 
 
 def test_creation_matrix_is_multiplication_by_z():
-    E = build_E(6)
-    astar = degroupoidify_span(creation_span(E), 0)
+    astar = matrix(fock_creation(6), 6)
     for row in range(7):
         for col in range(7):
             expected = 1 if row == col + 1 else 0
-            assert astar.data[row][col] == expected
+            assert astar[row][col] == expected
 
 
 def test_annihilation_sends_psi_n_down():
@@ -163,10 +207,22 @@ def test_psi2_pullback_cardinality():
 
 def test_ccr_block_and_boundary():
     for N in (2, 4, 6):
-        report = verify_ccr(build_E(N))
+        report = verify_ccr(N)
         assert report.ok
         assert [(i, j) for i, j, _v in report.discrepancies] == [(N, N)]
         assert report.discrepancies[0][2] == -N - 1
+
+
+def test_ccr_reports_a_broken_relation(monkeypatch):
+    # one extra class (0, 1, 0) in the composite AA*, whose left factor A
+    # holds that class, breaks the relation at (0, 1) only: off the
+    # diagonal, inside the block
+    good = fock.compose_spans
+    monkeypatch.setattr(fock, "compose_spans", lambda t, s: fock.add_spans(
+        good(t, s), {(0, 1, 0): 1} if (0, 1, 0) in t else {}))
+    report = verify_ccr(4)
+    assert not report.ok and str(report).startswith("FAIL")
+    assert report.discrepancies == ((0, 1, 1), (4, 4, -5))
 
 
 def test_aastar_composite_matrix_diagonal():
@@ -188,6 +244,44 @@ def test_compose_literal_and_skeletal_agree():
         assert lit == ske
 
 
+# -- the closed form against the weak pullback on the materialized E ---------
+
+def _word_spans(word, N):
+    """The closed-form and the materialized composite of a word in A (0)
+    and A* (1), read as an operator product: its last letter acts first."""
+    E = build_E(N)
+    oracle = {0: annihilation_span(E)}
+    oracle[1] = adjoint(oracle[0])
+    closed = {0: fock_annihilation(N), 1: fock_creation(N)}
+    s, t = closed[word[-1]], oracle[word[-1]]
+    for letter in reversed(word[:-1]):
+        s = fock_compose(closed[letter], s)
+        t = compose_spans(oracle[letter], t)
+    return s, t
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(N=st.integers(1, 5),
+       word=st.lists(st.sampled_from([0, 1]), min_size=1, max_size=4))
+def test_closed_form_matches_the_weak_pullback_on_E(N, word):
+    closed, oracle = _word_spans(word, N)
+    for alpha in ALPHAS:
+        assert matrix(closed, N, alpha) == \
+            degroupoidify_span(oracle, alpha).data, (word, alpha)
+    assert sum(closed.values()) == iso_classes(oracle.apex).n_classes
+    # S_1 = S_0: one key per left foot, right foot and automorphism group
+    assert all(u != 1 for _x, _y, u in closed)
+
+
+def test_closed_form_marks_a_lone_unmarked_point():
+    # A A* A at N = 2: at (1, 2) the apex classes of A* A over 2 carry an
+    # S_1 = S_0, so the lone unmarked point glues as a marked one
+    closed, oracle = _word_spans([0, 1, 0], 2)
+    assert matrix(closed, 2)[1][2] == 4
+    assert degroupoidify_span(oracle, 0).data[1][2] == 4
+    assert sum(closed.values()) == iso_classes(oracle.apex).n_classes
+
+
 def test_trace_of_annihilation_is_empty():
     from spancalc.spans import trace_span
     E = build_E(4)
@@ -197,18 +291,17 @@ def test_trace_of_annihilation_is_empty():
 
 
 def test_field_span_matrix():
-    E = build_E(5)
-    phi = degroupoidify_span(field_span(E), 0)
-    a = degroupoidify_span(annihilation_span(E), 0)
-    astar = degroupoidify_span(creation_span(E), 0)
+    phi = fock_matrix(field_span(5), 5)
+    a = fock_matrix(fock_annihilation(5), 5)
+    astar = fock_matrix(fock_creation(5), 5)
     assert phi == a + astar
 
 
 def test_normal_ordered_powers_match_polynomials():
-    E = build_E(5)
-    a = degroupoidify_span(annihilation_span(E), 0)
-    astar = degroupoidify_span(creation_span(E), 0)
-    eye = RationalMatrix.identity(6)
+    N = 6
+    a = fock_matrix(fock_annihilation(N), N)
+    astar = fock_matrix(fock_creation(N), N)
+    eye = RationalMatrix.identity(N + 1)
     polys = {
         0: eye,
         1: a + astar,
@@ -220,27 +313,36 @@ def test_normal_ordered_powers_match_polynomials():
            + (astar @ astar @ astar @ a).scale(4)
            + (astar @ astar @ astar @ astar),
     }
+    for n in (5, 6):
+        want = RationalMatrix(N + 1, N + 1)
+        for j in range(n + 1):
+            term = eye
+            for _ in range(j):
+                term = term @ astar
+            for _ in range(n - j):
+                term = term @ a
+            want = want + term.scale(math.comb(n, j))
+        polys[n] = want
     for n, want in polys.items():
-        got = degroupoidify_span(normal_ordered_power(n, E), 0)
+        got = fock_matrix(normal_ordered_power(n, N), N)
         assert got == want, f"normal-ordered power {n}"
     assert normal_ordered_terms(5) == [(1, 0, 5), (5, 1, 4), (10, 2, 3),
                                        (10, 3, 2), (5, 4, 1), (1, 5, 0)]
     with pytest.raises(ValueError):
-        normal_ordered_power(-1, E)
+        normal_ordered_power(-1, N)
 
 
 def test_normal_ordered_power_default_within_budget():
-    E = build_E(5)
     start = time.monotonic()
-    m = degroupoidify_span(normal_ordered_power(4, E), 0)
+    m = matrix(normal_ordered_power(4, 5), 5)
     elapsed = time.monotonic() - start
-    assert m.data[0][4] == 24   # only A^4 reaches row 0: 4 * 3 * 2 * 1
+    assert m[0][4] == 24   # only A^4 reaches row 0: 4 * 3 * 2 * 1
     assert elapsed < 2.0, f"normal-ordered power 4 took {elapsed:.2f}s"
 
 
 def test_ccr_at_seven_within_budget():
     start = time.monotonic()
-    report = verify_ccr(build_E(7))
+    report = verify_ccr(7)
     elapsed = time.monotonic() - start
     assert report.ok
     assert report.discrepancies == ((7, 7, -8),)
@@ -248,8 +350,32 @@ def test_ccr_at_seven_within_budget():
 
 
 def test_fock_matrices_nonnegative():
-    E = build_E(4)
-    for span in (annihilation_span(E), creation_span(E), field_span(E),
-                 normal_ordered_power(2, E)):
-        m = degroupoidify_span(span, 0)
-        assert all(entry >= 0 for row in m.data for entry in row)
+    for span in (fock_annihilation(4), fock_creation(4), field_span(4),
+                 normal_ordered_power(2, 4)):
+        m = matrix(span, 4)
+        assert all(entry >= 0 for row in m for entry in row)
+
+
+# -- Wick's theorem ------------------------------------------------------------
+
+def test_vacuum_expectations_of_field_powers_are_pairings():
+    # <0|phi^k|0> counts the perfect matchings of k points: (k - 1)!! for
+    # even k, 0 for odd k
+    start = time.monotonic()
+    phi = field_span(12)
+    power = span_power(phi, 1, 12)
+    got = []
+    for _k in range(2, 11):
+        power = fock_compose(phi, power)
+        got.append(entries(power).get((0, 0), 0))
+    elapsed = time.monotonic() - start
+    assert got == [1, 0, 3, 0, 15, 0, 105, 0, 945]
+    assert elapsed < 2.0, f"took {elapsed:.2f}s"
+
+
+def test_ccr_at_twelve_within_budget():
+    start = time.monotonic()
+    report = verify_ccr(12)
+    elapsed = time.monotonic() - start
+    assert report.ok and report.discrepancies == ((12, 12, -13),)
+    assert elapsed < 1.0, f"N=12 CCR took {elapsed:.2f}s"

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from spancalc.fock import build_E, generating_function, psi_n, verify_ccr
+from spancalc.fock import generating_function, verify_ccr
 from spancalc.groupoid import (
     FiniteGroupoid,
     GroupoidFunctor,
@@ -26,6 +26,7 @@ from spancalc.spans import (
 )
 
 from helpers import random_cyclic_action, random_equivariant_span
+from oracles import build_E, psi_n
 
 
 @pytest.fixture(scope="module")
@@ -46,8 +47,9 @@ def records():
         "GroupoidOverX": (stuff.over, "total"),
         "TruncatedE": (E, "N"),
         "StuffType": (stuff, "E"),
-        "PowerSeriesVector": (generating_function(stuff), "coefficients"),
-        "CcrReport": (verify_ccr(E), "ok"),
+        "PowerSeriesVector": (generating_function([(2, 2)], 3),
+                              "coefficients"),
+        "CcrReport": (verify_ccr(3), "ok"),
         "Quiver": (algebra.quiver, "edges"),
         "QuiverRep": (cls.rep, "mats"),
         "RepClass": (cls, "aut_order"),

@@ -169,7 +169,7 @@ def test_pullback_visits_only_pairs_with_isomorphic_images(monkeypatch):
     ident = GroupoidFunctor.identity(B)
     P, _pt, _ps = weak_pullback(ident, ident)
     assert P.n_objects == n
-    assert calls <= 7 * n
+    assert calls <= 5 * n
 
 
 def test_pullback_rejects_codomain_mismatch():
