@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .exact import SizeCapError, format_rational
+from .exact import SizeCapError, check_digits, format_rational
 
 if TYPE_CHECKING:
     from .groupoid import FiniteGroupoid, IsoClassTable
@@ -124,17 +124,16 @@ def cmd_card(args) -> int:
 
 def _check_alpha_digits(text: str, alpha: Fraction, y: IsoClassTable,
                         x: IsoClassTable) -> None:
-    """Reject an alpha whose entries |Aut x|^(1-alpha) |Aut y|^alpha would
-    have more decimal digits than the interpreter prints, before any power
-    is computed."""
-    limit = (sys.get_int_max_str_digits()
-             or sys.int_info.default_max_str_digits)
+    """Refuse an alpha before any power is computed when
+    ``exact.check_digits`` refuses its matrix entries
+    |Aut x|^(1-alpha) |Aut y|^alpha, of up to (|alpha| + 1) log10 |Aut|
+    digits each; |alpha| past 10^300 is taken as 10^300, so that the
+    count prints."""
     largest = max(y.aut_order + x.aut_order, default=1)
-    if largest > 1 and abs(alpha) + 1 > limit / math.log10(largest):
-        raise InputError(
-            f"alpha {text} is too large: entries would have about "
-            f"(|alpha| + 1) * log10({largest}) digits, over the limit of "
-            f"{limit}")
+    size = min(abs(alpha), 10 ** 300) + 1
+    digits = math.ceil(size * Fraction(math.log10(largest)))
+    check_digits(f"degroupoidify at alpha {text}", digits,
+                 y.n_classes * x.n_classes)
 
 
 def cmd_degroupoidify(args) -> int:

@@ -3,7 +3,8 @@ given by generators, and the numbers.
 
 ``size_cap`` is the configurable cap on materialized sizes
 (``SPANCALC_SIZE_CAP``), and ``SizeCapError`` reports a breach of it or of
-a caller's own fixed cap.  ``orbits`` is the one routine that grows
+a caller's own fixed cap; ``check_digits`` is the one rule for exact
+numbers too long to print.  ``orbits`` is the one routine that grows
 orbits from generators, and ``greedy_generators`` with ``extend_group``
 the one that closes a group from them.  ``QSqrt`` holds the sums of
 rational multiples of square roots that half-integer alpha produces;
@@ -16,6 +17,7 @@ of the package.
 from __future__ import annotations
 
 import os
+import sys
 from fractions import Fraction
 
 DEFAULT_SIZE_CAP = 5_000_000
@@ -50,6 +52,22 @@ class SizeCapError(RuntimeError):
 def _check_cap(what: str, needed: int) -> None:
     if needed > size_cap():
         raise SizeCapError(what, needed)
+
+
+def check_digits(what: str, digits: int, values: int) -> None:
+    """Refuse ``what`` before it forms ``values`` exact numbers of up to
+    ``digits`` decimal digits: a ValueError when ``digits`` passes the
+    interpreter's limit on printed ints (PYTHONINTMAXSTRDIGITS, where 0
+    sets no limit), and in any case a SizeCapError when their digits
+    together pass the size cap."""
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise ValueError(
+            f"{what} is too large: it prints numbers of up to {digits} "
+            f"digits, over the interpreter's limit of {limit} "
+            f"(PYTHONINTMAXSTRDIGITS)")
+    _check_cap(f"{what}, counted in digits of its exact values,",
+               values * digits)
 
 
 # -- orbits and closures of finite groups given by generators ---------------

@@ -23,11 +23,10 @@ column and are reported, never silently dropped.
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import _check_cap, aut_weight
+from .exact import aut_weight, check_digits
 
 FockSpan = dict   # (x, y, u) -> multiplicity
 
@@ -135,16 +134,10 @@ def check_size(N: int, ccr: bool, two_colored: bool) -> None:
     exact values it forms pass the size cap.  Those values are the N + 1
     terms of the cardinality, at most 3N weighted classes of the CCR
     composites, the (N + 1)(N + 2)/2 classes of the two-colored stuff type
-    and one class of psi_n, each of at most ``printed_digits(N)`` digits."""
-    digits = printed_digits(N)
-    limit = sys.get_int_max_str_digits()
-    if limit and digits > limit:
-        raise ValueError(
-            f"--truncate {N} prints numbers of up to {digits} digits, over "
-            f"the interpreter's limit of {limit} (PYTHONINTMAXSTRDIGITS)")
+    and one class of psi_n, each of at most ``printed_digits(N)`` digits;
+    ``exact.check_digits`` applies both rules."""
     terms = N + 2 + 3 * N * ccr + (N + 1) * (N + 2) // 2 * two_colored
-    _check_cap(f"fock --truncate {N}, counted in digits of its exact values,",
-               terms * digits)
+    check_digits(f"fock --truncate {N}", printed_digits(N), terms)
 
 
 class PowerSeriesVector(NamedTuple):

@@ -181,43 +181,6 @@ class FiniteGroupoid:
         compose = {(a, b): table[a][b] for a in range(n) for b in range(n)}
         return FiniteGroupoid(1, (0,) * n, (0,) * n, (e,), tuple(inv), compose)
 
-    @staticmethod
-    def connected(class_size: int, group_table: Sequence[Sequence[int]]) -> "FiniteGroupoid":
-        """Connected groupoid with ``class_size`` objects, all isomorphic,
-        each with automorphism group given by ``group_table``."""
-        n = len(group_table)
-        m = class_size
-        if m == 0:
-            return FiniteGroupoid.empty()
-        one = FiniteGroupoid.from_group_table(group_table)
-        e = one.identity[0]
-        # morphism (i, j, a): i -> j; (i,j,a) then (j,k,b) = (i,k, table[a][b])
-        def mid(i: int, j: int, a: int) -> int:
-            return (i * m + j) * n + a
-        src = []
-        tgt = []
-        for i in range(m):
-            for j in range(m):
-                for _a in range(n):
-                    src.append(i)
-                    tgt.append(j)
-        identity = tuple(mid(i, i, e) for i in range(m))
-        inverse = []
-        for i in range(m):
-            for j in range(m):
-                for a in range(n):
-                    inverse.append(mid(j, i, one.inverse[a]))
-
-        def comp(f: int, g: int) -> int:
-            fa = f % n
-            i = f // n // m
-            gj = g // n
-            ga = g % n
-            k = gj % m
-            return mid(i, k, group_table[fa][ga])
-
-        return FiniteGroupoid(m, src, tgt, identity, tuple(inverse), comp)
-
     # -- JSON interchange --------------------------------------------------
 
     def to_json(self) -> dict:
@@ -480,23 +443,6 @@ def cardinality(g: FiniteGroupoid) -> Rational:
     return iso_classes(g).cardinality
 
 
-def cardinality_alt(g: FiniteGroupoid) -> Rational:
-    """Sum over objects of 1/(number of morphisms out of the object).
-
-    Agrees with :func:`cardinality` on every valid groupoid; the two
-    formulas serve as mutual oracles.
-    """
-    out_count = [0] * g.n_objects
-    for m in range(g.n_morphisms):
-        out_count[g.src[m]] += 1
-    total = Fraction(0)
-    for x in range(g.n_objects):
-        if out_count[x] == 0:
-            raise ValueError(f"object {x} has no morphisms, not even identity")
-        total += Fraction(1, out_count[x])
-    return total
-
-
 class _Enough(Exception):
     """Stops a validation scan once it holds enough violations."""
 
@@ -628,39 +574,6 @@ def validate_groupoid(g: FiniteGroupoid, max_violations: int = 50) -> list[str]:
     return errors
 
 
-def full_inverse_image(v: GroupoidFunctor, x: int) -> FiniteGroupoid:
-    """Full subgroupoid of the domain on objects mapping into the class of x."""
-    cod = v.codomain
-    if not (0 <= x < cod.n_objects):
-        raise ValueError(f"object {x} is not in the codomain")
-    cod_classes = iso_classes(cod)
-    cls = cod_classes.class_of[x]
-    objs = [a for a in range(v.domain.n_objects)
-            if cod_classes.class_of[v.obj_map[a]] == cls]
-    return _full_subgroupoid(v.domain, objs)
-
-
-def _full_subgroupoid(g: FiniteGroupoid, objs: Sequence[int]) -> FiniteGroupoid:
-    keep = set(objs)
-    obj_index = {o: i for i, o in enumerate(objs)}
-    mors = [m for m in range(g.n_morphisms)
-            if g.src[m] in keep and g.tgt[m] in keep]
-    mor_index = {m: i for i, m in enumerate(mors)}
-    compose = {}
-    for f in mors:
-        for h in g.mor_from(g.tgt[f]):
-            if h in mor_index:
-                compose[(mor_index[f], mor_index[h])] = mor_index[g.compose(f, h)]
-    return FiniteGroupoid(
-        len(objs),
-        tuple(obj_index[g.src[m]] for m in mors),
-        tuple(obj_index[g.tgt[m]] for m in mors),
-        tuple(mor_index[g.identity[o]] for o in objs),
-        tuple(mor_index[g.inverse[m]] for m in mors),
-        compose,
-    )
-
-
 def coproduct(g: FiniteGroupoid, h: FiniteGroupoid
               ) -> tuple[FiniteGroupoid, GroupoidFunctor, GroupoidFunctor]:
     """Disjoint union, with the two injection functors."""
@@ -748,79 +661,6 @@ def product_functor(f: GroupoidFunctor, g: GroupoidFunctor,
     return GroupoidFunctor(dom, cod, obj, mor)
 
 
-def check_equivalence_certificate(f: GroupoidFunctor) -> bool:
-    """True iff the functor is full, faithful and essentially surjective."""
-    dom, cod = f.domain, f.codomain
-    for x in range(dom.n_objects):
-        for y in range(dom.n_objects):
-            hom = dom.hom(x, y)
-            images = {f.mor_map[m] for m in hom}
-            if len(images) != len(hom):
-                return False  # not faithful
-            if len(images) != len(cod.hom(f.obj_map[x], f.obj_map[y])):
-                return False  # not full
-    cod_classes = iso_classes(cod)
-    hit = {cod_classes.class_of[f.obj_map[x]] for x in range(dom.n_objects)}
-    return len(hit) == cod_classes.n_classes
-
-
-def transport_to_representatives(g: FiniteGroupoid, table: IsoClassTable
-                                 ) -> list[int]:
-    """For each object x, a morphism representative(class(x)) -> x.
-
-    Found by breadth-first search along morphisms, composing as we go.
-    """
-    gamma: list[int | None] = [None] * g.n_objects
-    adj: dict[int, list[int]] = {}
-    for m in range(g.n_morphisms):
-        adj.setdefault(g.src[m], []).append(m)
-    for rep in table.representative:
-        gamma[rep] = g.identity[rep]
-        frontier = [rep]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for m in adj.get(x, []):
-                    y = g.tgt[m]
-                    if gamma[y] is None:
-                        gamma[y] = g.compose(gamma[x], m)
-                        nxt.append(y)
-            frontier = nxt
-    if any(v is None for v in gamma):
-        raise ValueError("groupoid has objects unreachable from their class "
-                         "representative; is it valid?")
-    return gamma  # type: ignore[return-value]
-
-
-def skeleton(g: FiniteGroupoid) -> tuple[FiniteGroupoid, GroupoidFunctor]:
-    """One object per iso class with its automorphism group, plus the
-    equivalence functor from ``g`` onto the skeleton."""
-    table = iso_classes(g)
-    gamma = transport_to_representatives(g, table)
-    # skeleton morphisms: automorphisms of each representative
-    mor_of: list[tuple[int, int]] = []  # (class, original aut morphism)
-    index: dict[int, int] = {}
-    for c, rep in enumerate(table.representative):
-        for a in g.aut(rep):
-            index[a] = len(mor_of)
-            mor_of.append((c, a))
-    src = tuple(c for c, _ in mor_of)
-    identity = tuple(index[g.identity[rep]] for rep in table.representative)
-    inverse = tuple(index[g.inverse[a]] for _, a in mor_of)
-
-    def comp(f: int, h: int) -> int:
-        return index[g.compose(mor_of[f][1], mor_of[h][1])]
-
-    sk = FiniteGroupoid(table.n_classes, src, src, identity, inverse, comp)
-    # functor: x -> class rep;  (f: x -> y) -> gamma_x ; f ; gamma_y^{-1}
-    obj_map = tuple(table.class_of[x] for x in range(g.n_objects))
-    mor_map = []
-    for m in range(g.n_morphisms):
-        a = g.compose(g.compose(gamma[g.src[m]], m), g.inverse[gamma[g.tgt[m]]])
-        mor_map.append(index[a])
-    return sk, GroupoidFunctor(g, sk, obj_map, tuple(mor_map))
-
-
 # -- small group tables for tests and generators ---------------------------
 
 def cyclic_table(n: int) -> list[list[int]]:
@@ -834,10 +674,3 @@ def symmetric_table(n: int) -> list[list[int]]:
     return [[index[tuple(perms[b][perms[a][i]] for i in range(n))]
              for b in range(len(perms))] for a in range(len(perms))]
 
-
-def table_product(t1: Sequence[Sequence[int]],
-                  t2: Sequence[Sequence[int]]) -> list[list[int]]:
-    n1, n2 = len(t1), len(t2)
-    return [[t1[a1][b1] * n2 + t2[a2][b2]
-             for b1 in range(n1) for b2 in range(n2)]
-            for a1 in range(n1) for a2 in range(n2)]

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .exact import SizeCapError, _check_cap, aut_weight
-from .fq import is_prime, nullspace
+from .fq import echelon, is_prime, nullspace
 
 ORBIT_LABELS = ("e", "P", "L", "PL", "LP", "PLP")
 _POSITION = {lbl: i for i, lbl in enumerate(ORBIT_LABELS)}
@@ -65,15 +65,6 @@ def check_caps(q: int, relations: bool = True, constants: bool = True
         _check_cap(f"Hecke structure constants at q={q}", 7 * n_flags)
 
 
-def _normalize(vec: tuple[int, int, int], q: int) -> tuple[int, int, int] | None:
-    """Scale so the first nonzero coordinate is 1; None for the zero vector."""
-    for x in vec:
-        if x % q:
-            inv = pow(x, q - 2, q)
-            return tuple(v * inv % q for v in vec)  # type: ignore[return-value]
-    return None
-
-
 class FlagGeometry(NamedTuple):
     """Points, lines and incident flags of the projective plane over F_q."""
 
@@ -91,10 +82,10 @@ class FlagGeometry(NamedTuple):
 def flag_geometry(q: int) -> FlagGeometry:
     """The points, in sorted order, are the normalized vectors (0, 0, 1),
     (0, 1, c) and (1, a, b); the lines are the same covectors.  The q + 1
-    points of each line are the normalized vectors s b1 + t b2 over the
-    points (s, t) of the projective line, with b1, b2 a basis of the
-    covector's nullspace, so the flags are listed without an incidence
-    scan."""
+    points of each line are the vectors s b1 + t b2 over the points (s, t)
+    of the projective line, with b1, b2 a basis of the covector's
+    nullspace, each normalized as its one-row echelon form, so the flags
+    are listed without an incidence scan."""
     check_caps(q, relations=False, constants=False)
     if not is_prime(q):
         raise ValueError(f"q={q} is not prime")
@@ -108,18 +99,11 @@ def flag_geometry(q: int) -> FlagGeometry:
     for li, c in enumerate(lines):
         b1, b2 = nullspace((c,), q, 3)
         for s, t in projective_line:
-            p = _normalize(tuple((s * x + t * y) % q for x, y in zip(b1, b2)),
-                           q)
-            flags.append((point_index[p], li))
+            v = tuple((s * x + t * y) % q for x, y in zip(b1, b2))
+            flags.append((point_index[echelon((v,), q)[0]], li))
     flags.sort()
     index = {f: i for i, f in enumerate(flags)}
     return FlagGeometry(q, points, lines, tuple(flags), index)
-
-
-def enumerate_flags(q: int) -> list[tuple[tuple[int, int, int], tuple[int, int, int]]]:
-    """All (point, line) incident pairs, canonically ordered."""
-    geo = flag_geometry(q)
-    return [(geo.points[p], geo.lines[l]) for p, l in geo.flags]
 
 
 # -- the relations P and L as sparse rows ------------------------------------
@@ -243,11 +227,6 @@ class HeckeTensor(NamedTuple):
                 coeff = x[u] * y[v]
                 for w in range(n):
                     out[w] += coeff * self.tensor[u][v][w]
-        return out
-
-    def basis_vector(self, label: str) -> list[Fraction]:
-        out = [Fraction(0)] * len(self.labels)
-        out[self.labels.index(label)] = Fraction(1)
         return out
 
 

@@ -9,15 +9,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from spancalc.actions import (EquivariantSpan, GroupAction, materialize_span,
-                              orbit_table)
 from spancalc.groupoid import (
     FiniteGroupoid,
     GroupoidFunctor,
     cyclic_table,
     product,
     symmetric_table,
-    table_product,
 )
 from spancalc.exact import aut_weight, greedy_generators
 from spancalc.fq import vertexwise_product
@@ -25,7 +22,8 @@ from spancalc.hall import all_matrices, identity, mat_mul, mat_rank
 from spancalc.hecke import ORBIT_LABELS, HeckeTensor
 from spancalc.spans import SpanOfGroupoids, span_to_json
 
-from oracles import bruhat_orbits
+from oracles import (EquivariantSpan, GroupAction, bruhat_orbits, connected,
+                     materialize_span, orbit_table, table_product)
 
 # small groups with automorphism orders up to 24
 GROUP_TABLES = [
@@ -49,7 +47,7 @@ def random_groupoid(rng: random.Random, max_objects: int = 8) -> FiniteGroupoid:
     while remaining > 0:
         size = rng.randint(1, remaining)
         table = rng.choice(GROUP_TABLES)
-        piece = FiniteGroupoid.connected(size, table)
+        piece = connected(size, table)
         total = piece if total is None else coproduct(total, piece)[0]
         remaining -= size
     return total

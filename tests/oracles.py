@@ -1,14 +1,26 @@
-"""The SL(3, F_q) route to the A2 Hecke algebra, kept as a test oracle.
+"""Oracles and fixtures that only the tests call.
 
-``build_group`` enumerates SL(3, F_q) for q in {2, 3} as a one-object
-groupoid with a callable composite, with its action on flags as a table of
-tuples.  ``bruhat_orbits`` finds its orbits on flag pairs with the generic
-orbit kernel of ``spancalc.actions``, and ``triple_block_span`` gives one
-tensor entry as an equivariant span.  Both tabulate the action on pairs,
+``connected`` and ``table_product`` build groupoids from group tables.
+``cardinality_alt``, ``full_inverse_image``, ``check_equivalence_certificate``
+and ``skeleton`` are the groupoid constructions that the package's own
+routines are checked against.  ``GroupAction`` is a group acting by a table
+with one row per element; ``orbit_table`` gives the iso classes of S//G
+from such a table, ``materialize`` the action groupoid itself, and
+``degroupoidify_equivariant`` degroupoidifies an ``EquivariantSpan``
+straight from orbits and stabilizers, against ``materialize_span`` run
+through the generic span machinery.
+
+The SL(3, F_q) route to the A2 Hecke algebra: ``build_group`` enumerates
+SL(3, F_q) for q in {2, 3} as a one-object groupoid with a callable
+composite, with its action on flags as a table of tuples.
+``bruhat_orbits`` finds its orbits on flag pairs with ``orbit_table``,
+and ``triple_block_span`` gives one tensor entry as an equivariant span.  Both tabulate the action on pairs,
 |G| n^2 entries, which is 74k at q = 2 but 15.2M at q = 3, so tests run
 them at q = 2 only.  ``build_P`` and ``build_L`` are the relations as dense
-numpy matrices.  ``spancalc.hecke`` reaches the same numbers from flag
-incidence alone, without listing a group element.
+numpy matrices, ``enumerate_flags`` lists the flags as vector pairs and
+``basis_vector`` is a basis element of a ``HeckeTensor``.
+``spancalc.hecke`` reaches the same numbers from flag incidence alone,
+without listing a group element.
 
 ``enumerate_reps`` and ``zero_class`` are the Hall counterparts that only
 tests call: the class table of one dimension vector from a fresh algebra,
@@ -33,19 +45,346 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
+from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from spancalc.actions import EquivariantSpan, GroupAction, orbit_table
 from spancalc.exact import SizeCapError, _check_cap
+from spancalc.fq import echelon
 from spancalc.groupoid import (FiniteGroupoid, GroupoidFunctor, IsoClassTable,
-                               Rational, cardinality)
+                               Rational, cardinality, iso_classes)
 from spancalc.hall import HallAlgebra, Quiver, RepClass
-from spancalc.hecke import (FlagGeometry, Rows, _normalize, _pair_label,
+from spancalc.hecke import (FlagGeometry, HeckeTensor, Rows, _pair_label,
                             flag_geometry, relation_rows)
-from spancalc.spans import GroupoidOverX, SpanOfGroupoids, adjoint
+from spancalc.spans import (GroupoidOverX, RationalMatrix, SpanOfGroupoids,
+                            adjoint, degroupoidify_classes)
+
+
+# -- groupoids from group tables ------------------------------------------------
+
+def connected(class_size: int, group_table: Sequence[Sequence[int]]
+              ) -> FiniteGroupoid:
+    """Connected groupoid with ``class_size`` objects, all isomorphic,
+    each with automorphism group given by ``group_table``."""
+    n, m = len(group_table), class_size
+    one = FiniteGroupoid.from_group_table(group_table)
+    # morphism (i * m + j) * n + a is (i, j, a): i -> j, and (i, j, a)
+    # then (j, k, b) is (i, k, table[a][b])
+    triples = list(itertools.product(range(m), range(m), range(n)))
+
+    def comp(f: int, g: int) -> int:
+        (i, _j, a), (_j, k, b) = triples[f], triples[g]
+        return (i * m + k) * n + group_table[a][b]
+
+    return FiniteGroupoid(
+        m, [i for i, _j, _a in triples], [j for _i, j, _a in triples],
+        [(i * m + i) * n + one.identity[0] for i in range(m)],
+        [(j * m + i) * n + one.inverse[a] for i, j, a in triples], comp)
+
+
+def table_product(t1: Sequence[Sequence[int]],
+                  t2: Sequence[Sequence[int]]) -> list[list[int]]:
+    n1, n2 = len(t1), len(t2)
+    return [[t1[a1][b1] * n2 + t2[a2][b2]
+             for b1 in range(n1) for b2 in range(n2)]
+            for a1 in range(n1) for a2 in range(n2)]
+
+
+# -- groupoid constructions ------------------------------------------------------
+
+def cardinality_alt(g: FiniteGroupoid) -> Rational:
+    """Sum over objects of 1/(number of morphisms out of the object).
+
+    Agrees with ``cardinality`` on every valid groupoid; the two formulas
+    serve as mutual oracles.
+    """
+    out_count = [0] * g.n_objects
+    for m in range(g.n_morphisms):
+        out_count[g.src[m]] += 1
+    total = Fraction(0)
+    for x in range(g.n_objects):
+        if out_count[x] == 0:
+            raise ValueError(f"object {x} has no morphisms, not even identity")
+        total += Fraction(1, out_count[x])
+    return total
+
+
+def full_inverse_image(v: GroupoidFunctor, x: int) -> FiniteGroupoid:
+    """Full subgroupoid of the domain on objects mapping into the class of x."""
+    cod = v.codomain
+    if not (0 <= x < cod.n_objects):
+        raise ValueError(f"object {x} is not in the codomain")
+    cod_classes = iso_classes(cod)
+    cls = cod_classes.class_of[x]
+    objs = [a for a in range(v.domain.n_objects)
+            if cod_classes.class_of[v.obj_map[a]] == cls]
+    return _full_subgroupoid(v.domain, objs).domain
+
+
+def _full_subgroupoid(g: FiniteGroupoid, objs: Sequence[int]
+                      ) -> GroupoidFunctor:
+    """The full subgroupoid of g on ``objs``, as its inclusion into g."""
+    keep = set(objs)
+    obj_index = {o: i for i, o in enumerate(objs)}
+    mors = [m for m in range(g.n_morphisms)
+            if g.src[m] in keep and g.tgt[m] in keep]
+    mor_index = {m: i for i, m in enumerate(mors)}
+    compose = {}
+    for f in mors:
+        for h in g.mor_from(g.tgt[f]):
+            if h in mor_index:
+                compose[(mor_index[f], mor_index[h])] = mor_index[g.compose(f, h)]
+    sub = FiniteGroupoid(
+        len(objs),
+        tuple(obj_index[g.src[m]] for m in mors),
+        tuple(obj_index[g.tgt[m]] for m in mors),
+        tuple(mor_index[g.identity[o]] for o in objs),
+        tuple(mor_index[g.inverse[m]] for m in mors),
+        compose,
+    )
+    return GroupoidFunctor(sub, g, tuple(objs), tuple(mors))
+
+
+def check_equivalence_certificate(f: GroupoidFunctor) -> bool:
+    """True iff the functor is full, faithful and essentially surjective."""
+    dom, cod = f.domain, f.codomain
+    for x in range(dom.n_objects):
+        for y in range(dom.n_objects):
+            hom = dom.hom(x, y)
+            images = {f.mor_map[m] for m in hom}
+            if len(images) != len(hom):
+                return False  # not faithful
+            if len(images) != len(cod.hom(f.obj_map[x], f.obj_map[y])):
+                return False  # not full
+    cod_classes = iso_classes(cod)
+    hit = {cod_classes.class_of[f.obj_map[x]] for x in range(dom.n_objects)}
+    return len(hit) == cod_classes.n_classes
+
+
+def transport_to_representatives(g: FiniteGroupoid, table: IsoClassTable
+                                 ) -> list[int]:
+    """For each object x, a morphism representative(class(x)) -> x.
+
+    Found by breadth-first search along morphisms, composing as we go.
+    """
+    gamma: list[int | None] = [None] * g.n_objects
+    for rep in table.representative:
+        gamma[rep] = g.identity[rep]
+        frontier = [rep]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for m in g.mor_from(x):
+                    y = g.tgt[m]
+                    if gamma[y] is None:
+                        gamma[y] = g.compose(gamma[x], m)
+                        nxt.append(y)
+            frontier = nxt
+    if any(v is None for v in gamma):
+        raise ValueError("groupoid has objects unreachable from their class "
+                         "representative; is it valid?")
+    return gamma  # type: ignore[return-value]
+
+
+def skeleton(g: FiniteGroupoid) -> tuple[FiniteGroupoid, GroupoidFunctor]:
+    """The full subgroupoid on the class representatives, one object per
+    iso class, with the equivalence functor from ``g`` onto it:
+    x -> its representative, (f: x -> y) -> gamma_x ; f ; gamma_y^-1."""
+    table = iso_classes(g)
+    gamma = transport_to_representatives(g, table)
+    inclusion = _full_subgroupoid(g, table.representative)
+    index = {m: i for i, m in enumerate(inclusion.mor_map)}
+    mor_map = tuple(
+        index[g.compose(g.compose(gamma[g.src[m]], m),
+                        g.inverse[gamma[g.tgt[m]]])]
+        for m in range(g.n_morphisms))
+    return inclusion.domain, GroupoidFunctor(g, inclusion.domain,
+                                             table.class_of, mor_map)
+
+
+# -- group actions and equivariant spans ---------------------------------------
+
+class GroupAction:
+    """A finite group acting on an indexed finite set, as a full table:
+    ``act[g][s]`` is the image of point s under element g.
+
+    The group is a one-object ``FiniteGroupoid`` whose morphisms are its
+    elements; since ``compose(g, h)`` reads "g, then h",
+    ``act[compose(g, h)][s] == act[h][act[g][s]]``.
+    """
+
+    def __init__(self, group: FiniteGroupoid, act: Sequence[Sequence[int]]):
+        if group.n_objects != 1:
+            raise ValueError(f"a group is a one-object groupoid, not one "
+                             f"with {group.n_objects} objects")
+        self.group = group
+        self.act = tuple(tuple(row) for row in act)
+        if len(self.act) != group.n_morphisms:
+            raise ValueError(f"{len(self.act)} action rows for a group of "
+                             f"order {group.n_morphisms}")
+        widths = sorted({len(row) for row in self.act})
+        if len(widths) > 1:
+            raise ValueError(f"action rows of unequal lengths {widths}")
+        self.n_points = widths[0]
+        self._orbits: IsoClassTable | None = None
+
+    def validate(self) -> list[str]:
+        n = self.n_points
+        errors = [f"act({g}, {s})={x} is not a point"
+                  for g, row in enumerate(self.act)
+                  for s, x in enumerate(row) if not 0 <= x < n]
+        if errors:
+            return errors[:10]
+        if self.act[self.group.identity[0]] != tuple(range(n)):
+            errors.append("identity does not act trivially")
+        for g, row_g in enumerate(self.act):
+            for h, row_h in enumerate(self.act):
+                gh = self.group.compose(g, h)
+                if tuple(row_h[x] for x in row_g) != self.act[gh]:
+                    errors.append(f"act({h}, act({g}, -)) != "
+                                  f"act(compose({g}, {h})={gh}, -)")
+                    if len(errors) > 10:
+                        return errors
+        return errors
+
+    def orbits(self) -> IsoClassTable:
+        """The iso classes of S//G, cached; see ``orbit_table``."""
+        if self._orbits is None:
+            self._orbits = orbit_table(self.act)
+        return self._orbits
+
+    def restrict(self, points: Sequence[int]) -> "GroupAction":
+        """Action on an invariant subset, reindexed to 0..len(points)-1."""
+        points = sorted(points)
+        pos = {p: i for i, p in enumerate(points)}
+        try:
+            sub = [[pos[row[p]] for p in points] for row in self.act]
+        except KeyError as exc:
+            raise ValueError(f"subset is not invariant: it lacks the image "
+                             f"{exc.args[0]}") from None
+        return GroupAction(self.group, sub)
+
+
+def orbit_table(rows: Sequence[Sequence[int]]) -> IsoClassTable:
+    """The iso classes of S//G from an action table with one row per group
+    element: the orbits, ordered by their least point, with the
+    stabilizer orders as automorphism orders.
+
+    The table lists every group element, so the orbit of s is exactly the
+    column of s and its minimum is the canonical representative.
+    Raises AssertionError unless orbit-stabilizer holds, i.e. the sum of
+    1/|Stab| over the orbits is n_points / n_rows; a table that is not a
+    group action can break it.
+    """
+    least = [min(column) for column in zip(*rows)]
+    sizes = Counter(least)
+    reps = sorted(sizes)
+    number = {r: i for i, r in enumerate(reps)}
+    stabs = tuple(sum(row[r] == r for row in rows) for r in reps)
+    table = IsoClassTable(tuple(number[m] for m in least), tuple(reps),
+                          stabs, tuple(sizes[r] for r in reps))
+    expected = Fraction(len(least), len(rows))
+    if table.cardinality != expected:
+        raise AssertionError(
+            f"orbit-stabilizer bookkeeping broke: {table.cardinality} != "
+            f"{expected}")
+    return table
+
+
+def materialize(action: GroupAction) -> FiniteGroupoid:
+    """The action groupoid: objects are points, and morphism
+    g * n_points + s is (g, s): s -> gs."""
+    group = action.group
+    n_g = group.n_morphisms
+    n_s = action.n_points
+    _check_cap("action groupoid morphisms", n_g * n_s)
+    src = tuple(range(n_s)) * n_g
+    tgt = tuple(x for row in action.act for x in row)
+    identity = tuple(group.identity[0] * n_s + s for s in range(n_s))
+    inverse = tuple(group.inverse[g] * n_s + x
+                    for g, row in enumerate(action.act) for x in row)
+
+    def comp(f: int, k: int) -> int:
+        # (g, s): s -> gs, then (h, gs): gs -> (g then h)s
+        return group.compose(f // n_s, k // n_s) * n_s + f % n_s
+
+    return FiniteGroupoid(n_s, src, tgt, identity, inverse, comp)
+
+
+class EquivariantSpan(NamedTuple):
+    """Three actions of one group with equivariant maps apex -> left, right."""
+
+    group: FiniteGroupoid
+    apex: GroupAction
+    left: GroupAction
+    right: GroupAction
+    left_map: tuple[int, ...]
+    right_map: tuple[int, ...]
+
+    def validate(self) -> list[str]:
+        errors = []
+        for g, row in enumerate(self.apex.act):
+            for side, foot, leg in (("left", self.left, self.left_map),
+                                    ("right", self.right, self.right_map)):
+                if [leg[s] for s in row] != [foot.act[g][x] for x in leg]:
+                    errors.append(f"{side} map is not equivariant at "
+                                  f"element {g}")
+            if len(errors) > 10:
+                break
+        return errors
+
+
+def degroupoidify_equivariant(span: EquivariantSpan,
+                              alpha: Fraction | int = 0) -> RationalMatrix:
+    """Matrix of an equivariant span straight from orbits and stabilizers.
+
+    Rows are orbits of the left action, columns orbits of the right action;
+    the entry collects |Stab(x)|^(1-alpha) |Stab(y)|^alpha / |Stab(s)| over
+    apex orbits s lying over (x, y).  Agrees entry-by-entry with
+    degroupoidifying the materialized action groupoids.
+    """
+    return degroupoidify_classes(span.apex.orbits(), span.left_map,
+                                 span.right_map, span.left.orbits(),
+                                 span.right.orbits(), alpha)
+
+
+def materialize_span(span: EquivariantSpan) -> SpanOfGroupoids:
+    """Materialize all three action groupoids and the leg functors."""
+    apex = materialize(span.apex)
+    left = materialize(span.left)
+    right = materialize(span.right)
+    n_s = span.apex.n_points
+    n_l = span.left.n_points
+    n_r = span.right.n_points
+
+    left_mor = tuple((m // n_s) * n_l + span.left_map[m % n_s]
+                     for m in range(apex.n_morphisms))
+    right_mor = tuple((m // n_s) * n_r + span.right_map[m % n_s]
+                      for m in range(apex.n_morphisms))
+    return SpanOfGroupoids(
+        apex,
+        GroupoidFunctor(apex, left, tuple(span.left_map), left_mor),
+        GroupoidFunctor(apex, right, tuple(span.right_map), right_mor),
+    )
+
+
+# -- the A2 Hecke algebra: flags, relations and SL(3, F_q) ---------------------
+
+def enumerate_flags(q: int) -> list[tuple[tuple[int, int, int],
+                                          tuple[int, int, int]]]:
+    """All (point, line) incident pairs, canonically ordered."""
+    geo = flag_geometry(q)
+    return [(geo.points[p], geo.lines[l]) for p, l in geo.flags]
+
+
+def basis_vector(tensor: HeckeTensor, label: str) -> list[Fraction]:
+    """The basis element psi_label of the algebra ``tensor`` describes."""
+    out = [Fraction(0)] * len(tensor.labels)
+    out[tensor.labels.index(label)] = Fraction(1)
+    return out
 
 
 def _dense(rows: Rows) -> np.ndarray:
@@ -63,8 +402,6 @@ def build_P(q: int) -> np.ndarray:
 def build_L(q: int) -> np.ndarray:
     """Relation "same point, different line" as a 0/1 matrix over flags."""
     return _dense(relation_rows(flag_geometry(q))[1])
-
-# -- SL(3, F_q) and its flag action ------------------------------------------
 
 def _det3(m: tuple, q: int) -> int:
     a, b, c, d, e, f, g, h, i = m
@@ -126,12 +463,12 @@ def build_group(q: int) -> HeckeGroup:
         for p in geo.points:
             img = tuple(sum(m[3 * r + c] * p[c] for c in range(3)) % q
                         for r in range(3))
-            pperm.append(point_index[_normalize(img, q)])
+            pperm.append(point_index[echelon((img,), q)[0]])
         lperm = []
         for cvec in geo.lines:
             img = tuple(sum(cvec[r] * inv[3 * r + c] for r in range(3)) % q
                         for c in range(3))
-            lperm.append(point_index[_normalize(img, q)])
+            lperm.append(point_index[echelon((img,), q)[0]])
         act.append([geo.flag_index[(pperm[pi], lperm[li])]
                     for pi, li in geo.flags])
     return HeckeGroup(q, geo, group, elements, GroupAction(group, act))

@@ -2,6 +2,7 @@ import argparse
 import itertools
 import json
 import os
+import pkgutil
 import random
 import re
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import spancalc
 from spancalc import cli
 from spancalc.groupoid import (FiniteGroupoid, GroupoidFunctor, cyclic_table,
                                iso_classes)
@@ -23,7 +25,7 @@ from spancalc.spans import (
 )
 
 from helpers import S3_WORDS, iwahori_hecke_s3, random_cyclic_action, random_span
-from oracles import annihilation_span, build_E, compose_literal
+from oracles import annihilation_span, build_E, compose_literal, connected
 
 
 def run_cli(*args, env=None):
@@ -172,6 +174,17 @@ def test_compose_round_trip(tmp_path):
     run_cli("compose", "--first", str(path), "--second", str(path),
             "-o", str(again))
     assert again.read_bytes() == out.read_bytes()
+
+
+def test_compose_of_spans_with_different_middle_feet_exits_2(tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(json.dumps(span_to_json(annihilation_span(build_E(3)))))
+    second.write_text(json.dumps(span_to_json(annihilation_span(build_E(4)))))
+    result = run_cli("compose", "--first", str(first), "--second",
+                     str(second))
+    assert result.returncode == 2
+    assert "spans are not composable: middle feet differ" in result.stderr
+    assert "Traceback" not in result.stderr and result.stdout == ""
 
 
 def test_cli_composite_matches_the_literal_oracle(tmp_path):
@@ -338,6 +351,30 @@ def test_degroupoidify_rejects_alpha_beyond_the_digit_limit(tmp_path, alpha):
                      "1000", "-o", str(tmp_path / "m.json")]) == 0
 
 
+def test_degroupoidify_without_a_digit_limit_stops_at_the_size_cap(tmp_path):
+    # at alpha 6500 the entry n^(1 - alpha) at (n - 1, n) of this span
+    # has a 4543-digit denominator at n = 5, past the default limit of
+    # 4300, and 36 entries of at most 6501 log10(120) digits stay under
+    # the size cap
+    path = tmp_path / "span.json"
+    path.write_text(json.dumps(span_to_json(annihilation_span(build_E(5)))))
+    unlimited = dict(os.environ, PYTHONINTMAXSTRDIGITS="0")
+    argv = [sys.executable, "-m", "spancalc.cli", "degroupoidify", "--span",
+            str(path), "--alpha"]
+    result = subprocess.run(argv + ["6500"], capture_output=True, text=True,
+                            env=unlimited, timeout=10)
+    assert result.returncode == 0, result.stderr
+    assert max(len(entry) for row in json.loads(result.stdout)["entries"]
+               for entry in row) > 4300
+    # 36 entries of 2.1e6 digits each pass the size cap of 5e6
+    result = subprocess.run(argv + ["1000000"], capture_output=True,
+                            text=True, env=unlimited, timeout=5)
+    assert result.returncode == 2
+    assert ("degroupoidify at alpha 1000000, counted in digits of its exact "
+            "values, needs") in result.stderr
+    assert "Traceback" not in result.stderr and result.stdout == ""
+
+
 def test_span_file_with_a_leg_that_is_not_a_functor_exits_2(tmp_path):
     path = tmp_path / "span.json"
     path.write_text(json.dumps(_broken_annihilation_span(
@@ -364,7 +401,7 @@ def test_card_rejects_identity_out_of_range(tmp_path):
 
 def _broken_z2_pair(how: str) -> dict:
     """The JSON of two isomorphic objects with automorphisms Z/2, broken."""
-    data = FiniteGroupoid.connected(2, cyclic_table(2)).to_json()
+    data = connected(2, cyclic_table(2)).to_json()
     if how == "tgt out of range":
         data["morphisms"][3]["tgt"] = 7
     elif how == "composite missing":
@@ -424,12 +461,12 @@ def test_hecke_run_leaves_numpy_out(tmp_path):
     code = ("import sys; from spancalc import cli; "
             f"status = cli.main(['hecke', '--q', '3', '--verify', '--constants', "
             f"{str(out)!r}, '--json']); "
-            "print('numpy' in sys.modules, 'spancalc.actions' in sys.modules); "
+            "print('numpy' in sys.modules); "
             "sys.exit(status)")
     result = subprocess.run([sys.executable, "-c", code],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "False False"
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("command", ["fock", "card", "compose",
@@ -461,7 +498,7 @@ def test_every_module_imports_without_numpy():
     result = subprocess.run([sys.executable, "-c", code],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert {"actions", "cli", "hall", "hecke"} <= set(result.stdout.split())
+    assert {"cli", "hall", "hecke"} <= set(result.stdout.split())
 
 
 def test_package_import_loads_no_submodule():
@@ -489,7 +526,7 @@ SUBCOMMAND_ARGV = {
 }
 
 # dataclasses would pull in inspect, and with it ast and dis
-NEVER_LOADED = {"spancalc.actions", "dataclasses", "inspect", "numpy"}
+NEVER_LOADED = {"dataclasses", "inspect", "numpy"}
 
 
 @pytest.fixture(scope="module")
@@ -529,6 +566,13 @@ def loaded_modules(tmp_path_factory):
     ]])
 def test_subcommand_run_loads_only_its_modules(argv, absent, loaded_modules):
     assert not loaded_modules(argv[0]) & absent
+
+
+def test_every_package_module_runs_in_some_subcommand(loaded_modules):
+    package = {f"spancalc.{m.name}"
+               for m in pkgutil.iter_modules(spancalc.__path__)}
+    assert set().union(*(_package_modules(loaded_modules(command))
+                         for command in SUBCOMMAND_ARGV)) == package
 
 
 def _readme_module_table() -> dict[str, set[str]]:

@@ -26,11 +26,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spancalc import cli
-from spancalc.groupoid import FiniteGroupoid, cyclic_table
+from spancalc.groupoid import cyclic_table
 from spancalc.spans import span_to_json
 
 from helpers import random_cyclic_action, random_span
-from oracles import annihilation_span, build_E
+from oracles import annihilation_span, build_E, connected
 
 
 def _bases() -> list[dict]:
@@ -108,7 +108,7 @@ def mutated_span_files(draw) -> dict:
     return data
 
 
-GROUPOIDS = [FiniteGroupoid.connected(2, cyclic_table(2)).to_json(),
+GROUPOIDS = [connected(2, cyclic_table(2)).to_json(),
              BASES[0]["right_codomain"], BASES[1]["apex"]]
 
 
@@ -160,7 +160,7 @@ def _swapped(data, path, value):
     return data
 
 
-GROUPOID = FiniteGroupoid.connected(2, cyclic_table(2)).to_json()
+GROUPOID = connected(2, cyclic_table(2)).to_json()
 SMALL_SPAN = span_to_json(annihilation_span(build_E(1)))
 
 

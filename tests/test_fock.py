@@ -27,7 +27,6 @@ from spancalc.fock import (
 )
 from spancalc.groupoid import (
     cardinality,
-    full_inverse_image,
     iso_classes,
     validate_groupoid,
 )
@@ -46,6 +45,7 @@ from oracles import (
     build_E,
     compose_literal,
     creation_span,
+    full_inverse_image,
     psi_n,
     two_colored_stuff,
     weak_pullback_literal,

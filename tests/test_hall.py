@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from spancalc.actions import orbit_table
 from spancalc.hall import (
     HallAlgebra,
     HallElement,
@@ -20,7 +19,7 @@ from spancalc.hall import (
 
 from helpers import (brute_force_homs, brute_force_ses_count,
                      generated_group, gl_matrices)
-from oracles import enumerate_reps, zero_class
+from oracles import enumerate_reps, orbit_table, zero_class
 
 
 def a2(q: int) -> HallAlgebra:

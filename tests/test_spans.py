@@ -6,16 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spancalc.actions import materialize
 from spancalc.exact import QSqrt, SizeCapError
 from spancalc.groupoid import (
     FiniteGroupoid,
     GroupoidFunctor,
     cardinality,
-    check_equivalence_certificate,
     cyclic_table,
     iso_classes,
-    skeleton,
     symmetric_table,
     validate_groupoid,
 )
@@ -45,7 +42,9 @@ from helpers import (
     random_groupoid,
     random_span,
 )
-from oracles import compose_literal, trace_literal, weak_pullback_literal
+from oracles import (check_equivalence_certificate, compose_literal, connected,
+                     materialize, skeleton, trace_literal,
+                     weak_pullback_literal)
 
 
 def bz2():
@@ -126,7 +125,7 @@ def _orbit_cospans(rng: random.Random):
                                       t.left.mor_map)
     # non-abelian automorphism groups need every generator on both sides
     groupoids = [random_groupoid(rng, max_objects=3) for _ in range(4)]
-    groupoids += [FiniteGroupoid.connected(2, symmetric_table(3)),
+    groupoids += [connected(2, symmetric_table(3)),
                   FiniteGroupoid.from_group_table(symmetric_table(4))]
     for x in groupoids:
         delta = diagonal_functor(x)
@@ -530,7 +529,7 @@ def _trace_spans(rng: random.Random) -> list[SpanOfGroupoids]:
         spans.append(random_span(rng, k, ax, ax))
     spans += [identity_span(random_groupoid(rng, max_objects=4))
               for _ in range(4)]
-    spans.append(identity_span(FiniteGroupoid.connected(2, symmetric_table(4))))
+    spans.append(identity_span(connected(2, symmetric_table(4))))
     return spans
 
 
