@@ -57,14 +57,6 @@ def mat_mul(a: Matrix, b: Matrix, q: int, cols: int | None = None) -> Matrix:
                  for row in a)
 
 
-def vertexwise_product(dims: tuple[int, ...], q: int):
-    """The product of tuples of matrices, one per vertex of the given
-    dimensions, vertex by vertex."""
-    def times(a, b):
-        return tuple(mat_mul(x, y, q, cols=d) for x, y, d in zip(a, b, dims))
-    return times
-
-
 def mat_vec(m: Matrix, v, q: int) -> tuple:
     return tuple(sum(map(int.__mul__, row, v)) % q for row in m)
 

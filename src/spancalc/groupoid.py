@@ -443,11 +443,15 @@ def cardinality(g: FiniteGroupoid) -> Rational:
     return iso_classes(g).cardinality
 
 
+# a validation scan stops once it has found this many violations
+MAX_VIOLATIONS = 50
+
+
 class _Enough(Exception):
     """Stops a validation scan once it holds enough violations."""
 
 
-def validate_groupoid(g: FiniteGroupoid, max_violations: int = 50) -> list[str]:
+def validate_groupoid(g: FiniteGroupoid) -> list[str]:
     """Check the groupoid axioms; return violations (empty if valid).
 
     Violations are data, not errors: each entry names the broken axiom and
@@ -463,7 +467,7 @@ def validate_groupoid(g: FiniteGroupoid, max_violations: int = 50) -> list[str]:
 
     def report(msg: str) -> None:
         errors.append(msg)
-        if len(errors) >= max_violations:
+        if len(errors) >= MAX_VIOLATIONS:
             raise _Enough
 
     def is_index(v, bound: int) -> bool:
@@ -640,16 +644,10 @@ def product(g: FiniteGroupoid, h: FiniteGroupoid
 
 
 def product_functor(f: GroupoidFunctor, g: GroupoidFunctor,
-                    dom_prod: tuple[FiniteGroupoid, GroupoidFunctor, GroupoidFunctor] | None = None,
-                    cod_prod: tuple[FiniteGroupoid, GroupoidFunctor, GroupoidFunctor] | None = None,
+                    dom: FiniteGroupoid, cod: FiniteGroupoid
                     ) -> GroupoidFunctor:
-    """The functor f x g between the given product groupoids."""
-    if dom_prod is None:
-        dom_prod = product(f.domain, g.domain)
-    if cod_prod is None:
-        cod_prod = product(f.codomain, g.codomain)
-    dom = dom_prod[0]
-    cod = cod_prod[0]
+    """The functor f x g between the product groupoids dom and cod, each
+    built by ``product``."""
     ndo = g.domain.n_objects
     ndm = g.domain.n_morphisms
     nco = g.codomain.n_objects

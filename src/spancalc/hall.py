@@ -26,18 +26,12 @@ reduced echelon bases, give sum_U |{f : im f = U}| |{g : ker g = U}|.
 
 A second, span-based route goes through the groupoid of short exact
 sequences: the full inverse image over ((M, N), E) is equivalent to the
-groupoid of subrepresentations W of E with W isomorphic to N and E/W
-isomorphic to M, acted on by Aut(E).  Subspaces are reduced row echelon
-bases, the orbits are grown from a generating set of Aut(E) by
-``exact.orbits``, the routine that also grows the class tables, and the
-cardinality, the sum over orbits of 1 / |stabilizer| with |stabilizer| =
-|Aut E| / |orbit|, times |Aut E| recovers the same coefficient with no
-pair counting involved.  Aut(E) is the product of the unit groups of the
-components of End(E); each unit group gets a greedy generating set, and
-its closure is grown (``exact.greedy_generators``) once per algebra,
-however many classes share the component.  Guard: the closures' orders
-multiply to |Aut E| as the class table counts it, by orbit and
-stabilizer, and the list of automorphisms has that many elements.
+weak quotient X//Aut(E) of the set X of subrepresentations W of E with W
+isomorphic to N and E/W isomorphic to M.  Subspaces are reduced row
+echelon bases, W and E/W are classified through the class tables, and
+|X//G| = |X| / |G| makes the coefficient |Aut E| |X//Aut E| = |X|, with
+no pair counting involved.  Guard: each class lists as many automorphisms
+as its class table counts, by orbit and stabilizer.
 """
 
 from __future__ import annotations
@@ -49,7 +43,7 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import SizeCapError, greedy_generators, orbits
+from .exact import SizeCapError, orbits
 from .fq import (
     Matrix,
     _gl_generators,
@@ -64,7 +58,6 @@ from .fq import (
     mat_vec,
     nullspace,
     subspaces,
-    vertexwise_product,
 )
 
 MAX_REP_ENUMERATION = 10 ** 6
@@ -101,6 +94,16 @@ def check_caps(quiver: Quiver, q: int, dimvec: tuple[int, ...]) -> None:
                    (q ** min(d, 64) - q ** i
                     for d in dimvec for i in range(d)),
                    MAX_BASE_CHANGE_GROUP)
+
+
+def dimvecs_within(dmax: tuple[int, ...], k: int):
+    """The k-tuples of dimension vectors whose sum is within dmax at every
+    vertex, in lexicographic order."""
+    dimvecs = list(itertools.product(*(range(b + 1) for b in dmax)))
+    for combo in itertools.product(dimvecs, repeat=k):
+        if all(sum(entries) <= bound
+               for entries, bound in zip(zip(*combo), dmax)):
+            yield combo
 
 
 # -- quivers and representations ---------------------------------------------
@@ -262,16 +265,11 @@ class HallAlgebra:
         self._classes: dict[tuple, list[RepClass]] = {}
         self._classify: dict[tuple, dict] = {}
         self._subspace_cache: dict[tuple, list[tuple]] = {}
-        self._generator_cache: dict[tuple, list[tuple[Matrix, ...]]] = {}
         self._product_cache: dict[tuple, HallElement] = {}
-        # the basis of End per representative, one list of isomorphisms
-        # per ordered pair of classes, and per component of a Hom space
-        # (see ``_components``) its maps and, for a component of an
-        # endomorphism ring, its unit group's generators and order
-        self._end_bases: dict[QuiverRep, tuple] = {}
+        # one list of isomorphisms per ordered pair of classes, and per
+        # component of a Hom space (see ``_components``) its maps
         self._isos: dict[tuple, list[tuple[Matrix, ...]]] = {}
         self._component_cache: dict[tuple, list[tuple[Matrix, ...]]] = {}
-        self._unit_cache: dict[tuple, tuple[list, int]] = {}
         # morphism tuples share one matrix object per shape and entries,
         # so cached lists hold references, not copies; the rank, image and
         # kernel memos are keyed by those matrices.  A shape holds at most
@@ -339,11 +337,8 @@ class HallAlgebra:
     def _hom_basis(self, src: QuiverRep, dst: QuiverRep) -> tuple:
         """A basis of Hom(src, dst), as vectors over the unknowns: the
         entries of each X_v, vertex by vertex, row by row.  Hom is the
-        nullspace of D X_a - X_b S = 0 over the edges.  Only End is
-        memoised: the list of automorphisms and the generators of Aut both
-        ask for it, while every other pair is asked for once."""
-        if src == dst and src in self._end_bases:
-            return self._end_bases[src]
+        nullspace of D X_a - X_b S = 0 over the edges.  Not memoised:
+        each pair is asked for once, by its list of maps."""
         q = self.q
         nv = self.quiver.n_vertices
         offset = list(itertools.accumulate(
@@ -363,10 +358,7 @@ class HallAlgebra:
                     for k in range(src.dims[b]):
                         row[unknown(b, i, k)] -= S[k][j]
                     equations.append([x % q for x in row])
-        basis = nullspace(equations, q, n)
-        if src == dst:
-            self._end_bases[src] = basis
-        return basis
+        return nullspace(equations, q, n)
 
     def _components(self, src: QuiverRep, dst: QuiverRep, mono: bool,
                     epi: bool) -> list[tuple[tuple[int, ...], tuple]]:
@@ -477,59 +469,23 @@ class HallAlgebra:
         """The isomorphisms src -> dst between classes of one dimension
         vector, which are the injective maps and the surjective ones too.
         Listed once per ordered pair and shared by ``aut_elements`` and
-        both directions of ``_grouped``; empty unless src is dst."""
+        both directions of ``_grouped``; empty unless src is dst.  Guard:
+        a class lists as many automorphisms as its table entry counts by
+        orbit and stabilizer."""
         key = (src.key, dst.key)
         if key not in self._isos:
-            self._isos[key] = list(self.hom_tuples(src.rep, dst.rep,
-                                                   mono=True, epi=True))
+            isos = list(self.hom_tuples(src.rep, dst.rep, mono=True,
+                                        epi=True))
+            if src == dst and len(isos) != src.aut_order:
+                raise AssertionError(
+                    f"{len(isos)} automorphisms of {src.label} are listed, "
+                    f"not {src.aut_order}")
+            self._isos[key] = isos
         return self._isos[key]
 
     def aut_elements(self, cls: RepClass) -> list[tuple[Matrix, ...]]:
         """Invertible self-morphisms of the class representative."""
         return self._iso_list(cls, cls)
-
-    def _unit_group(self, key: tuple) -> tuple[list, int]:
-        """A greedy generating set of the units of one component of an
-        endomorphism ring, with the order of the group they generate: each
-        unit not in the group generated so far joins the set, and the
-        group is extended by it.  Memoised by the component's key."""
-        if key not in self._unit_cache:
-            dims = tuple(c for _r, c, _want in key[0])
-            gens, group = greedy_generators(
-                self._component_maps(key), tuple(map(identity, dims)),
-                vertexwise_product(dims, self.q))
-            self._unit_cache[key] = (gens, len(group))
-        return self._unit_cache[key]
-
-    def aut_generators(self, cls: RepClass) -> list[tuple[Matrix, ...]]:
-        """A generating set of Aut.  End of the representative is the
-        product of its vertex-support components, so Aut is the product of
-        their unit groups: each is closed on its own, and its generators
-        act as the identity off their component.  Guard: the factors'
-        orders multiply to exactly ``cls.aut_order``, and ``aut_elements``
-        lists exactly that many automorphisms."""
-        key = cls.key
-        if key not in self._generator_cache:
-            one = tuple(identity(d) for d in cls.dimvec)
-            gens: list[tuple[Matrix, ...]] = []
-            order = 1
-            for vertices, factor in self._components(cls.rep, cls.rep,
-                                                     mono=True, epi=True):
-                factor_gens, factor_order = self._unit_group(factor)
-                order *= factor_order
-                for g in factor_gens:
-                    full = list(one)
-                    for v, m in zip(vertices, g):
-                        full[v] = m
-                    gens.append(tuple(full))
-            listed = len(self.aut_elements(cls))
-            if order != cls.aut_order or listed != cls.aut_order:
-                raise AssertionError(
-                    f"generators of Aut {cls.label} give {order} elements "
-                    f"and {listed} automorphisms are listed, not "
-                    f"{cls.aut_order}")
-            self._generator_cache[key] = gens
-        return self._generator_cache[key]
 
     # -- Hall numbers and the product ------------------------------------
 
@@ -654,41 +610,23 @@ class HallAlgebra:
         """[M] . [N] through the short-exact-sequence span at alpha = 1.
 
         The coefficient of [E] is |Aut E| times the groupoid cardinality of
-        the full inverse image over ((M, N), E), computed as the weak
-        quotient of the matching subrepresentations of E under Aut(E):
-        orbits grown from ``aut_generators`` and stabilizer orders
-        |Aut E| / |orbit|, never a pair count.
+        the full inverse image over ((M, N), E): the weak quotient X//Aut E
+        of the set X of subrepresentations W of E with W isomorphic to N
+        and E/W to M, found by classifying W and E/W, never by counting
+        pairs of maps.
         """
-        q = self.q
         total = tuple(a + b for a, b in zip(M.dimvec, N.dimvec))
         out = HallElement()
-
-        def image(g, spaces):
-            return tuple(echelon([mat_vec(gv, w, q) for w in basis], q)
-                         for gv, basis in zip(g, spaces))
-
         for E in self.classes(total):
-            matching = []
+            matching = 0
             for spaces in self.subrep_spaces(E, N.dimvec):
                 sub, quo = self.sub_and_quotient(E, spaces)
-                if self.classify(sub).key == N.key and \
-                        self.classify(quo).key == M.key:
-                    matching.append(spaces)
-            if not matching:
-                continue
-            moves = [functools.partial(image, g)
-                     for g in self.aut_generators(E)]
-            seen: dict = {}
-            cardinality = Fraction(0)
-            for orbit in orbits(matching, moves, seen):
-                cardinality += 1 / Fraction(E.aut_order, len(orbit))
-            # the orbits cover the matching set, and only it when no
-            # automorphism moves a point of it out
-            if len(seen) != len(matching):
-                raise AssertionError(
-                    f"an automorphism of {E.label} moves a matching "
-                    f"subrepresentation off the matching set")
-            out[E.key] = E.aut_order * cardinality
+                matching += (self.classify(sub).key == N.key
+                             and self.classify(quo).key == M.key)
+            if matching:
+                # a weak quotient of a finite G-set has cardinality
+                # |X//G| = |X| / |G|, so |Aut E| |X//Aut E| = |X|
+                out[E.key] = Fraction(matching)
         return out
 
     # -- bilinear extension and associativity ------------------------------
@@ -712,17 +650,8 @@ class HallAlgebra:
 
         Returns the list of failures (empty when associativity holds).
         """
-        triples = []
-        dimvecs = [tuple(d) for d in itertools.product(
-            *[range(b + 1) for b in dmax])]
-        for dm in dimvecs:
-            for dn in dimvecs:
-                for dl in dimvecs:
-                    if all(a + b + c <= bound for a, b, c, bound
-                           in zip(dm, dn, dl, dmax)):
-                        triples.append((dm, dn, dl))
         failures = []
-        for dm, dn, dl in triples:
+        for dm, dn, dl in dimvecs_within(dmax, 3):
             for M in self.classes(dm):
                 for N in self.classes(dn):
                     for L in self.classes(dl):

@@ -345,12 +345,12 @@ def adjoint(s: SpanOfGroupoids) -> SpanOfGroupoids:
 
 
 def tensor_spans(s: SpanOfGroupoids, s2: SpanOfGroupoids) -> SpanOfGroupoids:
-    apex_prod = product(s.apex, s2.apex)
-    y_prod = product(s.target, s2.target)
-    x_prod = product(s.source, s2.source)
-    left = product_functor(s.left, s2.left, apex_prod, y_prod)
-    right = product_functor(s.right, s2.right, apex_prod, x_prod)
-    return SpanOfGroupoids(apex_prod[0], left, right)
+    apex = product(s.apex, s2.apex)[0]
+    left = product_functor(s.left, s2.left, apex,
+                           product(s.target, s2.target)[0])
+    right = product_functor(s.right, s2.right, apex,
+                            product(s.source, s2.source)[0])
+    return SpanOfGroupoids(apex, left, right)
 
 
 def apply_span(s: SpanOfGroupoids, psi: GroupoidOverX) -> GroupoidOverX:

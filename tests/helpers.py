@@ -17,7 +17,6 @@ from spancalc.groupoid import (
     symmetric_table,
 )
 from spancalc.exact import aut_weight, greedy_generators
-from spancalc.fq import vertexwise_product
 from spancalc.hall import all_matrices, identity, mat_mul, mat_rank
 from spancalc.hecke import ORBIT_LABELS, HeckeTensor
 from spancalc.spans import SpanOfGroupoids, span_to_json
@@ -156,6 +155,14 @@ def associative(g: FiniteGroupoid) -> bool:
     return all(g.compose(g.compose(f, h), k) == g.compose(f, g.compose(h, k))
                for f in range(g.n_morphisms) for h in g.mor_from(g.tgt[f])
                for k in g.mor_from(g.tgt[h]))
+
+
+def vertexwise_product(dims: tuple[int, ...], q: int):
+    """The product of tuples of matrices, one per vertex of the given
+    dimensions, vertex by vertex."""
+    def times(a, b):
+        return tuple(mat_mul(x, y, q, cols=d) for x, y, d in zip(a, b, dims))
+    return times
 
 
 def generated_group(gens, dims: tuple[int, ...], q: int) -> set:

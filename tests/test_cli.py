@@ -15,8 +15,8 @@ import pytest
 
 import spancalc
 from spancalc import cli
-from spancalc.groupoid import (FiniteGroupoid, GroupoidFunctor, cyclic_table,
-                               iso_classes)
+from spancalc.groupoid import (MAX_VIOLATIONS, FiniteGroupoid,
+                               GroupoidFunctor, cyclic_table, iso_classes)
 from spancalc.spans import (
     SpanOfGroupoids,
     degroupoidify_span,
@@ -428,6 +428,21 @@ def test_check_reports_violations_without_traceback(tmp_path, how, violation):
     result = run_cli("check", str(path))
     assert result.returncode == 1
     assert violation in result.stdout
+    assert result.stderr == ""
+
+
+def test_check_stops_at_the_violation_limit(tmp_path):
+    # Z/60 with every morphism's target out of range: 60 violations
+    data = FiniteGroupoid.from_group_table(cyclic_table(60)).to_json()
+    for m in data["morphisms"]:
+        m["tgt"] = 7
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    result = run_cli("check", str(path))
+    assert result.returncode == 1
+    lines = result.stdout.splitlines()
+    assert len(lines) == MAX_VIOLATIONS == 50
+    assert lines[-1] == "morphism 49 has out-of-range endpoints"
     assert result.stderr == ""
 
 

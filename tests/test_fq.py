@@ -18,10 +18,9 @@ from spancalc.fq import (
     mat_vec,
     nullspace,
     subspaces,
-    vertexwise_product,
 )
 
-from helpers import generated_group
+from helpers import generated_group, vertexwise_product
 
 # (rows, cols) shapes small enough to enumerate every matrix at each q
 SHAPES = {2: [(r, c) for r in range(4) for c in range(4) if r * c <= 9],

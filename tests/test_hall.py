@@ -9,10 +9,12 @@ from spancalc.hall import (
     HallElement,
     Quiver,
     _gl_generators,
+    dimvecs_within,
     echelon,
     mat_inv,
     mat_mul,
     mat_rank,
+    mat_vec,
     parse_quiver,
     subspaces,
 )
@@ -258,17 +260,6 @@ def test_gl_generators_generate_gl(n, q):
                                q)) == order
 
 
-def test_aut_generators_generate_aut():
-    for name, q, dmax in [("a2", 3, (2, 2)), ("a2", 5, (2, 1)),
-                          ("a3:><", 2, (1, 2, 1))]:
-        h = HallAlgebra(parse_quiver(name), q)
-        for cls in classes_within(h, dmax):
-            gens = h.aut_generators(cls)
-            assert len(generated_group(gens, cls.dimvec, q)) == cls.aut_order
-            assert len(h.aut_elements(cls)) == cls.aut_order
-            assert len(gens) <= max(1, cls.aut_order).bit_length()
-
-
 def test_subspaces_are_echelon_bases_counted_by_gaussian_binomials():
     for q in (2, 3, 5):
         for n in range(4):
@@ -332,29 +323,56 @@ def test_quantum_serre_relations(name, q):
                         (q, (u[b], u[a], u[a]))) != zero
 
 
-def test_span_route_rejects_a_move_off_the_matching_set(monkeypatch):
-    # swapping the basis vectors at vertex 0 is no automorphism of the
-    # representative with edge map (0 1): it moves the kernel, its one
-    # subrepresentation of dimension (1, 0), to a line that is none
-    h = a2(2)
-    swap = ((0, 1), (1, 0))
-    monkeypatch.setattr(h, "aut_generators", lambda cls: [(swap, ((1,),))])
-    N = h.classes((1, 0))[0]
-    M = next(c for c in h.classes((1, 1)) if c.rep.mats != (((0,),),))
-    with pytest.raises(AssertionError, match="moves a matching"):
-        h.product_via_span(M, N)
+@pytest.mark.parametrize("name, q, dmax", [("a2", 3, (2, 2)),
+                                           ("d4", 2, (2, 1, 1, 1))])
+def test_span_route_counts_the_sequences_and_aut_keeps_its_subobjects(
+        name, q, dmax):
+    # the span coefficient |X|, times |Aut M| |Aut N|, is the number of
+    # short exact sequences; and Aut(E) maps X, the subrepresentations W
+    # of E with W isomorphic to N and E/W to M, onto itself, so X//Aut(E)
+    # is a weak quotient
+    h = HallAlgebra(parse_quiver(name), q)
+    moved = 0
+    for dm, dn in dimvecs_within(dmax, 2):
+        for M in h.classes(dm):
+            for N in h.classes(dn):
+                via = h.product_via_span(M, N)
+                total = tuple(a + b for a, b in zip(dm, dn))
+                for E in h.classes(total):
+                    assert via.get(E.key, 0) * M.aut_order * N.aut_order \
+                        == brute_force_ses_count(h, M, N, E)
+                    matching = {
+                        spaces for spaces in h.subrep_spaces(E, dn)
+                        if [h.classify(r).key for r in
+                            h.sub_and_quotient(E, spaces)] == [N.key, M.key]}
+                    assert len(matching) == via.get(E.key, 0)
+                    for g in h.aut_elements(E):
+                        for spaces in matching:
+                            image = tuple(
+                                echelon([mat_vec(m, w, q) for w in W], q)
+                                for m, W in zip(g, spaces))
+                            assert image in matching
+                            moved += image != spaces
+    assert moved
 
 
 def test_d4_is_associative_and_the_routes_agree():
     h = HallAlgebra(parse_quiver("d4"), 2)
     dmax = (2, 1, 1, 1)
     assert h.check_associativity(dmax) == []
+    for dm, dn in dimvecs_within(dmax, 2):
+        for M in h.classes(dm):
+            for N in h.classes(dn):
+                assert h.product(M, N) == h.product_via_span(M, N)
+
+
+@pytest.mark.parametrize("dmax", [(), (0,), (2, 1), (1, 0, 2), (2, 1, 1, 1)])
+def test_dimvecs_within_is_the_filtered_lexicographic_product(dmax):
     dims = list(itertools.product(*[range(b + 1) for b in dmax]))
-    for dm, dn in itertools.product(dims, repeat=2):
-        if all(a + b <= bound for a, b, bound in zip(dm, dn, dmax)):
-            for M in h.classes(dm):
-                for N in h.classes(dn):
-                    assert h.product(M, N) == h.product_via_span(M, N)
+    for k in (1, 2, 3):
+        expected = [combo for combo in itertools.product(dims, repeat=k)
+                    if all(sum(c) <= b for c, b in zip(zip(*combo), dmax))]
+        assert list(dimvecs_within(dmax, k)) == expected
 
 
 @pytest.mark.parametrize("name, q, dmax", [
@@ -403,7 +421,7 @@ def test_each_hom_basis_is_solved_once_per_pair(monkeypatch):
     hom_basis = HallAlgebra._hom_basis
 
     def counting(self, src, dst):
-        solved[src, dst] += not (src == dst and src in self._end_bases)
+        solved[src, dst] += 1
         return hom_basis(self, src, dst)
 
     monkeypatch.setattr(HallAlgebra, "_hom_basis", counting)
@@ -431,15 +449,22 @@ def test_shared_isomorphism_lists_match_the_brute_force_oracle():
             assert all(group is isos for group in groups)
         if src == dst:
             assert h.aut_elements(src) is isos
+    # the |Aut| guard in ``_iso_list`` ran on every class within dmax
+    assert all((c.key, c.key) in h._isos for c in classes)
 
 
-def test_aut_generators_guard_catches_a_missing_automorphism():
+def test_aut_count_guard_catches_a_missing_automorphism(monkeypatch):
     h = a2(5)
     cls = h.classes((2, 1))[0]          # Aut = GL(2, 5) x GL(1, 5)
-    h.aut_elements(cls).pop()
-    with pytest.raises(AssertionError, match="1919 automorphisms"):
-        h.aut_generators(cls)
-    h = a2(5)
-    cls = h.classes((2, 1))[0]
-    with pytest.raises(AssertionError, match="give 1920 elements"):
-        h.aut_generators(cls._replace(aut_order=3840))
+    with pytest.raises(AssertionError, match="1920 automorphisms of "
+                                             "d2,1#0 are listed, not 3840"):
+        h.aut_elements(cls._replace(aut_order=3840))
+    hom_tuples = HallAlgebra.hom_tuples
+
+    def one_short(self, src, dst, mono=False, epi=False):
+        return list(hom_tuples(self, src, dst, mono, epi))[:-1]
+
+    monkeypatch.setattr(HallAlgebra, "hom_tuples", one_short)
+    with pytest.raises(AssertionError, match="1919 automorphisms of "
+                                             "d2,1#0 are listed, not 1920"):
+        h.aut_elements(cls)
