@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 from .exact import SizeCapError, check_digits, format_rational
 
 if TYPE_CHECKING:
-    from .groupoid import FiniteGroupoid, IsoClassTable
+    from .groupoid import FiniteGroupoid
     from .spans import SpanOfGroupoids
 
 EXIT_OK = 0
@@ -121,18 +121,32 @@ def cmd_card(args) -> int:
     return EXIT_OK
 
 
-def _check_alpha_digits(text: str, alpha: Fraction, y: IsoClassTable,
-                        x: IsoClassTable) -> None:
-    """Refuse an alpha before any power is computed when
-    ``exact.check_digits`` refuses its matrix entries
-    |Aut x|^(1-alpha) |Aut y|^alpha, of up to (|alpha| + 1) log10 |Aut|
-    digits each; |alpha| past 10^300 is taken as 10^300, so that the
-    count prints."""
-    largest = max(y.aut_order + x.aut_order, default=1)
-    size = min(abs(alpha), 10 ** 300) + 1
-    digits = math.ceil(size * Fraction(math.log10(largest)))
-    check_digits(f"degroupoidify at alpha {text}", digits,
-                 y.n_classes * x.n_classes)
+def _alpha_digits(alpha: Fraction, span: SpanOfGroupoids) -> int:
+    """The most decimal digits of a numerator or denominator among the
+    matrix entries of ``span`` at ``alpha``, bounded before any power is
+    computed.  The entry at a pair ([y], [x]) that n apex classes join is
+    a (b'/a')^alpha times a sum of n terms 1/|Aut s|, with a = |Aut x|,
+    b = |Aut y| and a'/b' = a/b in lowest terms, so it has at most
+    ceil|alpha| log10 max(a', b') + log10(a b L n) + 1 digits, L the lcm
+    of those |Aut s|.  |alpha| past 10^300 is taken as 10^300, so that
+    the count prints."""
+    from .groupoid import iso_classes
+
+    apex, y, x = map(iso_classes, (span.apex, span.target, span.source))
+    joined: dict[tuple[int, int], list[int]] = {}
+    for rep, s_aut in zip(apex.representative, apex.aut_order):
+        pair = (y.class_of[span.left.obj_map[rep]],
+                x.class_of[span.right.obj_map[rep]])
+        joined.setdefault(pair, []).append(s_aut)
+    power = math.ceil(min(abs(alpha), 10 ** 300))
+    digits = 1      # an entry over no apex class prints as 0/1
+    for (cy, cx), auts in joined.items():
+        a, b = x.aut_order[cx], y.aut_order[cy]
+        ratio = max(a, b) // math.gcd(a, b)
+        rest = a * b * math.lcm(*auts) * len(auts)
+        digits = max(digits, math.ceil(power * Fraction(math.log10(ratio))
+                                       + Fraction(math.log10(rest)) + 1))
+    return digits
 
 
 def cmd_degroupoidify(args) -> int:
@@ -142,7 +156,8 @@ def cmd_degroupoidify(args) -> int:
     span = _span_from_file(args.span)
     alpha = _parse_alpha(args.alpha)
     y, x = iso_classes(span.target), iso_classes(span.source)
-    _check_alpha_digits(args.alpha, alpha, y, x)
+    check_digits(f"degroupoidify at alpha {args.alpha}",
+                 _alpha_digits(alpha, span), y.n_classes * x.n_classes)
     matrix = degroupoidify_span(span, alpha)
     if args.csv:
         _write_output(matrix_to_csv(matrix), args.output)

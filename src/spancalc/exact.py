@@ -25,11 +25,18 @@ SIZE_CAP_ENV = "SPANCALC_SIZE_CAP"
 
 
 def size_cap() -> int:
-    """Current cap on materialized object/morphism/table sizes."""
+    """Current cap on materialized object/morphism/table sizes; a
+    ValueError naming the variable unless it is an integer >= 0."""
     raw = os.environ.get(SIZE_CAP_ENV)
     if raw is None:
         return DEFAULT_SIZE_CAP
-    return int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise ValueError(f"{SIZE_CAP_ENV}={raw!r} is not an integer >= 0")
+    return cap
 
 
 class SizeCapError(RuntimeError):

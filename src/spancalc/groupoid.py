@@ -12,7 +12,6 @@ construction.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
@@ -53,8 +52,8 @@ class FiniteGroupoid:
     """A groupoid with explicitly indexed objects and morphisms.
 
     ``compose`` may be a dict keyed by composable pairs ``(f, g) -> h`` or a
-    callable; structured groupoids (action groupoids, products, pullbacks)
-    use callables so that large composition tables are never materialized.
+    callable; structured groupoids such as weak pullbacks use callables so
+    that large composition tables are never materialized.
     """
 
     __slots__ = ("n_objects", "src", "tgt", "identity", "inverse",
@@ -140,46 +139,6 @@ class FiniteGroupoid:
     def __repr__(self) -> str:
         return (f"FiniteGroupoid({self.n_objects} objects, "
                 f"{self.n_morphisms} morphisms)")
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def empty() -> "FiniteGroupoid":
-        return FiniteGroupoid(0, (), (), (), (), {})
-
-    @staticmethod
-    def terminal() -> "FiniteGroupoid":
-        return FiniteGroupoid(1, (0,), (0,), (0,), (0,), {(0, 0): 0})
-
-    @staticmethod
-    def discrete(n: int) -> "FiniteGroupoid":
-        rng = tuple(range(n))
-        return FiniteGroupoid(n, rng, rng, rng, rng,
-                              {(i, i): i for i in range(n)})
-
-    @staticmethod
-    def from_group_table(table: Sequence[Sequence[int]]) -> "FiniteGroupoid":
-        """One-object groupoid from a group multiplication table.
-
-        ``table[a][b]`` is the product "a then b"; row/column 0 need not be
-        the identity, it is located by inspection.
-        """
-        n = len(table)
-        e = None
-        for a in range(n):
-            if all(table[a][b] == b and table[b][a] == b for b in range(n)):
-                e = a
-                break
-        if e is None:
-            raise ValueError("multiplication table has no identity")
-        inv = [0] * n
-        for a in range(n):
-            for b in range(n):
-                if table[a][b] == e:
-                    inv[a] = b
-                    break
-        compose = {(a, b): table[a][b] for a in range(n) for b in range(n)}
-        return FiniteGroupoid(1, (0,) * n, (0,) * n, (e,), tuple(inv), compose)
 
     # -- JSON interchange --------------------------------------------------
 
@@ -318,11 +277,6 @@ class GroupoidFunctor(NamedTuple):
     codomain: FiniteGroupoid
     obj_map: tuple[int, ...]
     mor_map: tuple[int, ...]
-
-    @staticmethod
-    def identity(g: FiniteGroupoid) -> "GroupoidFunctor":
-        return GroupoidFunctor(g, g, tuple(range(g.n_objects)),
-                               tuple(range(g.n_morphisms)))
 
     def then(self, other: "GroupoidFunctor") -> "GroupoidFunctor":
         """Composite functor: self followed by other."""
@@ -576,99 +530,3 @@ def validate_groupoid(g: FiniteGroupoid) -> list[str]:
     except _Enough:
         pass
     return errors
-
-
-def coproduct(g: FiniteGroupoid, h: FiniteGroupoid
-              ) -> tuple[FiniteGroupoid, GroupoidFunctor, GroupoidFunctor]:
-    """Disjoint union, with the two injection functors."""
-    no, nm = g.n_objects, g.n_morphisms
-    src = g.src + tuple(s + no for s in h.src)
-    tgt = g.tgt + tuple(t + no for t in h.tgt)
-    identity = g.identity + tuple(i + nm for i in h.identity)
-    inverse = g.inverse + tuple(i + nm for i in h.inverse)
-
-    def comp(f: int, k: int) -> int:
-        if f < nm:
-            return g.compose(f, k)
-        return h.compose(f - nm, k - nm) + nm
-
-    total = FiniteGroupoid(no + h.n_objects, src, tgt, identity, inverse, comp)
-    inj_g = GroupoidFunctor(g, total, tuple(range(no)), tuple(range(nm)))
-    inj_h = GroupoidFunctor(h, total,
-                            tuple(range(no, no + h.n_objects)),
-                            tuple(range(nm, nm + h.n_morphisms)))
-    return total, inj_g, inj_h
-
-
-def product(g: FiniteGroupoid, h: FiniteGroupoid
-            ) -> tuple[FiniteGroupoid, GroupoidFunctor, GroupoidFunctor]:
-    """Cartesian product, with the two projection functors.
-
-    Objects and morphisms are pairs, composition is componentwise;
-    cardinality multiplies.
-    """
-    _check_cap("product groupoid morphisms", g.n_morphisms * h.n_morphisms)
-    nhm = h.n_morphisms
-    nho = h.n_objects
-
-    def oid(i: int, j: int) -> int:
-        return i * nho + j
-
-    def mid(f: int, k: int) -> int:
-        return f * nhm + k
-
-    src = []
-    tgt = []
-    for f in range(g.n_morphisms):
-        for k in range(nhm):
-            src.append(oid(g.src[f], h.src[k]))
-            tgt.append(oid(g.tgt[f], h.tgt[k]))
-    identity = tuple(mid(g.identity[i], h.identity[j])
-                     for i in range(g.n_objects) for j in range(nho))
-    inverse = tuple(mid(g.inverse[f], h.inverse[k])
-                    for f in range(g.n_morphisms) for k in range(nhm))
-
-    def comp(a: int, b: int) -> int:
-        return mid(g.compose(a // nhm, b // nhm), h.compose(a % nhm, b % nhm))
-
-    total = FiniteGroupoid(g.n_objects * nho, src, tgt, identity, inverse, comp)
-    proj_g = GroupoidFunctor(
-        total, g,
-        tuple(i // nho for i in range(total.n_objects)),
-        tuple(m // nhm for m in range(total.n_morphisms)))
-    proj_h = GroupoidFunctor(
-        total, h,
-        tuple(i % nho for i in range(total.n_objects)),
-        tuple(m % nhm for m in range(total.n_morphisms)))
-    return total, proj_g, proj_h
-
-
-def product_functor(f: GroupoidFunctor, g: GroupoidFunctor,
-                    dom: FiniteGroupoid, cod: FiniteGroupoid
-                    ) -> GroupoidFunctor:
-    """The functor f x g between the product groupoids dom and cod, each
-    built by ``product``."""
-    ndo = g.domain.n_objects
-    ndm = g.domain.n_morphisms
-    nco = g.codomain.n_objects
-    ncm = g.codomain.n_morphisms
-    obj = tuple(f.obj_map[i // ndo] * nco + g.obj_map[i % ndo]
-                for i in range(dom.n_objects))
-    mor = tuple(f.mor_map[m // ndm] * ncm + g.mor_map[m % ndm]
-                for m in range(dom.n_morphisms))
-    return GroupoidFunctor(dom, cod, obj, mor)
-
-
-# -- small group tables for tests and generators ---------------------------
-
-def cyclic_table(n: int) -> list[list[int]]:
-    return [[(a + b) % n for b in range(n)] for a in range(n)]
-
-
-def symmetric_table(n: int) -> list[list[int]]:
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    # entry [a][b] = "a then b" = b after a
-    return [[index[tuple(perms[b][perms[a][i]] for i in range(n))]
-             for b in range(len(perms))] for a in range(len(perms))]
-

@@ -247,6 +247,7 @@ class HallElement(dict):
         b = {k: v for k, v in other.items() if v != 0}
         return a == b
 
+    __ne__ = object.__ne__    # not dict's, which counts zero entries
     __hash__ = None  # type: ignore[assignment]
 
 
@@ -468,8 +469,8 @@ class HallAlgebra:
     def _iso_list(self, src: RepClass, dst: RepClass) -> list:
         """The isomorphisms src -> dst between classes of one dimension
         vector, which are the injective maps and the surjective ones too.
-        Listed once per ordered pair and shared by ``aut_elements`` and
-        both directions of ``_grouped``; empty unless src is dst.  Guard:
+        Listed once per ordered pair and shared by both directions of
+        ``_grouped``; empty unless src is dst, and then Aut(src).  Guard:
         a class lists as many automorphisms as its table entry counts by
         orbit and stabilizer."""
         key = (src.key, dst.key)
@@ -482,10 +483,6 @@ class HallAlgebra:
                     f"not {src.aut_order}")
             self._isos[key] = isos
         return self._isos[key]
-
-    def aut_elements(self, cls: RepClass) -> list[tuple[Matrix, ...]]:
-        """Invertible self-morphisms of the class representative."""
-        return self._iso_list(cls, cls)
 
     # -- Hall numbers and the product ------------------------------------
 
@@ -533,12 +530,6 @@ class HallAlgebra:
         gs = self._grouped(E, M, epi=True) if fs else {}
         return [(group, gs[image]) for image, group in fs.items()
                 if image in gs]
-
-    def ses_pairs(self, M: RepClass, N: RepClass, E: RepClass) -> list:
-        """All (f, g) with f: N -> E injective, g: E -> M surjective,
-        im f = ker g at every vertex, grouped by that subrepresentation."""
-        return [(f, g) for fs, gs in self._exact_blocks(M, N, E)
-                for f in fs for g in gs]
 
     def hall_number(self, M: RepClass, N: RepClass, E: RepClass) -> int:
         """|{(f, g) : 0 -> N -f-> E -g-> M -> 0 exact}|, a pair count:

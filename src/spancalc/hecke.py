@@ -215,20 +215,6 @@ class HeckeTensor(NamedTuple):
     labels: tuple[str, ...]
     tensor: tuple   # 6x6x6 nested tuples of Fractions
 
-    def product(self, x: list[Fraction], y: list[Fraction]) -> list[Fraction]:
-        n = len(self.labels)
-        out = [Fraction(0)] * n
-        for u in range(n):
-            if x[u] == 0:
-                continue
-            for v in range(n):
-                if y[v] == 0:
-                    continue
-                coeff = x[u] * y[v]
-                for w in range(n):
-                    out[w] += coeff * self.tensor[u][v][w]
-        return out
-
 
 def hecke_structure_constants(q: int, alpha: int = 0) -> HeckeTensor:
     """Degroupoidify the triple space (X x X x X) // G to the 6x6x6 tensor

@@ -7,14 +7,17 @@ with entry at (class of y, class of x) equal to
     sum over apex classes [s] lying over ([x], [y]) of
         |Aut(x)|^(1-alpha) * |Aut(y)|^alpha / |Aut(s)|
 
-computed in exact rational arithmetic.  Weak pullbacks implement span
+computed in exact rational arithmetic.  A vector on X is a span from the
+terminal groupoid to X (BHW section 2): applying a span to it and pairing
+two of them are both composites.  Weak pullbacks implement span
 composition; since equivalent spans induce equal matrices, the one weak
 pullback is blockwise-skeletal (one object per isomorphism class), and that
 is also the composite ``spancalc compose`` writes.  Its objects are
 orbits of automorphism groups on hom-sets, grown by ``exact.orbits`` from
 ``FiniteGroupoid.aut_generators``.  It counts its objects and morphisms
 against the size cap before it lists them.  The literal pullback, one
-object per triple (t, s, alpha), is a test oracle only.
+object per triple (t, s, alpha), and the rest of the span calculus (sums,
+scalars, adjoints, tensor products, traces) are test oracles only.
 """
 
 from __future__ import annotations
@@ -28,34 +31,11 @@ from .groupoid import (
     FiniteGroupoid,
     GroupoidFunctor,
     IsoClassTable,
-    Rational,
-    cardinality,
-    coproduct,
     iso_classes,
-    product,
-    product_functor,
     same_groupoid as _same_groupoid,
 )
 
-# -- vectors and matrices ----------------------------------------------------
-
-class RationalVector(NamedTuple):
-    """Exact function on the isomorphism classes of a base groupoid."""
-
-    base: FiniteGroupoid
-    classes: IsoClassTable
-    entries: tuple
-
-    def __getitem__(self, c: int):
-        return self.entries[c]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalVector):
-            return NotImplemented
-        return self.entries == other.entries
-
-    __ne__ = object.__ne__    # not tuple's, which compares every field
-
+# -- matrices ----------------------------------------------------------------
 
 class RationalMatrix:
     """Dense exact matrix indexed by iso classes (rows: Y, cols: X)."""
@@ -66,73 +46,11 @@ class RationalMatrix:
         self.data = data if data is not None else \
             [[Fraction(0)] * n_cols for _ in range(n_rows)]
 
-    def __getitem__(self, rc: tuple[int, int]):
-        return self.data[rc[0]][rc[1]]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
         return (self.n_rows, self.n_cols) == (other.n_rows, other.n_cols) \
             and self.data == other.data
-
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        assert (self.n_rows, self.n_cols) == (other.n_rows, other.n_cols)
-        return RationalMatrix(self.n_rows, self.n_cols, [
-            [a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.data, other.data)])
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self + other.scale(-1)
-
-    def scale(self, k) -> "RationalMatrix":
-        return RationalMatrix(self.n_rows, self.n_cols,
-                              [[a * k for a in row] for row in self.data])
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        assert self.n_cols == other.n_rows
-        out = RationalMatrix(self.n_rows, other.n_cols)
-        for i in range(self.n_rows):
-            for k in range(self.n_cols):
-                a = self.data[i][k]
-                if a == 0:
-                    continue
-                for j in range(other.n_cols):
-                    b = other.data[k][j]
-                    if b != 0:
-                        out.data[i][j] += a * b
-        return out
-
-    def apply(self, vec: Sequence) -> list:
-        assert self.n_cols == len(vec)
-        return [sum((row[j] * vec[j] for j in range(self.n_cols)),
-                    Fraction(0)) for row in self.data]
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(self.n_cols, self.n_rows,
-                              [list(col) for col in zip(*self.data)]
-                              if self.data else [])
-
-    def trace(self):
-        assert self.n_rows == self.n_cols
-        return sum((self.data[i][i] for i in range(self.n_rows)), Fraction(0))
-
-    @staticmethod
-    def identity(n: int) -> "RationalMatrix":
-        out = RationalMatrix(n, n)
-        for i in range(n):
-            out.data[i][i] = Fraction(1)
-        return out
-
-    @staticmethod
-    def kronecker(a: "RationalMatrix", b: "RationalMatrix") -> "RationalMatrix":
-        out = RationalMatrix(a.n_rows * b.n_rows, a.n_cols * b.n_cols)
-        for i in range(a.n_rows):
-            for j in range(a.n_cols):
-                for k in range(b.n_rows):
-                    for l in range(b.n_cols):
-                        out.data[i * b.n_rows + k][j * b.n_cols + l] = \
-                            a.data[i][j] * b.data[k][l]
-        return out
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.n_rows}x{self.n_cols})"
@@ -155,27 +73,6 @@ class SpanOfGroupoids(NamedTuple):
     def target(self) -> FiniteGroupoid:
         return self.left.codomain
 
-    def validate(self) -> list[str]:
-        errors = []
-        if self.left.domain is not self.apex:
-            errors.append("left leg does not start at the apex")
-        if self.right.domain is not self.apex:
-            errors.append("right leg does not start at the apex")
-        errors.extend("left leg: " + e for e in self.left.validate())
-        errors.extend("right leg: " + e for e in self.right.validate())
-        return errors
-
-
-class GroupoidOverX(NamedTuple):
-    """A groupoid equipped with a projection functor to a base groupoid."""
-
-    total: FiniteGroupoid
-    projection: GroupoidFunctor
-
-    @property
-    def base(self) -> FiniteGroupoid:
-        return self.projection.codomain
-
 
 # -- weak pullback -----------------------------------------------------------
 
@@ -183,9 +80,8 @@ class _PullbackGroupoid(FiniteGroupoid):
     """Objects are (t, s, alpha) with alpha: f(t) -> g(s) in the base, one
     per isomorphism class; morphisms are automorphisms (u, v) of an object.
 
-    Serves skeletal weak pullbacks and, with the terminal groupoid as S,
-    trace groupoids; composition works componentwise through the two parent
-    groupoids, so no composition table is materialized.
+    Composition works componentwise through the two parent groupoids, so
+    no composition table is materialized.
     """
 
     __slots__ = ("obj_data", "mor_data", "_mor_index", "T", "S")
@@ -229,11 +125,6 @@ def _right_move(B: FiniteGroupoid, r: int):
     return lambda alpha: B.compose(alpha, r)
 
 
-def _two_sided_move(B: FiniteGroupoid, l: int, r: int):
-    """The move alpha -> l;alpha;r on a hom-set of B."""
-    return lambda alpha: B.compose(B.compose(l, alpha), r)
-
-
 def weak_pullback(f: GroupoidFunctor, g: GroupoidFunctor
                   ) -> tuple[FiniteGroupoid, GroupoidFunctor, GroupoidFunctor]:
     """Weak pullback of the cospan f: T -> B <- S :g, up to equivalence.
@@ -250,7 +141,7 @@ def weak_pullback(f: GroupoidFunctor, g: GroupoidFunctor
     orbit-stabilizer, are checked against the size cap before they are
     listed.  A ValueError says the spans are not composable unless f and
     g share their codomain, the middle foot: this is the one such check
-    of ``compose_spans``, ``apply_span`` and ``inner_product``.
+    of ``compose_spans``.
     """
     if not _same_groupoid(f.codomain, g.codomain):
         raise ValueError("spans are not composable: middle feet differ")
@@ -307,59 +198,13 @@ def weak_pullback(f: GroupoidFunctor, g: GroupoidFunctor
     return _PullbackGroupoid(T, S, obj_data, mor_data).with_projections()
 
 
-# -- span algebra ------------------------------------------------------------
-
-def identity_span(x: FiniteGroupoid) -> SpanOfGroupoids:
-    ident = GroupoidFunctor.identity(x)
-    return SpanOfGroupoids(x, ident, ident)
-
+# -- composition and degroupoidification -------------------------------------
 
 def compose_spans(t: SpanOfGroupoids, s: SpanOfGroupoids) -> SpanOfGroupoids:
     """Composite span "s then t": the spans' shared foot is t's source."""
     P, proj_t, proj_s = weak_pullback(t.right, s.left)
     return SpanOfGroupoids(P, proj_t.then(t.left), proj_s.then(s.right))
 
-
-def add_spans(s: SpanOfGroupoids, t: SpanOfGroupoids) -> SpanOfGroupoids:
-    if not _same_groupoid(s.source, t.source) or \
-            not _same_groupoid(s.target, t.target):
-        raise ValueError("spans have different endpoints")
-    total, inj_s, inj_t = coproduct(s.apex, t.apex)
-    left = GroupoidFunctor(total, s.target,
-                           s.left.obj_map + t.left.obj_map,
-                           s.left.mor_map + t.left.mor_map)
-    right = GroupoidFunctor(total, s.source,
-                            s.right.obj_map + t.right.obj_map,
-                            s.right.mor_map + t.right.mor_map)
-    return SpanOfGroupoids(total, left, right)
-
-
-def scalar_mul(lam: FiniteGroupoid, s: SpanOfGroupoids) -> SpanOfGroupoids:
-    total, _proj_lam, proj_apex = product(lam, s.apex)
-    return SpanOfGroupoids(total, proj_apex.then(s.left),
-                           proj_apex.then(s.right))
-
-
-def adjoint(s: SpanOfGroupoids) -> SpanOfGroupoids:
-    return SpanOfGroupoids(s.apex, s.right, s.left)
-
-
-def tensor_spans(s: SpanOfGroupoids, s2: SpanOfGroupoids) -> SpanOfGroupoids:
-    apex = product(s.apex, s2.apex)[0]
-    left = product_functor(s.left, s2.left, apex,
-                           product(s.target, s2.target)[0])
-    right = product_functor(s.right, s2.right, apex,
-                            product(s.source, s2.source)[0])
-    return SpanOfGroupoids(apex, left, right)
-
-
-def apply_span(s: SpanOfGroupoids, psi: GroupoidOverX) -> GroupoidOverX:
-    """Apply the span to a groupoid over its source, landing over its target."""
-    P, proj_apex, _proj_psi = weak_pullback(s.right, psi.projection)
-    return GroupoidOverX(P, proj_apex.then(s.left))
-
-
-# -- degroupoidification -----------------------------------------------------
 
 def degroupoidify_classes(apex: IsoClassTable, left: Sequence[int],
                           right: Sequence[int], y: IsoClassTable,
@@ -378,86 +223,12 @@ def degroupoidify_classes(apex: IsoClassTable, left: Sequence[int],
     return out
 
 
-_POINT = IsoClassTable((0,), (0,), (1,), (1,))
-
-
-def degroupoidify_vector(psi: GroupoidOverX, alpha: Fraction | int = 0
-                         ) -> RationalVector:
-    """Vector with entry |Aut(x)|^alpha * |full inverse image of x| per
-    class: the matrix of psi read as a span from the point."""
-    base_table = iso_classes(psi.base)
-    m = degroupoidify_classes(iso_classes(psi.total), psi.projection.obj_map,
-                              (0,) * psi.total.n_objects, base_table, _POINT,
-                              alpha)
-    return RationalVector(psi.base, base_table, tuple(row[0] for row in m.data))
-
-
 def degroupoidify_span(s: SpanOfGroupoids, alpha: Fraction | int = 0
                        ) -> RationalMatrix:
     """Exact matrix of the span at the given normalization convention."""
     return degroupoidify_classes(iso_classes(s.apex), s.left.obj_map,
                                  s.right.obj_map, iso_classes(s.target),
                                  iso_classes(s.source), alpha)
-
-
-def alpha_change_of_basis(g: FiniteGroupoid, exponent: int) -> RationalMatrix:
-    """Diagonal matrix with entries |Aut(x)|^exponent over the classes of g."""
-    table = iso_classes(g)
-    out = RationalMatrix(table.n_classes, table.n_classes)
-    for c in range(table.n_classes):
-        out.data[c][c] = Fraction(table.aut_order[c]) ** exponent
-    return out
-
-
-def inner_product(phi: GroupoidOverX, psi: GroupoidOverX
-                  ) -> tuple[FiniteGroupoid, Rational]:
-    """Weak pullback of two groupoids over the same base, with its cardinality.
-
-    The cardinality equals the alpha = 0 pairing
-    sum over [x] of |Aut(x)| phi~([x]) psi~([x]).
-    """
-    P, _pt, _ps = weak_pullback(phi.projection, psi.projection)
-    return P, cardinality(P)
-
-
-def trace_span(s: SpanOfGroupoids) -> tuple[FiniteGroupoid, Rational]:
-    """Trace groupoid of an endo-span, with its exact cardinality.
-
-    Objects pair an apex object with a loop isomorphism p(s) -> q(s) in the
-    base; the cardinality equals the matrix trace of the span at alpha = 0.
-    It is a skeletal pullback-shaped groupoid over the apex and the
-    terminal groupoid: objects (a0, 0, alpha0), one per orbit of Aut(a0) on
-    B(p a0, q a0), and morphisms (o, u, 0) for u in the stabilizer.  Both
-    counts are checked against the size cap before they are listed.
-    """
-    if not _same_groupoid(s.source, s.target):
-        raise ValueError("trace needs a span with equal feet")
-    A = s.apex
-    B = s.source
-    p, q = s.right, s.left
-    reps = iso_classes(A).representative
-    _check_cap("trace groupoid objects",
-               sum(len(B.hom(p.obj_map[a0], q.obj_map[a0])) for a0 in reps))
-
-    obj_data: list[tuple[int, int, int]] = []
-    n_mor = 0
-    for a0 in reps:
-        isos = B.hom(p.obj_map[a0], q.obj_map[a0])
-        if not isos:
-            continue
-        moves = [_two_sided_move(B, B.inverse[p.mor_map[u]], q.mor_map[u])
-                 for u in A.aut_generators(a0)]
-        for orbit in orbits(isos, moves, {}):
-            obj_data.append((a0, 0, orbit[0]))
-            n_mor += len(A.aut(a0)) // len(orbit)
-    _check_cap("trace groupoid morphisms", n_mor)
-
-    mor_data = [(o, u, 0) for o, (a0, _z, alpha0) in enumerate(obj_data)
-                for u in A.aut(a0)
-                if B.compose(B.compose(B.inverse[p.mor_map[u]], alpha0),
-                             q.mor_map[u]) == alpha0]
-    tr = _PullbackGroupoid(A, FiniteGroupoid.terminal(), obj_data, mor_data)
-    return tr, cardinality(tr)
 
 
 # -- JSON / CSV interchange --------------------------------------------------

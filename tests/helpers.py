@@ -9,20 +9,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from spancalc.groupoid import (
-    FiniteGroupoid,
-    GroupoidFunctor,
-    cyclic_table,
-    product,
-    symmetric_table,
-)
+from spancalc.groupoid import FiniteGroupoid, GroupoidFunctor
 from spancalc.exact import aut_weight, greedy_generators
 from spancalc.hall import all_matrices, identity, mat_mul, mat_rank
 from spancalc.hecke import ORBIT_LABELS, HeckeTensor
 from spancalc.spans import SpanOfGroupoids, span_to_json
 
 from oracles import (EquivariantSpan, GroupAction, bruhat_orbits, connected,
-                     materialize_span, orbit_table, table_product)
+                     coproduct, cyclic_table, from_group_table,
+                     materialize_span, orbit_table, product, symmetric_table,
+                     table_product)
 
 # small groups with automorphism orders up to 24
 GROUP_TABLES = [
@@ -39,8 +35,6 @@ GROUP_TABLES = [
 
 def random_groupoid(rng: random.Random, max_objects: int = 8) -> FiniteGroupoid:
     """Disjoint union of connected groupoids with catalog automorphism groups."""
-    from spancalc.groupoid import coproduct
-
     remaining = rng.randint(1, max_objects)
     total: FiniteGroupoid | None = None
     while remaining > 0:
@@ -55,7 +49,7 @@ def random_groupoid(rng: random.Random, max_objects: int = 8) -> FiniteGroupoid:
 def random_cyclic_action(rng: random.Random, k: int, n_points: int
                          ) -> GroupAction:
     """Z/k acting on n_points via a permutation of order dividing k."""
-    group = FiniteGroupoid.from_group_table(cyclic_table(k))
+    group = from_group_table(cyclic_table(k))
     divisors = [d for d in range(1, k + 1) if k % d == 0]
     points = list(range(n_points))
     rng.shuffle(points)
@@ -208,6 +202,13 @@ def brute_force_ses_count(h, M, N, E) -> int:
         gf = np.einsum("gij,fjk->fgik", G, F) % h.q
         exact &= ~gf.reshape(len(fs), len(gs), dm * dn).any(axis=2)
     return int(exact.sum())
+
+
+def ses_pairs(h, M, N, E) -> list:
+    """All (f, g) with f: N -> E injective, g: E -> M surjective and
+    im f = ker g at every vertex, from the blocks of the Hall-number join."""
+    return [(f, g) for fs, gs in h._exact_blocks(M, N, E)
+            for f in fs for g in gs]
 
 
 def group_route_constants(hg, alpha: int = 0):

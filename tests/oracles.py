@@ -1,6 +1,9 @@
 """Oracles and fixtures that only the tests call.
 
-``connected`` and ``table_product`` build groupoids from group tables.
+``from_group_table``, ``terminal``, ``discrete``, ``empty``, ``connected``
+and ``table_product`` build groupoids, from group tables where they have
+automorphisms, with ``cyclic_table`` and ``symmetric_table`` as the
+tables; ``coproduct``, ``product`` and ``product_functor`` combine them.
 ``cardinality_alt``, ``full_inverse_image``, ``check_equivalence_certificate``
 and ``skeleton`` are the groupoid constructions that the package's own
 routines are checked against.  ``GroupAction`` is a group acting by a table
@@ -10,6 +13,16 @@ from such a table, ``materialize`` the action groupoid itself, and
 straight from orbits and stabilizers, against ``materialize_span`` run
 through the generic span machinery.
 
+The span calculus of BHW section 2 beyond composition: ``Matrix`` is a
+``RationalMatrix`` with the arithmetic that the identities are stated in,
+and ``span_matrix`` degroupoidifies a span to one.  ``identity_span``,
+``add_spans``, ``scalar_mul``, ``adjoint``, ``tensor_spans`` and
+``alpha_change_of_basis`` are the rest of the calculus.  A vector on X is
+the span 1 <- Psi -> X from the terminal groupoid (``vector_span``):
+applying a span to it is ``compose_spans``, its entries are the matrix's
+one column (``vector_entries``), and ``pairing`` is the cardinality of the
+apex of ``compose_spans(adjoint(phi), psi)``.
+
 The SL(3, F_q) route to the A2 Hecke algebra: ``build_group`` enumerates
 SL(3, F_q) for q in {2, 3} as a one-object groupoid with a callable
 composite, with its action on flags as a table of tuples.
@@ -17,8 +30,9 @@ composite, with its action on flags as a table of tuples.
 and ``triple_block_span`` gives one tensor entry as an equivariant span.  Both tabulate the action on pairs,
 |G| n^2 entries, which is 74k at q = 2 but 15.2M at q = 3, so tests run
 them at q = 2 only.  ``build_P`` and ``build_L`` are the relations as dense
-numpy matrices, ``enumerate_flags`` lists the flags as vector pairs and
-``basis_vector`` is a basis element of a ``HeckeTensor``.
+numpy matrices, ``enumerate_flags`` lists the flags as vector pairs,
+``basis_vector`` is a basis element of a ``HeckeTensor`` and
+``hecke_product`` multiplies two elements through its structure constants.
 ``spancalc.hecke`` reaches the same numbers from flag incidence alone,
 without listing a group element.
 
@@ -29,7 +43,8 @@ and the unit of an algebra.
 ``weak_pullback_literal``, ``compose_literal`` and ``trace_literal`` build
 the literal weak pullback and trace groupoid, one object per triple
 (t, s, alpha), as plain groupoids with a callable composite.  They share no
-construction code with the skeletal ``spancalc.spans`` versions they check.
+construction code with the skeletal ``spancalc.spans.weak_pullback`` they
+check; ``trace_literal`` is the one trace the tests take.
 
 ``build_E`` materializes E, the groupoid of finite sets, truncated at N <= 8:
 one object per cardinality n with the permutations of {0..n-1} as
@@ -55,22 +70,70 @@ import numpy as np
 from spancalc.exact import SizeCapError, _check_cap
 from spancalc.fq import echelon
 from spancalc.groupoid import (FiniteGroupoid, GroupoidFunctor, IsoClassTable,
-                               Rational, cardinality, iso_classes)
+                               Rational, cardinality, iso_classes,
+                               same_groupoid)
 from spancalc.hall import HallAlgebra, Quiver, RepClass
 from spancalc.hecke import (FlagGeometry, HeckeTensor, Rows, _pair_label,
                             flag_geometry, relation_rows)
-from spancalc.spans import (GroupoidOverX, RationalMatrix, SpanOfGroupoids,
-                            adjoint, degroupoidify_classes)
+from spancalc.spans import (RationalMatrix, SpanOfGroupoids, compose_spans,
+                            degroupoidify_classes, degroupoidify_span)
 
 
 # -- groupoids from group tables ------------------------------------------------
+
+def from_group_table(table: Sequence[Sequence[int]]) -> FiniteGroupoid:
+    """One-object groupoid from a group multiplication table.
+
+    ``table[a][b]`` is the product "a then b"; row/column 0 need not be
+    the identity, it is located by inspection.
+    """
+    n = len(table)
+    e = next((a for a in range(n)
+              if all(table[a][b] == b and table[b][a] == b
+                     for b in range(n))), None)
+    if e is None:
+        raise ValueError("multiplication table has no identity")
+    inv = [next(b for b in range(n) if table[a][b] == e) for a in range(n)]
+    compose = {(a, b): table[a][b] for a in range(n) for b in range(n)}
+    return FiniteGroupoid(1, (0,) * n, (0,) * n, (e,), tuple(inv), compose)
+
+
+def empty() -> FiniteGroupoid:
+    return FiniteGroupoid(0, (), (), (), (), {})
+
+
+def terminal() -> FiniteGroupoid:
+    return FiniteGroupoid(1, (0,), (0,), (0,), (0,), {(0, 0): 0})
+
+
+def discrete(n: int) -> FiniteGroupoid:
+    rng = tuple(range(n))
+    return FiniteGroupoid(n, rng, rng, rng, rng, {(i, i): i for i in range(n)})
+
+
+def identity_functor(g: FiniteGroupoid) -> GroupoidFunctor:
+    return GroupoidFunctor(g, g, tuple(range(g.n_objects)),
+                           tuple(range(g.n_morphisms)))
+
+
+def cyclic_table(n: int) -> list[list[int]]:
+    return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+
+def symmetric_table(n: int) -> list[list[int]]:
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    # entry [a][b] = "a then b" = b after a
+    return [[index[tuple(perms[b][perms[a][i]] for i in range(n))]
+             for b in range(len(perms))] for a in range(len(perms))]
+
 
 def connected(class_size: int, group_table: Sequence[Sequence[int]]
               ) -> FiniteGroupoid:
     """Connected groupoid with ``class_size`` objects, all isomorphic,
     each with automorphism group given by ``group_table``."""
     n, m = len(group_table), class_size
-    one = FiniteGroupoid.from_group_table(group_table)
+    one = from_group_table(group_table)
     # morphism (i * m + j) * n + a is (i, j, a): i -> j, and (i, j, a)
     # then (j, k, b) is (i, k, table[a][b])
     triples = list(itertools.product(range(m), range(m), range(n)))
@@ -94,6 +157,73 @@ def table_product(t1: Sequence[Sequence[int]],
 
 
 # -- groupoid constructions ------------------------------------------------------
+
+def coproduct(g: FiniteGroupoid, h: FiniteGroupoid
+              ) -> tuple[FiniteGroupoid, GroupoidFunctor, GroupoidFunctor]:
+    """Disjoint union, with the two injection functors."""
+    no, nm = g.n_objects, g.n_morphisms
+    src = g.src + tuple(s + no for s in h.src)
+    tgt = g.tgt + tuple(t + no for t in h.tgt)
+    identity = g.identity + tuple(i + nm for i in h.identity)
+    inverse = g.inverse + tuple(i + nm for i in h.inverse)
+
+    def comp(f: int, k: int) -> int:
+        if f < nm:
+            return g.compose(f, k)
+        return h.compose(f - nm, k - nm) + nm
+
+    total = FiniteGroupoid(no + h.n_objects, src, tgt, identity, inverse, comp)
+    inj_g = GroupoidFunctor(g, total, tuple(range(no)), tuple(range(nm)))
+    inj_h = GroupoidFunctor(h, total,
+                            tuple(range(no, no + h.n_objects)),
+                            tuple(range(nm, nm + h.n_morphisms)))
+    return total, inj_g, inj_h
+
+
+def product(g: FiniteGroupoid, h: FiniteGroupoid
+            ) -> tuple[FiniteGroupoid, GroupoidFunctor, GroupoidFunctor]:
+    """Cartesian product, with the two projection functors.
+
+    Object (i, j) is i * |h objects| + j and morphism (f, k) is
+    f * |h morphisms| + k; composition is componentwise, and cardinality
+    multiplies.
+    """
+    _check_cap("product groupoid morphisms", g.n_morphisms * h.n_morphisms)
+    nho, nhm = h.n_objects, h.n_morphisms
+    pairs = list(itertools.product(range(g.n_morphisms), range(nhm)))
+    src = [g.src[f] * nho + h.src[k] for f, k in pairs]
+    tgt = [g.tgt[f] * nho + h.tgt[k] for f, k in pairs]
+    identity = tuple(g.identity[i] * nhm + h.identity[j]
+                     for i in range(g.n_objects) for j in range(nho))
+    inverse = tuple(g.inverse[f] * nhm + h.inverse[k] for f, k in pairs)
+
+    def comp(a: int, b: int) -> int:
+        return (g.compose(a // nhm, b // nhm) * nhm
+                + h.compose(a % nhm, b % nhm))
+
+    total = FiniteGroupoid(g.n_objects * nho, src, tgt, identity, inverse,
+                           comp)
+    objects, morphisms = range(total.n_objects), range(total.n_morphisms)
+    proj_g = GroupoidFunctor(total, g, tuple(i // nho for i in objects),
+                             tuple(m // nhm for m in morphisms))
+    proj_h = GroupoidFunctor(total, h, tuple(i % nho for i in objects),
+                             tuple(m % nhm for m in morphisms))
+    return total, proj_g, proj_h
+
+
+def product_functor(f: GroupoidFunctor, g: GroupoidFunctor,
+                    dom: FiniteGroupoid, cod: FiniteGroupoid
+                    ) -> GroupoidFunctor:
+    """The functor f x g between the product groupoids dom and cod, each
+    built by ``product``."""
+    ndo, ndm = g.domain.n_objects, g.domain.n_morphisms
+    nco, ncm = g.codomain.n_objects, g.codomain.n_morphisms
+    obj = tuple(f.obj_map[i // ndo] * nco + g.obj_map[i % ndo]
+                for i in range(dom.n_objects))
+    mor = tuple(f.mor_map[m // ndm] * ncm + g.mor_map[m % ndm]
+                for m in range(dom.n_morphisms))
+    return GroupoidFunctor(dom, cod, obj, mor)
+
 
 def cardinality_alt(g: FiniteGroupoid) -> Rational:
     """Sum over objects of 1/(number of morphisms out of the object).
@@ -203,6 +333,124 @@ def skeleton(g: FiniteGroupoid) -> tuple[FiniteGroupoid, GroupoidFunctor]:
         for m in range(g.n_morphisms))
     return inclusion.domain, GroupoidFunctor(g, inclusion.domain,
                                              table.class_of, mor_map)
+
+
+# -- the span calculus --------------------------------------------------------
+
+class Matrix(RationalMatrix):
+    """A ``RationalMatrix`` with the arithmetic that the tests state
+    identities in."""
+
+    @staticmethod
+    def of(m: RationalMatrix) -> "Matrix":
+        return Matrix(m.n_rows, m.n_cols, m.data)
+
+    @staticmethod
+    def identity(n: int) -> "Matrix":
+        return Matrix(n, n, [[Fraction(int(i == j)) for j in range(n)]
+                             for i in range(n)])
+
+    def __add__(self, other: RationalMatrix) -> "Matrix":
+        assert (self.n_rows, self.n_cols) == (other.n_rows, other.n_cols)
+        return Matrix(self.n_rows, self.n_cols,
+                      [[a + b for a, b in zip(ra, rb)]
+                       for ra, rb in zip(self.data, other.data)])
+
+    def scale(self, k) -> "Matrix":
+        return Matrix(self.n_rows, self.n_cols,
+                      [[a * k for a in row] for row in self.data])
+
+    def __matmul__(self, other: RationalMatrix) -> "Matrix":
+        assert self.n_cols == other.n_rows
+        return Matrix(self.n_rows, other.n_cols, [
+            [sum((row[k] * other.data[k][j] for k in range(self.n_cols)
+                  if row[k] != 0), Fraction(0))
+             for j in range(other.n_cols)] for row in self.data])
+
+    def transpose(self) -> "Matrix":
+        return Matrix(self.n_cols, self.n_rows,
+                      [list(col) for col in zip(*self.data)])
+
+    def trace(self):
+        assert self.n_rows == self.n_cols
+        return sum((self.data[i][i] for i in range(self.n_rows)), Fraction(0))
+
+    @staticmethod
+    def kronecker(a: RationalMatrix, b: RationalMatrix) -> "Matrix":
+        return Matrix(a.n_rows * b.n_rows, a.n_cols * b.n_cols, [
+            [x * y for x in ra for y in rb] for ra in a.data for rb in b.data])
+
+
+def span_matrix(s: SpanOfGroupoids, alpha: Fraction | int = 0) -> Matrix:
+    return Matrix.of(degroupoidify_span(s, alpha))
+
+
+def identity_span(x: FiniteGroupoid) -> SpanOfGroupoids:
+    ident = identity_functor(x)
+    return SpanOfGroupoids(x, ident, ident)
+
+
+def add_spans(s: SpanOfGroupoids, t: SpanOfGroupoids) -> SpanOfGroupoids:
+    """The span whose apex is the coproduct of the two apexes, over their
+    shared feet: the matrices add."""
+    if not same_groupoid(s.source, t.source) or \
+            not same_groupoid(s.target, t.target):
+        raise ValueError("spans have different endpoints")
+    total = coproduct(s.apex, t.apex)[0]
+    left = GroupoidFunctor(total, s.target, s.left.obj_map + t.left.obj_map,
+                           s.left.mor_map + t.left.mor_map)
+    right = GroupoidFunctor(total, s.source,
+                            s.right.obj_map + t.right.obj_map,
+                            s.right.mor_map + t.right.mor_map)
+    return SpanOfGroupoids(total, left, right)
+
+
+def scalar_mul(lam: FiniteGroupoid, s: SpanOfGroupoids) -> SpanOfGroupoids:
+    """The apex times the groupoid ``lam``: the matrix times |lam|."""
+    total, _proj_lam, proj_apex = product(lam, s.apex)
+    return SpanOfGroupoids(total, proj_apex.then(s.left),
+                           proj_apex.then(s.right))
+
+
+def adjoint(s: SpanOfGroupoids) -> SpanOfGroupoids:
+    return SpanOfGroupoids(s.apex, s.right, s.left)
+
+
+def tensor_spans(s: SpanOfGroupoids, s2: SpanOfGroupoids) -> SpanOfGroupoids:
+    apex = product(s.apex, s2.apex)[0]
+    left = product_functor(s.left, s2.left, apex,
+                           product(s.target, s2.target)[0])
+    right = product_functor(s.right, s2.right, apex,
+                            product(s.source, s2.source)[0])
+    return SpanOfGroupoids(apex, left, right)
+
+
+def alpha_change_of_basis(g: FiniteGroupoid, exponent: int) -> Matrix:
+    """Diagonal matrix with entries |Aut(x)|^exponent over the classes of g."""
+    auts = iso_classes(g).aut_order
+    return Matrix(len(auts), len(auts),
+                  [[Fraction(a) ** exponent if i == j else Fraction(0)
+                    for j in range(len(auts))] for i, a in enumerate(auts)])
+
+
+def vector_span(projection: GroupoidFunctor) -> SpanOfGroupoids:
+    """The groupoid Psi over X as a vector on X: the span 1 <- Psi -> X."""
+    psi = projection.domain
+    to_point = GroupoidFunctor(psi, terminal(), (0,) * psi.n_objects,
+                               (0,) * psi.n_morphisms)
+    return SpanOfGroupoids(psi, projection, to_point)
+
+
+def vector_entries(psi: SpanOfGroupoids, alpha: Fraction | int = 0) -> tuple:
+    """The vector of a span from the point: its matrix's one column, with
+    entry |Aut x|^alpha |full inverse image of x| per class [x]."""
+    return tuple(row[0] for row in degroupoidify_span(psi, alpha).data)
+
+
+def pairing(phi: SpanOfGroupoids, psi: SpanOfGroupoids) -> Rational:
+    """<phi, psi>: the cardinality of the weak pullback of two vectors on
+    one groupoid, the apex of the composite of psi and phi's adjoint."""
+    return cardinality(compose_spans(adjoint(phi), psi).apex)
 
 
 # -- group actions and equivariant spans ---------------------------------------
@@ -384,6 +632,21 @@ def basis_vector(tensor: HeckeTensor, label: str) -> list[Fraction]:
     """The basis element psi_label of the algebra ``tensor`` describes."""
     out = [Fraction(0)] * len(tensor.labels)
     out[tensor.labels.index(label)] = Fraction(1)
+    return out
+
+
+def hecke_product(tensor: HeckeTensor, x: list[Fraction],
+                  y: list[Fraction]) -> list[Fraction]:
+    """x * y in the algebra ``tensor`` describes:
+    sum over u, v of x_u y_v sum_w c[u][v][w] psi_w."""
+    n = len(tensor.labels)
+    out = [Fraction(0)] * n
+    for u in range(n):
+        for v in range(n):
+            if x[u] != 0 and y[v] != 0:
+                coeff = x[u] * y[v]
+                for w in range(n):
+                    out[w] += coeff * tensor.tensor[u][v][w]
     return out
 
 
@@ -721,9 +984,9 @@ def build_E(N: int) -> TruncatedE:
 
 
 class StuffType(NamedTuple):
-    """A groupoid over the truncated finite-sets groupoid."""
+    """A groupoid over the truncated finite-sets groupoid, as a vector."""
 
-    over: GroupoidOverX
+    vector: SpanOfGroupoids
     E: TruncatedE
 
 
@@ -745,7 +1008,7 @@ def psi_n(n: int, E: TruncatedE) -> StuffType:
     proj = GroupoidFunctor(
         total, E.groupoid, (n,),
         tuple(E.levels.morphism(n, p) for p in perms))
-    return StuffType(GroupoidOverX(total, proj), E)
+    return StuffType(vector_span(proj), E)
 
 
 def two_colored_stuff(E: TruncatedE) -> StuffType:
@@ -797,7 +1060,7 @@ def two_colored_stuff(E: TruncatedE) -> StuffType:
                            tuple(inverse), comp)
     proj = GroupoidFunctor(total, E.groupoid,
                            tuple(n for n, _c in objects), tuple(proj_mor))
-    return StuffType(GroupoidOverX(total, proj), E)
+    return StuffType(vector_span(proj), E)
 
 
 def _inclusion_functor(inner: TruncatedE, outer: TruncatedE) -> GroupoidFunctor:

@@ -12,11 +12,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spancalc
 from spancalc import cli
 from spancalc.groupoid import (MAX_VIOLATIONS, FiniteGroupoid,
-                               GroupoidFunctor, cyclic_table, iso_classes)
+                               GroupoidFunctor, iso_classes)
 from spancalc.spans import (
     SpanOfGroupoids,
     degroupoidify_span,
@@ -25,7 +27,9 @@ from spancalc.spans import (
 )
 
 from helpers import S3_WORDS, iwahori_hecke_s3, random_cyclic_action, random_span
-from oracles import annihilation_span, build_E, compose_literal, connected
+from oracles import (annihilation_span, build_E, compose_literal, connected,
+                     cyclic_table, discrete, from_group_table, span_matrix,
+                     terminal)
 
 
 def run_cli(*args, env=None):
@@ -40,7 +44,7 @@ def run_cli(*args, env=None):
 @pytest.fixture(scope="module")
 def terminal_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "terminal.json"
-    path.write_text(json.dumps(FiniteGroupoid.terminal().to_json()))
+    path.write_text(json.dumps(terminal().to_json()))
     return str(path)
 
 
@@ -52,7 +56,7 @@ def test_card_terminal(terminal_file):
 
 def test_card_z2(tmp_path):
     path = tmp_path / "z2.json"
-    g = FiniteGroupoid.from_group_table(cyclic_table(2))
+    g = from_group_table(cyclic_table(2))
     path.write_text(json.dumps(g.to_json()))
     result = run_cli("card", str(path))
     assert result.stdout.strip() == "1/2"
@@ -61,7 +65,7 @@ def test_card_z2(tmp_path):
 def test_check_valid_and_invalid(terminal_file, tmp_path):
     assert run_cli("check", terminal_file).returncode == 0
     bad = tmp_path / "bad.json"
-    data = FiniteGroupoid.terminal().to_json()
+    data = terminal().to_json()
     data["identity"] = [5]
     bad.write_text(json.dumps(data))
     result = run_cli("check", str(bad))
@@ -220,7 +224,7 @@ def test_cli_composite_matches_the_literal_oracle(tmp_path):
         out = tmp_path / f"uts_m{trial}.json"
         assert cli.main(["degroupoidify", "--span", uts, "-o",
                          str(out)]) == 0
-        product = degroupoidify_span(u) @ degroupoidify_span(literal)
+        product = span_matrix(u) @ span_matrix(literal)
         assert json.loads(out.read_text())["entries"] == \
             matrix_to_json(product)["entries"]
 
@@ -335,8 +339,10 @@ def test_span_file_with_bad_composites_exits_2(tmp_path, how, message):
     assert not (tmp_path / "out.json").exists()
 
 
-@pytest.mark.parametrize("alpha", ["1000000", "100000", "-5000"])
+@pytest.mark.parametrize("alpha", ["1000000", "100000", "-7000"])
 def test_degroupoidify_rejects_alpha_beyond_the_digit_limit(tmp_path, alpha):
+    # the classes this span joins have |Aut| ratios up to 5, so entries
+    # reach |alpha| log10 5 digits: 4893 at alpha -7000
     path = tmp_path / "span.json"
     path.write_text(json.dumps(span_to_json(annihilation_span(build_E(5)))))
     result = subprocess.run(
@@ -346,15 +352,15 @@ def test_degroupoidify_rejects_alpha_beyond_the_digit_limit(tmp_path, alpha):
     assert result.returncode == 2
     assert f"alpha {alpha} is too large" in result.stderr
     assert "Traceback" not in result.stderr and result.stdout == ""
-    # |Aut| <= 120 here, so alpha = 1000 stays within 4300 digits
+    # and alpha = 5000 stays within 4300 digits
     assert cli.main(["degroupoidify", "--span", str(path), "--alpha",
-                     "1000", "-o", str(tmp_path / "m.json")]) == 0
+                     "-5000", "-o", str(tmp_path / "m.json")]) == 0
 
 
 def test_degroupoidify_without_a_digit_limit_stops_at_the_size_cap(tmp_path):
     # at alpha 6500 the entry n^(1 - alpha) at (n - 1, n) of this span
     # has a 4543-digit denominator at n = 5, past the default limit of
-    # 4300, and 36 entries of at most 6501 log10(120) digits stay under
+    # 4300, and 36 entries of at most 6500 log10(5) + 7 digits stay under
     # the size cap
     path = tmp_path / "span.json"
     path.write_text(json.dumps(span_to_json(annihilation_span(build_E(5)))))
@@ -366,13 +372,61 @@ def test_degroupoidify_without_a_digit_limit_stops_at_the_size_cap(tmp_path):
     assert result.returncode == 0, result.stderr
     assert max(len(entry) for row in json.loads(result.stdout)["entries"]
                for entry in row) > 4300
-    # 36 entries of 2.1e6 digits each pass the size cap of 5e6
+    # 36 entries of 7.0e5 digits each pass the size cap of 5e6
     result = subprocess.run(argv + ["1000000"], capture_output=True,
                             text=True, env=unlimited, timeout=5)
     assert result.returncode == 2
     assert ("degroupoidify at alpha 1000000, counted in digits of its exact "
             "values, needs") in result.stderr
     assert "Traceback" not in result.stderr and result.stdout == ""
+
+
+@pytest.mark.parametrize("alpha, longest", [("2000", 1556), ("-2000", 1558)])
+def test_degroupoidify_prints_what_the_digit_bound_admits(monkeypatch, capsys,
+                                                          alpha, longest):
+    # the annihilation span of E truncated at 6 joins classes whose |Aut|
+    # ratios reach 6, so its longest entries have about 2000 log10 6
+    # digits; the span is passed in memory, as its file takes seconds to
+    # read
+    span = annihilation_span(build_E(6))
+    monkeypatch.setattr(cli, "_span_from_file", lambda path: span)
+    assert cli._alpha_digits(Fraction(alpha), span) == 1565
+    assert cli.main(["degroupoidify", "--span", "E6.json", "--alpha",
+                     alpha]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert max(len(d) for row in entries for entry in row
+               for d in re.findall(r"\d+", entry)) == longest
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(rng=st.randoms(use_true_random=False),
+       k=st.sampled_from([2, 3, 4, 6]),
+       alpha=st.integers(-4000, 4000).map(lambda n: Fraction(n, 2)))
+def test_alpha_digit_projection_is_never_below_the_printed_digits(rng, k,
+                                                                  alpha):
+    ax, ay = (random_cyclic_action(rng, k, rng.randint(1, 4))
+              for _ in range(2))
+    for span in (random_span(rng, k, ay, ax), annihilation_span(build_E(4))):
+        entries = matrix_to_json(degroupoidify_span(span, alpha))["entries"]
+        printed = max(len(d) for row in entries for entry in row
+                      for d in re.findall(r"\d+", entry))
+        assert cli._alpha_digits(alpha, span) >= printed
+
+
+def test_degroupoidify_refuses_a_power_of_three_past_the_limit(tmp_path,
+                                                               capsys):
+    # one apex class over classes with |Aut| 2 and 3: 3^10000 has 4772
+    # digits, past the default limit of 4300
+    z2, z3 = from_group_table(cyclic_table(2)), from_group_table(
+        cyclic_table(3))
+    apex = terminal()
+    path = tmp_path / "span.json"
+    path.write_text(json.dumps(span_to_json(SpanOfGroupoids(
+        apex, GroupoidFunctor(apex, z3, (0,), (0,)),
+        GroupoidFunctor(apex, z2, (0,), (0,))))))
+    assert cli.main(["degroupoidify", "--span", str(path), "--alpha",
+                     "10000"]) == 2
+    assert "alpha 10000 is too large" in capsys.readouterr().err
 
 
 def test_span_file_with_a_leg_that_is_not_a_functor_exits_2(tmp_path):
@@ -389,7 +443,7 @@ def test_span_file_with_a_leg_that_is_not_a_functor_exits_2(tmp_path):
 
 
 def test_card_rejects_identity_out_of_range(tmp_path):
-    data = FiniteGroupoid.terminal().to_json()
+    data = terminal().to_json()
     data["identity"] = [5]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -433,7 +487,7 @@ def test_check_reports_violations_without_traceback(tmp_path, how, violation):
 
 def test_check_stops_at_the_violation_limit(tmp_path):
     # Z/60 with every morphism's target out of range: 60 violations
-    data = FiniteGroupoid.from_group_table(cyclic_table(60)).to_json()
+    data = from_group_table(cyclic_table(60)).to_json()
     for m in data["morphisms"]:
         m["tgt"] = 7
     path = tmp_path / "bad.json"
@@ -551,7 +605,7 @@ def loaded_modules(tmp_path_factory):
     subcommand runs once per module."""
     tmp = tmp_path_factory.mktemp("runs")
     (tmp / "z2.json").write_text(json.dumps(
-        FiniteGroupoid.from_group_table(cyclic_table(2)).to_json()))
+        from_group_table(cyclic_table(2)).to_json()))
     (tmp / "span.json").write_text(json.dumps(
         span_to_json(annihilation_span(build_E(3)))))
     runs: dict[str, set[str]] = {}
@@ -851,10 +905,18 @@ def test_size_cap_env_override(tmp_path):
     assert "SPANCALC_SIZE_CAP" in result.stderr
 
 
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_size_cap_must_be_a_count(monkeypatch, capsys, value):
+    monkeypatch.setenv("SPANCALC_SIZE_CAP", value)
+    assert cli.main(["fock", "--truncate", "4"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: SPANCALC_SIZE_CAP={value!r} is not an integer >= 0\n"
+
+
 def test_compose_past_the_cap_stops_at_the_pullback(tmp_path):
     # point <- 100 points -> point, composed with itself: 10^4 objects
-    apex = FiniteGroupoid.discrete(100)
-    leg = GroupoidFunctor(apex, FiniteGroupoid.terminal(), (0,) * 100,
+    apex = discrete(100)
+    leg = GroupoidFunctor(apex, terminal(), (0,) * 100,
                           (0,) * 100)
     path = tmp_path / "span.json"
     path.write_text(json.dumps(span_to_json(SpanOfGroupoids(apex, leg, leg))))

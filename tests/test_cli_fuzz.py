@@ -26,11 +26,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spancalc import cli
-from spancalc.groupoid import cyclic_table
 from spancalc.spans import span_to_json
 
 from helpers import random_cyclic_action, random_span
-from oracles import annihilation_span, build_E, connected
+from oracles import annihilation_span, build_E, connected, cyclic_table
 
 
 def _bases() -> list[dict]:

@@ -6,45 +6,32 @@ records had as frozen dataclasses.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from spancalc.fock import generating_function, verify_ccr
-from spancalc.groupoid import (
-    FiniteGroupoid,
-    GroupoidFunctor,
-    cyclic_table,
-    iso_classes,
-)
-from spancalc.hall import HallAlgebra, Quiver, QuiverRep, parse_quiver
-from spancalc.spans import (
-    GroupoidOverX,
-    RationalVector,
-    degroupoidify_vector,
-    identity_span,
-)
+from spancalc.groupoid import iso_classes
+from spancalc.hall import (HallAlgebra, HallElement, Quiver, QuiverRep,
+                           parse_quiver)
 
 from helpers import random_cyclic_action, random_equivariant_span
-from oracles import build_E, psi_n
+from oracles import build_E, discrete, identity_functor, identity_span, psi_n
 
 
 @pytest.fixture(scope="module")
 def records():
     """One instance of each record type, with a field to assign to."""
     E = build_E(3)
-    g = FiniteGroupoid.discrete(2)
+    g = discrete(2)
     stuff = psi_n(2, E)
     algebra = HallAlgebra(parse_quiver("a2"), 2)
     cls = algebra.classes((1, 1))[0]
     rng = random.Random(5)
     action = random_cyclic_action(rng, 3, 4)
     return {
-        "GroupoidFunctor": (GroupoidFunctor.identity(g), "obj_map"),
+        "GroupoidFunctor": (identity_functor(g), "obj_map"),
         "IsoClassTable": (iso_classes(g), "class_of"),
-        "RationalVector": (degroupoidify_vector(stuff.over), "entries"),
         "SpanOfGroupoids": (identity_span(g), "apex"),
-        "GroupoidOverX": (stuff.over, "total"),
         "TruncatedE": (E, "N"),
         "StuffType": (stuff, "E"),
         "PowerSeriesVector": (generating_function([(2, 2)], 3),
@@ -58,10 +45,9 @@ def records():
     }
 
 
-RECORD_NAMES = ["GroupoidFunctor", "IsoClassTable", "RationalVector",
-                "SpanOfGroupoids", "GroupoidOverX", "TruncatedE", "StuffType",
-                "PowerSeriesVector", "CcrReport", "Quiver", "QuiverRep",
-                "RepClass", "EquivariantSpan"]
+RECORD_NAMES = ["GroupoidFunctor", "IsoClassTable", "SpanOfGroupoids",
+                "TruncatedE", "StuffType", "PowerSeriesVector", "CcrReport",
+                "Quiver", "QuiverRep", "RepClass", "EquivariantSpan"]
 
 
 @pytest.mark.parametrize("name", RECORD_NAMES)
@@ -100,12 +86,8 @@ def test_quiver_reps_and_classes_hash_and_compare_by_value():
     assert rep != QuiverRep((1, 1), (((0,),),))
 
 
-def test_rational_vector_equality_compares_entries_only():
-    z2 = FiniteGroupoid.from_group_table(cyclic_table(2))
-    z3 = FiniteGroupoid.from_group_table(cyclic_table(3))
-    half = degroupoidify_vector(GroupoidOverX(z2, GroupoidFunctor.identity(z2)))
-    third = degroupoidify_vector(GroupoidOverX(z3, GroupoidFunctor.identity(z3)))
-    assert half.entries == (Fraction(1, 2),) and half[0] == Fraction(1, 2)
-    same = RationalVector(z3, iso_classes(z3), (Fraction(1, 2),))
-    assert half == same and not half != same    # other base, same entries
-    assert half != third and not half == third
+def test_hall_elements_compare_without_their_zero_entries():
+    # == and != agree: != is not dict's, which would count the zero
+    one, two = HallElement({"E": 1, "F": 0}), HallElement({"E": 1})
+    assert one == two and not one != two
+    assert one != HallElement({"E": 2}) and not one == HallElement({"E": 2})
