@@ -16,6 +16,7 @@ of the package.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from fractions import Fraction
@@ -250,8 +251,13 @@ def _aut_pow(n: int, exponent: Fraction) -> Fraction | QSqrt:
 def aut_weight(x_aut: int, y_aut: int, s_aut: int, alpha: Fraction | int
                ) -> Fraction | QSqrt:
     """|Aut x|^(1-alpha) |Aut y|^alpha / |Aut s|, the weight of one apex
-    class s over ([x], [y]); a QSqrt only when the value is irrational."""
-    term = _aut_pow(x_aut, 1 - alpha) * _aut_pow(y_aut, alpha) / s_aut
+    class s over ([x], [y]); a QSqrt only when the value is irrational.
+    It is taken as |Aut x| (b'/a')^alpha / |Aut s|, a'/b' being
+    |Aut x| / |Aut y| in lowest terms, so no power is larger than the
+    value needs: at |Aut x| = |Aut y| none grows with alpha."""
+    g = math.gcd(x_aut, y_aut)
+    ratio = _aut_pow(y_aut // g, alpha) * _aut_pow(x_aut // g, -alpha)
+    term = ratio * x_aut / s_aut
     if isinstance(term, QSqrt) and term.is_rational:
         return term.as_fraction()
     return term

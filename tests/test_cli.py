@@ -5,6 +5,7 @@ import os
 import pkgutil
 import random
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -28,8 +29,8 @@ from spancalc.spans import (
 
 from helpers import S3_WORDS, iwahori_hecke_s3, random_cyclic_action, random_span
 from oracles import (annihilation_span, build_E, compose_literal, connected,
-                     cyclic_table, discrete, from_group_table, span_matrix,
-                     terminal)
+                     cyclic_table, discrete, from_group_table, identity_span,
+                     span_matrix, terminal)
 
 
 def run_cli(*args, env=None):
@@ -427,6 +428,30 @@ def test_degroupoidify_refuses_a_power_of_three_past_the_limit(tmp_path,
     assert cli.main(["degroupoidify", "--span", str(path), "--alpha",
                      "10000"]) == 2
     assert "alpha 10000 is too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha, digit_limit", [
+    ("1e300", None), ("1e10", "0"), ("-20000000001/2", "0")])
+def test_degroupoidify_forms_no_power_that_the_entries_do_not_need(
+        tmp_path, alpha, digit_limit):
+    # the identity span of Z/2 joins classes of equal |Aut|, so its entry
+    # is 1 at every alpha; a weight taken as 2^(1-alpha) 2^alpha would
+    # form 2^alpha first and not finish in time.  The child's address
+    # space is capped so that such a run fails instead of filling memory.
+    z2 = from_group_table(cyclic_table(2))
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps(span_to_json(identity_span(z2))))
+    env = dict(os.environ)
+    if digit_limit is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = digit_limit
+    result = subprocess.run(
+        [sys.executable, "-m", "spancalc.cli", "degroupoidify", "--span",
+         str(path), f"--alpha={alpha}"],
+        capture_output=True, text=True, env=env, timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (2 ** 30, 2 ** 30)))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["entries"] == [["1/1"]]
 
 
 def test_span_file_with_a_leg_that_is_not_a_functor_exits_2(tmp_path):

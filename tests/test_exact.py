@@ -1,12 +1,15 @@
 """The shared orbit and group-closure routines of ``spancalc.exact``,
-against brute force on the automorphism groups of random groupoids."""
+against brute force on the automorphism groups of random groupoids, and
+the degroupoidification weight against its defining formula."""
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spancalc.exact import extend_group, greedy_generators, orbits
+from spancalc.exact import (QSqrt, aut_weight, extend_group,
+                            greedy_generators, orbits)
 from spancalc.groupoid import FiniteGroupoid
 
 from helpers import random_groupoid
@@ -84,3 +87,18 @@ def test_orbits_skip_points_the_caller_has_seen():
     assert list(orbits(range(6), [lambda p: (p + 2) % 6], seen)) == \
         [[1, 3, 5]]
     assert seen == {0: "known", 2: "known", 4: "known", 1: 0, 3: 0, 5: 0}
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(auts=st.tuples(*[st.integers(1, 24)] * 3),
+       alpha=st.integers(-12, 12).map(lambda n: Fraction(n, 2)))
+def test_aut_weight_is_its_defining_formula(auts, alpha):
+    # |Aut x|^(1-alpha) |Aut y|^alpha / |Aut s|, checked through its
+    # square so that half-integer alpha stays rational
+    x, y, s = auts
+    w = aut_weight(x, y, s, alpha)
+    square = Fraction(x) ** (2 - 2 * alpha) * Fraction(y) ** (2 * alpha)
+    assert w * w == square / s ** 2
+    assert all(c > 0 for c in (w.terms.values() if isinstance(w, QSqrt)
+                               else [w]))
+    assert not (isinstance(w, QSqrt) and w.is_rational)
