@@ -121,15 +121,15 @@ def cmd_card(args) -> int:
     return EXIT_OK
 
 
-def _alpha_digits(alpha: Fraction, span: SpanOfGroupoids) -> int:
-    """The most decimal digits of a numerator or denominator among the
-    matrix entries of ``span`` at ``alpha``, bounded before any power is
-    computed.  The entry at a pair ([y], [x]) that n apex classes join is
-    a (b'/a')^alpha times a sum of n terms 1/|Aut s|, with a = |Aut x|,
-    b = |Aut y| and a'/b' = a/b in lowest terms, so it has at most
-    ceil|alpha| log10 max(a', b') + log10(a b L n) + 1 digits, L the lcm
-    of those |Aut s|.  |alpha| past 10^300 is taken as 10^300, so that
-    the count prints."""
+def _alpha_digits(alpha: Fraction, span: SpanOfGroupoids) -> tuple[int, int]:
+    """The most decimal digits of a numerator or denominator in one matrix
+    entry of ``span`` at ``alpha``, and those of all entries together,
+    bounded before any power is computed.  The entry at a pair ([y], [x])
+    that n apex classes join is a (b'/a')^alpha times a sum of n terms
+    1/|Aut s|, with a = |Aut x|, b = |Aut y| and a'/b' = a/b in lowest
+    terms, so it has at most ceil|alpha| log10 max(a', b') + log10(a b L
+    n) + 1 digits, L the lcm of those |Aut s|.  |alpha| past 10^300 is
+    taken as 10^300, so that the count prints."""
     from .groupoid import iso_classes
 
     apex, y, x = map(iso_classes, (span.apex, span.target, span.source))
@@ -139,14 +139,17 @@ def _alpha_digits(alpha: Fraction, span: SpanOfGroupoids) -> int:
                 x.class_of[span.right.obj_map[rep]])
         joined.setdefault(pair, []).append(s_aut)
     power = math.ceil(min(abs(alpha), 10 ** 300))
-    digits = 1      # an entry over no apex class prints as 0/1
+    # an entry over no apex class prints as 0/1
+    unjoined = y.n_classes * x.n_classes - len(joined)
+    longest, total = min(unjoined, 1), unjoined
     for (cy, cx), auts in joined.items():
         a, b = x.aut_order[cx], y.aut_order[cy]
         ratio = max(a, b) // math.gcd(a, b)
         rest = a * b * math.lcm(*auts) * len(auts)
-        digits = max(digits, math.ceil(power * Fraction(math.log10(ratio))
-                                       + Fraction(math.log10(rest)) + 1))
-    return digits
+        digits = math.ceil(power * Fraction(math.log10(ratio))
+                           + Fraction(math.log10(rest)) + 1)
+        longest, total = max(longest, digits), total + digits
+    return longest, total
 
 
 def cmd_degroupoidify(args) -> int:
@@ -157,7 +160,7 @@ def cmd_degroupoidify(args) -> int:
     alpha = _parse_alpha(args.alpha)
     y, x = iso_classes(span.target), iso_classes(span.source)
     check_digits(f"degroupoidify at alpha {args.alpha}",
-                 _alpha_digits(alpha, span), y.n_classes * x.n_classes)
+                 *_alpha_digits(alpha, span))
     matrix = degroupoidify_span(span, alpha)
     if args.csv:
         _write_output(matrix_to_csv(matrix), args.output)

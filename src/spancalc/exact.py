@@ -62,20 +62,19 @@ def _check_cap(what: str, needed: int) -> None:
         raise SizeCapError(what, needed)
 
 
-def check_digits(what: str, digits: int, values: int) -> None:
-    """Refuse ``what`` before it forms ``values`` exact numbers of up to
-    ``digits`` decimal digits: a ValueError when ``digits`` passes the
-    interpreter's limit on printed ints (PYTHONINTMAXSTRDIGITS, where 0
-    sets no limit), and in any case a SizeCapError when their digits
-    together pass the size cap."""
+def check_digits(what: str, digits: int, total: int) -> None:
+    """Refuse ``what`` before it forms exact numbers of up to ``digits``
+    decimal digits, ``total`` digits in all: a ValueError when ``digits``
+    passes the interpreter's limit on printed ints (PYTHONINTMAXSTRDIGITS,
+    where 0 sets no limit), and in any case a SizeCapError when ``total``
+    passes the size cap."""
     limit = sys.get_int_max_str_digits()
     if limit and digits > limit:
         raise ValueError(
             f"{what} is too large: it prints numbers of up to {digits} "
             f"digits, over the interpreter's limit of {limit} "
             f"(PYTHONINTMAXSTRDIGITS)")
-    _check_cap(f"{what}, counted in digits of its exact values,",
-               values * digits)
+    _check_cap(f"{what}, counted in digits of its exact values,", total)
 
 
 # -- orbits and closures of finite groups given by generators ---------------

@@ -137,7 +137,8 @@ def check_size(N: int, ccr: bool, two_colored: bool) -> None:
     and one class of psi_n, each of at most ``printed_digits(N)`` digits;
     ``exact.check_digits`` applies both rules."""
     terms = N + 2 + 3 * N * ccr + (N + 1) * (N + 2) // 2 * two_colored
-    check_digits(f"fock --truncate {N}", printed_digits(N), terms)
+    digits = printed_digits(N)
+    check_digits(f"fock --truncate {N}", digits, terms * digits)
 
 
 class PowerSeriesVector(NamedTuple):

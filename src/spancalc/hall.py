@@ -1,5 +1,7 @@
 """Hall algebras of simply-laced quivers over a prime field.
 
+A quiver is accepted when its Tits form is positive definite, which by
+Gabriel's theorem makes its underlying graph a union of ADE diagrams.
 Representations assign an F_q vector space to each vertex and a matrix to
 each edge; isomorphism classes are orbits of the base-change group
 prod_v GL(d_v, F_q), grown from its generators.  Morphisms come from
@@ -12,35 +14,35 @@ algebra, and the injective, surjective and invertible maps are picked out
 by a rank memoised per matrix.  Between classes of one dimension vector
 the injective maps and the surjective ones are the isomorphisms: they are
 listed once per ordered pair of classes, and that one list serves as
-Aut(E) and as the maps of both directions of the Hall number.  The Hall
-number stays a pair count: it counts the pairs (f, g) forming a short
-exact sequence 0 -> N -> E -> M -> 0, and the product
+Aut(E) and as the maps of both directions of the join below.
 
-    [M] . [N] = sum_E  hall_number(M, N, E) / (|Aut M| |Aut N|)  [E]
-
-is computed in exact rationals.  With f injective, g surjective and
-dim E = dim M + dim N, the sequence is exact exactly when im f = ker g at
-every vertex, so the count is a join: the injective maps N -> E grouped
-by image and the surjective maps E -> M grouped by kernel, both as
-reduced echelon bases, give sum_U |{f : im f = U}| |{g : ker g = U}|.
+Every Hall number is an integer: the coefficient g^E_MN of [E] in [M] .
+[N] counts the subrepresentations U of E with U isomorphic to N and E/U
+to M.  The direct route finds them as a join of maps: with dim E = dim M +
+dim N, a sequence 0 -> N -f-> E -g-> M -> 0 of an injective f and a
+surjective g is exact exactly when im f = ker g at every vertex, so the
+injective maps N -> E grouped by image and the surjective maps E -> M
+grouped by kernel, both as reduced echelon bases, meet in one block per
+such U.  Guard: each block holds |Aut N| maps f and |Aut M| maps g, the
+isomorphisms onto U and from E/U.
 
 A second, span-based route goes through the groupoid of short exact
 sequences: the full inverse image over ((M, N), E) is equivalent to the
 weak quotient X//Aut(E) of the set X of subrepresentations W of E with W
-isomorphic to N and E/W isomorphic to M.  Subspaces are reduced row
-echelon bases, W and E/W are classified through the class tables, and
-|X//G| = |X| / |G| makes the coefficient |Aut E| |X//Aut E| = |X|, with
-no pair counting involved.  Guard: each class lists as many automorphisms
-as its class table counts, by orbit and stabilizer.
+isomorphic to N and E/W isomorphic to M, and |X//G| = |X| / |G| makes the
+coefficient |Aut E| |X//Aut E| = |X|.  Each edge-stable W, as reduced
+row echelon bases, is classified with E/W once, into one table per E and
+dim W that every pair (M, N) reads.  Guard: each class lists as many
+automorphisms as its class table counts, by orbit and stabilizer.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
 import operator
-from fractions import Fraction
 from typing import NamedTuple
 
 from .exact import SizeCapError, orbits
@@ -115,9 +117,12 @@ class Quiver:
     __slots__ = ("n_vertices", "edges")
 
     def __init__(self, n_vertices: int, edges: tuple[tuple[int, int], ...]):
-        problems = _ade_violations(n_vertices, edges)
-        if problems:
-            raise ValueError("; ".join(problems))
+        if not all(0 <= v < n_vertices for edge in edges for v in edge):
+            raise ValueError(f"an edge of {edges} leaves the vertices "
+                             f"0..{n_vertices - 1}")
+        if not _tits_form_is_positive_definite(n_vertices, edges):
+            raise ValueError("the Tits form is not positive definite, so "
+                             "the quiver is not a union of ADE diagrams")
         object.__setattr__(self, "n_vertices", n_vertices)
         object.__setattr__(self, "edges", edges)
 
@@ -133,59 +138,25 @@ class Quiver:
         return hash((self.n_vertices, self.edges))
 
 
-def _ade_violations(n: int, edges) -> list[str]:
-    seen_pairs = set()
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
+def _tits_form_is_positive_definite(n: int, edges) -> bool:
+    """Sylvester's criterion on C = 2I - (A + A^T), A the adjacency matrix:
+    every leading principal minor is positive.  Fraction-free (Bareiss)
+    elimination leaves the k-th minor as the k-th pivot.  A self-loop
+    gives a 0 on the diagonal, a doubled edge a 2 x 2 minor of 0, and a
+    cycle or an affine diagram a null root."""
+    c = [[2 * (i == j) for j in range(n)] for i in range(n)]
     for a, b in edges:
-        if a == b:
-            return [f"self-loop at vertex {a}"]
-        pair = (min(a, b), max(a, b))
-        if pair in seen_pairs:
-            return [f"repeated edge between {a} and {b}"]
-        seen_pairs.add(pair)
-        adj[a].append(b)
-        adj[b].append(a)
-    # each component must be a tree shaped like A, D or E
-    unvisited = set(range(n))
-    while unvisited:
-        start = min(unvisited)
-        comp = [start]
-        unvisited.discard(start)
-        for v in comp:
-            for w in adj[v]:
-                if w in unvisited:
-                    unvisited.discard(w)
-                    comp.append(w)
-        n_edges = sum(len(adj[v]) for v in comp) // 2
-        if n_edges != len(comp) - 1:
-            return ["component has a cycle, not an ADE diagram"]
-        degrees = sorted(len(adj[v]) for v in comp)
-        if degrees and degrees[-1] > 3:
-            return ["vertex of degree > 3, not an ADE diagram"]
-        branch = [v for v in comp if len(adj[v]) == 3]
-        if len(branch) > 1:
-            return ["two branch vertices, not an ADE diagram"]
-        if branch:
-            arms = sorted(_arm_lengths(branch[0], adj))
-            if arms not in ([1, 1, k] for k in range(1, n)) and \
-                    arms not in ([1, 2, 2], [1, 2, 3], [1, 2, 4]):
-                return [f"branch arms {arms} are not of type D or E"]
-    return []
-
-
-def _arm_lengths(branch: int, adj) -> list[int]:
-    lengths = []
-    for start in adj[branch]:
-        length = 1
-        prev, cur = branch, start
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            if len(nxt) != 1:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        lengths.append(length)
-    return lengths
+        c[a][b] -= 1
+        c[b][a] -= 1
+    previous = 1
+    for k in range(n):
+        if c[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                c[i][j] = (c[i][j] * c[k][k] - c[i][k] * c[k][j]) // previous
+        previous = c[k][k]
+    return True
 
 
 def parse_quiver(name: str) -> Quiver:
@@ -237,25 +208,12 @@ class RepClass(NamedTuple):
         return "d" + ",".join(map(str, self.dimvec)) + f"#{self.index}"
 
 
-class HallElement(dict):
-    """Finite rational combination of representation classes, keyed by class."""
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, dict):
-            return NotImplemented
-        a = {k: v for k, v in self.items() if v != 0}
-        b = {k: v for k, v in other.items() if v != 0}
-        return a == b
-
-    __ne__ = object.__ne__    # not dict's, which counts zero entries
-    __hash__ = None  # type: ignore[assignment]
-
-
 class HallAlgebra:
     """Hall algebra of a quiver over F_q with cached class tables.
 
     Products follow the convention that the second factor is the
-    subobject: [M] . [N] sums over extensions of M by N.
+    subobject: [M] . [N] sums over extensions of M by N.  An element is a
+    dict from class keys to nonzero integer coefficients.
     """
 
     def __init__(self, quiver: Quiver, q: int):
@@ -266,7 +224,8 @@ class HallAlgebra:
         self._classes: dict[tuple, list[RepClass]] = {}
         self._classify: dict[tuple, dict] = {}
         self._subspace_cache: dict[tuple, list[tuple]] = {}
-        self._product_cache: dict[tuple, HallElement] = {}
+        self._product_cache: dict[tuple, dict[tuple, int]] = {}
+        self._subrep_tables: dict[tuple, collections.Counter] = {}
         # one list of isomorphisms per ordered pair of classes, and per
         # component of a Hom space (see ``_components``) its maps
         self._isos: dict[tuple, list[tuple[Matrix, ...]]] = {}
@@ -523,33 +482,31 @@ class HallAlgebra:
         an injective f: N -> E and the kernel of a surjective g: E -> M.
         With dim E = dim M + dim N at every vertex, 0 -> N -f-> E -g-> M
         -> 0 is exact exactly when im f = ker g, so these blocks hold every
-        short exact sequence."""
+        short exact sequence.  Guard: a block holds the isomorphisms N -> U
+        and E/U -> M, |Aut N| of the one and |Aut M| of the other."""
         if tuple(a + b for a, b in zip(M.dimvec, N.dimvec)) != E.dimvec:
             return []
         fs = self._grouped(N, E, epi=False)
         gs = self._grouped(E, M, epi=True) if fs else {}
-        return [(group, gs[image]) for image, group in fs.items()
-                if image in gs]
+        blocks = [(group, gs[image]) for image, group in fs.items()
+                  if image in gs]
+        for f_group, g_group in blocks:
+            if (len(f_group), len(g_group)) != (N.aut_order, M.aut_order):
+                raise AssertionError(
+                    f"a block of {E.label} holds {len(f_group)} maps from "
+                    f"{N.label} and {len(g_group)} onto {M.label}, not "
+                    f"{N.aut_order} and {M.aut_order}")
+        return blocks
 
-    def hall_number(self, M: RepClass, N: RepClass, E: RepClass) -> int:
-        """|{(f, g) : 0 -> N -f-> E -g-> M -> 0 exact}|, a pair count:
-        the sum over subrepresentations U of E of the number of injective
-        f with image U times the number of surjective g with kernel U."""
-        return sum(len(fs) * len(gs)
-                   for fs, gs in self._exact_blocks(M, N, E))
-
-    def product(self, M: RepClass, N: RepClass) -> HallElement:
-        """[M] . [N] with the automorphism correction factor, exact."""
+    def product(self, M: RepClass, N: RepClass) -> dict[tuple, int]:
+        """[M] . [N]: per class E, the number of exact blocks, one per
+        subrepresentation U of E with U isomorphic to N and E/U to M."""
         key = (M.key, N.key)
         if key not in self._product_cache:
             total = tuple(a + b for a, b in zip(M.dimvec, N.dimvec))
-            out = HallElement()
-            denom = M.aut_order * N.aut_order
-            for E in self.classes(total):
-                count = self.hall_number(M, N, E)
-                if count:
-                    out[E.key] = Fraction(count, denom)
-            self._product_cache[key] = out
+            counts = {E.key: len(self._exact_blocks(M, N, E))
+                      for E in self.classes(total)}
+            self._product_cache[key] = {k: n for k, n in counts.items() if n}
         return self._product_cache[key]
 
     # -- the span route ---------------------------------------------------
@@ -597,44 +554,44 @@ class HallAlgebra:
         return (QuiverRep(tuple(map(len, spaces)), tuple(sub_mats)),
                 QuiverRep(tuple(map(len, off_pivots)), tuple(quo_mats)))
 
-    def product_via_span(self, M: RepClass, N: RepClass) -> HallElement:
-        """[M] . [N] through the short-exact-sequence span at alpha = 1.
-
-        The coefficient of [E] is |Aut E| times the groupoid cardinality of
-        the full inverse image over ((M, N), E): the weak quotient X//Aut E
-        of the set X of subrepresentations W of E with W isomorphic to N
-        and E/W to M, found by classifying W and E/W, never by counting
-        pairs of maps.
-        """
-        total = tuple(a + b for a, b in zip(M.dimvec, N.dimvec))
-        out = HallElement()
-        for E in self.classes(total):
-            matching = 0
-            for spaces in self.subrep_spaces(E, N.dimvec):
+    def _subrep_table(self, E: RepClass, dimvec: tuple[int, ...]
+                      ) -> collections.Counter:
+        """The pairs (class of E/W, class of W), by key, counted over the
+        subrepresentations W of E of dimension vector ``dimvec``: each is
+        restricted, quotiented and classified once per algebra."""
+        key = (E.key, dimvec)
+        if key not in self._subrep_tables:
+            table: collections.Counter = collections.Counter()
+            for spaces in self.subrep_spaces(E, dimvec):
                 sub, quo = self.sub_and_quotient(E, spaces)
-                matching += (self.classify(sub).key == N.key
-                             and self.classify(quo).key == M.key)
-            if matching:
-                # a weak quotient of a finite G-set has cardinality
-                # |X//G| = |X| / |G|, so |Aut E| |X//Aut E| = |X|
-                out[E.key] = Fraction(matching)
-        return out
+                table[self.classify(quo).key, self.classify(sub).key] += 1
+            self._subrep_tables[key] = table
+        return self._subrep_tables[key]
+
+    def product_via_span(self, M: RepClass, N: RepClass) -> dict[tuple, int]:
+        """[M] . [N] through the short-exact-sequence span at alpha = 1:
+        the coefficient of [E] is |Aut E| |X//Aut E| = |X|, read from the
+        table of E and dim N, never found by counting pairs of maps."""
+        total = tuple(a + b for a, b in zip(M.dimvec, N.dimvec))
+        counts = {E.key: self._subrep_table(E, N.dimvec)[M.key, N.key]
+                  for E in self.classes(total)}
+        return {k: n for k, n in counts.items() if n}
 
     # -- bilinear extension and associativity ------------------------------
 
     def class_by_key(self, key: tuple) -> RepClass:
         return self.classes(key[0])[key[1]]
 
-    def element_product(self, x: HallElement, y: HallElement) -> HallElement:
+    def element_product(self, x: dict, y: dict) -> dict:
         """The bilinear extension of ``product``, summed into one dict."""
-        out = HallElement()
+        out: dict = {}
         for mk, mc in x.items():
             for nk, nc in y.items():
                 c = mc * nc
                 for k, v in self.product(self.class_by_key(mk),
                                          self.class_by_key(nk)).items():
                     out[k] = out.get(k, 0) + c * v
-        return HallElement({k: v for k, v in out.items() if v != 0})
+        return {k: v for k, v in out.items() if v != 0}
 
     def check_associativity(self, dmax: tuple[int, ...]) -> list[tuple]:
         """([M][N])[L] = [M]([N][L]) for all class triples within the bound.
@@ -646,10 +603,10 @@ class HallAlgebra:
             for M in self.classes(dm):
                 for N in self.classes(dn):
                     for L in self.classes(dl):
-                        left = self.element_product(
-                            self.product(M, N), HallElement({L.key: Fraction(1)}))
-                        right = self.element_product(
-                            HallElement({M.key: Fraction(1)}), self.product(N, L))
+                        left = self.element_product(self.product(M, N),
+                                                    {L.key: 1})
+                        right = self.element_product({M.key: 1},
+                                                     self.product(N, L))
                         if left != right:
                             failures.append((M.key, N.key, L.key, left, right))
         return failures

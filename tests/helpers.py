@@ -188,8 +188,8 @@ def brute_force_ses_count(h, M, N, E) -> int:
     """|{(f, g) : 0 -> N -f-> E -g-> M -> 0 exact}| by testing g f = 0 on
     every pair of an injective f and a surjective g, in numpy batches.
 
-    The all-pairs oracle for the image/kernel join in
-    ``HallAlgebra.hall_number``.
+    The all-pairs oracle for the image/kernel join of
+    ``HallAlgebra.product``, whose coefficient times |Aut M| |Aut N| it is.
     """
     if tuple(a + b for a, b in zip(M.dimvec, N.dimvec)) != E.dimvec:
         return 0

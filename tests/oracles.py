@@ -38,7 +38,12 @@ without listing a group element.
 
 ``enumerate_reps`` and ``zero_class`` are the Hall counterparts that only
 tests call: the class table of one dimension vector from a fresh algebra,
-and the unit of an algebra.
+and the unit of an algebra.  ``euler_form`` is a quiver's Euler form,
+whose symmetrization is the Tits form ``spancalc.hall.Quiver`` tests;
+``positive_roots`` finds the roots of its Dynkin diagram by simple
+reflections, and ``kostant_partitions`` counts the ways to split a
+dimension vector into them, which by Gabriel's theorem is the number of
+its isomorphism classes.
 
 ``weak_pullback_literal``, ``compose_literal`` and ``trace_literal`` build
 the literal weak pullback and trace groupoid, one object per triple
@@ -805,6 +810,55 @@ def enumerate_reps(quiver: Quiver, dimvec: tuple[int, ...], q: int
 def zero_class(h: HallAlgebra) -> RepClass:
     """The class of the zero representation, the unit of the algebra."""
     return h.classes((0,) * h.quiver.n_vertices)[0]
+
+
+def euler_form(quiver: Quiver, d: Sequence[int], e: Sequence[int]) -> int:
+    """<d, e> = d^T (I - A) e, A the adjacency matrix: the sum of d_v e_v
+    over the vertices less the sum of d_s e_t over the edges s -> t.
+    <d, e> + <e, d> is the symmetric form of C = 2I - (A + A^T)."""
+    return (sum(x * y for x, y in zip(d, e))
+            - sum(d[s] * e[t] for s, t in quiver.edges))
+
+
+def positive_roots(quiver: Quiver) -> set[tuple[int, ...]]:
+    """The positive roots of a Dynkin quiver, closed up from the simple
+    roots e_i by the reflections s_i(x) = x - (x, e_i) e_i, where (x, y) =
+    <x, y> + <y, x>.  s_i permutes the positive roots other than e_i, and
+    a positive root past height 1 has an i with (x, e_i) > 0, so that s_i
+    lowers its height: the closure reaches every positive root."""
+    n = quiver.n_vertices
+    simple = [tuple(int(v == i) for v in range(n)) for i in range(n)]
+    roots = set(simple)
+    todo = list(simple)
+    while todo:
+        x = todo.pop()
+        for i, e in enumerate(simple):
+            k = euler_form(quiver, x, e) + euler_form(quiver, e, x)
+            y = tuple(c - k * (v == i) for v, c in enumerate(x))
+            if min(y) >= 0 and y not in roots:
+                roots.add(y)
+                todo.append(y)
+    return roots
+
+
+def kostant_partitions(roots: set[tuple[int, ...]], d: tuple[int, ...]
+                       ) -> int:
+    """The number of multisets of the roots that sum to d."""
+    ordered = sorted(roots)
+    ways: dict[tuple, int] = {}
+
+    def count(i: int, rest: tuple[int, ...]) -> int:
+        if not any(rest):
+            return 1
+        if i == len(ordered):
+            return 0
+        if (i, rest) not in ways:
+            less = tuple(a - b for a, b in zip(rest, ordered[i]))
+            ways[i, rest] = count(i + 1, rest) + (
+                count(i, less) if min(less) >= 0 else 0)
+        return ways[i, rest]
+
+    return count(0, tuple(d))
 
 
 # -- literal weak pullbacks ---------------------------------------------------

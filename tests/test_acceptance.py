@@ -19,7 +19,7 @@ from spancalc.fock import (
     verify_ccr,
 )
 from spancalc.groupoid import GroupoidFunctor, cardinality, iso_classes
-from spancalc.hall import HallAlgebra, HallElement, parse_quiver
+from spancalc.hall import HallAlgebra, parse_quiver
 from spancalc.hecke import (flag_geometry, hecke_structure_constants,
                             relative_positions, verify_hecke_relations)
 from spancalc.spans import compose_spans, degroupoidify_span
@@ -236,9 +236,8 @@ def test_criterion_12_hall_algebra():
     S1 = h2.classes((1, 0))[0]
     S2 = h2.classes((0, 1))[0]
     E0, E1 = h2.classes((1, 1))
-    ok = ok and h2.product(S1, S2) == HallElement(
-        {E0.key: Fraction(1), E1.key: Fraction(1)})
-    ok = ok and h2.product(S2, S1) == HallElement({E0.key: Fraction(1)})
+    ok = ok and h2.product(S1, S2) == {E0.key: 1, E1.key: 1}
+    ok = ok and h2.product(S2, S1) == {E0.key: 1}
     elapsed = time.monotonic() - start
     report("12", ok and elapsed < 120.0,
            f"A2, q in {{2,3}}, dim <= (2,2) in {elapsed:.2f}s")

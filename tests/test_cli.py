@@ -373,11 +373,12 @@ def test_degroupoidify_without_a_digit_limit_stops_at_the_size_cap(tmp_path):
     assert result.returncode == 0, result.stderr
     assert max(len(entry) for row in json.loads(result.stdout)["entries"]
                for entry in row) > 4300
-    # 36 entries of 7.0e5 digits each pass the size cap of 5e6
-    result = subprocess.run(argv + ["1000000"], capture_output=True,
+    # the 5 joined entries, of up to 3e6 log10 n digits at n = 1..5, have
+    # 6.2e6 digits together, past the size cap of 5e6
+    result = subprocess.run(argv + ["3000000"], capture_output=True,
                             text=True, env=unlimited, timeout=5)
     assert result.returncode == 2
-    assert ("degroupoidify at alpha 1000000, counted in digits of its exact "
+    assert ("degroupoidify at alpha 3000000, counted in digits of its exact "
             "values, needs") in result.stderr
     assert "Traceback" not in result.stderr and result.stdout == ""
 
@@ -391,12 +392,27 @@ def test_degroupoidify_prints_what_the_digit_bound_admits(monkeypatch, capsys,
     # read
     span = annihilation_span(build_E(6))
     monkeypatch.setattr(cli, "_span_from_file", lambda path: span)
-    assert cli._alpha_digits(Fraction(alpha), span) == 1565
+    assert cli._alpha_digits(Fraction(alpha), span)[0] == 1565
     assert cli.main(["degroupoidify", "--span", "E6.json", "--alpha",
                      alpha]) == 0
     entries = json.loads(capsys.readouterr().out)["entries"]
     assert max(len(d) for row in entries for entry in row
                for d in re.findall(r"\d+", entry)) == longest
+
+
+def test_degroupoidify_counts_digits_per_joined_entry_against_the_cap(
+        tmp_path):
+    # the annihilation span of E truncated at 5 joins 5 of its 36 entries;
+    # at alpha 2000 each joined one has at most 1404 digits, and the other
+    # 31 print 0/1
+    path = tmp_path / "span.json"
+    path.write_text(json.dumps(span_to_json(annihilation_span(build_E(5)))))
+    argv = ("degroupoidify", "--span", str(path), "--alpha", "2000")
+    assert run_cli(*argv, env={"SPANCALC_SIZE_CAP": "20000"}).returncode == 0
+    result = run_cli(*argv, env={"SPANCALC_SIZE_CAP": "4205"})
+    assert result.returncode == 2
+    assert "counted in digits of its exact values, needs 4206 entries" \
+        in result.stderr
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -407,11 +423,17 @@ def test_alpha_digit_projection_is_never_below_the_printed_digits(rng, k,
                                                                   alpha):
     ax, ay = (random_cyclic_action(rng, k, rng.randint(1, 4))
               for _ in range(2))
-    for span in (random_span(rng, k, ay, ax), annihilation_span(build_E(4))):
+    # twelve apex classes over the one pair of the point print 12/1, past
+    # the digit of each 1/|Aut s|
+    twelve = discrete(12)
+    leg = GroupoidFunctor(twelve, terminal(), (0,) * 12, (0,) * 12)
+    for span in (random_span(rng, k, ay, ax), annihilation_span(build_E(4)),
+                 SpanOfGroupoids(twelve, leg, leg)):
         entries = matrix_to_json(degroupoidify_span(span, alpha))["entries"]
-        printed = max(len(d) for row in entries for entry in row
-                      for d in re.findall(r"\d+", entry))
-        assert cli._alpha_digits(alpha, span) >= printed
+        printed = [max(len(d) for d in re.findall(r"\d+", entry))
+                   for row in entries for entry in row]
+        longest, total = cli._alpha_digits(alpha, span)
+        assert longest >= max(printed) and total >= sum(printed)
 
 
 def test_degroupoidify_refuses_a_power_of_three_past_the_limit(tmp_path,

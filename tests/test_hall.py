@@ -6,7 +6,6 @@ import pytest
 
 from spancalc.hall import (
     HallAlgebra,
-    HallElement,
     Quiver,
     _gl_generators,
     dimvecs_within,
@@ -21,7 +20,8 @@ from spancalc.hall import (
 
 from helpers import (brute_force_homs, brute_force_ses_count,
                      generated_group, gl_matrices, ses_pairs)
-from oracles import enumerate_reps, orbit_table, zero_class
+from oracles import (enumerate_reps, euler_form, kostant_partitions,
+                     orbit_table, positive_roots, zero_class)
 
 
 def a2(q: int) -> HallAlgebra:
@@ -38,6 +38,42 @@ def test_quiver_parsing_and_ade_check():
         Quiver(2, ((0, 1), (1, 0)))       # doubled edge
     with pytest.raises(ValueError):
         Quiver(3, ((0, 1), (1, 2), (2, 0)))   # cycle
+    for outside in (((0, -1),), ((0, 2),)):
+        with pytest.raises(ValueError, match="leaves the vertices 0..1"):
+            Quiver(2, outside)
+
+
+def _chain(n: int, branch: int | None = None) -> tuple:
+    """The edges i -> i + 1 of a path on n vertices, and with ``branch``
+    one more vertex n attached to vertex ``branch``."""
+    edges = tuple((i, i + 1) for i in range(n - 1))
+    return edges if branch is None else edges + ((n, branch),)
+
+
+@pytest.mark.parametrize("n, edges, n_roots", [
+    (5, _chain(5), 15),             # A5
+    (5, _chain(4, 2), 20),          # D5: arms 1, 1 and 2 at vertex 2
+    (6, _chain(5, 2), 36),          # E6: arms 1, 2 and 2
+    (7, _chain(6, 2), 63),          # E7: arms 1, 2 and 3
+    (8, _chain(7, 2), 120),         # E8: arms 1, 2 and 4
+    (3, ((0, 1),), 4),              # A2 and A1 apart
+])
+def test_the_tits_form_accepts_the_dynkin_quivers_and_counts_their_roots(
+        n, edges, n_roots):
+    assert len(positive_roots(Quiver(n, edges))) == n_roots
+
+
+@pytest.mark.parametrize("n, edges", [
+    (3, ((0, 1), (1, 2), (2, 0))),              # the 3-cycle, affine A2
+    (5, ((1, 0), (2, 0), (3, 0), (4, 0))),      # affine D4
+    (2, ((0, 1), (0, 1))),                      # the Kronecker quiver
+    (1, ((0, 0),)),                             # a self-loop
+    (2, ((0, 1), (1, 0))),                      # a 2-cycle
+    (9, _chain(8, 2)),                          # affine E8: arms 1, 2, 5
+])
+def test_the_tits_form_rejects_the_other_quivers(n, edges):
+    with pytest.raises(ValueError, match="Tits form is not positive"):
+        Quiver(n, edges)
 
 
 def test_linear_algebra_helpers():
@@ -85,19 +121,19 @@ def test_hall_numbers_frozen_goldens_q2():
     S2 = h.classes((0, 1))[0]
     E0, E1 = h.classes((1, 1))       # zero map, then the indecomposable
     assert E0.rep.mats == (((0,),),)
-    assert h.hall_number(S1, S2, E0) == 1
-    assert h.hall_number(S1, S2, E1) == 1
-    assert h.hall_number(S2, S1, E0) == 1
-    assert h.hall_number(S2, S1, E1) == 0
+    assert len(ses_pairs(h, S1, S2, E0)) == 1
+    assert len(ses_pairs(h, S1, S2, E1)) == 1
+    assert len(ses_pairs(h, S2, S1, E0)) == 1
+    assert len(ses_pairs(h, S2, S1, E1)) == 0
     twoS1 = h.classes((2, 0))[0]
-    assert h.hall_number(S1, S1, twoS1) == 3
+    assert len(ses_pairs(h, S1, S1, twoS1)) == 3
 
 
 def test_hall_number_zero_when_dimensions_do_not_add():
     h = a2(2)
     S1 = h.classes((1, 0))[0]
     E = h.classes((1, 1))[0]
-    assert h.hall_number(S1, S1, E) == 0
+    assert h._exact_blocks(S1, S1, E) == []
 
 
 def test_product_goldens_and_noncommutativity():
@@ -105,9 +141,8 @@ def test_product_goldens_and_noncommutativity():
     S1 = h.classes((1, 0))[0]
     S2 = h.classes((0, 1))[0]
     E0, E1 = h.classes((1, 1))
-    assert h.product(S1, S2) == HallElement(
-        {E0.key: Fraction(1), E1.key: Fraction(1)})
-    assert h.product(S2, S1) == HallElement({E0.key: Fraction(1)})
+    assert h.product(S1, S2) == {E0.key: 1, E1.key: 1}
+    assert h.product(S2, S1) == {E0.key: 1}
     assert h.product(S1, S2) != h.product(S2, S1)
 
 
@@ -117,7 +152,7 @@ def test_zero_class_is_the_unit():
         zero = zero_class(h)
         for dimvec in [(1, 0), (1, 1), (2, 1)]:
             for cls in h.classes(dimvec):
-                one = HallElement({cls.key: Fraction(1)})
+                one = {cls.key: 1}
                 assert h.product(zero, cls) == one
                 assert h.product(cls, zero) == one
 
@@ -212,7 +247,7 @@ def test_associativity_a1_dims_up_to_three():
     assert h.check_associativity((3,)) == []
     one = h.classes((1,))[0]
     # [1][1] counts the q+1 lines of the plane
-    assert h.product(one, one) == HallElement({((2,), 0): Fraction(3)})
+    assert h.product(one, one) == {((2,), 0): 3}
 
 
 def classes_within(h: HallAlgebra, dmax: tuple[int, ...]) -> list:
@@ -274,27 +309,27 @@ def test_subspaces_are_echelon_bases_counted_by_gaussian_binomials():
                 assert len(set(spaces)) == len(spaces)
 
 
-def _simples(h: HallAlgebra) -> list[HallElement]:
+def _simples(h: HallAlgebra) -> list[dict]:
     nv = h.quiver.n_vertices
-    return [HallElement({h.classes(tuple(int(w == v) for w in range(nv)))[0]
-                         .key: Fraction(1)}) for v in range(nv)]
+    return [{h.classes(tuple(int(w == v) for w in range(nv)))[0].key: 1}
+            for v in range(nv)]
 
 
-def _times(h: HallAlgebra, *factors: HallElement) -> HallElement:
+def _times(h: HallAlgebra, *factors: dict) -> dict:
     out = factors[0]
     for x in factors[1:]:
         out = h.element_product(out, x)
     return out
 
 
-def _combination(h: HallAlgebra, *terms) -> HallElement:
+def _combination(h: HallAlgebra, *terms) -> dict:
     """The sum of c times the product of the factors over the terms
     (c, factors), without zero coefficients."""
-    out = HallElement()
+    out: dict = {}
     for c, factors in terms:
         for k, v in _times(h, *factors).items():
             out[k] = out.get(k, 0) + c * v
-    return HallElement({k: v for k, v in out.items() if v})
+    return {k: v for k, v in out.items() if v}
 
 
 @pytest.mark.parametrize("name, q", [("a2", 2), ("a2", 3), ("a3:>>", 2),
@@ -304,7 +339,7 @@ def test_quantum_serre_relations(name, q):
     # the simples generate a quotient of U_q^+ of the Lie algebra
     h = HallAlgebra(parse_quiver(name), q)
     u = _simples(h)
-    zero = HallElement()
+    zero: dict = {}
     for a, b in h.quiver.edges:
         assert _combination(h, (1, (u[a], u[a], u[b])),
                             (-(q + 1), (u[a], u[b], u[a])),
@@ -387,7 +422,9 @@ def test_hall_number_join_matches_the_all_pairs_count(name, q, dmax):
         if any(t > bound for t, bound in zip(total, dmax)):
             continue
         for E in h.classes(total):
-            count = h.hall_number(M, N, E)
+            # a coefficient times |Aut M| |Aut N| is the number of short
+            # exact sequences 0 -> N -> E -> M -> 0
+            count = h.product(M, N).get(E.key, 0) * M.aut_order * N.aut_order
             assert count == brute_force_ses_count(h, M, N, E)
             assert count == len(ses_pairs(h, M, N, E))
             nonzero += count > 0
@@ -451,6 +488,18 @@ def test_shared_isomorphism_lists_match_the_brute_force_oracle():
     assert all((c.key, c.key) in h._isos for c in classes)
 
 
+def test_block_guard_catches_a_wrong_aut_order():
+    # each exact block holds the isomorphisms N -> U and E/U -> M
+    h = a2(3)
+    S1, S2 = h.classes((1, 0))[0], h.classes((0, 1))[0]    # Aut = F_3^*
+    with pytest.raises(AssertionError, match="a block of d1,1#0 holds 2 maps "
+                       "from d0,1#0 and 2 onto d1,0#0, not 3 and 2"):
+        h.product(S1, S2._replace(aut_order=3))
+    with pytest.raises(AssertionError, match="a block of d1,1#0 holds 2 maps "
+                       "from d0,1#0 and 2 onto d1,0#0, not 2 and 3"):
+        h.product(S1._replace(aut_order=3), S2)
+
+
 def test_aut_count_guard_catches_a_missing_automorphism(monkeypatch):
     h = a2(5)
     cls = h.classes((2, 1))[0]          # Aut = GL(2, 5) x GL(1, 5)
@@ -467,3 +516,93 @@ def test_aut_count_guard_catches_a_missing_automorphism(monkeypatch):
     with pytest.raises(AssertionError, match="1919 automorphisms of "
                                              "d2,1#0 are listed, not 1920"):
         h._iso_list(cls, cls)
+
+
+@pytest.mark.parametrize("quiver, q, dmax", [
+    (parse_quiver("a2"), 2, (2, 2)), (parse_quiver("a2"), 3, (2, 2)),
+    (parse_quiver("d4"), 2, (2, 1, 1, 1)),
+    (parse_quiver("a4"), 2, (2, 2, 2, 2)),
+    (Quiver(6, _chain(5, 2)), 2, (1,) * 6)])
+def test_gabriel_counts_the_classes_by_kostant_partitions(quiver, q, dmax):
+    # Gabriel: the indecomposables of a Dynkin quiver are one per positive
+    # root, so a dimension vector has as many classes as ways to split it
+    # into positive roots, at every q
+    h = HallAlgebra(quiver, q)
+    roots = positive_roots(quiver)
+    for d in itertools.product(*[range(b + 1) for b in dmax]):
+        assert len(h.classes(d)) == kostant_partitions(roots, d), d
+
+
+@pytest.mark.parametrize("name, q, dmax, n_subreps", [
+    ("d4", 2, (2, 1, 1, 1), 811), ("a2", 3, (2, 2), 135)])
+def test_each_subrepresentation_is_classified_once(monkeypatch, name, q, dmax,
+                                                   n_subreps):
+    h = HallAlgebra(parse_quiver(name), q)
+    split = collections.Counter()
+    sub_and_quotient = HallAlgebra.sub_and_quotient
+
+    def counting(self, E, spaces):
+        split[E.key, spaces] += 1
+        return sub_and_quotient(self, E, spaces)
+
+    monkeypatch.setattr(HallAlgebra, "sub_and_quotient", counting)
+    _cli_work(h, dmax)
+    assert set(split.values()) == {1} and len(split) == n_subreps
+
+
+def _green_failures(name: str, q: int, dmax: tuple[int, ...], twist) -> tuple:
+    """The quadruples (M, N, X, Y) within dmax with dim M + dim N = dim X +
+    dim Y, and those that fail Green's formula with the weight q^twist(A,
+    D) in place of q^-<A, D>:
+
+        a_M a_N a_X a_Y sum_R g^R_MN g^R_XY / a_R
+            = sum_{A,B,C,D} q^-<A,D> g^M_AB g^N_CD g^X_AC g^Y_BD a_A a_B a_C a_D
+
+    with a the |Aut| and g^R_MN the number of subrepresentations U of R
+    with U isomorphic to N and R/U to M, read from the span route's table
+    of each R and dim U."""
+    h = HallAlgebra(parse_quiver(name), q)
+    dims = list(itertools.product(*[range(b + 1) for b in dmax]))
+    g: dict[tuple, dict] = {}       # g[R][M, N], by class key
+    for d in dims:
+        for R in h.classes(d):
+            g[R.key] = {}
+            for dw in dims:
+                if all(a <= b for a, b in zip(dw, d)):
+                    g[R.key].update(h._subrep_table(R, dw))
+    aut = {R: h.class_by_key(R).aut_order for R in g}
+    by_dim = collections.defaultdict(list)
+    for (dm, dn) in dimvecs_within(dmax, 2):
+        by_dim[tuple(a + b for a, b in zip(dm, dn))].append((dm, dn))
+    quadruples = failures = 0
+    for splits in by_dim.values():
+        for (dm, dn), (dx, dy) in itertools.product(splits, repeat=2):
+            for M, N, X, Y in itertools.product(
+                    *(h.classes(d) for d in (dm, dn, dx, dy))):
+                M, N, X, Y = M.key, N.key, X.key, Y.key
+                a = aut[M] * aut[N] * aut[X] * aut[Y]
+                left = sum(Fraction(a * table.get((M, N), 0)
+                                    * table.get((X, Y), 0), aut[R])
+                           for R, table in g.items())
+                right = sum(Fraction(q) ** twist(h.quiver, A[0], D[0])
+                            * g_ab * g_cd * g[X].get((A, C), 0)
+                            * g[Y].get((B, D), 0)
+                            * aut[A] * aut[B] * aut[C] * aut[D]
+                            for (A, B), g_ab in g[M].items()
+                            for (C, D), g_cd in g[N].items())
+                quadruples += 1
+                failures += left != right
+    return quadruples, failures
+
+
+@pytest.mark.parametrize("name, q, dmax, n_quadruples, n_wrong", [
+    ("a2", 2, (2, 2), 663, (98, 86)), ("a2", 3, (2, 2), 663, (98, 86)),
+    ("a3:><", 2, (1, 1, 1), 425, (26, 15))])
+def test_green_formula_holds_and_its_misordered_twists_fail(
+        name, q, dmax, n_quadruples, n_wrong):
+    # the negative controls: q^-<D, A> and q^+<A, D> in place of q^-<A, D>
+    twists = [lambda quiver, A, D: -euler_form(quiver, A, D),
+              lambda quiver, A, D: -euler_form(quiver, D, A),
+              lambda quiver, A, D: euler_form(quiver, A, D)]
+    runs = [_green_failures(name, q, dmax, twist) for twist in twists]
+    assert runs == [(n_quadruples, 0)] + [(n_quadruples, n) for n in n_wrong]
