@@ -90,10 +90,6 @@ def _eliminate(m, q: int) -> tuple[list[list[int]], int]:
     return rows, rank
 
 
-def mat_rank(m: Matrix, q: int) -> int:
-    return _eliminate(m, q)[1]
-
-
 def mat_inv(m: Matrix, q: int) -> Matrix:
     """Inverse of a square matrix over F_q; ValueError when singular."""
     n = len(m)
@@ -164,10 +160,6 @@ def all_matrices(rows: int, cols: int, q: int):
     """Every rows x cols matrix over F_q, entries in row-major base-q order."""
     for flat in itertools.product(range(q), repeat=rows * cols):
         yield tuple(flat[r * cols:(r + 1) * cols] for r in range(rows))
-
-
-def identity(n: int) -> Matrix:
-    return tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
 
 
 def _primitive_root(q: int) -> int:

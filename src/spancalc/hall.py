@@ -4,27 +4,20 @@ A quiver is accepted when its Tits form is positive definite, which by
 Gabriel's theorem makes its underlying graph a union of ADE diagrams.
 Representations assign an F_q vector space to each vertex and a matrix to
 each edge; isomorphism classes are orbits of the base-change group
-prod_v GL(d_v, F_q), grown from its generators.  Morphisms come from
-linear algebra in plain Python (``spancalc.fq``, no numpy): Hom(V, W) is
-the nullspace of the commuting equations D X_a = X_b S over the edges
-a -> b, solved once per pair.  Its basis splits into vertex-support
-components, whose matrices vary independently, so the maps are the
-product of the components' maps; each component is enumerated once per
-algebra, and the injective, surjective and invertible maps are picked out
-by a rank memoised per matrix.  Between classes of one dimension vector
-the injective maps and the surjective ones are the isomorphisms: they are
-listed once per ordered pair of classes, and that one list serves as
-Aut(E) and as the maps of both directions of the join below.
+prod_v GL(d_v, F_q), grown from its generators, and each class's |Aut|
+comes from its orbit by orbit and stabilizer.  The linear algebra is
+plain Python (``spancalc.fq``, no numpy).
 
 Every Hall number is an integer: the coefficient g^E_MN of [E] in [M] .
 [N] counts the subrepresentations U of E with U isomorphic to N and E/U
-to M.  The direct route finds them as a join of maps: with dim E = dim M +
-dim N, a sequence 0 -> N -f-> E -g-> M -> 0 of an injective f and a
-surjective g is exact exactly when im f = ker g at every vertex, so the
-injective maps N -> E grouped by image and the surjective maps E -> M
-grouped by kernel, both as reduced echelon bases, meet in one block per
-such U.  Guard: each block holds |Aut N| maps f and |Aut M| maps g, the
-isomorphisms onto U and from E/U.
+to M.  The direct route takes it from Riedtmann's formula,
+
+    g^E_MN = |Ext^1(M, N)_E| |Aut E| / (|Aut M| |Aut N| |Hom(M, N)|),
+
+with Ext^1(M, N)_E the extensions whose middle term is isomorphic to E.
+Hom(M, N) and Ext^1(M, N) are the kernel and cokernel of one coboundary,
+solved once per pair; one cocycle per element of Ext^1 gives a middle
+term, which is classified.  Guard: every quotient is an integer.
 
 A second, span-based route goes through the groupoid of short exact
 sequences: the full inverse image over ((M, N), E) is equivalent to the
@@ -32,8 +25,9 @@ weak quotient X//Aut(E) of the set X of subrepresentations W of E with W
 isomorphic to N and E/W isomorphic to M, and |X//G| = |X| / |G| makes the
 coefficient |Aut E| |X//Aut E| = |X|.  Each edge-stable W, as reduced
 row echelon bases, is classified with E/W once, into one table per E and
-dim W that every pair (M, N) reads.  Guard: each class lists as many
-automorphisms as its class table counts, by orbit and stabilizer.
+dim W that every pair (M, N) reads.  The span route classifies subobjects
+and quotients, Riedtmann's extensions, and only Riedtmann reads |Aut|, so
+the two routes agreeing checks every class's |Aut| too.
 """
 
 from __future__ import annotations
@@ -42,7 +36,6 @@ import collections
 import functools
 import itertools
 import math
-import operator
 from typing import NamedTuple
 
 from .exact import SizeCapError, orbits
@@ -52,18 +45,14 @@ from .fq import (
     _reduce,
     all_matrices,
     echelon,
-    identity,
     is_prime,
     mat_inv,
     mat_mul,
-    mat_rank,
     mat_vec,
-    nullspace,
     subspaces,
 )
 
 MAX_REP_ENUMERATION = 10 ** 6
-MAX_BASE_CHANGE_GROUP = 10 ** 5
 
 
 def _check_product(what: str, factors, cap: int) -> None:
@@ -75,27 +64,37 @@ def _check_product(what: str, factors, cap: int) -> None:
             raise SizeCapError(what, product, cap)
 
 
+def _subspace_count(d: int, q: int) -> int:
+    """The number of subspaces of F_q^d, the Galois number G(d), by
+    G(n + 1) = 2 G(n) + (q^n - 1) G(n - 1) from G(0) = 1."""
+    previous, count = 0, 1
+    for n in range(d):
+        previous, count = count, 2 * count + (q ** n - 1) * previous
+    return count
+
+
 def check_caps(quiver: Quiver, q: int, dimvec: tuple[int, ...]) -> None:
     """SizeCapError when classifying the representations of dimension
-    vector ``dimvec`` would pass a cap.  Both counts grow with every
-    entry, so the check at a bound covers every vector below it.  A q
-    below 2 is rejected first; above it each count is multiplied up only
-    until it passes its cap, so a huge vector or a huge q is rejected as
-    fast as a small one, and before q is tested for primality."""
+    vector ``dimvec``, or listing the subspaces of its vertices, would
+    pass a cap.  Both counts grow with every entry, so the check at a
+    bound covers every vector below it.  A q below 2 is rejected first;
+    above it each count is multiplied up only until it passes its cap, so
+    a huge vector or a huge q is rejected as fast as a small one, and
+    before q is tested for primality."""
     if q < 2:
         raise ValueError(f"q={q} is not prime")
+    bits = MAX_REP_ENUMERATION.bit_length()
     exponent = sum(dimvec[a] * dimvec[b] for a, b in quiver.edges)
     # q >= 2, so bit_length(cap) factors of q already pass the cap
     _check_product("representation enumeration",
-                   itertools.repeat(q, min(exponent,
-                                           MAX_REP_ENUMERATION.bit_length())),
+                   itertools.repeat(q, min(exponent, bits)),
                    MAX_REP_ENUMERATION)
-    # |GL(d)| = prod_i (q^d - q^i); past d = 64 the first factor alone
-    # passes the cap, and q^64 - 1 stands in for it
-    _check_product("base-change group",
-                   (q ** min(d, 64) - q ** i
-                    for d in dimvec for i in range(d)),
-                   MAX_BASE_CHANGE_GROUP)
+    # the subspaces of dimension d // 2 alone number at least
+    # q^(d^2 // 4) >= 2^(d^2 // 4), which stands in for G(d) past the cap
+    _check_product("subspace enumeration",
+                   (2 ** bits if d * d // 4 >= bits else _subspace_count(d, q)
+                    for d in dimvec),
+                   MAX_REP_ENUMERATION)
 
 
 def dimvecs_within(dmax: tuple[int, ...], k: int):
@@ -226,20 +225,6 @@ class HallAlgebra:
         self._subspace_cache: dict[tuple, list[tuple]] = {}
         self._product_cache: dict[tuple, dict[tuple, int]] = {}
         self._subrep_tables: dict[tuple, collections.Counter] = {}
-        # one list of isomorphisms per ordered pair of classes, and per
-        # component of a Hom space (see ``_components``) its maps
-        self._isos: dict[tuple, list[tuple[Matrix, ...]]] = {}
-        self._component_cache: dict[tuple, list[tuple[Matrix, ...]]] = {}
-        # morphism tuples share one matrix object per shape and entries,
-        # so cached lists hold references, not copies; the rank, image and
-        # kernel memos are keyed by those matrices.  A shape holds at most
-        # q^(rc) matrices, so the enumeration caps bound every memo.
-        self._matrices: dict[tuple[int, int], dict[tuple, Matrix]] = {}
-        self._rank: dict[Matrix, int] = {}
-        self._image: dict[tuple[int, Matrix], Matrix] = {}
-        self._kernel: dict[tuple[int, Matrix], Matrix] = {}
-        # injective N -> E grouped by image, surjective E -> M by kernel
-        self._groups: dict[tuple, dict[tuple, list]] = {}
 
     # -- enumeration and classification ---------------------------------
 
@@ -292,221 +277,82 @@ class HallAlgebra:
         dims = tuple(rep.dims)
         return self.classes(dims)[self._classify[dims][rep.mats]]
 
-    # -- morphisms -------------------------------------------------------
+    # -- Hall numbers by Riedtmann's formula -----------------------------
 
-    def _hom_basis(self, src: QuiverRep, dst: QuiverRep) -> tuple:
-        """A basis of Hom(src, dst), as vectors over the unknowns: the
-        entries of each X_v, vertex by vertex, row by row.  Hom is the
-        nullspace of D X_a - X_b S = 0 over the edges.  Not memoised:
-        each pair is asked for once, by its list of maps."""
+    def _coboundary(self, M: QuiverRep, N: QuiverRep) -> tuple[list, int]:
+        """The coboundary delta: prod_v Hom(M_v, N_v) -> prod_{a: s -> t}
+        Hom(M_s, N_t), phi -> (N_a phi_s - phi_t M_a), as its rows, one per
+        entry of the target, edge by edge and row by row, over the
+        unknowns, the entries of each phi_v, vertex by vertex and row by
+        row; and the number of unknowns.  Its kernel is Hom(M, N) and its
+        cokernel Ext^1(M, N)."""
         q = self.q
-        nv = self.quiver.n_vertices
         offset = list(itertools.accumulate(
-            (dst.dims[v] * src.dims[v] for v in range(nv)), initial=0))
-        n = offset[-1]
+            (n * m for n, m in zip(N.dims, M.dims)), initial=0))
+        rows = []
+        for (s, t), N_a, M_a in zip(self.quiver.edges, N.mats, M.mats):
+            for i in range(N.dims[t]):
+                for j in range(M.dims[s]):
+                    row = [0] * offset[-1]
+                    for k in range(N.dims[s]):
+                        row[offset[s] + k * M.dims[s] + j] += N_a[i][k]
+                    for k in range(M.dims[t]):
+                        row[offset[t] + i * M.dims[t] + k] -= M_a[k][j]
+                    rows.append([x % q for x in row])
+        return rows, offset[-1]
 
-        def unknown(v, r, c):
-            return offset[v] + r * src.dims[v] + c
-
-        equations = []
-        for (a, b), D, S in zip(self.quiver.edges, dst.mats, src.mats):
-            for i in range(dst.dims[b]):
-                for j in range(src.dims[a]):
-                    row = [0] * n
-                    for k in range(dst.dims[a]):
-                        row[unknown(a, k, j)] += D[i][k]
-                    for k in range(src.dims[b]):
-                        row[unknown(b, i, k)] -= S[k][j]
-                    equations.append([x % q for x in row])
-        return nullspace(equations, q, n)
-
-    def _components(self, src: QuiverRep, dst: QuiverRep, mono: bool,
-                    epi: bool) -> list[tuple[tuple[int, ...], tuple]]:
-        """Hom(src, dst) as a product of vertex-support components: two
-        vertices are in one component when a basis vector is nonzero at
-        both, so each component's matrices vary independently of the
-        others'.  Per component, in order of least vertex: its vertices
-        and a key, (rows, columns, wanted rank or None) per vertex with
-        the basis vectors cut down to its unknowns."""
-        nv = self.quiver.n_vertices
-        shapes = []
-        for r, c in zip(dst.dims, src.dims):
-            # the rank a filter asks of this vertex; every matrix of a zero
-            # shape qualifies
-            want = c if mono else r if epi else None
-            shapes.append((r, c, want or None))
-        offset = list(itertools.accumulate((r * c for r, c, _ in shapes),
-                                           initial=0))
-        basis = self._hom_basis(src, dst)
-        label = list(range(nv))     # per vertex, its component's least vertex
-        for b in basis:
-            touched = {label[v] for v in range(nv)
-                       if any(b[offset[v]:offset[v + 1]])}
-            low = min(touched)
-            label = [low if x in touched else x for x in label]
-        components = []
-        for least in sorted(set(label)):
-            vertices = tuple(v for v in range(nv) if label[v] == least)
-            cols = [i for v in vertices
-                    for i in range(offset[v], offset[v + 1])]
-            sub = tuple(tuple(b[i] for i in cols) for b in basis
-                        if any(b[i] for i in cols))
-            components.append(
-                (vertices, (tuple(shapes[v] for v in vertices), sub)))
-        return components
-
-    def _component_maps(self, key: tuple) -> list[tuple[Matrix, ...]]:
-        """Every combination of a component's basis, as a tuple of its
-        vertices' matrices, only those of the wanted ranks.  Memoised by
-        key, so a component shared by several Hom spaces is listed once.
-
-        The q^dim vectors are enumerated from the basis, the first basis
-        vector most significant; a matrix is injective when its rank is
-        its column count, surjective when it is its row count."""
-        if key in self._component_cache:
-            return self._component_cache[key]
-        q = self.q
-        shapes, basis = key
-        blocks = []
-        n = 0   # unknowns so far: the entries of the X_v before vertex v
-        for r, c, want in shapes:
-            blocks.append((n, n + r * c, r, c, want,
-                           self._matrices.setdefault((r, c), {})))
-            n += r * c
-        vectors = [(0,) * n]
-        for b in reversed(basis):
-            multiples = [tuple(k * x % q for x in b) for k in range(1, q)]
-            vectors += [tuple([(x + y) % q for x, y in zip(m, v)])
-                        for m in multiples for v in vectors]
-        ranks = self._rank
-        maps = []
-        for flat in vectors:
-            mats = []
-            for lo, hi, r, c, want, shared in blocks:
-                block = flat[lo:hi]
-                m = shared.get(block)
-                if m is None:
-                    m = shared[block] = tuple(block[i * c:(i + 1) * c]
-                                              for i in range(r))
-                if want is not None:
-                    rank = ranks.get(m)
-                    if rank is None:
-                        rank = ranks[m] = mat_rank(m, q)
-                    if rank != want:
-                        break
-                mats.append(m)
-            else:
-                maps.append(tuple(mats))
-        self._component_cache[key] = maps
-        return maps
-
-    def hom_tuples(self, src: QuiverRep, dst: QuiverRep, mono: bool = False,
-                   epi: bool = False):
-        """All morphism tuples src -> dst (per-vertex matrices commuting
-        with the edge maps), only those injective (``mono``) or surjective
-        (``epi``) at every vertex when asked: the product of the maps of
-        the components of ``_components``, the one with the shortest basis
-        listed first, so that one with no map of the wanted ranks ends the
-        enumeration before the larger ones are listed."""
-        if mono and epi and src.dims != dst.dims:
-            return
-        components = self._components(src, dst, mono, epi)
-        maps = {}
-        for vertices, key in sorted(components, key=lambda c: len(c[1][1])):
-            maps[vertices] = self._component_maps(key)
-            if not maps[vertices]:
-                return
-        if len(components) == 1:
-            yield from maps[components[0][0]]
-            return
-        # the components' matrices, concatenated, picked in vertex order
-        order = [v for vertices, _key in components for v in vertices]
-        pick = operator.itemgetter(*map(order.index, range(len(order))))
-        for combo in itertools.product(*(maps[vs] for vs, _ in components)):
-            yield pick(sum(combo, ()))
-
-    def _iso_list(self, src: RepClass, dst: RepClass) -> list:
-        """The isomorphisms src -> dst between classes of one dimension
-        vector, which are the injective maps and the surjective ones too.
-        Listed once per ordered pair and shared by both directions of
-        ``_grouped``; empty unless src is dst, and then Aut(src).  Guard:
-        a class lists as many automorphisms as its table entry counts by
-        orbit and stabilizer."""
-        key = (src.key, dst.key)
-        if key not in self._isos:
-            isos = list(self.hom_tuples(src.rep, dst.rep, mono=True,
-                                        epi=True))
-            if src == dst and len(isos) != src.aut_order:
-                raise AssertionError(
-                    f"{len(isos)} automorphisms of {src.label} are listed, "
-                    f"not {src.aut_order}")
-            self._isos[key] = isos
-        return self._isos[key]
-
-    # -- Hall numbers and the product ------------------------------------
-
-    def _grouped(self, src: RepClass, dst: RepClass, epi: bool) -> dict:
-        """The injective maps src -> dst grouped by image, or with ``epi``
-        the surjective ones grouped by kernel: per vertex a subspace of the
-        middle term, as its reduced echelon basis, memoised per matrix."""
-        key = (src.key, dst.key, epi)
-        if key not in self._groups:
-            q = self.q
-            memo = self._kernel if epi else self._image
-            # a square map here is invertible: its kernel is 0, its image
-            # the whole space
-            whole = [() if epi else identity(d) for d in src.dimvec]
-            if src.dimvec == dst.dimvec:
-                # every such map is an isomorphism: one group of them all
-                isos = self._iso_list(src, dst)
-                groups = {tuple(whole): isos} if isos else {}
-            else:
-                groups = {}
-                for f in self.hom_tuples(src.rep, dst.rep, mono=not epi,
-                                         epi=epi):
-                    spaces = []
-                    for d, m, u in zip(src.dimvec, f, whole):
-                        if len(m) != d:
-                            u = memo.get((d, m))
-                            if u is None:
-                                u = memo[d, m] = (
-                                    echelon(nullspace(m, q, d), q) if epi
-                                    else echelon(tuple(zip(*m)), q))
-                        spaces.append(u)
-                    groups.setdefault(tuple(spaces), []).append(f)
-            self._groups[key] = groups
-        return self._groups[key]
-
-    def _exact_blocks(self, M: RepClass, N: RepClass, E: RepClass) -> list:
-        """(fs, gs) per subrepresentation U of E that is both the image of
-        an injective f: N -> E and the kernel of a surjective g: E -> M.
-        With dim E = dim M + dim N at every vertex, 0 -> N -f-> E -g-> M
-        -> 0 is exact exactly when im f = ker g, so these blocks hold every
-        short exact sequence.  Guard: a block holds the isomorphisms N -> U
-        and E/U -> M, |Aut N| of the one and |Aut M| of the other."""
-        if tuple(a + b for a, b in zip(M.dimvec, N.dimvec)) != E.dimvec:
-            return []
-        fs = self._grouped(N, E, epi=False)
-        gs = self._grouped(E, M, epi=True) if fs else {}
-        blocks = [(group, gs[image]) for image, group in fs.items()
-                  if image in gs]
-        for f_group, g_group in blocks:
-            if (len(f_group), len(g_group)) != (N.aut_order, M.aut_order):
-                raise AssertionError(
-                    f"a block of {E.label} holds {len(f_group)} maps from "
-                    f"{N.label} and {len(g_group)} onto {M.label}, not "
-                    f"{N.aut_order} and {M.aut_order}")
-        return blocks
+    def _extension(self, M: QuiverRep, N: QuiverRep, eta) -> QuiverRep:
+        """The middle term of the extension of M by N with cocycle eta,
+        given as a vector over the rows of ``_coboundary``: the edge
+        matrices [[N_a, eta_a], [0, M_a]], N's coordinates first."""
+        entries = iter(eta)
+        mats = []
+        for (s, t), N_a, M_a in zip(self.quiver.edges, N.mats, M.mats):
+            top = tuple(N_a[i] + tuple(itertools.islice(entries, M.dims[s]))
+                        for i in range(N.dims[t]))
+            bottom = tuple((0,) * N.dims[s] + row for row in M_a)
+            mats.append(top + bottom)
+        dims = tuple(n + m for n, m in zip(N.dims, M.dims))
+        return QuiverRep(dims, tuple(mats))
 
     def product(self, M: RepClass, N: RepClass) -> dict[tuple, int]:
-        """[M] . [N]: per class E, the number of exact blocks, one per
-        subrepresentation U of E with U isomorphic to N and E/U to M."""
+        """[M] . [N] by Riedtmann's formula: the coefficient of [E] is
+        |Ext^1(M, N)_E| |Aut E| / (|Aut M| |Aut N| |Hom(M, N)|), where
+        Ext^1(M, N)_E holds the extensions whose middle term is isomorphic
+        to E.  The unit vectors off the pivots of the image of the
+        coboundary span a complement of it, so their combinations are one
+        cocycle per element of Ext^1; each middle term is classified.
+        Guard: every quotient is an integer."""
         key = (M.key, N.key)
         if key not in self._product_cache:
+            q = self.q
             total = tuple(a + b for a, b in zip(M.dimvec, N.dimvec))
-            counts = {E.key: len(self._exact_blocks(M, N, E))
-                      for E in self.classes(total)}
-            self._product_cache[key] = {k: n for k, n in counts.items() if n}
+            classes = self.classes(total)
+            rows, unknowns = self._coboundary(M.rep, N.rep)
+            image = echelon(zip(*rows), q)
+            pivots = {row.index(1) for row in image}
+            free = [c for c in range(len(rows)) if c not in pivots]
+            extensions: collections.Counter = collections.Counter()
+            eta = [0] * len(rows)
+            for values in itertools.product(range(q), repeat=len(free)):
+                for c, x in zip(free, values):
+                    eta[c] = x
+                E = self.classify(self._extension(M.rep, N.rep, eta))
+                extensions[E.index] += 1
+            # |Hom(M, N)| = q^dim, the kernel of the coboundary
+            denominator = (M.aut_order * N.aut_order
+                           * q ** (unknowns - len(image)))
+            coefficients = {}
+            for E in classes:
+                numerator = extensions[E.index] * E.aut_order
+                if numerator % denominator:
+                    raise AssertionError(
+                        f"the Hall number of {E.label} in {M.label} . "
+                        f"{N.label} is {numerator}/{denominator}, not an "
+                        f"integer")
+                if numerator:
+                    coefficients[E.key] = numerator // denominator
+            self._product_cache[key] = coefficients
         return self._product_cache[key]
 
     # -- the span route ---------------------------------------------------

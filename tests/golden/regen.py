@@ -50,6 +50,7 @@ def _span_runs(seed: int) -> dict[str, list[str]]:
 RUNS = {
     "a2_q5_dmax2,1": _hall("a2", 5, "2,1"),
     "a2_q3_dmax2,2": _hall("a2", 3, "2,2"),
+    "a2_q7_dmax2,2": _hall("a2", 7, "2,2"),
     "d4_q2_dmax2,1,1,1": _hall("d4", 2, "2,1,1,1"),
     "a3-gt-lt_q2_dmax1,1,1": _hall("a3:><", 2, "1,1,1"),
     **{f"fock_N{n}": ["fock", "--truncate", str(n), "--check-ccr", "--json"]

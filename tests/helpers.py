@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -11,7 +12,7 @@ import numpy as np
 
 from spancalc.groupoid import FiniteGroupoid, GroupoidFunctor
 from spancalc.exact import aut_weight, greedy_generators
-from spancalc.hall import all_matrices, identity, mat_mul, mat_rank
+from spancalc.fq import all_matrices, echelon, mat_mul
 from spancalc.hecke import ORBIT_LABELS, HeckeTensor
 from spancalc.spans import SpanOfGroupoids, span_to_json
 
@@ -151,6 +152,14 @@ def associative(g: FiniteGroupoid) -> bool:
                for k in g.mor_from(g.tgt[h]))
 
 
+def identity(n: int) -> tuple:
+    return tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+
+
+def mat_rank(m, q: int) -> int:
+    return len(echelon(m, q))
+
+
 def vertexwise_product(dims: tuple[int, ...], q: int):
     """The product of tuples of matrices, one per vertex of the given
     dimensions, vertex by vertex."""
@@ -170,31 +179,41 @@ def gl_matrices(n: int, q: int) -> list:
     return [m for m in all_matrices(n, n, q) if mat_rank(m, q) == n]
 
 
-def brute_force_homs(quiver, src, dst, q: int) -> set:
+@functools.cache
+def brute_force_homs(quiver, src, dst, q: int) -> frozenset:
     """Every tuple of per-vertex matrices src -> dst that commutes with the
     edge maps, found by testing all q^(sum d_src d_dst) candidates.
 
-    The oracle for the nullspace enumeration in ``HallAlgebra.hom_tuples``.
+    The oracle for dim Hom, the kernel of ``HallAlgebra._coboundary``.
     """
     per_vertex = [list(all_matrices(dst.dims[v], src.dims[v], q))
                   for v in range(quiver.n_vertices)]
-    return {combo for combo in itertools.product(*per_vertex)
-            if all(mat_mul(dst.mats[ei], combo[a], q, cols=src.dims[a])
-                   == mat_mul(combo[b], src.mats[ei], q, cols=src.dims[a])
-                   for ei, (a, b) in enumerate(quiver.edges))}
+    return frozenset(
+        combo for combo in itertools.product(*per_vertex)
+        if all(mat_mul(dst.mats[ei], combo[a], q, cols=src.dims[a])
+               == mat_mul(combo[b], src.mats[ei], q, cols=src.dims[a])
+               for ei, (a, b) in enumerate(quiver.edges)))
+
+
+def brute_force_maps(h, src, dst, dims) -> list:
+    """The maps src -> dst of ``brute_force_homs`` whose matrix at each
+    vertex has rank ``dims[v]``: the injective ones with dims = dim src,
+    the surjective ones with dims = dim dst."""
+    return sorted(f for f in brute_force_homs(h.quiver, src.rep, dst.rep, h.q)
+                  if all(mat_rank(m, h.q) == d for m, d in zip(f, dims)))
 
 
 def brute_force_ses_count(h, M, N, E) -> int:
     """|{(f, g) : 0 -> N -f-> E -g-> M -> 0 exact}| by testing g f = 0 on
     every pair of an injective f and a surjective g, in numpy batches.
 
-    The all-pairs oracle for the image/kernel join of
+    The all-pairs oracle for Riedtmann's formula in
     ``HallAlgebra.product``, whose coefficient times |Aut M| |Aut N| it is.
     """
     if tuple(a + b for a, b in zip(M.dimvec, N.dimvec)) != E.dimvec:
         return 0
-    fs = list(h.hom_tuples(N.rep, E.rep, mono=True))
-    gs = list(h.hom_tuples(E.rep, M.rep, epi=True))
+    fs = brute_force_maps(h, N, E, N.dimvec)
+    gs = brute_force_maps(h, E, M, M.dimvec)
     exact = np.ones((len(fs), len(gs)), dtype=bool)
     for v, (dm, dn, de) in enumerate(zip(M.dimvec, N.dimvec, E.dimvec)):
         F = np.array([f[v] for f in fs], dtype=np.int64).reshape(len(fs), de, dn)
@@ -205,10 +224,20 @@ def brute_force_ses_count(h, M, N, E) -> int:
 
 
 def ses_pairs(h, M, N, E) -> list:
-    """All (f, g) with f: N -> E injective, g: E -> M surjective and
-    im f = ker g at every vertex, from the blocks of the Hall-number join."""
-    return [(f, g) for fs, gs in h._exact_blocks(M, N, E)
-            for f in fs for g in gs]
+    """All (f, g) with f: N -> E injective, g: E -> M surjective and g f =
+    0 at every vertex, which is im f = ker g when dim E = dim M + dim N."""
+    if tuple(a + b for a, b in zip(M.dimvec, N.dimvec)) != E.dimvec:
+        return []
+    q = h.q
+    return [(f, g) for f in brute_force_maps(h, N, E, N.dimvec)
+            for g in brute_force_maps(h, E, M, M.dimvec)
+            if not any(any(map(any, mat_mul(gv, fv, q, cols=dn)))
+                       for gv, fv, dn in zip(g, f, N.dimvec))]
+
+
+def automorphisms(h, c) -> list:
+    """Aut of the representative of class c, by brute force."""
+    return brute_force_maps(h, c, c, c.dimvec)
 
 
 def group_route_constants(hg, alpha: int = 0):

@@ -921,6 +921,20 @@ def test_hall_caps_are_checked_before_any_work():
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("quiver, dmax", [("a1", "20"), ("a2", "12,0")])
+def test_hall_subspace_cap_stops_the_vertices_no_edge_constrains(quiver,
+                                                                 dmax):
+    # no edge means one representation, but the span route would list
+    # every subspace of F_2^20 or F_2^12
+    result = subprocess.run(
+        [sys.executable, "-m", "spancalc.cli", "hall", "--quiver", quiver,
+         "--q", "2", "--dmax", dmax],
+        capture_output=True, text=True, timeout=5)
+    assert result.returncode == 2
+    assert "subspace enumeration" in result.stderr
+    assert "Traceback" not in result.stderr and result.stdout == ""
+
+
 def test_hall_a2_q3_dmax_2_2_within_budget():
     start = time.perf_counter()
     result = run_cli("hall", "--quiver", "a2", "--q", "3", "--dmax", "2,2")

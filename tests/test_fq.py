@@ -10,17 +10,15 @@ from spancalc.fq import (
     _primitive_root,
     all_matrices,
     echelon,
-    identity,
     is_prime,
     mat_inv,
     mat_mul,
-    mat_rank,
     mat_vec,
     nullspace,
     subspaces,
 )
 
-from helpers import generated_group, vertexwise_product
+from helpers import generated_group, identity, mat_rank, vertexwise_product
 
 # (rows, cols) shapes small enough to enumerate every matrix at each q
 SHAPES = {2: [(r, c) for r in range(4) for c in range(4) if r * c <= 9],
