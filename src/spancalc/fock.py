@@ -1,20 +1,25 @@
-"""Oscillator spans over E, the groupoid of finite sets, in closed form.
+"""Oscillator spans over E, the groupoid of finite sets, as normal-ordered
+monomials.
 
-Every Fock span here is a word in the annihilation span A and the creation
-span A* (BHW section 3), and each apex class of such a word is a finite set
-with some marked points.  A class is ``(x, y, u)``: x the size of its left
-foot, y of its right foot, and u the number of unmarked points.  Its
-automorphism group is S_u, which acts on both feet and fixes the x - u and
-y - u marked points; as S_1 = S_0, u = 1 is written u = 0.  A span is a dict
-from classes to their multiplicities, over E truncated at N.
+A Fock span is a dict ``{(k, l): c}``, read as the operator c a*^k a^l.
+The monomial a*^k a^l is the span of finite sets with k points marked on
+the left and l on the right (BHW section 3): one apex class
+``(u + k, u + l, u)`` for every number u >= 0 of unmarked points, with
+left foot u + k, right foot u + l and automorphism group S_u.  A stands
+for a, A* for a*.  No truncation enters the algebra.
 
-Composing two words only lists the ways their marked points glue over the
-middle foot m: one way per double coset S_u1 \\ S_m / S_u2, that is per
-partial matching of the a = m - u1 and b = m - u2 marked points (Baez-Dolan,
-*From finite sets to Feynman diagrams*).  No permutation is listed; the
+Composing two monomials glues the l1 right-marked points of the first
+with the k2 left-marked points of the second.  It lists one way per
+partial matching of r pairs, which is Wick's rule:
+a*^k1 a^l1 . a*^k2 a^l2 = sum_r C(l1, r) C(k2, r) r! a*^(k1+k2-r) a^(l1+l2-r)
+(Baez-Dolan, *From finite sets to Feynman diagrams*).  So a a* = a* a + 1
+holds exactly, as an identity of dicts.  No permutation is listed.  The
 generic weak pullback on the groupoid of permutations is the test oracle.
 
-Stuff types are lists of classes over E, each an ``(n, |Aut|)`` pair; their
+Truncation at N enters only where a matrix is read: ``entries`` and
+``matrix`` list the classes whose feet are at most N.
+
+Stuff types are lists of classes over E, each an ``(n, |Aut|)`` pair.  Their
 degroupoidified vectors are exponential generating functions with exact
 rational coefficients.  Truncation effects are confined to the last row and
 column and are reported, never silently dropped.
@@ -28,85 +33,69 @@ from typing import NamedTuple
 
 from .exact import aut_weight, check_digits
 
-FockSpan = dict   # (x, y, u) -> multiplicity
+FockSpan = dict   # (k, l) -> c, the operator c a*^k a^l
 
-
-def _apex_class(x: int, y: int, u: int) -> tuple[int, int, int]:
-    return (x, y, 0 if u == 1 else u)
-
-
-def identity_span(N: int) -> FockSpan:
-    return {_apex_class(n, n, n): 1 for n in range(N + 1)}
-
-
-def annihilation_span(N: int) -> FockSpan:
-    """Left leg the inclusion, right leg "add one element"; matrix d/dz."""
-    return {_apex_class(n, n + 1, n): 1 for n in range(N)}
-
-
-def adjoint(s: FockSpan) -> FockSpan:
-    return {(y, x, u): k for (x, y, u), k in s.items()}
-
-
-def creation_span(N: int) -> FockSpan:
-    """The adjoint of annihilation; matrix is multiplication by z."""
-    return adjoint(annihilation_span(N))
+IDENTITY: FockSpan = {(0, 0): 1}
+ANNIHILATION: FockSpan = {(0, 1): 1}   # matrix d/dz
+CREATION: FockSpan = {(1, 0): 1}       # matrix z, the adjoint of A
+FIELD: FockSpan = {(0, 1): 1, (1, 0): 1}   # A + A*, matrix tridiagonal
 
 
 def add_spans(s: FockSpan, t: FockSpan, coefficient: int = 1) -> FockSpan:
     """s + coefficient * t, the coefficient as a discrete groupoid."""
     out = dict(s)
-    for c, k in t.items():
-        out[c] = out.get(c, 0) + coefficient * k
+    for m, c in t.items():
+        out[m] = out.get(m, 0) + coefficient * c
     return out
 
 
 def compose_spans(t: FockSpan, s: FockSpan) -> FockSpan:
-    """Composite span "s then t", over t's right foot and s's left foot.
-
-    A t-class (x, m, u1) and an s-class (m, y, u2) glue along r matched
-    pairs of their a = m - u1 and b = m - u2 marked points, in
-    C(a, r) C(b, r) r! ways; the unmatched marked points of each side fall
-    on the other side's unmarked points, so a + b - r <= m, and
-    u1 + u2 - m + r points stay unmarked.
-    """
-    s_by_middle: dict[int, list[tuple[int, int, int]]] = {}
-    for (m, y, u2), k2 in s.items():
-        s_by_middle.setdefault(m, []).append((y, u2, k2))
+    """Composite span "s then t", by Wick's rule: the l1 right-marked
+    points of a t-monomial a*^k1 a^l1 and the k2 left-marked points of an
+    s-monomial a*^k2 a^l2 glue along r matched pairs in
+    C(l1, r) C(k2, r) r! ways, leaving a*^(k1+k2-r) a^(l1+l2-r)."""
     out: FockSpan = {}
-    for (x, m, u1), k1 in t.items():
-        a = m - u1
-        for y, u2, k2 in s_by_middle.get(m, ()):
-            b = m - u2
-            for r in range(max(0, a + b - m), min(a, b) + 1):
-                c = _apex_class(x, y, u1 + u2 - m + r)
-                out[c] = out.get(c, 0) + \
-                    k1 * k2 * math.perm(a, r) * math.comb(b, r)
+    for (k1, l1), c1 in t.items():
+        for (k2, l2), c2 in s.items():
+            for r in range(min(l1, k2) + 1):
+                m = (k1 + k2 - r, l1 + l2 - r)
+                out[m] = out.get(m, 0) + \
+                    c1 * c2 * math.comb(l1, r) * math.perm(k2, r)
     return out
 
 
-def span_power(s: FockSpan, k: int, N: int) -> FockSpan:
-    out = identity_span(N)
+def span_power(s: FockSpan, k: int) -> FockSpan:
+    out = dict(IDENTITY)
     for _ in range(k):
         out = compose_spans(s, out)
     return out
 
 
-def entries(s: FockSpan, alpha: Fraction | int = 0) -> dict:
-    """The nonzero matrix entries of s, by (x, y): each class adds
-    ``aut_weight(y!, x!, u!, alpha)`` times its multiplicity."""
+def normal_ordered_power(n: int) -> FockSpan:
+    """:(A + A*)^n: = sum_j C(n, j) A*^j A^(n-j), all creations left."""
+    if n < 0:
+        raise ValueError(f"normal-ordered power {n} is negative")
+    return {(j, n - j): math.comb(n, j) for j in range(n + 1)}
+
+
+def entries(s: FockSpan, N: int, alpha: Fraction | int = 0) -> dict:
+    """The matrix entries of s at truncation N, by (x, y): each class
+    (u + k, u + l, u) of c a*^k a^l with u <= N - max(k, l) adds
+    ``aut_weight(y!, x!, u!, alpha)`` times c."""
     out: dict = {}
     f = math.factorial
-    for (x, y, u), k in s.items():
-        out[x, y] = out.get((x, y), 0) + k * aut_weight(f(y), f(x), f(u),
-                                                        alpha)
+    for (k, l), c in s.items():
+        for u in range(N - max(k, l) + 1):
+            x, y = u + k, u + l
+            out[x, y] = out.get((x, y), 0) + \
+                c * aut_weight(f(y), f(x), f(u), alpha)
     return out
 
 
 def matrix(s: FockSpan, N: int, alpha: Fraction | int = 0) -> list[list]:
     """The dense (N + 1) x (N + 1) matrix of s, rows x and columns y."""
     out = [[Fraction(0)] * (N + 1) for _ in range(N + 1)]
-    for (x, y), v in entries(s, alpha).items():
+    for (x, y), v in entries(s, N, alpha).items():
         out[x][y] += v
     return out
 
@@ -132,11 +121,12 @@ def check_size(N: int, ccr: bool, two_colored: bool) -> None:
     """Refuse a run at truncation N before any work: when its numbers would
     have more digits than the interpreter prints, or when the digits of the
     exact values it forms pass the size cap.  Those values are the N + 1
-    terms of the cardinality, at most 3N weighted classes of the CCR
-    composites, the (N + 1)(N + 2)/2 classes of the two-colored stuff type
-    and one class of psi_n, each of at most ``printed_digits(N)`` digits;
-    ``exact.check_digits`` applies both rules."""
-    terms = N + 2 + 3 * N * ccr + (N + 1) * (N + 2) // 2 * two_colored
+    terms of the cardinality, the N entries each of the truncated A and A*
+    and the N + 1 of their commutator, the (N + 1)(N + 2)/2 classes of the
+    two-colored stuff type and one class of psi_n, each of at most
+    ``printed_digits(N)`` digits; ``exact.check_digits`` applies both
+    rules."""
+    terms = N + 2 + (3 * N + 1) * ccr + (N + 1) * (N + 2) // 2 * two_colored
     digits = printed_digits(N)
     check_digits(f"fock --truncate {N}", digits, terms * digits)
 
@@ -195,50 +185,28 @@ class CcrReport(NamedTuple):
 
 
 def verify_ccr(N: int) -> CcrReport:
-    """Check matrix(AA*) - matrix(A*A) = identity away from the truncation.
+    """Check a a* = a* a + 1 exactly, as spans, and report it on the
+    matrices truncated at N.
 
-    Both composites are built as spans and degroupoidified; discrepancies
-    can only sit in row/column N and are listed explicitly.
+    The report multiplies the truncated matrices of A and A*, each formed
+    once.  There AA* - A*A - 1 vanishes on the block {0..N-1}^2 and reads
+    -(N + 1) at (N, N), where the truncation cuts off A*'s step to N + 1;
+    every nonzero entry is listed.
     """
     if N < 2:
         raise ValueError("need N >= 2 to see the commutation relation")
-    A = annihilation_span(N)
-    Astar = adjoint(A)
-    diff = entries(compose_spans(A, Astar))
-    for c, v in entries(compose_spans(Astar, A)).items():
-        diff[c] = diff.get(c, 0) - v
-    for n in range(N + 1):
-        diff[n, n] = diff.get((n, n), 0) - 1
+    exact = compose_spans(ANNIHILATION, CREATION) == \
+        add_spans(compose_spans(CREATION, ANNIHILATION), IDENTITY)
+    a, astar = entries(ANNIHILATION, N), entries(CREATION, N)
+    diff = {(n, n): -1 for n in range(N + 1)}
+    for left, right, sign in ((a, astar, 1), (astar, a, -1)):
+        rows: dict = {}
+        for (m, y), v in right.items():
+            rows.setdefault(m, []).append((y, v))
+        for (x, m), v in left.items():
+            for y, w in rows.get(m, ()):
+                diff[x, y] = diff.get((x, y), 0) + sign * v * w
     discrepancies = tuple(sorted((i, j, Fraction(v))
                                  for (i, j), v in diff.items() if v != 0))
-    ok = all(N in (i, j) for i, j, _v in discrepancies)
+    ok = exact and all(N in (i, j) for i, j, _v in discrepancies)
     return CcrReport(ok, N, discrepancies)
-
-
-def normal_ordered_terms(n: int) -> list[tuple[int, int, int]]:
-    """:(A + A*)^n: = sum_j C(n, j) A*^j A^(n-j), as (coefficient, j, n-j)."""
-    return [(math.comb(n, j), j, n - j) for j in range(n + 1)]
-
-
-def normal_ordered_power(n: int, N: int) -> FockSpan:
-    """The normal-ordered n-th power of the field span A + A*.
-
-    Built from the expansion with all creation factors moved left, using
-    span composition, sums of classes, and integer multiplicities as the
-    coefficients.
-    """
-    if n < 0:
-        raise ValueError(f"normal-ordered power {n} is negative")
-    A = annihilation_span(N)
-    Astar = adjoint(A)
-    total: FockSpan = {}
-    for coeff, j, k in normal_ordered_terms(n):
-        term = compose_spans(span_power(Astar, j, N), span_power(A, k, N))
-        total = add_spans(total, term, coeff)
-    return total
-
-
-def field_span(N: int) -> FockSpan:
-    """The field span A + A*; its matrix is tridiagonal."""
-    A = annihilation_span(N)
-    return add_spans(A, adjoint(A))

@@ -99,7 +99,10 @@ def check_caps(quiver: Quiver, q: int, dimvec: tuple[int, ...]) -> None:
 
 def dimvecs_within(dmax: tuple[int, ...], k: int):
     """The k-tuples of dimension vectors whose sum is within dmax at every
-    vertex, in lexicographic order."""
+    vertex, in lexicographic order, filtered from all (prod (d + 1))^k
+    k-tuples of vectors below dmax; SizeCapError when those are too many."""
+    _check_product(f"{k}-tuples of dimension vectors",
+                   ((d + 1) ** k for d in dmax), MAX_REP_ENUMERATION)
     dimvecs = list(itertools.product(*(range(b + 1) for b in dmax)))
     for combo in itertools.product(dimvecs, repeat=k):
         if all(sum(entries) <= bound
@@ -159,19 +162,18 @@ def _tits_form_is_positive_definite(n: int, edges) -> bool:
 
 
 def parse_quiver(name: str) -> Quiver:
-    """CLI names: a1; a2; a3:<two arrows> and a4:<three arrows>, arrow i
+    """CLI names: a<n>[:<dirs>] for n >= 1, with n - 1 arrows, arrow i
     being '>' for the edge i -> i + 1 or '<' for i + 1 -> i, all '>' when
     left out; d4, whose arms 1, 2 and 3 all point into the centre 0."""
     name = name.strip().lower()
-    if name == "a1":
-        return Quiver(1, ())
-    if name == "a2":
-        return Quiver(2, ((0, 1),))
     if name == "d4":
         return Quiver(4, ((1, 0), (2, 0), (3, 0)))
     kind, _, orient = name.partition(":")
-    if kind in ("a3", "a4"):
-        n = int(kind[1])
+    if kind[:1] == "a" and kind[1:].isdecimal() and int(kind[1:]) >= 1:
+        n = int(kind[1:])
+        # the Tits-form test eliminates an n x n matrix in about n^3 steps
+        _check_product(f"the Tits form of {kind}", (n, n, n),
+                       MAX_REP_ENUMERATION)
         orient = orient or ">" * (n - 1)
         if len(orient) != n - 1 or any(c not in "><" for c in orient):
             raise ValueError(
@@ -179,7 +181,7 @@ def parse_quiver(name: str) -> Quiver:
         return Quiver(n, tuple((i, i + 1) if c == ">" else (i + 1, i)
                                for i, c in enumerate(orient)))
     raise ValueError(f"unknown quiver name {name!r} "
-                     f"(use a1, a2, a3:<dirs>, a4:<dirs>, d4)")
+                     f"(use a<n>[:<dirs>] for n >= 1, or d4)")
 
 
 class QuiverRep(NamedTuple):
@@ -222,16 +224,10 @@ class HallAlgebra:
         self.q = q
         self._classes: dict[tuple, list[RepClass]] = {}
         self._classify: dict[tuple, dict] = {}
-        self._subspace_cache: dict[tuple, list[tuple]] = {}
         self._product_cache: dict[tuple, dict[tuple, int]] = {}
         self._subrep_tables: dict[tuple, collections.Counter] = {}
 
     # -- enumeration and classification ---------------------------------
-
-    def _subspaces(self, n: int, k: int) -> list[tuple]:
-        if (n, k) not in self._subspace_cache:
-            self._subspace_cache[n, k] = subspaces(n, self.q, k)
-        return self._subspace_cache[n, k]
 
     def classes(self, dimvec: tuple[int, ...]) -> list[RepClass]:
         """All iso classes with the given dimension vector, canonically
@@ -361,7 +357,7 @@ class HallAlgebra:
         """Edge-stable tuples of subspaces of the representative of E, of
         the given dimensions, each a reduced row echelon basis."""
         q = self.q
-        per_vertex = [self._subspaces(E.dimvec[v], dimvec[v])
+        per_vertex = [subspaces(E.dimvec[v], q, dimvec[v])
                       for v in range(self.quiver.n_vertices)]
         return [combo for combo in itertools.product(*per_vertex)
                 if not any(any(_reduce(mat_vec(m, w, q), combo[b], q)[1])
@@ -377,11 +373,10 @@ class HallAlgebra:
         then read in those bases with ``_reduce``.
         """
         q = self.q
-        nv = self.quiver.n_vertices
-        off_pivots = [
-            [c for c in range(E.dimvec[v])
-             if c not in {row.index(1) for row in spaces[v]}]
-            for v in range(nv)]
+        off_pivots = []
+        for n, space in zip(E.dimvec, spaces):
+            pivots = {row.index(1) for row in space}
+            off_pivots.append([c for c in range(n) if c not in pivots])
         sub_mats = []
         quo_mats = []
         for m, (a, b) in zip(E.rep.mats, self.quiver.edges):

@@ -155,8 +155,8 @@ def test_criterion_08_normal_ordered_powers():
     want2 = (a @ a) + (astar @ a).scale(2) + (astar @ astar)
     want3 = (a @ a @ a) + (astar @ a @ a).scale(3) \
         + (astar @ astar @ a).scale(3) + (astar @ astar @ astar)
-    got2 = Matrix(7, 7, matrix(normal_ordered_power(2, 6), 6))
-    got3 = Matrix(7, 7, matrix(normal_ordered_power(3, 6), 6))
+    got2 = Matrix(7, 7, matrix(normal_ordered_power(2), 6))
+    got3 = Matrix(7, 7, matrix(normal_ordered_power(3), 6))
     elapsed = time.monotonic() - start
     report("8", got2 == want2 and got3 == want3 and elapsed < 30.0,
            f":phi^2:, :phi^3: exact in {elapsed:.2f}s")

@@ -851,17 +851,18 @@ def test_fock_series_json():
 
 
 def test_fock_checks_the_size_cap_exactly():
-    # at N = 12 a run forms N + 2 values for the cardinality and psi, 3N
-    # for the CCR composites and (N + 1)(N + 2)/2 two-colored classes:
-    # 141 values of at most 10 digits, those of 10 * 12! = 4790016000
+    # at N = 12 a run forms N + 2 values for the cardinality and psi,
+    # 3N + 1 for the truncated A, A* and their commutator, and
+    # (N + 1)(N + 2)/2 two-colored classes: 142 values of at most 10
+    # digits, those of 10 * 12! = 4790016000
     argv = ("fock", "--truncate", "12", "--check-ccr", "--series",
             "two-colored")
-    result = run_cli(*argv, env={"SPANCALC_SIZE_CAP": "1409"})
+    result = run_cli(*argv, env={"SPANCALC_SIZE_CAP": "1419"})
     assert result.returncode == 2
     assert ("error: fock --truncate 12, counted in digits of its exact "
-            "values, needs 1410 entries") in result.stderr
+            "values, needs 1420 entries") in result.stderr
     assert "Traceback" not in result.stderr and result.stdout == ""
-    result = run_cli(*argv, env={"SPANCALC_SIZE_CAP": "1410"})
+    result = run_cli(*argv, env={"SPANCALC_SIZE_CAP": "1420"})
     assert result.returncode == 0, result.stderr
     assert "PASS" in result.stdout
 

@@ -188,11 +188,11 @@ MALFORMED_NUMBERS = st.one_of(
     st.sampled_from([str(10 ** 25), str(-10 ** 25), str(2 ** 63), "1.5",
                      "3e2", "1/2", "abc", "", "0x7", "--"]))
 
-# names with their vertex counts; the first nine are valid
+# names with their vertex counts; the first eleven are valid
 QUIVERS = [("a1", 1), ("a2", 2), ("a3", 3), ("a4", 4), ("d4", 4), ("A2", 2),
-           (" d4 ", 4), ("a3:<>", 3), ("a4:><<", 4), ("a3:>", 3),
-           ("a3:>><", 3), ("a4:<<", 4), ("a3:ab", 3), ("a2:>", 2),
-           ("d4:<<<", 4), ("a5", 5), ("e6", 6), ("", 1), ("a", 1), (":", 1)]
+           (" d4 ", 4), ("a3:<>", 3), ("a4:><<", 4), ("a2:>", 2), ("a5", 5),
+           ("a3:>", 3), ("a3:>><", 3), ("a4:<<", 4), ("a3:ab", 3),
+           ("d4:<<<", 4), ("a0", 1), ("e6", 6), ("", 1), ("a", 1), (":", 1)]
 
 MALFORMED_DMAX_ENTRIES = st.sampled_from(
     ["-1", "-3", str(10 ** 25), "x", "", " ", "1.5"])
@@ -224,7 +224,7 @@ def computing_argvs(draw, command: str) -> list[str]:
             argv += ["--constants", "{out}"]
     else:
         name, n_vertices = draw(st.sampled_from(
-            QUIVERS[:9] if well_formed else QUIVERS))
+            QUIVERS[:11] if well_formed else QUIVERS))
         entry = st.sampled_from(["0", "1"])
         if well_formed:
             dmax = ",".join(draw(st.lists(entry, min_size=n_vertices,

@@ -9,16 +9,17 @@ from hypothesis import strategies as st
 from spancalc import fock
 from spancalc.exact import SizeCapError
 from spancalc.fock import (
-    annihilation_span as fock_annihilation,
+    ANNIHILATION,
+    CREATION,
+    FIELD,
+    IDENTITY,
+    add_spans,
     compose_spans as fock_compose,
-    creation_span as fock_creation,
     e_partial_sum,
     entries,
-    field_span,
     generating_function,
     matrix,
     normal_ordered_power,
-    normal_ordered_terms,
     printed_digits,
     psi_n as fock_psi_n,
     span_power,
@@ -149,7 +150,7 @@ def test_generating_function_additive_under_coproduct():
 
 
 def test_annihilation_matrix_is_derivative():
-    a = matrix(fock_annihilation(6), 6)
+    a = matrix(ANNIHILATION, 6)
     for row in range(7):
         for col in range(7):
             expected = col if col == row + 1 else 0
@@ -157,7 +158,7 @@ def test_annihilation_matrix_is_derivative():
 
 
 def test_creation_matrix_is_multiplication_by_z():
-    astar = matrix(fock_creation(6), 6)
+    astar = matrix(CREATION, 6)
     for row in range(7):
         for col in range(7):
             expected = 1 if row == col + 1 else 0
@@ -201,15 +202,32 @@ def test_ccr_block_and_boundary():
 
 
 def test_ccr_reports_a_broken_relation(monkeypatch):
-    # one extra class (0, 1, 0) in the composite AA*, whose left factor A
-    # holds that class, breaks the relation at (0, 1) only: off the
-    # diagonal, inside the block
-    good = fock.compose_spans
-    monkeypatch.setattr(fock, "compose_spans", lambda t, s: fock.add_spans(
-        good(t, s), {(0, 1, 0): 1} if (0, 1, 0) in t else {}))
+    # with 2a for A, [2a, a*] = 2: the commutator minus 1 reads 1 on the
+    # whole diagonal of the block, and -(2N + 1) at the boundary
+    monkeypatch.setattr(fock, "ANNIHILATION", {(0, 1): 2})
     report = verify_ccr(4)
     assert not report.ok and str(report).startswith("FAIL")
-    assert report.discrepancies == ((0, 1, 1), (4, 4, -5))
+    assert report.discrepancies == ((0, 0, 1), (1, 1, 1), (2, 2, 1),
+                                    (3, 3, 1), (4, 4, -9))
+    assert "  truncation boundary (0,0): AA* - A*A - 1 = 1" in str(report)
+
+
+def test_ccr_fails_when_the_exact_identity_fails(monkeypatch):
+    # an extra a*a in every composite breaks a a* = a* a + 1 as spans,
+    # though the truncated matrices still commute to 1 on the block
+    good = fock.compose_spans
+    monkeypatch.setattr(fock, "compose_spans", lambda t, s: add_spans(
+        good(t, s), {(1, 1): 1} if t == ANNIHILATION else {}))
+    report = verify_ccr(4)
+    assert not report.ok and str(report).startswith("FAIL")
+    assert report.discrepancies == ((4, 4, -5),)
+
+
+def test_ccr_holds_exactly_as_spans():
+    # a a* = a* a + 1 with no truncation, so with no boundary
+    aastar = fock_compose(ANNIHILATION, CREATION)
+    assert aastar == {(1, 1): 1, (0, 0): 1}
+    assert aastar == add_spans(fock_compose(CREATION, ANNIHILATION), IDENTITY)
 
 
 def test_aastar_composite_matrix_diagonal():
@@ -234,17 +252,35 @@ def test_compose_literal_and_skeletal_agree():
 # -- the closed form against the weak pullback on the materialized E ---------
 
 def _word_spans(word, N):
-    """The closed-form and the materialized composite of a word in A (0)
-    and A* (1), read as an operator product: its last letter acts first."""
-    E = build_E(N)
+    """The monomial and the materialized composite of a word in A (0) and
+    A* (1), read as an operator product: its last letter acts first.
+
+    Each letter moves the foot by one, so between feet of size at most N
+    every middle foot of the word has size at most N + len(word) // 2; the
+    oracle, built at that size, cuts none off on the block x, y <= N."""
+    E = build_E(N + len(word) // 2)
     oracle = {0: annihilation_span(E)}
     oracle[1] = adjoint(oracle[0])
-    closed = {0: fock_annihilation(N), 1: fock_creation(N)}
+    closed = {0: ANNIHILATION, 1: CREATION}
     s, t = closed[word[-1]], oracle[word[-1]]
     for letter in reversed(word[:-1]):
         s = fock_compose(closed[letter], s)
         t = compose_spans(oracle[letter], t)
     return s, t
+
+
+def _block_classes(closed, oracle, N):
+    """The apex classes with both feet at most N, counted in the closed
+    form (c of them for each u <= N - max(k, l)) and in the oracle."""
+    table = iso_classes(oracle.apex)
+    on_block = sum(oracle.left.obj_map[r] <= N and oracle.right.obj_map[r] <= N
+                   for r in table.representative)
+    return sum(c * max(0, N - max(k, l) + 1)
+               for (k, l), c in closed.items()), on_block
+
+
+def _block(rows, N):
+    return [row[:N + 1] for row in rows[:N + 1]]
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -254,19 +290,20 @@ def test_closed_form_matches_the_weak_pullback_on_E(N, word):
     closed, oracle = _word_spans(word, N)
     for alpha in ALPHAS:
         assert matrix(closed, N, alpha) == \
-            degroupoidify_span(oracle, alpha).data, (word, alpha)
-    assert sum(closed.values()) == iso_classes(oracle.apex).n_classes
-    # S_1 = S_0: one key per left foot, right foot and automorphism group
-    assert all(u != 1 for _x, _y, u in closed)
+            _block(degroupoidify_span(oracle, alpha).data, N), (word, alpha)
+    counted, on_block = _block_classes(closed, oracle, N)
+    assert counted == on_block
 
 
 def test_closed_form_marks_a_lone_unmarked_point():
-    # A A* A at N = 2: at (1, 2) the apex classes of A* A over 2 carry an
-    # S_1 = S_0, so the lone unmarked point glues as a marked one
+    # A A* A = A* A A + A.  At N = 2, (1, 2) carries two classes with
+    # trivial automorphisms: a*a^2 with no unmarked point, and a with one
     closed, oracle = _word_spans([0, 1, 0], 2)
+    assert closed == {(1, 2): 1, (0, 1): 1}
     assert matrix(closed, 2)[1][2] == 4
     assert degroupoidify_span(oracle, 0).data[1][2] == 4
-    assert sum(closed.values()) == iso_classes(oracle.apex).n_classes
+    counted, on_block = _block_classes(closed, oracle, 2)
+    assert counted == on_block == 3
 
 
 def test_trace_of_annihilation_is_empty():
@@ -277,16 +314,16 @@ def test_trace_of_annihilation_is_empty():
 
 
 def test_field_span_matrix():
-    phi = fock_matrix(field_span(5), 5)
-    a = fock_matrix(fock_annihilation(5), 5)
-    astar = fock_matrix(fock_creation(5), 5)
+    phi = fock_matrix(FIELD, 5)
+    a = fock_matrix(ANNIHILATION, 5)
+    astar = fock_matrix(CREATION, 5)
     assert phi == a + astar
 
 
 def test_normal_ordered_powers_match_polynomials():
     N = 6
-    a = fock_matrix(fock_annihilation(N), N)
-    astar = fock_matrix(fock_creation(N), N)
+    a = fock_matrix(ANNIHILATION, N)
+    astar = fock_matrix(CREATION, N)
     eye = Matrix.identity(N + 1)
     polys = {
         0: eye,
@@ -310,17 +347,17 @@ def test_normal_ordered_powers_match_polynomials():
             want = want + term.scale(math.comb(n, j))
         polys[n] = want
     for n, want in polys.items():
-        got = fock_matrix(normal_ordered_power(n, N), N)
+        got = fock_matrix(normal_ordered_power(n), N)
         assert got == want, f"normal-ordered power {n}"
-    assert normal_ordered_terms(5) == [(1, 0, 5), (5, 1, 4), (10, 2, 3),
-                                       (10, 3, 2), (5, 4, 1), (1, 5, 0)]
+    assert normal_ordered_power(5) == {(0, 5): 1, (1, 4): 5, (2, 3): 10,
+                                       (3, 2): 10, (4, 1): 5, (5, 0): 1}
     with pytest.raises(ValueError):
-        normal_ordered_power(-1, N)
+        normal_ordered_power(-1)
 
 
 def test_normal_ordered_power_default_within_budget():
     start = time.monotonic()
-    m = matrix(normal_ordered_power(4, 5), 5)
+    m = matrix(normal_ordered_power(4), 5)
     elapsed = time.monotonic() - start
     assert m[0][4] == 24   # only A^4 reaches row 0: 4 * 3 * 2 * 1
     assert elapsed < 2.0, f"normal-ordered power 4 took {elapsed:.2f}s"
@@ -336,8 +373,7 @@ def test_ccr_at_seven_within_budget():
 
 
 def test_fock_matrices_nonnegative():
-    for span in (fock_annihilation(4), fock_creation(4), field_span(4),
-                 normal_ordered_power(2, 4)):
+    for span in (ANNIHILATION, CREATION, FIELD, normal_ordered_power(2)):
         m = matrix(span, 4)
         assert all(entry >= 0 for row in m for entry in row)
 
@@ -348,15 +384,48 @@ def test_vacuum_expectations_of_field_powers_are_pairings():
     # <0|phi^k|0> counts the perfect matchings of k points: (k - 1)!! for
     # even k, 0 for odd k
     start = time.monotonic()
-    phi = field_span(12)
-    power = span_power(phi, 1, 12)
+    power = span_power(FIELD, 1)
     got = []
     for _k in range(2, 11):
-        power = fock_compose(phi, power)
-        got.append(entries(power).get((0, 0), 0))
+        power = fock_compose(FIELD, power)
+        got.append(entries(power, 12).get((0, 0), 0))
     elapsed = time.monotonic() - start
     assert got == [1, 0, 3, 0, 15, 0, 105, 0, 945]
     assert elapsed < 2.0, f"took {elapsed:.2f}s"
+
+
+def _stirling2(n_max: int) -> list[list[int]]:
+    """S(n, k), the Stirling numbers of the second kind, for n <= n_max."""
+    S = [[1] + [0] * n_max]
+    for n in range(1, n_max + 1):
+        S.append([0] + [k * S[n - 1][k] + S[n - 1][k - 1]
+                        for k in range(1, n_max + 1)])
+    return S
+
+
+def test_number_operator_powers_are_stirling_sums():
+    # (a*a)^n = sum_k S(n, k) a*^k a^k and
+    # (aa*)^n = sum_k S(n + 1, k + 1) a*^k a^k (Blasiak-Penson-Solomon)
+    S = _stirling2(9)
+    number = fock_compose(CREATION, ANNIHILATION)
+    shifted = fock_compose(ANNIHILATION, CREATION)
+    for n in range(9):
+        assert span_power(number, n) == {
+            (k, k): S[n][k] for k in range(n + 1) if S[n][k]}, n
+        assert span_power(shifted, n) == {
+            (k, k): S[n + 1][k + 1] for k in range(n + 1)}, n
+
+
+def test_field_powers_are_wick_sums_of_normal_ordered_powers():
+    # phi^n = sum_k C(n, 2k) (2k - 1)!! :phi^(n - 2k):, the (2k - 1)!!
+    # perfect matchings of the 2k contracted points
+    for n in range(11):
+        want: dict = {}
+        for k in range(n // 2 + 1):
+            pairings = math.prod(range(2 * k - 1, 0, -2))
+            want = add_spans(want, normal_ordered_power(n - 2 * k),
+                             math.comb(n, 2 * k) * pairings)
+        assert span_power(FIELD, n) == want, n
 
 
 def test_ccr_at_twelve_within_budget():

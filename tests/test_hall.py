@@ -287,9 +287,30 @@ def test_quiver_names_d4_and_a4():
     assert d4.edges == ((1, 0), (2, 0), (3, 0))   # every arm into the centre
     assert parse_quiver("a4").edges == ((0, 1), (1, 2), (2, 3))
     assert parse_quiver("a4:<><").edges == ((1, 0), (1, 2), (3, 2))
-    for bad in ("a4:><", "a3:>>>", "a4:>x<", "d5", "a5"):
+    # a<n> by one formula: n - 1 arrows, all '>' when left out
+    assert parse_quiver("a1").edges == ()
+    assert parse_quiver("a2:<").edges == ((1, 0),)
+    assert parse_quiver("a2:>") == parse_quiver("a2")
+    assert parse_quiver("a5").edges == ((0, 1), (1, 2), (2, 3), (3, 4))
+    assert parse_quiver("a5:<<><").edges == ((1, 0), (2, 1), (2, 3), (4, 3))
+    for bad in ("a4:><", "a3:>>>", "a4:>x<", "d5", "a0", "a", "a-1",
+                "a1:>", "e6"):
         with pytest.raises(ValueError):
             parse_quiver(bad)
+
+
+def test_quiver_and_dimension_vector_walks_are_capped():
+    # the Tits-form test of a<n> takes about n^3 steps, and the triples of
+    # dimension vectors within dmax number (prod (d + 1))^3 before the
+    # filter: both are refused before any work
+    assert parse_quiver("a100").n_vertices == 100
+    with pytest.raises(SizeCapError, match="Tits form of a101"):
+        parse_quiver("a101")
+    with pytest.raises(SizeCapError, match="Tits form"):
+        parse_quiver("a" + "9" * 30)
+    assert len(list(dimvecs_within((1,) * 6, 3))) == 4 ** 6
+    with pytest.raises(SizeCapError, match="3-tuples of dimension vectors"):
+        next(dimvecs_within((1,) * 7, 3))
 
 
 @pytest.mark.parametrize("name, q, dmax", [

@@ -34,9 +34,7 @@ ALLOWED = {
         "spans:RationalMatrix.__eq__", "spans:RationalMatrix.__repr__")},
     # the Wick block waits for a `fock --wick` subcommand (ROADMAP item 5)
     **{f"fock:{name}": "fock's Wick block"
-       for name in ("identity_span", "creation_span", "add_spans",
-                    "span_power", "matrix", "normal_ordered_terms",
-                    "normal_ordered_power", "field_span")},
+       for name in ("span_power", "matrix", "normal_ordered_power")},
 }
 
 
