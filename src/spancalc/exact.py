@@ -46,14 +46,26 @@ class SizeCapError(RuntimeError):
     def __init__(self, what: str, needed: int, cap: int | None = None):
         """``cap`` is a fixed cap of the caller's own, and ``needed`` may
         then be a lower bound; without it the breach is of the configurable
-        size cap."""
+        size cap.  A count with more digits than the interpreter prints is
+        given as "more than 10^k", for the greatest such k."""
         self.what = what
         self.needed = needed
+        try:
+            count = str(needed)
+        except ValueError:      # past PYTHONINTMAXSTRDIGITS
+            k = math.floor(math.log10(needed))  # a float: within one of k
+            if 10 ** (k + 1) < needed:
+                k += 1
+            elif 10 ** k >= needed:
+                k -= 1
+            count = f"more than 10^{k}"
         if cap is None:
-            message = (f"{what} needs {needed} entries, over the size cap "
+            message = (f"{what} needs {count} entries, over the size cap "
                        f"{size_cap()} (override with {SIZE_CAP_ENV})")
         else:
-            message = f"{what} needs at least {needed}, over its cap of {cap}"
+            if count.isdecimal():       # else it is a bound already
+                count = f"at least {count}"
+            message = f"{what} needs {count}, over its cap of {cap}"
         super().__init__(message)
 
 

@@ -179,8 +179,9 @@ class CcrReport(NamedTuple):
         status = "PASS" if self.ok else "FAIL"
         lines = [f"{status}: AA* - A*A = 1 on block {{0..{self.block - 1}}}^2"]
         for i, j, v in self.discrepancies:
-            lines.append(f"  truncation boundary ({i},{j}): "
-                         f"AA* - A*A - 1 = {v}")
+            where = ("truncation boundary" if self.block in (i, j)
+                     else "inside the block")
+            lines.append(f"  {where} ({i},{j}): AA* - A*A - 1 = {v}")
         return "\n".join(lines)
 
 

@@ -23,29 +23,13 @@ Rational = Fraction
 
 
 def same_groupoid(a: "FiniteGroupoid", b: "FiniteGroupoid") -> bool:
-    """Identity or full structural equality of the index tables."""
+    """Identity or full structural equality of the index tables, and of
+    the composition tables when both hold them as dicts."""
     return a is b or (a.n_objects == b.n_objects and a.src == b.src
                       and a.tgt == b.tgt and a.identity == b.identity
-                      and a.inverse == b.inverse)
-
-
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            if rx > ry:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
+                      and a.inverse == b.inverse
+                      and (a._compose_map is None or b._compose_map is None
+                           or a._compose_map == b._compose_map))
 
 
 class FiniteGroupoid:
@@ -366,27 +350,28 @@ class IsoClassTable(NamedTuple):
 
 
 def iso_classes(g: FiniteGroupoid) -> IsoClassTable:
-    """Iso classes: union-find over the hom-sets x -> y with x != y;
-    cached on ``g``."""
+    """Iso classes, by one scan of the objects in order: each object not
+    yet classed starts a class, the targets of the morphisms out of it,
+    and its automorphisms are those that end at it; cached on ``g``.
+    Precondition: identities, inverses and composites have the right
+    endpoints, so the morphisms out of an object reach its whole class;
+    ``validate_groupoid`` checks them before ``_right_generators`` calls
+    this."""
     if g._classes is not None:
         return g._classes
-    uf = UnionFind(g.n_objects)
-    for x, y in g._homs():
-        if x != y:
-            uf.union(x, y)
-    roots: dict[int, int] = {}
-    class_of = [0] * g.n_objects
+    class_of = [-1] * g.n_objects
     reps: list[int] = []
+    auts: list[int] = []
     sizes: list[int] = []
     for x in range(g.n_objects):
-        r = uf.find(x)
-        if r not in roots:
-            roots[r] = len(reps)
+        if class_of[x] < 0:
+            targets = [g.tgt[m] for m in g.mor_from(x)]
+            members = set(targets)
+            for y in members:
+                class_of[y] = len(reps)
             reps.append(x)
-            sizes.append(0)
-        class_of[x] = roots[r]
-        sizes[roots[r]] += 1
-    auts = [len(g.aut(rep)) for rep in reps]
+            auts.append(targets.count(x))
+            sizes.append(len(members))
     g._classes = IsoClassTable(tuple(class_of), tuple(reps), tuple(auts),
                                tuple(sizes))
     return g._classes

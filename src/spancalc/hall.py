@@ -23,9 +23,10 @@ A second, span-based route goes through the groupoid of short exact
 sequences: the full inverse image over ((M, N), E) is equivalent to the
 weak quotient X//Aut(E) of the set X of subrepresentations W of E with W
 isomorphic to N and E/W isomorphic to M, and |X//G| = |X| / |G| makes the
-coefficient |Aut E| |X//Aut E| = |X|.  Each edge-stable W, as reduced
-row echelon bases, is classified with E/W once, into one table per E and
-dim W that every pair (M, N) reads.  The span route classifies subobjects
+coefficient |Aut E| |X//Aut E| = |X|.  One table per dim E and dim W
+splits each tuple of subspaces, listed once per vertex, in every class
+E, and counts each edge-stable W under the classes of E/W and W, so a
+pair (M, N) is one lookup.  The span route classifies subobjects
 and quotients, Riedtmann's extensions, and only Riedtmann reads |Aut|, so
 the two routes agreeing checks every class's |Aut| too.
 """
@@ -99,15 +100,22 @@ def check_caps(quiver: Quiver, q: int, dimvec: tuple[int, ...]) -> None:
 
 def dimvecs_within(dmax: tuple[int, ...], k: int):
     """The k-tuples of dimension vectors whose sum is within dmax at every
-    vertex, in lexicographic order, filtered from all (prod (d + 1))^k
-    k-tuples of vectors below dmax; SizeCapError when those are too many."""
+    vertex, in lexicographic order.  At a vertex with bound d, k entries
+    sum to at most d in C(d + k, k) ways, so they number prod C(d + k, k);
+    SizeCapError when that passes the cap."""
     _check_product(f"{k}-tuples of dimension vectors",
-                   ((d + 1) ** k for d in dmax), MAX_REP_ENUMERATION)
-    dimvecs = list(itertools.product(*(range(b + 1) for b in dmax)))
-    for combo in itertools.product(dimvecs, repeat=k):
-        if all(sum(entries) <= bound
-               for entries, bound in zip(zip(*combo), dmax)):
-            yield combo
+                   (math.comb(d + k, k) for d in dmax), MAX_REP_ENUMERATION)
+    return _within(tuple(dmax), k)
+
+
+def _within(bound: tuple[int, ...], k: int):
+    """Each first vector below bound, then the tuples within what it leaves."""
+    if not k:
+        yield ()
+        return
+    for first in itertools.product(*(range(b + 1) for b in bound)):
+        for tail in _within(tuple(b - a for a, b in zip(first, bound)), k - 1):
+            yield (first,) + tail
 
 
 # -- quivers and representations ---------------------------------------------
@@ -225,7 +233,7 @@ class HallAlgebra:
         self._classes: dict[tuple, list[RepClass]] = {}
         self._classify: dict[tuple, dict] = {}
         self._product_cache: dict[tuple, dict[tuple, int]] = {}
-        self._subrep_tables: dict[tuple, collections.Counter] = {}
+        self._span_tables: dict[tuple, dict] = {}
 
     # -- enumeration and classification ---------------------------------
 
@@ -353,70 +361,61 @@ class HallAlgebra:
 
     # -- the span route ---------------------------------------------------
 
-    def subrep_spaces(self, E: RepClass, dimvec: tuple[int, ...]) -> list[tuple]:
-        """Edge-stable tuples of subspaces of the representative of E, of
-        the given dimensions, each a reduced row echelon basis."""
+    def _split(self, E: RepClass, spaces: tuple
+               ) -> tuple[QuiverRep, QuiverRep] | None:
+        """(W, E/W) for subspaces W of the representative of E, given as
+        reduced row echelon bases, or None once W is not edge-stable.  Each
+        edge map is read by ``_reduce`` in the basis of W's rows and the
+        unit vectors off W's pivots: a row's image must leave no residual,
+        and a unit vector's residual, off W's pivots, is its image in E/W."""
         q = self.q
-        per_vertex = [subspaces(E.dimvec[v], q, dimvec[v])
-                      for v in range(self.quiver.n_vertices)]
-        return [combo for combo in itertools.product(*per_vertex)
-                if not any(any(_reduce(mat_vec(m, w, q), combo[b], q)[1])
-                           for m, (a, b) in zip(E.rep.mats, self.quiver.edges)
-                           for w in combo[a])]
-
-    def sub_and_quotient(self, E: RepClass, spaces: tuple
-                         ) -> tuple[QuiverRep, QuiverRep]:
-        """Restrict the representative of E to the subspaces, and quotient.
-
-        Each subspace has its echelon basis; the unit vectors off its
-        pivots give a basis of the quotient.  An edge map's columns are
-        then read in those bases with ``_reduce``.
-        """
-        q = self.q
-        off_pivots = []
-        for n, space in zip(E.dimvec, spaces):
-            pivots = {row.index(1) for row in space}
-            off_pivots.append([c for c in range(n) if c not in pivots])
         sub_mats = []
-        quo_mats = []
         for m, (a, b) in zip(E.rep.mats, self.quiver.edges):
             sub_cols = []
             for w in spaces[a]:
                 coords, residual = _reduce(mat_vec(m, w, q), spaces[b], q)
                 if any(residual):
-                    raise AssertionError("subspaces are not edge-stable")
+                    return None
                 sub_cols.append(coords)
+            sub_mats.append(tuple(zip(*sub_cols)) or ((),) * len(spaces[b]))
+        off_pivots = [sorted(set(range(n)) - {row.index(1) for row in space})
+                      for n, space in zip(E.dimvec, spaces)]
+        quo_mats = []
+        for m, (a, b) in zip(E.rep.mats, self.quiver.edges):
             quo_cols = [_reduce([row[c] for row in m], spaces[b], q)[1]
                         for c in off_pivots[a]]
-            sub_mats.append(tuple(tuple(col[j] for col in sub_cols)
-                                  for j in range(len(spaces[b]))))
             quo_mats.append(tuple(tuple(col[c] for col in quo_cols)
                                   for c in off_pivots[b]))
         return (QuiverRep(tuple(map(len, spaces)), tuple(sub_mats)),
                 QuiverRep(tuple(map(len, off_pivots)), tuple(quo_mats)))
 
-    def _subrep_table(self, E: RepClass, dimvec: tuple[int, ...]
-                      ) -> collections.Counter:
-        """The pairs (class of E/W, class of W), by key, counted over the
-        subrepresentations W of E of dimension vector ``dimvec``: each is
-        restricted, quotiented and classified once per algebra."""
-        key = (E.key, dimvec)
-        if key not in self._subrep_tables:
-            table: collections.Counter = collections.Counter()
-            for spaces in self.subrep_spaces(E, dimvec):
-                sub, quo = self.sub_and_quotient(E, spaces)
-                table[self.classify(quo).key, self.classify(sub).key] += 1
-            self._subrep_tables[key] = table
-        return self._subrep_tables[key]
+    def _span_table(self, total: tuple[int, ...], dimvec: tuple[int, ...]
+                    ) -> dict[tuple, collections.Counter]:
+        """(class of E/W, class of W), by key, to the number of
+        subrepresentations W of dimension vector ``dimvec`` in each class E
+        of dimension vector ``total``: each vertex's subspaces are listed
+        once, and every tuple of them is split in every E; cached."""
+        key = (total, dimvec)
+        if key not in self._span_tables:
+            classes = self.classes(total)      # checks the caps first
+            per_vertex = [subspaces(n, self.q, k)
+                          for n, k in zip(total, dimvec)]
+            table: dict = collections.defaultdict(collections.Counter)
+            for E in classes:
+                for spaces in itertools.product(*per_vertex):
+                    if split := self._split(E, spaces):
+                        sub, quo = split
+                        table[self.classify(quo).key,
+                              self.classify(sub).key][E.key] += 1
+            self._span_tables[key] = table
+        return self._span_tables[key]
 
     def product_via_span(self, M: RepClass, N: RepClass) -> dict[tuple, int]:
         """[M] . [N] through the short-exact-sequence span at alpha = 1:
         the coefficient of [E] is |Aut E| |X//Aut E| = |X|, read from the
-        table of E and dim N, never found by counting pairs of maps."""
+        table of dim E and dim N, never found by counting pairs of maps."""
         total = tuple(a + b for a, b in zip(M.dimvec, N.dimvec))
-        counts = {E.key: self._subrep_table(E, N.dimvec)[M.key, N.key]
-                  for E in self.classes(total)}
-        return {k: n for k, n in counts.items() if n}
+        return dict(self._span_table(total, N.dimvec).get((M.key, N.key), {}))
 
     # -- bilinear extension and associativity ------------------------------
 

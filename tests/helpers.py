@@ -115,6 +115,16 @@ def span_pair_json(seed: int) -> tuple[str, str]:
     return json.dumps(span_to_json(t)), json.dumps(span_to_json(s))
 
 
+def z5_and_its_relabelling() -> tuple[FiniteGroupoid, FiniteGroupoid]:
+    """Z/5, and Z/5 with its elements relabelled by the swaps 1 <-> 2 and
+    3 <-> 4: the same identity and inverses, other composites."""
+    swap = [0, 2, 1, 4, 3]
+    plain = cyclic_table(5)
+    relabelled = [[swap[plain[swap[a]][swap[b]]] for b in range(5)]
+                  for a in range(5)]
+    return from_group_table(plain), from_group_table(relabelled)
+
+
 def diagonal_functor(g: FiniteGroupoid) -> GroupoidFunctor:
     """The diagonal g -> g x g (product numbers pairs as i * size + j)."""
     total, _p1, _p2 = product(g, g)

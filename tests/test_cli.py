@@ -27,7 +27,8 @@ from spancalc.spans import (
     span_to_json,
 )
 
-from helpers import S3_WORDS, iwahori_hecke_s3, random_cyclic_action, random_span
+from helpers import (S3_WORDS, iwahori_hecke_s3, random_cyclic_action,
+                     random_span, z5_and_its_relabelling)
 from oracles import (annihilation_span, build_E, compose_literal, connected,
                      cyclic_table, discrete, from_group_table, identity_span,
                      span_matrix, terminal)
@@ -187,6 +188,21 @@ def test_compose_of_spans_with_different_middle_feet_exits_2(tmp_path):
     second.write_text(json.dumps(span_to_json(annihilation_span(build_E(4)))))
     result = run_cli("compose", "--first", str(first), "--second",
                      str(second))
+    assert result.returncode == 2
+    assert "spans are not composable: middle feet differ" in result.stderr
+    assert "Traceback" not in result.stderr and result.stdout == ""
+
+
+def test_compose_of_middle_feet_that_differ_only_in_composition_exits_2(
+        tmp_path):
+    # the same objects, identities and inverses: only the composition
+    # tables tell the feet apart
+    paths = []
+    for g, name in zip(z5_and_its_relabelling(), ("first", "second")):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(span_to_json(identity_span(g))))
+    result = run_cli("compose", "--first", str(paths[0]), "--second",
+                     str(paths[1]))
     assert result.returncode == 2
     assert "spans are not composable: middle feet differ" in result.stderr
     assert "Traceback" not in result.stderr and result.stdout == ""
@@ -795,6 +811,21 @@ def test_hecke_caps_are_checked_before_any_work(args, env):
                             capture_output=True, text=True, env=full_env,
                             timeout=5)
     assert result.returncode == 2
+    assert "SPANCALC_SIZE_CAP" in result.stderr
+    assert "Traceback" not in result.stderr and result.stdout == ""
+
+
+def test_hecke_cap_breach_past_the_printed_digit_limit_names_its_cap():
+    # about 2 q^3 flags: a count of 4501 digits, past the 4300 that Python
+    # prints by default, is printed as a bound
+    result = subprocess.run(
+        [sys.executable, "-m", "spancalc.cli", "hecke", "--q",
+         str(10 ** 1500 + 1), "--verify"], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONINTMAXSTRDIGITS="4300"), timeout=5)
+    assert result.returncode == 2
+    assert "flag geometry at q=" in result.stderr
+    assert "needs more than 10^4500 entries, over the size cap" \
+        in result.stderr
     assert "SPANCALC_SIZE_CAP" in result.stderr
     assert "Traceback" not in result.stderr and result.stdout == ""
 

@@ -1,14 +1,16 @@
 """The shared orbit and group-closure routines of ``spancalc.exact``,
 against brute force on the automorphism groups of random groupoids, and
-the degroupoidification weight against its defining formula."""
+the degroupoidification weight against its defining formula, and the
+size-cap message past the printed digit limit."""
 
 import random
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spancalc.exact import (QSqrt, aut_weight, extend_group,
+from spancalc.exact import (QSqrt, SizeCapError, aut_weight, extend_group,
                             greedy_generators, orbits)
 from spancalc.groupoid import FiniteGroupoid
 
@@ -102,3 +104,21 @@ def test_aut_weight_is_its_defining_formula(auts, alpha):
     assert all(c > 0 for c in (w.terms.values() if isinstance(w, QSqrt)
                                else [w]))
     assert not (isinstance(w, QSqrt) and w.is_rational)
+
+
+def test_size_cap_message_bounds_a_count_past_the_digit_limit():
+    # a count prints in full while the interpreter prints it, and past
+    # that as the greatest power of 10 below it; 640 is the least limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert str(SizeCapError("x", 10 ** 640 - 1, 5)) == \
+            f"x needs at least {'9' * 640}, over its cap of 5"
+        for n, k in ((10 ** 640, 639), (10 ** 640 + 1, 640),
+                     (10 ** 700 - 1, 699), (10 ** 700, 699)):
+            assert str(SizeCapError("x", n, 5)) == \
+                f"x needs more than 10^{k}, over its cap of 5"
+        assert str(SizeCapError("y", 10 ** 641)).startswith(
+            "y needs more than 10^640 entries, over the size cap ")
+    finally:
+        sys.set_int_max_str_digits(limit)

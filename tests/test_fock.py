@@ -203,13 +203,16 @@ def test_ccr_block_and_boundary():
 
 def test_ccr_reports_a_broken_relation(monkeypatch):
     # with 2a for A, [2a, a*] = 2: the commutator minus 1 reads 1 on the
-    # whole diagonal of the block, and -(2N + 1) at the boundary
+    # whole diagonal of the block, labelled as inside it, and -(2N + 1) at
+    # the boundary
     monkeypatch.setattr(fock, "ANNIHILATION", {(0, 1): 2})
     report = verify_ccr(4)
     assert not report.ok and str(report).startswith("FAIL")
     assert report.discrepancies == ((0, 0, 1), (1, 1, 1), (2, 2, 1),
                                     (3, 3, 1), (4, 4, -9))
-    assert "  truncation boundary (0,0): AA* - A*A - 1 = 1" in str(report)
+    assert str(report).splitlines()[1:] == [
+        f"  inside the block ({n},{n}): AA* - A*A - 1 = 1" for n in range(4)
+    ] + ["  truncation boundary (4,4): AA* - A*A - 1 = -9"]
 
 
 def test_ccr_fails_when_the_exact_identity_fails(monkeypatch):

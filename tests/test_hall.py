@@ -301,16 +301,18 @@ def test_quiver_names_d4_and_a4():
 
 def test_quiver_and_dimension_vector_walks_are_capped():
     # the Tits-form test of a<n> takes about n^3 steps, and the triples of
-    # dimension vectors within dmax number (prod (d + 1))^3 before the
-    # filter: both are refused before any work
+    # dimension vectors within dmax number prod C(d + 3, 3), 4^n when every
+    # d is 1: both are refused before any work
     assert parse_quiver("a100").n_vertices == 100
     with pytest.raises(SizeCapError, match="Tits form of a101"):
         parse_quiver("a101")
     with pytest.raises(SizeCapError, match="Tits form"):
         parse_quiver("a" + "9" * 30)
-    assert len(list(dimvecs_within((1,) * 6, 3))) == 4 ** 6
-    with pytest.raises(SizeCapError, match="3-tuples of dimension vectors"):
-        next(dimvecs_within((1,) * 7, 3))
+    assert len(list(dimvecs_within((1,) * 7, 3))) == 4 ** 7
+    assert next(dimvecs_within((1,) * 9, 3)) == ((0,) * 9,) * 3
+    with pytest.raises(SizeCapError, match="3-tuples of dimension vectors "
+                       "needs at least 1048576"):
+        next(dimvecs_within((1,) * 10, 3))
 
 
 @pytest.mark.parametrize("name, q, dmax", [
@@ -419,10 +421,12 @@ def test_span_route_counts_the_sequences_and_aut_keeps_its_subobjects(
                 for E in h.classes(total):
                     assert via.get(E.key, 0) * M.aut_order * N.aut_order \
                         == brute_force_ses_count(h, M, N, E)
+                    per_vertex = [subspaces(n, q, k)
+                                  for n, k in zip(E.dimvec, dn)]
                     matching = {
-                        spaces for spaces in h.subrep_spaces(E, dn)
+                        spaces for spaces in itertools.product(*per_vertex)
                         if [h.classify(r).key for r in
-                            h.sub_and_quotient(E, spaces)] == [N.key, M.key]}
+                            h._split(E, spaces) or ()] == [N.key, M.key]}
                     assert len(matching) == via.get(E.key, 0)
                     for g in automorphisms(h, E):
                         for spaces in matching:
@@ -516,15 +520,20 @@ def test_each_subrepresentation_is_classified_once(monkeypatch, name, q, dmax,
                                                    n_subreps):
     h = HallAlgebra(parse_quiver(name), q)
     split = collections.Counter()
-    sub_and_quotient = HallAlgebra.sub_and_quotient
+    tried = collections.Counter()
+    split_once = HallAlgebra._split
 
     def counting(self, E, spaces):
-        split[E.key, spaces] += 1
-        return sub_and_quotient(self, E, spaces)
+        tried[E.key, spaces] += 1
+        result = split_once(self, E, spaces)
+        if result is not None:
+            split[E.key, spaces] += 1
+        return result
 
-    monkeypatch.setattr(HallAlgebra, "sub_and_quotient", counting)
+    monkeypatch.setattr(HallAlgebra, "_split", counting)
     _cli_work(h, dmax)
     assert set(split.values()) == {1} and len(split) == n_subreps
+    assert set(tried.values()) == {1}
 
 
 def _green_failures(name: str, q: int, dmax: tuple[int, ...], twist) -> tuple:
@@ -537,16 +546,18 @@ def _green_failures(name: str, q: int, dmax: tuple[int, ...], twist) -> tuple:
 
     with a the |Aut| and g^R_MN the number of subrepresentations U of R
     with U isomorphic to N and R/U to M, read from the span route's table
-    of each R and dim U."""
+    of each dim R and dim U."""
     h = HallAlgebra(parse_quiver(name), q)
     dims = list(itertools.product(*[range(b + 1) for b in dmax]))
     g: dict[tuple, dict] = {}       # g[R][M, N], by class key
     for d in dims:
         for R in h.classes(d):
             g[R.key] = {}
-            for dw in dims:
-                if all(a <= b for a, b in zip(dw, d)):
-                    g[R.key].update(h._subrep_table(R, dw))
+        for dw in dims:
+            if all(a <= b for a, b in zip(dw, d)):
+                for pair, counts in h._span_table(d, dw).items():
+                    for R, n in counts.items():
+                        g[R][pair] = n
     aut = {R: h.class_by_key(R).aut_order for R in g}
     by_dim = collections.defaultdict(list)
     for (dm, dn) in dimvecs_within(dmax, 2):

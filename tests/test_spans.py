@@ -27,6 +27,7 @@ from helpers import (
     random_cyclic_action,
     random_groupoid,
     random_span,
+    z5_and_its_relabelling,
 )
 from oracles import (Matrix, add_spans, adjoint, alpha_change_of_basis,
                      check_equivalence_certificate, compose_literal, connected,
@@ -167,6 +168,13 @@ def test_pullback_rejects_codomain_mismatch():
     g = bz2()
     h = from_group_table(cyclic_table(3))
     with pytest.raises(ValueError):
+        weak_pullback(identity_functor(g), identity_functor(h))
+
+
+def test_pullback_rejects_codomains_that_differ_only_in_composition():
+    g, h = z5_and_its_relabelling()
+    assert (g.identity, g.inverse) == (h.identity, h.inverse)
+    with pytest.raises(ValueError, match="middle feet differ"):
         weak_pullback(identity_functor(g), identity_functor(h))
 
 
