@@ -10,16 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
-from .exact import SizeCapError, check_digits, format_rational
-
-if TYPE_CHECKING:
-    from .groupoid import FiniteGroupoid
-    from .spans import SpanOfGroupoids
+from .exact import SizeCapError, format_rational
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -67,32 +61,23 @@ def _parse_alpha(text: str) -> Fraction:
         raise InputError(f"invalid alpha {text!r}")
 
 
-def _groupoid_from_file(path: str) -> FiniteGroupoid:
-    from .groupoid import FiniteGroupoid
-
+def _from_file(path: str, noun: str, reader):
+    """``reader`` applied to the JSON in ``path``: the one reader of
+    groupoid and span files.  If it fails, an InputError says the file is
+    not a ``noun`` file, with the reader's error as its cause."""
     data = _load_json(path)
     try:
-        return FiniteGroupoid.from_json(data)
+        return reader(data)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise InputError(f"{path}: not a groupoid file ({exc})") from exc
-
-
-def _span_from_file(path: str) -> SpanOfGroupoids:
-    from .spans import span_from_json
-
-    data = _load_json(path)
-    try:
-        return span_from_json(data)
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise InputError(f"{path}: not a span file ({exc})")
+        raise InputError(f"{path}: not a {noun} file ({exc})") from exc
 
 
 def cmd_check(args) -> int:
-    from .groupoid import Violations
+    from .groupoid import FiniteGroupoid, Violations
 
     # a file that parses but breaks an axiom is a report, not an input error
     try:
-        _groupoid_from_file(args.groupoid)
+        _from_file(args.groupoid, "groupoid", FiniteGroupoid.from_json)
         report = []
     except InputError as exc:
         if not isinstance(exc.__cause__, Violations):
@@ -110,9 +95,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_card(args) -> int:
-    from .groupoid import cardinality
+    from .groupoid import FiniteGroupoid, cardinality
 
-    g = _groupoid_from_file(args.groupoid)
+    g = _from_file(args.groupoid, "groupoid", FiniteGroupoid.from_json)
     value = cardinality(g)
     if args.json:
         print(json.dumps({"cardinality": format_rational(value)}))
@@ -121,61 +106,28 @@ def cmd_card(args) -> int:
     return EXIT_OK
 
 
-def _alpha_digits(alpha: Fraction, span: SpanOfGroupoids) -> tuple[int, int]:
-    """The most decimal digits of a numerator or denominator in one matrix
-    entry of ``span`` at ``alpha``, and those of all entries together,
-    bounded before any power is computed.  The entry at a pair ([y], [x])
-    that n apex classes join is a (b'/a')^alpha times a sum of n terms
-    1/|Aut s|, with a = |Aut x|, b = |Aut y| and a'/b' = a/b in lowest
-    terms, so it has at most ceil|alpha| log10 max(a', b') + log10(a b L
-    n) + 1 digits, L the lcm of those |Aut s|.  |alpha| past 10^300 is
-    taken as 10^300, so that the count prints."""
-    from .groupoid import iso_classes
-
-    apex, y, x = map(iso_classes, (span.apex, span.target, span.source))
-    joined: dict[tuple[int, int], list[int]] = {}
-    for rep, s_aut in zip(apex.representative, apex.aut_order):
-        pair = (y.class_of[span.left.obj_map[rep]],
-                x.class_of[span.right.obj_map[rep]])
-        joined.setdefault(pair, []).append(s_aut)
-    power = math.ceil(min(abs(alpha), 10 ** 300))
-    # an entry over no apex class prints as 0/1
-    unjoined = y.n_classes * x.n_classes - len(joined)
-    longest, total = min(unjoined, 1), unjoined
-    for (cy, cx), auts in joined.items():
-        a, b = x.aut_order[cx], y.aut_order[cy]
-        ratio = max(a, b) // math.gcd(a, b)
-        rest = a * b * math.lcm(*auts) * len(auts)
-        digits = math.ceil(power * Fraction(math.log10(ratio))
-                           + Fraction(math.log10(rest)) + 1)
-        longest, total = max(longest, digits), total + digits
-    return longest, total
-
-
 def cmd_degroupoidify(args) -> int:
     from .groupoid import iso_classes
-    from .spans import degroupoidify_span, matrix_to_csv, matrix_to_json
+    from .spans import (degroupoidify_span, matrix_to_csv, matrix_to_json,
+                        span_from_json)
 
-    span = _span_from_file(args.span)
+    span = _from_file(args.span, "span", span_from_json)
     alpha = _parse_alpha(args.alpha)
-    y, x = iso_classes(span.target), iso_classes(span.source)
-    check_digits(f"degroupoidify at alpha {args.alpha}",
-                 *_alpha_digits(alpha, span))
-    matrix = degroupoidify_span(span, alpha)
+    matrix = degroupoidify_span(span, alpha, label=f"alpha {args.alpha}")
     if args.csv:
         _write_output(matrix_to_csv(matrix), args.output)
     else:
-        payload = matrix_to_json(matrix, y, x)
+        payload = matrix_to_json(matrix, iso_classes(span.target),
+                                 iso_classes(span.source))
         _write_output(json.dumps(payload, indent=None), args.output)
     return EXIT_OK
 
 
 def cmd_compose(args) -> int:
-    from . import groupoid  # noqa: F401  (before spans: a lower peak RSS)
-    from .spans import compose_spans, span_to_json
+    from .spans import compose_spans, span_from_json, span_to_json
 
-    t = _span_from_file(args.first)
-    s = _span_from_file(args.second)
+    t = _from_file(args.first, "span", span_from_json)
+    s = _from_file(args.second, "span", span_from_json)
     composed = compose_spans(t, s)
     _write_output(json.dumps(span_to_json(composed)), args.output)
     return EXIT_OK

@@ -250,10 +250,8 @@ def _aut_pow(n: int, exponent: Fraction) -> Fraction | QSqrt:
     """|Aut|^exponent, exact; half-integer exponents yield QSqrt values."""
     if exponent.denominator == 1:
         return Fraction(n) ** exponent.numerator
-    if exponent.denominator == 2:
-        k = exponent.numerator
-        whole = Fraction(n) ** (k // 2)
-        return QSqrt.sqrt(n) * whole if k % 2 else QSqrt.of(whole)
+    if exponent.denominator == 2:   # so the numerator is odd
+        return QSqrt.sqrt(n) * Fraction(n) ** (exponent.numerator // 2)
     raise ValueError(
         f"alpha exponent {exponent} unsupported: entries |Aut|^a are "
         "irrational except for integer and half-integer a")

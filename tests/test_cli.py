@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -11,13 +12,14 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spancalc
-from spancalc import cli
+from spancalc import cli, spans
 from spancalc.groupoid import (MAX_VIOLATIONS, FiniteGroupoid,
                                GroupoidFunctor, iso_classes)
 from spancalc.spans import (
@@ -399,6 +401,21 @@ def test_degroupoidify_without_a_digit_limit_stops_at_the_size_cap(tmp_path):
     assert "Traceback" not in result.stderr and result.stdout == ""
 
 
+@contextlib.contextmanager
+def recorded_digit_bounds():
+    """The list of the (longest, total) digit bounds that the kernel's
+    ``spans._entry_digits`` returns on its join while inside."""
+    bounds = []
+    entry_digits = spans._entry_digits
+
+    def record(*args):
+        bounds.append(entry_digits(*args))
+        return bounds[-1]
+
+    with mock.patch.object(spans, "_entry_digits", record):
+        yield bounds
+
+
 @pytest.mark.parametrize("alpha, longest", [("2000", 1556), ("-2000", 1558)])
 def test_degroupoidify_prints_what_the_digit_bound_admits(monkeypatch, capsys,
                                                           alpha, longest):
@@ -407,10 +424,11 @@ def test_degroupoidify_prints_what_the_digit_bound_admits(monkeypatch, capsys,
     # digits; the span is passed in memory, as its file takes seconds to
     # read
     span = annihilation_span(build_E(6))
-    monkeypatch.setattr(cli, "_span_from_file", lambda path: span)
-    assert cli._alpha_digits(Fraction(alpha), span)[0] == 1565
-    assert cli.main(["degroupoidify", "--span", "E6.json", "--alpha",
-                     alpha]) == 0
+    monkeypatch.setattr(cli, "_from_file", lambda path, noun, reader: span)
+    with recorded_digit_bounds() as bounds:
+        assert cli.main(["degroupoidify", "--span", "E6.json", "--alpha",
+                         alpha]) == 0
+    assert bounds[0][0] == 1565
     entries = json.loads(capsys.readouterr().out)["entries"]
     assert max(len(d) for row in entries for entry in row
                for d in re.findall(r"\d+", entry)) == longest
@@ -445,10 +463,12 @@ def test_alpha_digit_projection_is_never_below_the_printed_digits(rng, k,
     leg = GroupoidFunctor(twelve, terminal(), (0,) * 12, (0,) * 12)
     for span in (random_span(rng, k, ay, ax), annihilation_span(build_E(4)),
                  SpanOfGroupoids(twelve, leg, leg)):
-        entries = matrix_to_json(degroupoidify_span(span, alpha))["entries"]
+        with recorded_digit_bounds() as bounds:
+            matrix = degroupoidify_span(span, alpha)
+        entries = matrix_to_json(matrix)["entries"]
         printed = [max(len(d) for d in re.findall(r"\d+", entry))
                    for row in entries for entry in row]
-        longest, total = cli._alpha_digits(alpha, span)
+        [(longest, total)] = bounds
         assert longest >= max(printed) and total >= sum(printed)
 
 
@@ -466,6 +486,20 @@ def test_degroupoidify_refuses_a_power_of_three_past_the_limit(tmp_path,
     assert cli.main(["degroupoidify", "--span", str(path), "--alpha",
                      "10000"]) == 2
     assert "alpha 10000 is too large" in capsys.readouterr().err
+
+
+def test_degroupoidify_names_alpha_as_typed_in_a_refusal():
+    # |alpha| is taken as 10^300 in the digit bound, so the count is 300
+    # digits of 10^300 log10 4 and more
+    composite = Path(__file__).parent / "golden" / "compose_777.stdout"
+    result = run_cli("degroupoidify", "--span", str(composite), "--alpha",
+                     "1e5000")
+    assert result.returncode == 2 and result.stdout == ""
+    assert re.fullmatch(
+        r"error: degroupoidify at alpha 1e5000 is too large: it prints "
+        r"numbers of up to 6020599913279\d{287} digits, over the "
+        r"interpreter's limit of 4300 \(PYTHONINTMAXSTRDIGITS\)\n",
+        result.stderr)
 
 
 @pytest.mark.parametrize("alpha, digit_limit", [

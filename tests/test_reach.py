@@ -32,6 +32,11 @@ ALLOWED = {
         "groupoid:FiniteGroupoid.__repr__", "hall:Quiver.__eq__",
         "hall:Quiver.__hash__", "hall:Quiver.__setattr__",
         "spans:RationalMatrix.__eq__", "spans:RationalMatrix.__repr__")},
+    # each degroupoidified entry is weighed once, so only Fock's sums of
+    # weights add QSqrt values, and no subcommand passes them a
+    # half-integer alpha
+    **{f"exact:QSqrt.{name}": "fock.entries and fock.generating_function "
+       "at half-integer alpha" for name in ("__add__", "of")},
     # the Wick block waits for a `fock --wick` subcommand (ROADMAP item 5)
     **{f"fock:{name}": "fock's Wick block"
        for name in ("span_power", "matrix", "normal_ordered_power")},

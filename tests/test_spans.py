@@ -16,6 +16,7 @@ from spancalc.groupoid import (
 )
 from spancalc.spans import (
     SpanOfGroupoids,
+    _pullback_objects,
     compose_spans,
     degroupoidify_span,
     weak_pullback,
@@ -130,6 +131,7 @@ def test_skeletal_objects_are_all_element_orbit_minima():
     for f, g in _orbit_cospans(rng):
         T, S, B = f.domain, g.domain, f.codomain
         P, _pt, _ps = weak_pullback(f, g)
+        objects = _pullback_objects(f, g)
         want = []
         for t0 in iso_classes(T).representative:
             for s0 in iso_classes(S).representative:
@@ -138,7 +140,7 @@ def test_skeletal_objects_are_all_element_orbit_minima():
                 for orbit in all_element_orbits(
                         B, B.hom(f.obj_map[t0], g.obj_map[s0]), pairs):
                     want.append(((t0, s0, orbit[0]), len(orbit)))
-        assert P.obj_data == [obj for obj, _size in want]
+        assert objects == [obj for obj, _size in want]
         # orbit-stabilizer: |orbit| * |stabilizer| = |Aut t0| * |Aut s0|
         for o, ((t0, s0, _a), size) in enumerate(want):
             assert size * len(P.aut(o)) == len(T.aut(t0)) * len(S.aut(s0))
@@ -195,12 +197,26 @@ def test_pullback_and_trace_match_the_literal_oracles(rng, k):
         assert trace_literal(e)[1] == span_matrix(e).trace()
 
 
+def test_degroupoidify_span_refuses_a_power_past_the_digit_limit():
+    # the span Z/2 <- 1 -> Z/3: its one entry at alpha 10^5 has a power of
+    # 3 with 47713 digits, refused before it is formed
+    apex = terminal()
+    span = SpanOfGroupoids(
+        apex, GroupoidFunctor(apex, from_group_table(cyclic_table(3)),
+                              (0,), (0,)),
+        GroupoidFunctor(apex, bz2(), (0,), (0,)))
+    with pytest.raises(ValueError, match=r"degroupoidify at alpha is too "
+                       r"large: .* interpreter's limit of \d+ "
+                       r"\(PYTHONINTMAXSTRDIGITS"):
+        degroupoidify_span(span, 10 ** 5)
+
+
 # -- the size cap on the pullback --------------------------------------------
 
 def _refuse_pullback_groupoids(monkeypatch):
     def refuse(*_args):
         raise AssertionError("a pullback groupoid was built past the cap")
-    monkeypatch.setattr("spancalc.spans._PullbackGroupoid", refuse)
+    monkeypatch.setattr("spancalc.spans.FiniteGroupoid", refuse)
 
 
 def _over_point(apex: FiniteGroupoid) -> SpanOfGroupoids:
