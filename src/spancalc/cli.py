@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -302,7 +303,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        return status
+    except BrokenPipeError as exc:
+        # stdout's reader is gone: point stdout at the null device, so that
+        # the flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: stdout: cannot write ({exc.strerror})", file=sys.stderr)
+        return EXIT_INPUT
     except (InputError, SizeCapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

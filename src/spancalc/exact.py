@@ -9,9 +9,11 @@ orbits from generators, and ``greedy_generators`` with ``extend_group``
 the one that closes a group from them.  ``QSqrt`` holds the sums of
 rational multiples of square roots that half-integer alpha produces;
 ``aut_weight`` is the one degroupoidification weight
-|Aut x|^(1-alpha) |Aut y|^alpha / |Aut s|, and ``format_rational`` prints
-a value as the CLI emits it.  This module imports nothing from the rest
-of the package.
+|Aut x|^(1-alpha) |Aut y|^alpha / |Aut s|, and ``degroupoidify`` the one
+kernel that sums it over apex classes, bounding each entry's digits
+before any power is formed: spans, Fock spans and the Hecke triple space
+only list their classes for it.  ``format_rational`` prints a value as the
+CLI emits it.  This module imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
@@ -182,20 +184,9 @@ class QSqrt:
     def __init__(self, terms: dict[int, Fraction] | None = None):
         self.terms = {b: c for b, c in (terms or {}).items() if c != 0}
 
-    @staticmethod
-    def of(x: Fraction | int) -> "QSqrt":
-        return QSqrt({1: Fraction(x)})
-
-    @staticmethod
-    def sqrt(n: int) -> "QSqrt":
-        if n == 0:
-            return QSqrt()
-        a, b = _sqrt_decompose(n)
-        return QSqrt({b: Fraction(a)})
-
     def __add__(self, other: "QSqrt | Fraction | int") -> "QSqrt":
         if isinstance(other, (int, Fraction)):
-            other = QSqrt.of(other)
+            other = QSqrt({1: Fraction(other)})
         out = dict(self.terms)
         for b, c in other.terms.items():
             out[b] = out.get(b, Fraction(0)) + c
@@ -215,27 +206,15 @@ class QSqrt:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, k: Fraction | int) -> "QSqrt":
-        return QSqrt({b: c / k for b, c in self.terms.items()})
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = QSqrt.of(other)
+            other = QSqrt({1: Fraction(other)})
         if not isinstance(other, QSqrt):
             return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(self.terms.items())))
-
-    @property
-    def is_rational(self) -> bool:
-        return set(self.terms) <= {1}
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self.terms.get(1, Fraction(0))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -246,37 +225,73 @@ class QSqrt:
         )
 
 
-def _aut_pow(n: int, exponent: Fraction) -> Fraction | QSqrt:
-    """|Aut|^exponent, exact; half-integer exponents yield QSqrt values."""
-    if exponent.denominator == 1:
-        return Fraction(n) ** exponent.numerator
-    if exponent.denominator == 2:   # so the numerator is odd
-        return QSqrt.sqrt(n) * Fraction(n) ** (exponent.numerator // 2)
-    raise ValueError(
-        f"alpha exponent {exponent} unsupported: entries |Aut|^a are "
-        "irrational except for integer and half-integer a")
-
-
 def aut_weight(x_aut: int, y_aut: int, s_aut: int, alpha: Fraction | int
                ) -> Fraction | QSqrt:
     """|Aut x|^(1-alpha) |Aut y|^alpha / |Aut s|, the weight of one apex
     class s over ([x], [y]); a QSqrt only when the value is irrational.
     It is taken as |Aut x| (b'/a')^alpha / |Aut s|, a'/b' being
     |Aut x| / |Aut y| in lowest terms, so no power is larger than the
-    value needs: at |Aut x| = |Aut y| none grows with alpha."""
+    value needs: at |Aut x| = |Aut y| none grows with alpha.  At a
+    half-integer alpha, (b'/a')^(1/2) is sqrt(a'b') / a'."""
+    alpha = Fraction(alpha)
+    if alpha.denominator > 2:
+        raise ValueError(
+            f"alpha exponent {alpha} unsupported: entries |Aut|^a are "
+            "irrational except for integer and half-integer a")
     g = math.gcd(x_aut, y_aut)
-    ratio = _aut_pow(y_aut // g, alpha) * _aut_pow(x_aut // g, -alpha)
-    term = ratio * x_aut / s_aut
-    if isinstance(term, QSqrt) and term.is_rational:
-        return term.as_fraction()
-    return term
+    a, b = x_aut // g, y_aut // g
+    n = math.floor(alpha)
+    term = Fraction(b, a) ** n * x_aut / s_aut
+    if n == alpha:
+        return term
+    root, radicand = _sqrt_decompose(a * b)
+    term = term * root / a
+    return term if radicand == 1 else QSqrt({radicand: term})
+
+
+def degroupoidify(classes, alpha: Fraction | int, what: str, cells: int
+                  ) -> dict:
+    """The entries, by key, of the apex classes ``(key, |Aut x|, |Aut y|,
+    |Aut s|, c)``, each counted c times: the sums over each key's classes
+    of c |Aut x|^(1-alpha) |Aut y|^alpha / |Aut s|.
+
+    Each entry's alpha-free part |Aut x| sum c/|Aut s| is formed exactly
+    first.  With a'/b' = |Aut x| / |Aut y| in lowest terms the entry is
+    that part times (b'/a')^alpha, so it prints no number of more than
+    ceil(|alpha| log10 max(a', b')) digits beyond the part's (at a
+    half-integer alpha, the part times a'b', which bounds the radicand and
+    the root's coefficient).  ``check_digits`` refuses ``what`` on that
+    bound before any power is formed, |alpha| past 10^300 counting as
+    10^300; ``cells`` entries are laid out, and each that no class joins
+    prints as 0/1, one digit."""
+    alpha = Fraction(alpha)
+    joined: dict = {}   # key -> [|Aut x|, |Aut y|, sum of c/|Aut s|]
+    for key, x_aut, y_aut, s_aut, c in classes:
+        joined.setdefault(key, [x_aut, y_aut, Fraction(0)])[2] += \
+            Fraction(c, s_aut)
+    power = min(abs(alpha), 10 ** 300)
+    unjoined = max(cells - len(joined), 0)
+    longest, total = min(unjoined, 1), unjoined
+    for x_aut, y_aut, part in joined.values():
+        digits = 1      # a sum that cancels prints as 0/1
+        if part:
+            g = math.gcd(x_aut, y_aut)
+            free = x_aut * part
+            radicand = 1 if alpha.denominator == 1 else x_aut * y_aut // g // g
+            bits = (max(abs(free.numerator), free.denominator)
+                    * radicand).bit_length()
+            # log10 2 < 0.30103, so a number of k bits has at most
+            # 0.30103 k + 1 digits
+            digits = (math.ceil(power * Fraction(math.log10(
+                max(x_aut, y_aut) // g))) + bits * 30103 // 100000 + 1)
+        longest, total = max(longest, digits), total + digits
+    check_digits(what, longest, total)
+    return {key: aut_weight(x_aut, y_aut, 1, alpha) * part if part else part
+            for key, (x_aut, y_aut, part) in joined.items()}
 
 
 def format_rational(x) -> str:
     if isinstance(x, QSqrt):
-        if x.is_rational:
-            x = x.as_fraction()
-        else:
-            return repr(x)
+        return repr(x)
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"

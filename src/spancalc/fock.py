@@ -17,7 +17,9 @@ holds exactly, as an identity of dicts.  No permutation is listed.  The
 generic weak pullback on the groupoid of permutations is the test oracle.
 
 Truncation at N enters only where a matrix is read: ``entries`` and
-``matrix`` list the classes whose feet are at most N.
+``matrix`` list the classes whose feet are at most N, and the kernel
+``exact.degroupoidify`` weighs them, as it weighs the classes of a stuff
+type in ``generating_function``.
 
 Stuff types are lists of classes over E, each an ``(n, |Aut|)`` pair.  Their
 degroupoidified vectors are exponential generating functions with exact
@@ -31,7 +33,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import aut_weight, check_digits
+from .exact import check_digits, degroupoidify
 
 FockSpan = dict   # (k, l) -> c, the operator c a*^k a^l
 
@@ -79,24 +81,21 @@ def normal_ordered_power(n: int) -> FockSpan:
 
 
 def entries(s: FockSpan, N: int, alpha: Fraction | int = 0) -> dict:
-    """The matrix entries of s at truncation N, by (x, y): each class
-    (u + k, u + l, u) of c a*^k a^l with u <= N - max(k, l) adds
-    ``aut_weight(y!, x!, u!, alpha)`` times c."""
-    out: dict = {}
+    """The matrix entries of s at truncation N, by (x, y), each joined
+    from the classes (u + k, u + l, u) of c a*^k a^l with
+    u <= N - max(k, l), weighed by ``exact.degroupoidify``.  The row foot
+    x is the span's target, so the source's y! stands first."""
     f = math.factorial
-    for (k, l), c in s.items():
-        for u in range(N - max(k, l) + 1):
-            x, y = u + k, u + l
-            out[x, y] = out.get((x, y), 0) + \
-                c * aut_weight(f(y), f(x), f(u), alpha)
-    return out
+    classes = (((u + k, u + l), f(u + l), f(u + k), f(u), c)
+               for (k, l), c in s.items() for u in range(N - max(k, l) + 1))
+    return degroupoidify(classes, alpha, f"fock entries at alpha {alpha}", 0)
 
 
 def matrix(s: FockSpan, N: int, alpha: Fraction | int = 0) -> list[list]:
     """The dense (N + 1) x (N + 1) matrix of s, rows x and columns y."""
     out = [[Fraction(0)] * (N + 1) for _ in range(N + 1)]
     for (x, y), v in entries(s, N, alpha).items():
-        out[x][y] += v
+        out[x][y] = v
     return out
 
 
@@ -147,10 +146,13 @@ class PowerSeriesVector(NamedTuple):
 def generating_function(stuff: list[tuple[int, int]], N: int,
                         alpha: Fraction | int = 0) -> PowerSeriesVector:
     """The vector of a stuff type over E truncated at N: each class
-    (n, |Aut|) adds |Aut n|^alpha / |Aut| to the coefficient of z^n."""
+    (n, |Aut|) adds |Aut n|^alpha / |Aut| to the coefficient of z^n, by
+    ``exact.degroupoidify`` over the terminal groupoid."""
     coefficients = [Fraction(0)] * (N + 1)
-    for n, aut in stuff:
-        coefficients[n] += aut_weight(1, math.factorial(n), aut, alpha)
+    for n, c in degroupoidify(
+            ((n, 1, math.factorial(n), aut, 1) for n, aut in stuff), alpha,
+            f"generating function at alpha {alpha}", N + 1).items():
+        coefficients[n] = c
     return PowerSeriesVector(tuple(coefficients))
 
 

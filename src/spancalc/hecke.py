@@ -12,8 +12,9 @@ are the six relative positions of two flags (Bruhat decomposition), which
 incidence alone tells apart.  So (X x X) // G is equivalent to the
 disjoint union of the B Stab_w, with |Stab_w| = |G| / |orbit w| and
 |G| = q^3 (q^2 - 1)(q^3 - 1), and the triple space degroupoidifies to the
-structure constants of the Hecke algebra by counting middle flags: no
-group element is ever listed.  Orbit labels follow the shortest relation
+structure constants of the Hecke algebra by counting middle flags, which
+the kernel ``exact.degroupoidify`` weighs: no group element is ever
+listed.  Orbit labels follow the shortest relation
 word reaching the orbit: e, P, L, PL, LP, PLP; this labeling is a
 documented choice, emitted with every output.
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exact import SizeCapError, _check_cap, aut_weight
+from .exact import SizeCapError, _check_cap, degroupoidify
 from .fq import echelon, is_prime, nullspace
 
 ORBIT_LABELS = ("e", "P", "L", "PL", "LP", "PLP")
@@ -223,10 +224,10 @@ def hecke_structure_constants(q: int, alpha: int = 0) -> HeckeTensor:
     Fix a pair (x1, x3) in orbit w.  The triples over it with (x1, x2) in
     orbit u and (x2, x3) in orbit v are ``count`` middle flags x2, acted
     on by Stab_w, and the sum over their orbits of 1/|Stab triple| is
-    count / |Stab_w|.  So each triple orbit's weight |Stab_w|^(1-alpha)
-    (|Stab_u| |Stab_v|)^alpha / |Stab triple| sums to c[u][v][w] = count
-    times that weight with |Stab_w| in place of |Stab triple|: the count
-    itself at alpha = 0.
+    count / |Stab_w|.  So they enter ``exact.degroupoidify`` as one class
+    with |Stab_w| automorphisms counted ``count`` times, over the x foot w
+    and the y foot (u, v), |Stab_u| |Stab_v| automorphisms: c[u][v][w] is
+    the count itself at alpha = 0.
     """
     check_caps(q, relations=False)
     geo = flag_geometry(q)
@@ -239,18 +240,18 @@ def hecke_structure_constants(q: int, alpha: int = 0) -> HeckeTensor:
                 f"orbit-stabilizer bookkeeping broke: orbit of {size} "
                 f"pairs in a group of order {order}")
     k = len(ORBIT_LABELS)
-    tensor = [[[Fraction(0)] * k for _v in range(k)] for _u in range(k)]
+    classes = []
     for w in range(k):
         x3 = geo.flags[first.index(w)]     # (flag 0, x3) lies in orbit w
         counts = [[0] * k for _u in range(k)]
         for u, x2 in zip(first, geo.flags):
             counts[u][_POSITION[_pair_label(geo, x2, x3)]] += 1
-        for u in range(k):
-            for v in range(k):
-                if counts[u][v]:
-                    # x foot: the pair13 orbit; y foot: the pair12, pair23 orbits
-                    tensor[u][v][w] = counts[u][v] * aut_weight(
-                        stab[w], stab[u] * stab[v], stab[w], alpha)
-    return HeckeTensor(q, ORBIT_LABELS,
-                       tuple(tuple(tuple(row) for row in plane)
-                             for plane in tensor))
+        # x foot: the pair13 orbit; y foot: the pair12, pair23 orbits
+        classes += [((u, v, w), stab[w], stab[u] * stab[v], stab[w], count)
+                    for u, row in enumerate(counts)
+                    for v, count in enumerate(row) if count]
+    c = degroupoidify(classes, alpha, f"hecke structure constants at q={q}, "
+                      f"alpha {alpha}", k ** 3)
+    return HeckeTensor(q, ORBIT_LABELS, tuple(
+        tuple(tuple(c.get((u, v, w), Fraction(0)) for w in range(k))
+              for v in range(k)) for u in range(k)))

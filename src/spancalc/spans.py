@@ -7,9 +7,9 @@ with entry at (class of y, class of x) equal to
     sum over apex classes [s] lying over ([x], [y]) of
         |Aut(x)|^(1-alpha) * |Aut(y)|^alpha / |Aut(s)|
 
-computed in exact rational arithmetic from one join of the apex classes
-per entry, which also bounds the entry's digits before any power is
-formed.  A vector on X is a span from the terminal groupoid to X (BHW
+computed by the kernel ``exact.degroupoidify`` from one join of the apex
+classes per entry, which also bounds the entry's digits before any power
+is formed.  A vector on X is a span from the terminal groupoid to X (BHW
 section 2): applying a span to it and pairing two of them are both
 composites.  Weak pullbacks implement span composition; since equivalent
 spans induce equal matrices, the one weak pullback is blockwise-skeletal
@@ -26,12 +26,10 @@ adjoints, tensor products, traces) are test oracles only.
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exact import (_check_cap, aut_weight, check_digits, format_rational,
-                    orbits)
+from .exact import _check_cap, degroupoidify, format_rational, orbits
 from .groupoid import (
     FiniteGroupoid,
     GroupoidFunctor,
@@ -184,52 +182,23 @@ def compose_spans(t: SpanOfGroupoids, s: SpanOfGroupoids) -> SpanOfGroupoids:
     return SpanOfGroupoids(P, proj_t.then(t.left), proj_s.then(s.right))
 
 
-def _entry_digits(joined: dict, y: IsoClassTable, x: IsoClassTable,
-                  alpha: Fraction) -> tuple[int, int]:
-    """The most decimal digits of a numerator or denominator in one entry
-    of the matrix at ``alpha``, and those of all entries together, bounded
-    before any power is computed; ``joined`` lists the |Aut s| of the apex
-    classes over each pair ([y], [x]).  The entry that n apex classes join
-    is a (b'/a')^alpha times a sum of n terms 1/|Aut s|, with a = |Aut x|,
-    b = |Aut y| and a'/b' = a/b in lowest terms, so it has at most
-    ceil|alpha| log10 max(a', b') + log10(a b L n) + 1 digits, L the lcm
-    of those |Aut s|.  |alpha| past 10^300 is taken as 10^300, so that the
-    count prints."""
-    power = math.ceil(min(abs(alpha), 10 ** 300))
-    # an entry over no apex class prints as 0/1
-    unjoined = y.n_classes * x.n_classes - len(joined)
-    longest, total = min(unjoined, 1), unjoined
-    for (cy, cx), auts in joined.items():
-        a, b = x.aut_order[cx], y.aut_order[cy]
-        ratio = max(a, b) // math.gcd(a, b)
-        rest = a * b * math.lcm(*auts) * len(auts)
-        digits = math.ceil(power * Fraction(math.log10(ratio))
-                           + Fraction(math.log10(rest)) + 1)
-        longest, total = max(longest, digits), total + digits
-    return longest, total
-
-
 def degroupoidify_classes(apex: IsoClassTable, left: Sequence[int],
                           right: Sequence[int], y: IsoClassTable,
                           x: IsoClassTable, alpha: Fraction | int = 0,
                           label: str = "alpha") -> RationalMatrix:
-    """The one degroupoidification kernel.  It joins the apex classes that
-    the leg object maps ``left`` and ``right`` send into ([y], [x]), bounds
-    the digits of each entry (``_entry_digits`` through
-    ``exact.check_digits``; a refusal names alpha by ``label``), and
-    weighs the entry once: ``aut_weight`` at |Aut s| = 1 times the sum of
-    the 1/|Aut s|."""
-    alpha = Fraction(alpha)
-    joined: dict[tuple[int, int], list[int]] = {}
+    """The matrix of the apex classes that the leg object maps ``left``
+    and ``right`` send into ([y], [x]), weighed by ``exact.degroupoidify``
+    (a refusal names alpha by ``label``); every cell of the dense matrix
+    is laid out, so each cell no class joins counts as a printed 0/1."""
+    classes = []
     for rep, s_aut in zip(apex.representative, apex.aut_order):
-        joined.setdefault((y.class_of[left[rep]], x.class_of[right[rep]]),
-                          []).append(s_aut)
-    check_digits(f"degroupoidify at {label}",
-                 *_entry_digits(joined, y, x, alpha))
+        cy, cx = y.class_of[left[rep]], x.class_of[right[rep]]
+        classes.append(((cy, cx), x.aut_order[cx], y.aut_order[cy], s_aut, 1))
     out = RationalMatrix(y.n_classes, x.n_classes)
-    for (cy, cx), auts in joined.items():
-        weight = aut_weight(x.aut_order[cx], y.aut_order[cy], 1, alpha)
-        out.data[cy][cx] = weight * sum(Fraction(1, s_aut) for s_aut in auts)
+    for (cy, cx), value in degroupoidify(
+            classes, alpha, f"degroupoidify at {label}",
+            y.n_classes * x.n_classes).items():
+        out.data[cy][cx] = value
     return out
 
 

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
 import random
+from unittest import mock
 from fractions import Fraction
 
 import numpy as np
 
 from spancalc.groupoid import FiniteGroupoid, GroupoidFunctor
+from spancalc import exact
 from spancalc.exact import aut_weight, greedy_generators
 from spancalc.fq import all_matrices, echelon, mat_mul
 from spancalc.hecke import ORBIT_LABELS, HeckeTensor
@@ -331,3 +334,18 @@ def iwahori_hecke_s3(q: int) -> tuple:
             plane.append(tuple(row))
         tensor.append(tuple(plane))
     return tuple(tensor)
+
+
+@contextlib.contextmanager
+def recorded_digit_bounds():
+    """The list of the (longest, total) digit bounds that the kernel
+    ``exact.degroupoidify`` passes ``exact.check_digits`` while inside."""
+    bounds = []
+    check_digits = exact.check_digits
+
+    def record(what, longest, total):
+        bounds.append((longest, total))
+        check_digits(what, longest, total)
+
+    with mock.patch.object(exact, "check_digits", record):
+        yield bounds

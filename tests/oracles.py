@@ -11,7 +11,8 @@ with one row per element; ``orbit_table`` gives the iso classes of S//G
 from such a table, ``materialize`` the action groupoid itself, and
 ``degroupoidify_equivariant`` degroupoidifies an ``EquivariantSpan``
 straight from orbits and stabilizers, against ``materialize_span`` run
-through the generic span machinery.
+through the generic span machinery.  ``degroupoidify_per_class`` weighs
+apex classes one by one, the oracle of the kernel that joins them.
 
 The span calculus of BHW section 2 beyond composition: ``Matrix`` is a
 ``RationalMatrix`` with the arithmetic that the identities are stated in,
@@ -72,7 +73,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from spancalc.exact import SizeCapError, _check_cap
+from spancalc.exact import SizeCapError, _check_cap, aut_weight
 from spancalc.fq import echelon
 from spancalc.groupoid import (FiniteGroupoid, GroupoidFunctor, IsoClassTable,
                                Rational, cardinality, iso_classes,
@@ -588,6 +589,17 @@ class EquivariantSpan(NamedTuple):
             if len(errors) > 10:
                 break
         return errors
+
+
+def degroupoidify_per_class(classes, alpha: Fraction | int) -> dict:
+    """The oracle of the kernel ``spancalc.exact.degroupoidify``: each apex
+    class (key, |Aut x|, |Aut y|, |Aut s|, c) adds c times its own
+    ``aut_weight`` to the entry at its key, with no join and no bound."""
+    out: dict = {}
+    for key, x_aut, y_aut, s_aut, c in classes:
+        out[key] = out.get(key, Fraction(0)) + \
+            c * aut_weight(x_aut, y_aut, s_aut, alpha)
+    return out
 
 
 def degroupoidify_equivariant(span: EquivariantSpan,

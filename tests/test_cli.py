@@ -1,5 +1,4 @@
 import argparse
-import contextlib
 import itertools
 import json
 import os
@@ -12,14 +11,13 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spancalc
-from spancalc import cli, spans
+from spancalc import cli
 from spancalc.groupoid import (MAX_VIOLATIONS, FiniteGroupoid,
                                GroupoidFunctor, iso_classes)
 from spancalc.spans import (
@@ -30,7 +28,8 @@ from spancalc.spans import (
 )
 
 from helpers import (S3_WORDS, iwahori_hecke_s3, random_cyclic_action,
-                     random_span, z5_and_its_relabelling)
+                     random_span, recorded_digit_bounds,
+                     z5_and_its_relabelling)
 from oracles import (annihilation_span, build_E, compose_literal, connected,
                      cyclic_table, discrete, from_group_table, identity_span,
                      span_matrix, terminal)
@@ -401,21 +400,6 @@ def test_degroupoidify_without_a_digit_limit_stops_at_the_size_cap(tmp_path):
     assert "Traceback" not in result.stderr and result.stdout == ""
 
 
-@contextlib.contextmanager
-def recorded_digit_bounds():
-    """The list of the (longest, total) digit bounds that the kernel's
-    ``spans._entry_digits`` returns on its join while inside."""
-    bounds = []
-    entry_digits = spans._entry_digits
-
-    def record(*args):
-        bounds.append(entry_digits(*args))
-        return bounds[-1]
-
-    with mock.patch.object(spans, "_entry_digits", record):
-        yield bounds
-
-
 @pytest.mark.parametrize("alpha, longest", [("2000", 1556), ("-2000", 1558)])
 def test_degroupoidify_prints_what_the_digit_bound_admits(monkeypatch, capsys,
                                                           alpha, longest):
@@ -425,27 +409,37 @@ def test_degroupoidify_prints_what_the_digit_bound_admits(monkeypatch, capsys,
     # read
     span = annihilation_span(build_E(6))
     monkeypatch.setattr(cli, "_from_file", lambda path, noun, reader: span)
+    argv = ["degroupoidify", "--span", "E6.json", "--alpha", alpha]
     with recorded_digit_bounds() as bounds:
-        assert cli.main(["degroupoidify", "--span", "E6.json", "--alpha",
-                         alpha]) == 0
-    assert bounds[0][0] == 1565
+        assert cli.main(argv) == 0
+    assert bounds[0][0] == 1558
     entries = json.loads(capsys.readouterr().out)["entries"]
     assert max(len(d) for row in entries for entry in row
                for d in re.findall(r"\d+", entry)) == longest
+    # the bound is the longest number printed at alpha -2000, so one digit
+    # less of limit refuses the run before any power is formed
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1557)
+    try:
+        assert cli.main(argv) == 2
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert "numbers of up to 1558 digits, over the interpreter's limit of " \
+        "1557" in capsys.readouterr().err
 
 
 def test_degroupoidify_counts_digits_per_joined_entry_against_the_cap(
         tmp_path):
     # the annihilation span of E truncated at 5 joins 5 of its 36 entries;
-    # at alpha 2000 each joined one has at most 1404 digits, and the other
+    # at alpha 2000 each joined one has at most 1399 digits, and the other
     # 31 print 0/1
     path = tmp_path / "span.json"
     path.write_text(json.dumps(span_to_json(annihilation_span(build_E(5)))))
     argv = ("degroupoidify", "--span", str(path), "--alpha", "2000")
-    assert run_cli(*argv, env={"SPANCALC_SIZE_CAP": "20000"}).returncode == 0
-    result = run_cli(*argv, env={"SPANCALC_SIZE_CAP": "4205"})
+    assert run_cli(*argv, env={"SPANCALC_SIZE_CAP": "4197"}).returncode == 0
+    result = run_cli(*argv, env={"SPANCALC_SIZE_CAP": "4196"})
     assert result.returncode == 2
-    assert "counted in digits of its exact values, needs 4206 entries" \
+    assert "counted in digits of its exact values, needs 4197 entries" \
         in result.stderr
 
 
@@ -502,6 +496,37 @@ def test_degroupoidify_names_alpha_as_typed_in_a_refusal():
         result.stderr)
 
 
+@pytest.mark.parametrize("argv", [
+    ("degroupoidify", "--span", str(Path(__file__).parent / "golden"
+                                    / "compose_777.stdout"),
+     "--alpha", "2000"),
+    ("fock", "--truncate", "6", "--json"),
+    ("hall", "--quiver", "a2", "--q", "2", "--dmax", "1,1")])
+def test_a_closed_stdout_exits_2_with_one_error_line(argv):
+    # the read end of the child's stdout is closed before it starts, so
+    # its first write, or its flush, finds no reader
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "spancalc.cli", *argv], stdout=write,
+            stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert result.returncode == 2
+    assert result.stderr == "error: stdout: cannot write (Broken pipe)\n"
+
+
+def run_capped(argv: list[str], env: dict, timeout: float = 10):
+    """Run ``argv`` in a child whose address space is capped at 1 GiB, so
+    that a run forming a power it does not need fails instead of filling
+    memory, and that is stopped after ``timeout`` seconds."""
+    return subprocess.run(
+        argv, capture_output=True, text=True, env=env, timeout=timeout,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (2 ** 30, 2 ** 30)))
+
+
 @pytest.mark.parametrize("alpha, digit_limit", [
     ("1e300", None), ("1e10", "0"), ("-20000000001/2", "0")])
 def test_degroupoidify_forms_no_power_that_the_entries_do_not_need(
@@ -516,14 +541,29 @@ def test_degroupoidify_forms_no_power_that_the_entries_do_not_need(
     env = dict(os.environ)
     if digit_limit is not None:
         env["PYTHONINTMAXSTRDIGITS"] = digit_limit
-    result = subprocess.run(
+    result = run_capped(
         [sys.executable, "-m", "spancalc.cli", "degroupoidify", "--span",
-         str(path), f"--alpha={alpha}"],
-        capture_output=True, text=True, env=env, timeout=10,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
-                                              (2 ** 30, 2 ** 30)))
+         str(path), f"--alpha={alpha}"], env)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["entries"] == [["1/1"]]
+
+
+@pytest.mark.parametrize("call", [
+    "fock.entries(fock.CREATION, 5, 10**7)",
+    "fock.generating_function(fock.psi_n(5, 5), 5, 10**7)",
+    "hecke.hecke_structure_constants(3, 10**6)"])
+def test_library_degroupoidification_refuses_an_alpha_past_the_limit(call):
+    # each call would form powers of millions of digits; the kernel's
+    # digit bound refuses it first, in the library as on the command line
+    code = (f"import time\nfrom spancalc import exact, fock, hecke\n"
+            f"start = time.perf_counter()\n"
+            f"try:\n    {call}\n"
+            f"except (ValueError, exact.SizeCapError) as exc:\n"
+            f"    print(type(exc).__name__, time.perf_counter() - start)\n")
+    result = run_capped([sys.executable, "-c", code], dict(os.environ))
+    assert result.returncode == 0, result.stderr
+    name, seconds = result.stdout.split()
+    assert name in ("ValueError", "SizeCapError") and float(seconds) < 1
 
 
 def test_span_file_with_a_leg_that_is_not_a_functor_exits_2(tmp_path):

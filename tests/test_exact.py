@@ -1,20 +1,24 @@
 """The shared orbit and group-closure routines of ``spancalc.exact``,
-against brute force on the automorphism groups of random groupoids, and
-the degroupoidification weight against its defining formula, and the
-size-cap message past the printed digit limit."""
+against brute force on the automorphism groups of random groupoids, the
+degroupoidification weight against its defining formula, the kernel
+against the per-class sum of those weights and its digit bound against
+what it prints, and the size-cap message past the printed digit limit."""
 
 import random
+import re
 import sys
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spancalc.exact import (QSqrt, SizeCapError, aut_weight, extend_group,
-                            greedy_generators, orbits)
+from spancalc.exact import (QSqrt, SizeCapError, aut_weight, degroupoidify,
+                            extend_group, format_rational, greedy_generators,
+                            orbits)
 from spancalc.groupoid import FiniteGroupoid
 
-from helpers import random_groupoid
+from helpers import random_groupoid, recorded_digit_bounds
+from oracles import degroupoidify_per_class
 
 
 def brute_closure(g: FiniteGroupoid, x: int, elements) -> set:
@@ -103,7 +107,33 @@ def test_aut_weight_is_its_defining_formula(auts, alpha):
     assert w * w == square / s ** 2
     assert all(c > 0 for c in (w.terms.values() if isinstance(w, QSqrt)
                                else [w]))
-    assert not (isinstance(w, QSqrt) and w.is_rational)
+    assert not (isinstance(w, QSqrt) and set(w.terms) <= {1})
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(feet=st.lists(st.tuples(st.integers(1, 720), st.integers(1, 720)),
+                     min_size=1, max_size=4),
+       picks=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 720),
+                                st.integers(-3, 3)), max_size=10),
+       alpha=st.sampled_from([Fraction(n, 2) for n in
+                              (0, 2, -2, 1, -1, 3, -3, 14, -14)]))
+@example(feet=[(210, 671)], picks=[(0, 5, 2), (0, 5, -2)],
+         alpha=Fraction(1, 2))
+@example(feet=[(210, 671)], picks=[(0, 210, 1)], alpha=Fraction(-1, 2))
+def test_kernel_is_the_per_class_sum_within_its_digit_bound(feet, picks,
+                                                            alpha):
+    # classes over the keys 0..3, each key with its own feet; a key with
+    # classes of opposite multiplicity can cancel to 0, and a key with no
+    # class is a laid-out cell that prints 0/1.  At alpha 1/2 the feet
+    # 210 and 671 weigh in sqrt(140910), a radicand of six digits.
+    classes = [(i, *feet[i], s, c) for i, s, c in picks if i < len(feet)]
+    with recorded_digit_bounds() as bounds:
+        entries = degroupoidify(classes, alpha, "kernel", len(feet))
+    assert entries == degroupoidify_per_class(classes, alpha)
+    printed = [max(len(d) for d in re.findall(r"\d+", format_rational(v)))
+               for v in entries.values()] + [1] * (len(feet) - len(entries))
+    [(longest, total)] = bounds
+    assert max(printed) <= longest and sum(printed) <= total
 
 
 def test_size_cap_message_bounds_a_count_past_the_digit_limit():
