@@ -171,20 +171,17 @@ def cmd_fock(args) -> int:
 def cmd_hecke(args) -> int:
     from . import hecke  # imported only when needed
 
-    verify = args.verify or not args.constants
-    hecke.check_caps(args.q, relations=verify,
-                     constants=bool(args.constants))   # before any work
+    tensor = hecke.hecke_structure_constants(args.q)   # caps checked first
     status = EXIT_OK
     out: dict = {"q": args.q}
     lines = []
-    if verify:
-        report = hecke.verify_hecke_relations(args.q)
+    if args.verify or not args.constants:
+        report = hecke.verify_hecke_relations(tensor)
         out["relations"] = {name: passed for name, passed in report.checks}
         lines.append(str(report))
         if not report.ok:
             status = EXIT_VERIFICATION
     if args.constants:
-        tensor = hecke.hecke_structure_constants(args.q)
         payload = {
             "q": args.q,
             "labels": list(tensor.labels),

@@ -43,11 +43,11 @@ CREATION: FockSpan = {(1, 0): 1}       # matrix z, the adjoint of A
 FIELD: FockSpan = {(0, 1): 1, (1, 0): 1}   # A + A*, matrix tridiagonal
 
 
-def add_spans(s: FockSpan, t: FockSpan, coefficient: int = 1) -> FockSpan:
-    """s + coefficient * t, the coefficient as a discrete groupoid."""
+def add_spans(s: FockSpan, t: FockSpan) -> FockSpan:
+    """s + t, the sum of spans as their disjoint union."""
     out = dict(s)
     for m, c in t.items():
-        out[m] = out.get(m, 0) + coefficient * c
+        out[m] = out.get(m, 0) + c
     return out
 
 
@@ -84,11 +84,18 @@ def entries(s: FockSpan, N: int, alpha: Fraction | int = 0) -> dict:
     """The matrix entries of s at truncation N, by (x, y), each joined
     from the classes (u + k, u + l, u) of c a*^k a^l with
     u <= N - max(k, l), weighed by ``exact.degroupoidify``.  The row foot
-    x is the span's target, so the source's y! stands first."""
-    f = math.factorial
-    classes = (((u + k, u + l), f(u + l), f(u + k), f(u), c)
-               for (k, l), c in s.items() for u in range(N - max(k, l) + 1))
-    return degroupoidify(classes, alpha, f"fock entries at alpha {alpha}", 0)
+    x is the span's target, so the source's y! stands first.  Each
+    monomial keeps (u + l)!, (u + k)! and u! as running products in u."""
+    def classes():
+        for (k, l), c in s.items():
+            if max(k, l) > N:
+                continue
+            fl, fk, fu = math.factorial(l), math.factorial(k), 1
+            for u in range(N - max(k, l) + 1):
+                yield (u + k, u + l), fl, fk, fu, c
+                fl, fk, fu = fl * (u + l + 1), fk * (u + k + 1), fu * (u + 1)
+    return degroupoidify(classes(), alpha, f"fock entries at alpha {alpha}",
+                         0)
 
 
 def matrix(s: FockSpan, N: int, alpha: Fraction | int = 0) -> list[list]:

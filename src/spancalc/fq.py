@@ -139,20 +139,19 @@ def _reduce(u, basis, q: int) -> tuple[list[int], list[int]]:
     return coords, residual
 
 
-def subspaces(dim: int, q: int, k: int | None = None) -> list[Matrix]:
-    """Every subspace of F_q^dim (of dimension k, when given), each as its
-    reduced row echelon basis: per choice of pivot columns, every value of
-    the entries right of a pivot outside the pivot columns."""
+def subspaces(dim: int, q: int, k: int) -> list[Matrix]:
+    """Every k-dimensional subspace of F_q^dim, each as its reduced row
+    echelon basis: per choice of k pivot columns, every value of the
+    entries right of a pivot outside the pivot columns."""
     out = []
-    for size in range(dim + 1) if k is None else (k,):
-        for pivots in itertools.combinations(range(dim), size):
-            free = [(i, c) for i, p in enumerate(pivots)
-                    for c in range(p + 1, dim) if c not in pivots]
-            for values in itertools.product(range(q), repeat=len(free)):
-                rows = [[int(c == p) for c in range(dim)] for p in pivots]
-                for (i, c), x in zip(free, values):
-                    rows[i][c] = x
-                out.append(tuple(map(tuple, rows)))
+    for pivots in itertools.combinations(range(dim), k):
+        free = [(i, c) for i, p in enumerate(pivots)
+                for c in range(p + 1, dim) if c not in pivots]
+        for values in itertools.product(range(q), repeat=len(free)):
+            rows = [[int(c == p) for c in range(dim)] for p in pivots]
+            for (i, c), x in zip(free, values):
+                rows[i][c] = x
+            out.append(tuple(map(tuple, rows)))
     return out
 
 

@@ -261,8 +261,12 @@ class HallAlgebra:
                 out.append(m)
             return tuple(out)
 
+        # a base change at a vertex whose edge spaces are all 0 fixes every
+        # representation; elsewhere the representation cap holds q <= 10^6
+        moving = {v for a, b in edges if dimvec[a] * dimvec[b] for v in (a, b)}
         moves = [functools.partial(base_change, v, s, mat_inv(s, q))
-                 for v, d in enumerate(dimvec) for s in _gl_generators(d, q)]
+                 for v, d in enumerate(dimvec) if v in moving
+                 for s in _gl_generators(d, q)]
         all_mats = [list(all_matrices(dimvec[b], dimvec[a], q))
                     for a, b in edges]
         classes: list[RepClass] = []

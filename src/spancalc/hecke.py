@@ -4,8 +4,6 @@ Flags are incident (point, line) pairs in the projective plane over F_q.
 The relations P ("same line, different point") and L ("same point,
 different line") satisfy P^2 = (q-1)P + qI, L^2 = (q-1)L + qI and the
 Yang-Baxter identity PLP = LPL as integer matrices over the flag set.
-Each row of P and L has q entries, so the identities are checked by
-multiplying sparse rows exactly.
 
 G = SL(3, F_q) acts transitively on flags, and its orbits on flag pairs
 are the six relative positions of two flags (Bruhat decomposition), which
@@ -14,9 +12,10 @@ disjoint union of the B Stab_w, with |Stab_w| = |G| / |orbit w| and
 |G| = q^3 (q^2 - 1)(q^3 - 1), and the triple space degroupoidifies to the
 structure constants of the Hecke algebra by counting middle flags, which
 the kernel ``exact.degroupoidify`` weighs: no group element is ever
-listed.  Orbit labels follow the shortest relation
-word reaching the orbit: e, P, L, PL, LP, PLP; this labeling is a
-documented choice, emitted with every output.
+listed.  Orbit labels follow the shortest relation word reaching the
+orbit: e, P, L, PL, LP, PLP; this labeling is a documented choice,
+emitted with every output.  The orbits P and L are the relations, so
+the three identities are checked on these constants.
 
 The route through the group itself, which enumerates SL(3, F_q) for
 q in {2, 3} and finds its orbits on flag pairs, is a test oracle and lives
@@ -27,43 +26,28 @@ with the tests.  This module imports only ``spancalc.exact`` and
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from .exact import SizeCapError, _check_cap, degroupoidify
+from .exact import _check_cap, degroupoidify
 from .fq import echelon, is_prime, nullspace
 
 ORBIT_LABELS = ("e", "P", "L", "PL", "LP", "PLP")
 _POSITION = {lbl: i for i, lbl in enumerate(ORBIT_LABELS)}
 
-# arithmetic terms of the relation products, 2 n_flags q^3: 1.1e7 at
-# q = 13 passes, 5.4e7 at q = 17 does not
-MAX_RELATION_TERMS = 2 * 10 ** 7
 
-Rows = tuple[tuple[int, ...], ...]   # a sparse 0/1 matrix: row f lists its 1s
-
-
-def check_caps(q: int, relations: bool = True, constants: bool = True
-               ) -> None:
-    """Project the work at q against the caps before doing any of it: the
-    flag list with its index, the sparse relation rows and the middle-flag
-    counts of the structure constants are allocations, checked against the
-    size cap; the terms of the relation products are time, checked against
-    MAX_RELATION_TERMS, since ``verify_hecke_relations`` holds one product
-    row at a time."""
+def _check_flags(q: int) -> int:
+    """The number of flags at q, once the flag list and its index, which
+    hold that many entries each, pass the size cap."""
     n_flags = (q * q + q + 1) * (q + 1)
-    # the flag list and its index hold n_flags entries each
     _check_cap(f"flag geometry at q={q}", 2 * n_flags)
-    if relations:
-        # the rows of P and L hold q entries each
-        _check_cap(f"Hecke relation rows at q={q}", 2 * n_flags * q)
-        # each of the two triple products spends about q^3 terms per row
-        terms = 2 * n_flags * q ** 3
-        if terms > MAX_RELATION_TERMS:
-            raise SizeCapError(f"Hecke relation product terms at q={q}",
-                               terms, MAX_RELATION_TERMS)
-    if constants:
-        # positions relative to one flag, then six middle-flag scans
-        _check_cap(f"Hecke structure constants at q={q}", 7 * n_flags)
+    return n_flags
+
+
+def check_caps(q: int) -> None:
+    """Project the work at q against the size cap before doing any of it:
+    the flag list with its index, then the structure constants' positions
+    relative to one flag and six middle-flag scans."""
+    _check_cap(f"Hecke structure constants at q={q}", 7 * _check_flags(q))
 
 
 class FlagGeometry(NamedTuple):
@@ -87,7 +71,7 @@ def flag_geometry(q: int) -> FlagGeometry:
     of the projective line, with b1, b2 a basis of the covector's
     nullspace, each normalized as its one-row echelon form, so the flags
     are listed without an incidence scan."""
-    check_caps(q, relations=False, constants=False)
+    _check_flags(q)
     if not is_prime(q):
         raise ValueError(f"q={q} is not prime")
     field = range(q)
@@ -107,33 +91,6 @@ def flag_geometry(q: int) -> FlagGeometry:
     return FlagGeometry(q, points, lines, tuple(flags), index)
 
 
-# -- the relations P and L as sparse rows ------------------------------------
-
-def relation_rows(geo: FlagGeometry) -> tuple[Rows, Rows]:
-    """P and L as sparse rows: row f of P lists the flags on the line of
-    flag f other than f, row f of L those through its point, q each."""
-    def rows(same_component: int) -> Rows:
-        by_value: dict[int, list[int]] = {}
-        for f, flag in enumerate(geo.flags):
-            by_value.setdefault(flag[same_component], []).append(f)
-        return tuple(tuple(g for g in by_value[flag[same_component]] if g != f)
-                     for f, flag in enumerate(geo.flags))
-    return rows(1), rows(0)
-
-
-def row_product(factors: Sequence[Rows], f: int) -> dict[int, int]:
-    """Row f of the integer matrix product of sparse 0/1 matrices, taken
-    left to right, as {column: nonzero entry}."""
-    row = {f: 1}
-    for rows in factors:
-        nxt: dict[int, int] = {}
-        for g, c in row.items():
-            for h in rows[g]:
-                nxt[h] = nxt.get(h, 0) + c
-        row = nxt
-    return row
-
-
 class RelationReport(NamedTuple):
     q: int
     checks: tuple[tuple[str, bool], ...]
@@ -146,29 +103,6 @@ class RelationReport(NamedTuple):
         return "\n".join(
             f"{'PASS' if passed else 'FAIL'}: {name}"
             for name, passed in self.checks)
-
-
-def verify_hecke_relations(q: int) -> RelationReport:
-    """Check P^2, L^2 and Yang-Baxter as exact integer matrix identities,
-    one sparse row at a time."""
-    check_caps(q, constants=False)
-    geo = flag_geometry(q)
-    P, L = relation_rows(geo)
-    flags = range(geo.n_flags)
-
-    def quadratic(R: Rows) -> bool:
-        # R^2 = (q-1)R + qI, row by row
-        return all(row_product((R, R), f) ==
-                   {**dict.fromkeys(R[f], q - 1), f: q} for f in flags)
-
-    checks = (
-        (f"P^2 = ({q}-1)P + {q}I", quadratic(P)),
-        (f"L^2 = ({q}-1)L + {q}I", quadratic(L)),
-        ("PLP = LPL (Yang-Baxter)",
-         all(row_product((P, L, P), f) == row_product((L, P, L), f)
-             for f in flags)),
-    )
-    return RelationReport(q, checks)
 
 
 # -- relative positions and the structure constants, group-free -------------
@@ -229,16 +163,14 @@ def hecke_structure_constants(q: int, alpha: int = 0) -> HeckeTensor:
     and the y foot (u, v), |Stab_u| |Stab_v| automorphisms: c[u][v][w] is
     the count itself at alpha = 0.
     """
-    check_caps(q, relations=False)
+    check_caps(q)
     geo = flag_geometry(q)
     first, sizes = relative_positions(geo)
     order = sl3_order(q)
+    if any(order % size for size in sizes):
+        raise AssertionError(f"orbit-stabilizer bookkeeping broke: orbits "
+                             f"of {sizes} pairs in a group of order {order}")
     stab = [order // size for size in sizes]
-    for size, s in zip(sizes, stab):
-        if size * s != order:
-            raise AssertionError(
-                f"orbit-stabilizer bookkeeping broke: orbit of {size} "
-                f"pairs in a group of order {order}")
     k = len(ORBIT_LABELS)
     classes = []
     for w in range(k):
@@ -255,3 +187,29 @@ def hecke_structure_constants(q: int, alpha: int = 0) -> HeckeTensor:
     return HeckeTensor(q, ORBIT_LABELS, tuple(
         tuple(tuple(c.get((u, v, w), Fraction(0)) for w in range(k))
               for v in range(k)) for u in range(k)))
+
+
+def verify_hecke_relations(tensor: HeckeTensor) -> RelationReport:
+    """Check P^2 = (q-1)P + qI, L^2 = (q-1)L + qI and PLP = LPL on the
+    alpha = 0 structure constants: coefficient vectors over the six orbit
+    matrices, multiplied through c[u][v][w].  Those matrices have disjoint
+    nonempty supports, so they are linearly independent, and each matrix
+    identity holds exactly when its coefficient vectors agree."""
+    q, c, k = tensor.q, tensor.tensor, range(len(tensor.labels))
+
+    def times(x: list, y: list) -> list:
+        terms = [(xu * yv, c[u][v]) for u, xu in enumerate(x) if xu
+                 for v, yv in enumerate(y) if yv]
+        return [sum(a * row[w] for a, row in terms) for w in k]
+
+    e, P, L = ([int(w == i) for w in k] for i in range(3))   # orbits 0-2
+
+    def quadratic(R: list) -> bool:
+        return times(R, R) == [(q - 1) * r + q * i for r, i in zip(R, e)]
+
+    return RelationReport(q, (
+        (f"P^2 = ({q}-1)P + {q}I", quadratic(P)),
+        (f"L^2 = ({q}-1)L + {q}I", quadratic(L)),
+        ("PLP = LPL (Yang-Baxter)",
+         times(times(P, L), P) == times(times(L, P), L)),
+    ))

@@ -291,6 +291,15 @@ S3_WORDS = {"e": "", "P": "P", "L": "L", "PL": "PL", "LP": "LP",
             "PLP": "PLP"}
 
 
+def raise_constant(tensor: HeckeTensor, u: str, v: str, w: str
+                   ) -> HeckeTensor:
+    """``tensor`` with c[u][v][w] raised by 1: a broken Hecke algebra."""
+    c = [[list(row) for row in plane] for plane in tensor.tensor]
+    c[ORBIT_LABELS.index(u)][ORBIT_LABELS.index(v)][ORBIT_LABELS.index(w)] \
+        += 1
+    return tensor._replace(tensor=c)
+
+
 def iwahori_hecke_s3(q: int) -> tuple:
     """c[u][v][w] with T_u T_v = sum_w c[u][v][w] T_w in the Iwahori-Hecke
     algebra of S_3, from permutations alone: T_s T_w = T_sw when

@@ -79,8 +79,8 @@ from spancalc.groupoid import (FiniteGroupoid, GroupoidFunctor, IsoClassTable,
                                Rational, cardinality, iso_classes,
                                same_groupoid)
 from spancalc.hall import HallAlgebra, Quiver, RepClass
-from spancalc.hecke import (FlagGeometry, HeckeTensor, Rows, _pair_label,
-                            flag_geometry, relation_rows)
+from spancalc.hecke import (FlagGeometry, HeckeTensor, _pair_label,
+                            flag_geometry)
 from spancalc.spans import (RationalMatrix, SpanOfGroupoids, compose_spans,
                             degroupoidify_classes, degroupoidify_span)
 
@@ -667,21 +667,46 @@ def hecke_product(tensor: HeckeTensor, x: list[Fraction],
     return out
 
 
-def _dense(rows: Rows) -> np.ndarray:
-    out = np.zeros((len(rows), len(rows)), dtype=np.int64)
-    for f, row in enumerate(rows):
-        out[f, list(row)] = 1
-    return out
+def incidence_scan(q: int) -> tuple[list, list[tuple[int, int]]]:
+    """The points and flags of the projective plane over F_q by an
+    incidence scan: every normalized nonzero vector of F_q^3 is a point
+    and a line, in sorted order, and every (point, line) pair with zero
+    dot product is a flag, by index."""
+    points = sorted({tuple(x * pow(next(filter(None, v)), q - 2, q) % q
+                           for x in v)
+                     for v in itertools.product(range(q), repeat=3)
+                     if any(v)})
+    return points, [(pi, li) for pi, p in enumerate(points)
+                    for li, c in enumerate(points)
+                    if sum(a * b for a, b in zip(p, c)) % q == 0]
+
+
+def _relation(q: int, same: int) -> np.ndarray:
+    """The 0/1 matrix over flags of "same component ``same`` (0 the point,
+    1 the line), other flag", from the incidence scan."""
+    _points, flags = incidence_scan(q)
+    return np.array([[int(f != g and f[same] == g[same]) for g in flags]
+                     for f in flags], dtype=np.int64)
 
 
 def build_P(q: int) -> np.ndarray:
     """Relation "same line, different point" as a 0/1 matrix over flags."""
-    return _dense(relation_rows(flag_geometry(q))[0])
+    return _relation(q, 1)
 
 
 def build_L(q: int) -> np.ndarray:
     """Relation "same point, different line" as a 0/1 matrix over flags."""
-    return _dense(relation_rows(flag_geometry(q))[1])
+    return _relation(q, 0)
+
+
+def orbit_matrices(q: int) -> dict[str, np.ndarray]:
+    """The six orbit matrices psi_w of the A2 Hecke algebra as products of
+    P and L: psi_e = I, psi_P = P, psi_L = L, psi_PL = PL, psi_LP = LP and
+    psi_PLP = PLP, each word reduced, so each product is 0/1."""
+    P, L = build_P(q), build_L(q)
+    return {"e": np.eye(len(P), dtype=np.int64), "P": P, "L": L,
+            "PL": P @ L, "LP": L @ P, "PLP": P @ L @ P}
+
 
 def _det3(m: tuple, q: int) -> int:
     a, b, c, d, e, f, g, h, i = m

@@ -165,9 +165,9 @@ def test_criterion_08_normal_ordered_powers():
 def test_criterion_09_hecke_relations():
     ok = True
     for q in (2, 3):
-        ok = ok and verify_hecke_relations(q).ok
+        ok = ok and verify_hecke_relations(hecke_structure_constants(q)).ok
     start = time.monotonic()
-    ok = ok and verify_hecke_relations(5).ok
+    ok = ok and verify_hecke_relations(hecke_structure_constants(5)).ok
     elapsed5 = time.monotonic() - start
     report("9", ok and elapsed5 < 10.0,
            f"q in {{2,3,5}}, q=5 in {elapsed5:.2f}s")

@@ -27,8 +27,8 @@ from spancalc.spans import (
     span_to_json,
 )
 
-from helpers import (S3_WORDS, iwahori_hecke_s3, random_cyclic_action,
-                     random_span, recorded_digit_bounds,
+from helpers import (S3_WORDS, iwahori_hecke_s3, raise_constant,
+                     random_cyclic_action, random_span, recorded_digit_bounds,
                      z5_and_its_relabelling)
 from oracles import (annihilation_span, build_E, compose_literal, connected,
                      cyclic_table, discrete, from_group_table, identity_span,
@@ -904,16 +904,65 @@ def test_hecke_cap_breach_past_the_printed_digit_limit_names_its_cap():
     assert "Traceback" not in result.stderr and result.stdout == ""
 
 
-def test_hecke_verify_past_the_work_cap_exits_2():
-    # q = 17 needs 5.4e7 product terms: the work cap, not the size cap
+def test_hecke_verify_at_q17_passes():
+    # the relations are checked on the constants, so --verify reaches every
+    # q that --constants reaches
     result = subprocess.run(
         [sys.executable, "-m", "spancalc.cli", "hecke", "--q", "17",
-         "--verify"], capture_output=True, text=True,
-        env=dict(os.environ, SPANCALC_SIZE_CAP=str(10 ** 12)), timeout=5)
-    assert result.returncode == 2
-    assert "relation product terms" in result.stderr
-    assert "SPANCALC_SIZE_CAP" not in result.stderr
-    assert "Traceback" not in result.stderr and result.stdout == ""
+         "--verify"], capture_output=True, text=True, timeout=5)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("PASS") == 3
+    assert "FAIL" not in result.stdout
+
+
+def _break_hecke_constants(monkeypatch) -> list:
+    """Make hecke_structure_constants raise c[P][P][P] by 1 and record the
+    q of each call."""
+    from spancalc import hecke
+    good, calls = hecke.hecke_structure_constants, []
+
+    def broken(q):
+        calls.append(q)
+        return raise_constant(good(q), "P", "P", "P")
+
+    monkeypatch.setattr(hecke, "hecke_structure_constants", broken)
+    return calls
+
+
+def test_hecke_broken_constant_fails_its_relation_with_exit_1(monkeypatch,
+                                                              capsys):
+    # only the P^2 line fails, and the run exits 1
+    _break_hecke_constants(monkeypatch)
+    assert cli.main(["hecke", "--q", "2", "--verify"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL: P^2 = (2-1)P + 2I", "PASS: L^2 = (2-1)L + 2I",
+        "PASS: PLP = LPL (Yang-Baxter)"]
+
+
+def test_hecke_verify_and_constants_share_one_tensor(tmp_path, monkeypatch,
+                                                     capsys):
+    # one call, whose (broken) constants are both checked and written
+    calls = _break_hecke_constants(monkeypatch)
+    out = tmp_path / "constants.json"
+    assert cli.main(["hecke", "--q", "3", "--verify", "--constants",
+                     str(out)]) == 1
+    assert calls == [3]
+    assert capsys.readouterr().out.startswith("FAIL: P^2 = (3-1)P + 3I")
+    assert json.loads(out.read_text())["tensor"]["P"]["P"] == \
+        {"e": "3/1", "P": "3/1"}
+
+
+@pytest.mark.parametrize("quiver, dmax", [("a2", "1,0"), ("a1", "1")])
+def test_hall_at_a_huge_prime_q_with_no_edge_space_exits_0(quiver, dmax):
+    # q - 1 = 2p with p a prime near 10^17: a base change at a vertex
+    # whose edge spaces are all 0 moves nothing, so no GL generator (and
+    # no primitive root of F_q) is formed
+    result = subprocess.run(
+        [sys.executable, "-m", "spancalc.cli", "hall", "--quiver", quiver,
+         "--q", "200000000000000363", "--dmax", dmax],
+        capture_output=True, text=True, timeout=5)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("PASS") == 2
 
 
 def _digits_of_ten_times_factorial() -> list[int]:

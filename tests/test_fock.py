@@ -1,6 +1,7 @@
 import math
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,7 @@ from oracles import (
     compose_literal,
     coproduct,
     creation_span,
+    degroupoidify_per_class,
     full_inverse_image,
     psi_n,
     trace_literal,
@@ -226,6 +228,13 @@ def test_ccr_fails_when_the_exact_identity_fails(monkeypatch):
     assert report.discrepancies == ((4, 4, -5),)
 
 
+def test_add_spans_adds_two_spans():
+    assert add_spans({(1, 0): 2}, {(1, 0): 1, (0, 0): 1}) == \
+        {(1, 0): 3, (0, 0): 1}
+    with pytest.raises(TypeError):
+        add_spans({}, {}, 2)     # a scaled sum is the sum of a scaled span
+
+
 def test_ccr_holds_exactly_as_spans():
     # a a* = a* a + 1 with no truncation, so with no boundary
     aastar = fock_compose(ANNIHILATION, CREATION)
@@ -240,6 +249,28 @@ def test_aastar_composite_matrix_diagonal():
     for n in range(4):
         assert m.data[n][n] == n + 1
     assert m.data[4][4] == 0
+
+
+def test_entries_equal_the_per_class_factorials(monkeypatch):
+    # the oracle forms (u + l)!, (u + k)! and u! afresh for every class;
+    # entries keeps running products, two factorials per monomial
+    calls = []
+    factorial = math.factorial
+    monkeypatch.setattr(fock, "math", SimpleNamespace(**{
+        **vars(math), "factorial": lambda n: calls.append(n) or factorial(n)}))
+    spans = (CREATION, ANNIHILATION, FIELD,
+             fock_compose(ANNIHILATION, CREATION))
+    for s in spans:
+        for N in range(41):
+            for alpha in (0, 1, -1, Fraction(1, 2)):
+                calls.clear()
+                want = degroupoidify_per_class(
+                    (((u + k, u + l), factorial(u + l), factorial(u + k),
+                      factorial(u), c)
+                     for (k, l), c in s.items()
+                     for u in range(N - max(k, l) + 1)), alpha)
+                assert entries(s, N, alpha) == want, (s, N, alpha)
+                assert len(calls) <= 2 * len(s)
 
 
 def test_compose_literal_and_skeletal_agree():
@@ -426,8 +457,9 @@ def test_field_powers_are_wick_sums_of_normal_ordered_powers():
         want: dict = {}
         for k in range(n // 2 + 1):
             pairings = math.prod(range(2 * k - 1, 0, -2))
-            want = add_spans(want, normal_ordered_power(n - 2 * k),
-                             math.comb(n, 2 * k) * pairings)
+            weight = math.comb(n, 2 * k) * pairings
+            want = add_spans(want, {m: weight * c for m, c in
+                                    normal_ordered_power(n - 2 * k).items()})
         assert span_power(FIELD, n) == want, n
 
 

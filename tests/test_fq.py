@@ -112,6 +112,13 @@ def test_generated_extends_a_closed_group_in_place():
     assert group == generated_group(gens[:2], (2,), q)
 
 
+def test_subspaces_take_their_dimension():
+    # every caller lists one dimension at a time
+    with pytest.raises(TypeError):
+        subspaces(2, 2)
+    assert subspaces(2, 2, 1) == [((1, 0),), ((1, 1),), ((0, 1),)]
+
+
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_subspaces_against_gaussian_binomials_and_enumeration(q):
     for n in range(4):

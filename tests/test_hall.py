@@ -76,8 +76,9 @@ def test_linear_algebra_helpers():
     for singular in (((1, 2), (2, 4)), ((0, 0), (0, 1)), ((0,),)):
         with pytest.raises(ValueError):
             mat_inv(singular, 3)
-    assert len(subspaces(2, 2)) == 5       # 0, three lines, the plane
-    assert len(subspaces(2, 3)) == 6
+    # 0, three lines, the plane
+    assert sum(len(subspaces(2, 2, k)) for k in range(3)) == 5
+    assert sum(len(subspaces(2, 3, k)) for k in range(3)) == 6
 
 
 def test_class_tables_a2_q2():

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -7,23 +6,21 @@ import pytest
 from spancalc.exact import SizeCapError
 from spancalc.groupoid import validate_groupoid
 from spancalc.hecke import (
-    MAX_RELATION_TERMS,
     ORBIT_LABELS,
     check_caps,
     flag_geometry,
     hecke_structure_constants,
-    relation_rows,
     relative_positions,
-    row_product,
     sl3_order,
     verify_hecke_relations,
 )
 from spancalc.spans import degroupoidify_span
 
-from helpers import group_route_constants, iwahori_hecke_s3
+from helpers import group_route_constants, iwahori_hecke_s3, raise_constant
 from oracles import (basis_vector, bruhat_orbits, build_group, build_L,
                      build_P, degroupoidify_equivariant, enumerate_flags,
-                     hecke_product, materialize_span, triple_block_span)
+                     hecke_product, incidence_scan, materialize_span,
+                     orbit_matrices, triple_block_span)
 
 
 def test_flag_counts():
@@ -49,17 +46,10 @@ def test_points_per_line():
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_flags_match_the_incidence_scan(q):
-    # the oracle: every normalized vector of F_q^3 is a point, and every
-    # (point, line) pair with zero dot product is a flag
-    points = sorted({tuple(x * pow(next(filter(None, v)), q - 2, q) % q
-                           for x in v)
-                     for v in itertools.product(range(q), repeat=3)
-                     if any(v)})
+    points, flags = incidence_scan(q)
     geo = flag_geometry(q)
     assert list(geo.points) == points == list(geo.lines)
-    assert list(geo.flags) == [
-        (pi, li) for pi, p in enumerate(points) for li, c in enumerate(points)
-        if sum(a * b for a, b in zip(p, c)) % q == 0]
+    assert list(geo.flags) == flags
     assert geo.flag_index == {f: i for i, f in enumerate(geo.flags)}
 
 
@@ -76,9 +66,34 @@ def test_relation_row_sums_and_symmetry():
 
 
 def test_hecke_relations_pass():
-    for q in (2, 3, 5):
-        report = verify_hecke_relations(q)
+    for q in (2, 3, 5, 17):
+        report = verify_hecke_relations(hecke_structure_constants(q))
         assert report.ok, str(report)
+        assert str(report).count("PASS") == 3
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_hecke_relations_hold_on_the_flag_matrices(q):
+    psi = orbit_matrices(q)
+    I, P, L = psi["e"], psi["P"], psi["L"]
+    assert np.array_equal(P @ P, (q - 1) * P + q * I)
+    assert np.array_equal(L @ L, (q - 1) * L + q * I)
+    assert np.array_equal(P @ L @ P, L @ P @ L)
+    # the six orbit matrices are 0/1 with disjoint supports covering X x X
+    assert np.array_equal(sum(psi.values()), np.ones_like(I))
+
+
+def test_a_broken_constant_fails_only_its_relation():
+    tensor = hecke_structure_constants(3)
+    for (u, v, w), failing in [
+            (("P", "P", "P"), "P^2 = (3-1)P + 3I"),
+            (("L", "L", "e"), "L^2 = (3-1)L + 3I"),
+            (("PL", "P", "PLP"), "PLP = LPL (Yang-Baxter)"),
+            (("PL", "P", "e"), "PLP = LPL (Yang-Baxter)")]:
+        report = verify_hecke_relations(raise_constant(tensor, u, v, w))
+        assert not report.ok
+        assert [name for name, passed in report.checks if not passed] == \
+            [failing]
 
 
 def test_relations_are_group_invariant():
@@ -254,26 +269,23 @@ def test_orbit_sizes_and_group_order_from_incidence():
         assert orbits.class_size[c] == sizes[w]
 
 
-def test_sparse_products_equal_dense_products():
-    for q in (2, 3):
-        geo = flag_geometry(q)
-        P_rows, L_rows = relation_rows(geo)
-        P, L = build_P(q), build_L(q)
-        n = geo.n_flags
-        for factors, dense in (((P_rows, P_rows), P @ P),
-                               ((L_rows, L_rows), L @ L),
-                               ((P_rows, L_rows, P_rows), P @ L @ P),
-                               ((L_rows, P_rows, L_rows), L @ P @ L)):
-            sparse = np.zeros((n, n), dtype=np.int64)
-            for f in range(n):
-                for g, c in row_product(factors, f).items():
-                    sparse[f, g] = c
-            assert np.array_equal(sparse, dense)
+@pytest.mark.parametrize("q", [2, 3])
+def test_flag_matrices_multiply_by_the_structure_constants(q):
+    # the oracle pair: products of the 0/1 orbit matrices from flag
+    # incidence against the middle-flag counts of the group-free route
+    psi = orbit_matrices(q)
+    c = hecke_structure_constants(q).tensor
+    for ui, u in enumerate(ORBIT_LABELS):
+        for vi, v in enumerate(ORBIT_LABELS):
+            assert all(x.denominator == 1 for x in c[ui][vi])
+            assert np.array_equal(
+                psi[u] @ psi[v],
+                sum(int(x) * psi[w] for x, w in zip(c[ui][vi], ORBIT_LABELS)))
 
 
 def test_hecke_work_is_capped_before_enumeration(monkeypatch):
     with pytest.raises(SizeCapError):
-        verify_hecke_relations(101)
+        check_caps(101)
     with pytest.raises(SizeCapError):
         hecke_structure_constants(101)
     monkeypatch.setenv("SPANCALC_SIZE_CAP", "100")
@@ -281,38 +293,21 @@ def test_hecke_work_is_capped_before_enumeration(monkeypatch):
         flag_geometry(3)
 
 
-def test_relation_caps_name_the_allocation_or_the_work(monkeypatch):
-    check_caps(13)      # 2 * 2562 * 13^3 = 11257428 product terms
-    with pytest.raises(SizeCapError, match="relation product terms") as exc:
-        check_caps(17)  # 54298476 terms
-    assert exc.value.needed == 54298476
-    assert f"cap of {MAX_RELATION_TERMS}" in str(exc.value)
-    check_caps(17, relations=False)
-    # the rows of P and L, 2 * 2562 * 13 entries, are an allocation
-    monkeypatch.setenv("SPANCALC_SIZE_CAP", "20000")
-    with pytest.raises(SizeCapError, match="relation rows") as exc:
-        check_caps(13)
-    assert exc.value.needed == 2 * 2562 * 13
-    assert "SPANCALC_SIZE_CAP" in str(exc.value)
-    check_caps(13, relations=False)
-
-
 def test_hecke_caps_sit_exactly_at_their_projections(monkeypatch):
-    # q = 3 has 52 flags: 7 * 52 middle-flag counts for the constants and
-    # 2 * 52 * 3 relation row entries, each admitted at the cap, not past it
-    for cap, kwargs, what in [(364, {"relations": False},
-                               "Hecke structure constants"),
-                              (312, {"constants": False},
-                               "Hecke relation rows")]:
-        monkeypatch.setenv("SPANCALC_SIZE_CAP", str(cap))
-        check_caps(3, **kwargs)
+    # q = 3 has 52 flags: 2 * 52 entries for the flag list and its index,
+    # then 7 * 52 middle-flag counts for the constants, each admitted at
+    # the cap, not past it, and checked in that order
+    for cap, what, admitted in [(104, "flag geometry", flag_geometry),
+                                (364, "Hecke structure constants",
+                                 check_caps)]:
         monkeypatch.setenv("SPANCALC_SIZE_CAP", str(cap - 1))
         with pytest.raises(SizeCapError, match=what) as exc:
-            check_caps(3, **kwargs)
+            check_caps(3)
         assert exc.value.needed == cap
+        monkeypatch.setenv("SPANCALC_SIZE_CAP", str(cap))
+        admitted(3)
+    # at the default cap, q = 83 is the last prime admitted
     monkeypatch.delenv("SPANCALC_SIZE_CAP")
-    check_caps(14)      # 2 * 3165 * 14^3 = 17369520 product terms
-    with pytest.raises(SizeCapError, match="relation product terms") as exc:
-        check_caps(15)
-    assert exc.value.needed == 26028000
-    assert f"cap of {MAX_RELATION_TERMS}" in str(exc.value)
+    check_caps(83)
+    with pytest.raises(SizeCapError, match="Hecke structure constants"):
+        check_caps(89)
